@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,15 +79,7 @@ class InradiusCurve:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family_id": self.family_id,
-                "anchor_s0": self.anchor_s0,
-                "anchor_value_C": self.anchor_value_C,
-                "samples": [[s, r] for s, r in self.samples],
-                "quadrature_error_estimate": self.quadrature_error_estimate,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _integrand(family: FamilySpec) -> Callable[[float], float]:
@@ -129,38 +121,27 @@ def inradius_by_quadrature(
     else:
         raise DomainError("grid must be strictly ordered")
     lo, hi = family.domain
-    if not (grid[0] > lo or math.isclose(grid[0], lo)) or not grid[-1] < hi:
-        raise DomainError(f"grid outside family domain {family.domain}")
-    for g in grid:
-        if not lo < g < hi:
-            raise DomainError(f"grid point {g} outside open domain")
+    outside = (grid <= lo) | (grid >= hi)
+    if np.any(outside):
+        raise DomainError(f"grid point {grid[np.argmax(outside)]} outside open domain")
     if not (lo <= s0 < hi):
         raise DomainError(f"anchor s0={s0} outside domain {family.domain}")
 
     f = _integrand(family)
-    # cumulative integration over the sorted knots (anchor included)
+    # cumulative integration over the sorted knots, then shifted to vanish at the anchor
     knots = np.unique(np.concatenate([[s0], grid]))
-    vals = {}
-    err_total = 0.0
-    i0 = int(np.searchsorted(knots, s0))
-    vals[i0] = 0.0
-    for i in range(i0 + 1, len(knots)):
-        seg, err = integrate.quad(
-            f, knots[i - 1], knots[i],
-            epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_PANEL_LIMIT,
+    segments = [
+        integrate.quad(
+            f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_PANEL_LIMIT
         )
-        vals[i] = vals[i - 1] + seg
-        err_total += abs(err)
-    for i in range(i0 - 1, -1, -1):
-        seg, err = integrate.quad(
-            f, knots[i], knots[i + 1],
-            epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_PANEL_LIMIT,
-        )
-        vals[i] = vals[i + 1] - seg
-        err_total += abs(err)
-
-    lookup = {knots[i]: vals[i] for i in range(len(knots))}
-    samples = tuple((float(s), C + lookup[s]) for s in grid)
+        for a, b in zip(knots[:-1], knots[1:])
+    ]
+    cumulative = np.concatenate([[0.0], np.cumsum([seg for seg, _ in segments])])
+    vals = cumulative - cumulative[np.searchsorted(knots, s0)]
+    samples = tuple(
+        (float(s), C + float(v)) for s, v in zip(grid, vals[np.searchsorted(knots, grid)])
+    )
+    err_total = sum(abs(err) for _, err in segments)
 
     r = np.array([p[1] for p in samples])
     v = np.array([family.volume(s) for s in grid])

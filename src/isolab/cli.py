@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,30 +30,21 @@ _EXPR_NS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family_id: str | None = None
-    params: dict[str, float] = field(default_factory=dict)
-    grid: tuple[float, float, int] | None = None
-    rtol: float = 1e-8
-    output_format: str = "json"
-    output_path: str | None = None
-    seed: int = 0
-
-
 def _parse_params(items: list[str] | None) -> dict:
     out = {}
     for item in items or []:
         if "=" not in item:
             raise DomainError(f"malformed parameter {item!r}, expected key=value")
         key, val = item.split("=", 1)
-        if key == "branch":
-            out[key] = val
-        elif key == "n":
-            out[key] = int(val)
-        else:
-            out[key] = float(val)
+        try:
+            if key == "branch":
+                out[key] = val
+            elif key == "n":
+                out[key] = int(val)
+            else:
+                out[key] = float(val)
+        except ValueError as exc:
+            raise DomainError(f"malformed parameter {item!r}: {exc}") from exc
     return out
 
 
@@ -67,6 +57,13 @@ def _parse_grid(spec: str) -> np.ndarray:
     if n < 2:
         raise DomainError("grid needs at least 2 points")
     return np.linspace(lo, hi, n)
+
+
+def _parse_numbers(spec: str) -> np.ndarray:
+    try:
+        return np.array([float(v) for v in spec.split(",")])
+    except ValueError as exc:
+        raise DomainError(f"malformed list {spec!r}, expected comma-separated numbers") from exc
 
 
 def _one_param_family(args) -> families.FamilySpec:
@@ -164,7 +161,7 @@ def cmd_kmin_table(args) -> int:
 
 def cmd_trace(args) -> int:
     nfam = _nparam_class(args.cls)
-    start = np.array([float(v) for v in args.start.split(",")])
+    start = _parse_numbers(args.start)
     curve = search.trace_level_set(
         nfam, args.k, start, steps=args.steps, step_size=args.step_size
     )
@@ -176,8 +173,12 @@ def cmd_solve_coordinate(args) -> int:
     nfam = _nparam_class(args.cls)
     fixed = {}
     for item in args.fixed:
-        idx_s, expr = item.split("=", 1)
-        fixed[int(idx_s)] = (
+        try:
+            idx_s, expr = item.split("=", 1)
+            idx = int(idx_s)
+        except ValueError as exc:
+            raise DomainError(f"malformed --fixed {item!r}, expected i=expr(s)") from exc
+        fixed[idx] = (
             lambda s, expr=expr: float(eval(expr, {"__builtins__": {}}, {**_EXPR_NS, "s": s}))
         )
     root = search.solve_coordinate(nfam, args.k, fixed, args.j, args.s)
@@ -259,7 +260,7 @@ def cmd_lift(args) -> int:
 
 def cmd_steiner(args) -> int:
     if args.box:
-        shape = tuple(float(v) for v in args.box.split(","))
+        shape = _parse_numbers(args.box)
     elif args.polygon_file:
         with open(args.polygon_file) as fh:
             shape = np.asarray(json.load(fh), dtype=float)
@@ -273,6 +274,10 @@ def cmd_steiner(args) -> int:
 
 
 def cmd_bonnesen(args) -> int:
+    needed = ("P", "r") if args.two_d else ("V",)
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        raise argparse.ArgumentError(None, f"bonnesen needs {' and '.join(missing)}")
     if args.two_d:
         report = inequalities.bonnesen_2d(args.P, args.A, args.r)
     else:
@@ -302,7 +307,6 @@ def cmd_deficit(args) -> int:
 
 def _add_output_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write the data document here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--C", type=float, default=0.0)
     p.add_argument("--grid", required=True, help="lo:hi:n")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_output_opts(p)
     p.set_defaults(handler=cmd_inradius)
 
@@ -359,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, help="comma-separated coordinates")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--step-size", type=float, default=1e-2)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_output_opts(p)
     p.set_defaults(handler=cmd_trace)
 
@@ -432,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.handler(args)
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CheckFailedError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

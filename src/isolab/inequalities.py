@@ -70,13 +70,9 @@ def _row(name: str, lhs: float, rhs: float, scale: float = 1.0) -> InequalityRow
 
 def bonnesen_general(d: int, v: float, a: float) -> InequalityReport:
     """The three general-d Bonnesen rows with r the Tong inradius d V / A."""
-    if d < 2:
-        raise DomainError("d must be >= 2")
-    if v <= 0 or a <= 0:
-        raise DomainError("V and A must be positive")
+    dfc = deficit(d, v, a)
     kd = kappa(d)
     r = d * v / a
-    dfc = a**d - d**d * kd * v ** (d - 1)
     rows = (
         _row("deficit_vs_area_gap", dfc, (a - d * kd * r ** (d - 1)) ** d, scale=a**d),
         _row("deficit_vs_volume_gap", dfc, (v / r - kd * r ** (d - 1)) ** d, scale=a**d),

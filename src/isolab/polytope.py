@@ -7,13 +7,17 @@ subtend positive-altitude pyramids from an interior apex.  Decomposing into
 those pyramids shows that d V / A is simultaneously the area-weighted
 arithmetic mean and the volume-weighted harmonic mean of the pyramid
 altitudes, independent of the apex choice.
+
+Each polyhedron's facet geometry (unit normals, plane offsets and facet
+measures, with 3D facet areas from the Newell vector) is fixed once at
+construction; every operation below is an array expression over it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,106 +38,94 @@ def _polygon_area_2d(pts: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _newell_normal(pts: np.ndarray) -> np.ndarray:
-    n = np.zeros(3)
-    for i in range(len(pts)):
-        a, b = pts[i], pts[(i + 1) % len(pts)]
-        n += np.cross(a, b)
-    return n
-
-
-def _fan_area_3d(pts: np.ndarray) -> float:
-    area = 0.0
-    for i in range(1, len(pts) - 1):
-        area += 0.5 * float(np.linalg.norm(np.cross(pts[i] - pts[0], pts[i + 1] - pts[0])))
-    return area
-
-
 @dataclass(frozen=True)
 class StarPolyhedron:
     """Polygon (d=2) or polyhedron (d=3) star-like with respect to ``apex``.
 
-    Facets list vertex indices; in 2D each facet is an edge, in 3D a planar
-    polygon with vertices counterclockwise viewed from outside.  Validation
-    checks planarity, positive facet measure, outward orientation, and that
-    the apex lies strictly on the inner side of every facet hyperplane.
+    Facets list vertex indices; in 2D each facet is an edge, in 3D a simple
+    planar polygon with vertices counterclockwise viewed from outside.
+
+    The geometry is fixed at construction: ``vertices`` and ``apex`` are
+    read-only copies of the inputs, and the read-only arrays ``normals``
+    (unit outward normals, F x d), ``offsets`` (c_i with n_i . x = c_i on
+    facet i) and ``measures`` (facet lengths or areas) are computed once.
+    In 3D a facet's normal and area both come from its Newell vector, taken
+    relative to its first vertex, which is exact for any simple planar
+    polygon, convex or not.  Construction checks planarity, positive facet
+    measure, and that the apex lies strictly on the inner side of every
+    facet hyperplane.
     """
 
     dimension: int
     vertices: np.ndarray
     facets: tuple[tuple[int, ...], ...]
     apex: np.ndarray
+    normals: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    measures: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-        object.__setattr__(self, "apex", np.asarray(self.apex, dtype=float))
-        object.__setattr__(self, "facets", tuple(tuple(int(i) for i in f) for f in self.facets))
-        if self.dimension not in (2, 3):
+        d = self.dimension
+        vertices = _frozen(self.vertices)
+        apex = _frozen(self.apex)
+        facets = tuple(tuple(int(i) for i in f) for f in self.facets)
+        if d not in (2, 3):
             raise GeometryError("only dimensions 2 and 3 are supported")
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != self.dimension:
+        if vertices.ndim != 2 or vertices.shape[1] != d:
             raise GeometryError("vertex array shape does not match dimension")
-        if self.apex.shape != (self.dimension,):
+        if apex.shape != (d,):
             raise GeometryError("apex shape does not match dimension")
-        if not self.facets:
+        if not facets:
             raise GeometryError("polyhedron has no facets")
-        self._validate()
-
-    # facet plane data: unit outward normal and offset c with n.x = c on the plane
-    def facet_planes(self) -> list[tuple[np.ndarray, float]]:
-        planes = []
-        for idx, facet in enumerate(self.facets):
-            pts = self.vertices[list(facet)]
-            if self.dimension == 2:
-                if len(facet) != 2:
-                    raise GeometryError(f"facet {idx}: 2D facets are edges of 2 vertices")
-                e = pts[1] - pts[0]
-                length = np.linalg.norm(e)
-                if length <= 0:
-                    raise GeometryError(f"facet {idx}: zero-length edge")
-                n = np.array([e[1], -e[0]]) / length
-            else:
-                if len(facet) < 3:
-                    raise GeometryError(f"facet {idx}: 3D facets need >= 3 vertices")
-                n = _newell_normal(pts)
-                nn = np.linalg.norm(n)
-                if nn <= 0:
-                    raise GeometryError(f"facet {idx}: degenerate facet")
-                n = n / nn
-            planes.append((n, float(n @ pts[0])))
-        return planes
-
-    def _validate(self) -> None:
-        diag = _bbox_diagonal(self.vertices)
+        diag = _bbox_diagonal(vertices)
         if diag <= 0:
             raise GeometryError("degenerate vertex set")
         tol = PLANARITY_RTOL * diag
-        for idx, (facet, (n, c)) in enumerate(zip(self.facets, self.facet_planes())):
-            pts = self.vertices[list(facet)]
-            if self.dimension == 3:
-                worst = float(np.max(np.abs(pts @ n - c)))
+        if any(not 0 <= i < len(vertices) for f in facets for i in f):
+            raise GeometryError("facet vertex index out of range")
+
+        normals = np.empty((len(facets), d))
+        offsets = np.empty(len(facets))
+        measures = np.empty(len(facets))
+        for idx, facet in enumerate(facets):
+            pts = vertices[list(facet)]
+            if d == 2:
+                if len(facet) != 2:
+                    raise GeometryError(f"facet {idx}: 2D facets are edges of 2 vertices")
+                e = pts[1] - pts[0]
+                measure = float(np.linalg.norm(e))
+                if measure <= 0:
+                    raise GeometryError(f"facet {idx}: zero-length edge")
+                n = np.array([e[1], -e[0]]) / measure
+            else:
+                if len(facet) < 3:
+                    raise GeometryError(f"facet {idx}: 3D facets need >= 3 vertices")
+                rel = pts - pts[0]
+                newell = np.cross(rel, np.roll(rel, -1, axis=0)).sum(axis=0)
+                measure = 0.5 * float(np.linalg.norm(newell))
+                if measure <= tol * diag:
+                    raise GeometryError(f"facet {idx}: vanishing area")
+                n = newell / (2.0 * measure)
+                worst = float(np.max(np.abs(rel @ n)))
                 if worst > tol:
                     raise GeometryError(
                         f"facet {idx}: non-planar (max deviation {worst:.3e} > {tol:.3e})"
                     )
-                if _fan_area_3d(pts) <= tol * diag:
-                    raise GeometryError(f"facet {idx}: vanishing area")
-            # star-likeness: apex strictly on the inner side
-            dist = c - float(n @ self.apex)
+            c = float(n @ pts[0])
+            dist = c - float(n @ apex)
             if dist <= tol:
                 raise GeometryError(
                     f"facet {idx}: apex is not strictly interior "
                     f"(signed distance {dist:.3e})"
                 )
+            normals[idx], offsets[idx], measures[idx] = n, c, measure
 
-    def facet_measures(self) -> np.ndarray:
-        out = []
-        for facet in self.facets:
-            pts = self.vertices[list(facet)]
-            if self.dimension == 2:
-                out.append(float(np.linalg.norm(pts[1] - pts[0])))
-            else:
-                out.append(_fan_area_3d(pts))
-        return np.array(out)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "normals", _frozen(normals))
+        object.__setattr__(self, "offsets", _frozen(offsets))
+        object.__setattr__(self, "measures", _frozen(measures))
 
     def with_apex(self, apex: Sequence[float]) -> "StarPolyhedron":
         return StarPolyhedron(self.dimension, self.vertices, self.facets, np.asarray(apex))
@@ -147,6 +139,13 @@ class StarPolyhedron:
                 "apex": self.apex.tolist(),
             }
         )
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy, so no caller can change a polyhedron's geometry."""
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def from_json(text: str) -> StarPolyhedron:
@@ -179,17 +178,19 @@ class PyramidDecomposition:
 
 def decompose(p: StarPolyhedron) -> PyramidDecomposition:
     """Decompose into pyramids over the facets with apex at p.apex."""
-    a_i = p.facet_measures()
-    r_i = np.array([c - float(n @ p.apex) for n, c in p.facet_planes()])
+    r_i = p.offsets - p.normals @ p.apex
     if np.any(r_i <= 0):
-        raise GeometryError("apex outside: some pyramid altitude is nonpositive")
-    v_i = a_i * r_i / p.dimension
+        idx = int(np.argmax(r_i <= 0))
+        raise GeometryError(
+            f"facet {idx}: apex outside, pyramid altitude {r_i[idx]:.3e} is nonpositive"
+        )
+    v_i = p.measures * r_i / p.dimension
     return PyramidDecomposition(
         dimension=p.dimension,
-        facet_measures=a_i,
+        facet_measures=p.measures,
         altitudes=r_i,
         pyramid_volumes=v_i,
-        total_area=float(a_i.sum()),
+        total_area=float(p.measures.sum()),
         total_volume=float(v_i.sum()),
     )
 
@@ -216,14 +217,25 @@ def support_function(vertices: np.ndarray, u: np.ndarray) -> float:
     return float(np.max(vertices @ u))
 
 
-def _check_convex(p: StarPolyhedron) -> None:
-    diag = _bbox_diagonal(p.vertices)
-    for idx, (n, c) in enumerate(p.facet_planes()):
-        excess = float(np.max(p.vertices @ n - c))
-        if excess > CONVEXITY_RTOL * diag:
-            raise GeometryError(
-                f"facet {idx}: vertices beyond the facet plane by {excess:.3e}; not convex"
-            )
+# entries of the vertex-by-facet product held at once (8 MB of floats)
+_SUPPORT_BLOCK = 1 << 20
+
+
+def _convex_support(p: StarPolyhedron) -> np.ndarray:
+    """h(n_i) at every facet normal; raises unless every vertex is inside every facet plane."""
+    step = max(1, _SUPPORT_BLOCK // len(p.vertices))
+    h = np.concatenate([
+        np.max(p.vertices @ p.normals[i:i + step].T, axis=0)
+        for i in range(0, len(p.normals), step)
+    ])
+    excess = h - p.offsets
+    beyond = excess > CONVEXITY_RTOL * _bbox_diagonal(p.vertices)
+    if np.any(beyond):
+        idx = int(np.argmax(beyond))
+        raise GeometryError(
+            f"facet {idx}: vertices beyond the facet plane by {excess[idx]:.3e}; not convex"
+        )
+    return h
 
 
 def volume_from_support(p: StarPolyhedron) -> float:
@@ -231,12 +243,7 @@ def volume_from_support(p: StarPolyhedron) -> float:
 
     Translation-covariant: the identity holds wherever the origin sits.
     """
-    _check_convex(p)
-    a_i = p.facet_measures()
-    total = 0.0
-    for ai, (n, _) in zip(a_i, p.facet_planes()):
-        total += ai * support_function(p.vertices, n)
-    return total / p.dimension
+    return float(p.measures @ _convex_support(p)) / p.dimension
 
 
 def cohen_check(p: StarPolyhedron, r: float, incenter: Sequence[float] | None = None) -> float:
@@ -247,16 +254,16 @@ def cohen_check(p: StarPolyhedron, r: float, incenter: Sequence[float] | None = 
     """
     if r <= 0:
         raise DomainError("inradius r must be positive")
-    _check_convex(p)
+    _convex_support(p)
     center = np.asarray(incenter, dtype=float) if incenter is not None else p.apex
-    diag = _bbox_diagonal(p.vertices)
-    for idx, (n, c) in enumerate(p.facet_planes()):
-        dist = c - float(n @ center)
-        if abs(dist - r) > 1e-9 * max(diag, r):
-            raise GeometryError(
-                f"facet {idx}: hyperplane distance {dist} != claimed inradius {r}; "
-                "polytope is not circumscribing"
-            )
+    dist = p.offsets - p.normals @ center
+    off = np.abs(dist - r) > 1e-9 * max(_bbox_diagonal(p.vertices), r)
+    if np.any(off):
+        idx = int(np.argmax(off))
+        raise GeometryError(
+            f"facet {idx}: hyperplane distance {float(dist[idx])} != claimed inradius {r}; "
+            "polytope is not circumscribing"
+        )
     dec = decompose(p)
     return abs(dec.total_volume - r / p.dimension * dec.total_area) / dec.total_volume
 

@@ -236,15 +236,7 @@ class LevelSetCurve:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "class_id": self.class_id,
-                "k": self.k,
-                "points": [[s, list(x)] for s, x in self.points],
-                "q_values": list(self.q_values),
-                "residuals": list(self.residuals),
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _gradient(q: Callable, x: np.ndarray, scales: np.ndarray) -> np.ndarray:

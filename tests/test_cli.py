@@ -1,5 +1,9 @@
+import csv
+import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,28 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+    def test_format_only_where_csv_exists(self, capsys):
+        code, out, _ = run(
+            capsys, "classify", "--family", "cube", "--grid", "0.5:4:40", "--format", "csv"
+        )
+        assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["trace", "--class", "parallelogram3", "--k", "32", "--start", "2,2,abc"], 2),
+            (["eval", "--family", "ngon", "--param", "n=abc", "--s", "1"], 2),
+            (["solve-coordinate", "--class", "parallelogram3", "--k", "32", "--j", "2",
+              "--s", "2", "--fixed", "bad"], 2),
+            (["bonnesen", "--d", "3", "--A", "6"], 1),
+        ],
+    )
+    def test_malformed_argv_without_traceback(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        assert code == expected
+        assert out == ""
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
     def test_domain_error(self, capsys):
         code, _, err = run(
@@ -245,3 +271,24 @@ class TestLiftAndSteiner:
         assert code == 0
         doc = json.loads(out)
         assert (doc["V"], doc["A"]) == pytest.approx((1.0, 4.0))
+
+
+def readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("isolab ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_example_runs_as_written(capsys, tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cube.json").write_text(polytope.cube_polyhedron().to_json())
+    argv = shlex.split(line, comments=True)[1:]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if "csv" in argv:
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    else:
+        json.loads(out)

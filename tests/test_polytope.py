@@ -11,6 +11,24 @@ from isolab.errors import DomainError, GeometryError
 SQRT2 = math.sqrt(2.0)
 
 
+def sphere_hull_dual(rng, npoints):
+    """Polar dual of the hull of random unit vectors: one polygonal facet in the
+    plane u . x = 1 per unit vector u, so it circumscribes the unit ball."""
+    u = rng.standard_normal((npoints, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    hull = ConvexHull(u)
+    dverts = hull.equations[:, :3] / -hull.equations[:, 3:]
+    facets = []
+    for i, ui in enumerate(u):
+        js = np.flatnonzero((hull.simplices == i).any(axis=1))
+        e1 = np.cross(ui, [1.0, 0.0, 0.0] if abs(ui[0]) < 0.9 else [0.0, 1.0, 0.0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(ui, e1)  # (e1, e2, u) right-handed: ascending angle is CCW from outside
+        rel = dverts[js] - ui
+        facets.append(tuple(js[np.argsort(np.arctan2(rel @ e2, rel @ e1))]))
+    return polytope.StarPolyhedron(3, dverts, tuple(facets), np.zeros(3))
+
+
 class TestStarPolyhedron:
     def test_unit_square_decomposition(self):
         sq = polytope.square_polygon(1.0)
@@ -56,6 +74,10 @@ class TestStarPolyhedron:
         bad["apex"] = [10.0, 10.0, 10.0]
         with pytest.raises(GeometryError, match="facet"):
             polytope.from_json(json.dumps(bad))
+        bad = json.loads(doc)
+        bad["facets"][0][0] = -1
+        with pytest.raises(GeometryError, match="out of range"):
+            polytope.from_json(json.dumps(bad))
 
     def test_decomposition_consistency_random(self):
         rng = np.random.default_rng(123)
@@ -65,6 +87,33 @@ class TestStarPolyhedron:
             hull = ConvexHull(p.vertices)
             assert dec.total_volume == pytest.approx(hull.volume, rel=1e-10)
             assert dec.total_area == pytest.approx(hull.area, rel=1e-10)
+
+
+    def test_nonconvex_facets_l_prism(self):
+        # L-shaped prism: cross-section of area 3 and perimeter 8, height 1
+        base = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
+        verts = np.vstack([np.c_[base, np.zeros(6)], np.c_[base, np.ones(6)]])
+        sides = tuple((i, (i + 1) % 6, 6 + (i + 1) % 6, 6 + i) for i in range(6))
+        for k in range(6):
+            ring = [(i + k) % 6 for i in range(6)]
+            bottom = tuple(reversed(ring))
+            top = tuple(6 + i for i in ring)
+            p = polytope.StarPolyhedron(3, verts, (bottom, top) + sides, np.full(3, 0.5))
+            dec = polytope.decompose(p)
+            assert dec.total_volume == pytest.approx(3.0, rel=1e-12)
+            assert dec.total_area == pytest.approx(14.0, rel=1e-12)
+
+    def test_geometry_fixed_at_construction(self):
+        cube = polytope.cube_polyhedron(1.0)
+        verts = np.array(cube.vertices)
+        p = polytope.StarPolyhedron(3, verts, cube.facets, cube.apex)
+        before = polytope.decompose(p)
+        verts *= 2.0
+        after = polytope.decompose(p)
+        assert after.total_volume == before.total_volume == pytest.approx(1.0)
+        assert after.total_area == before.total_area == pytest.approx(6.0)
+        with pytest.raises(ValueError):
+            p.vertices[0, 0] = 5.0
 
 
 class TestMeanAltitudes:
@@ -199,6 +248,13 @@ class TestCohenCheck:
         )
         with pytest.raises(GeometryError, match="circumscribing"):
             polytope.cohen_check(stretched, 0.5)
+
+    def test_polar_dual_of_sphere_hull(self):
+        dual = sphere_hull_dual(np.random.default_rng(7), 60)
+        assert max(len(f) for f in dual.facets) >= 5
+        v_dec = polytope.decompose(dual).total_volume
+        assert polytope.volume_from_support(dual) == pytest.approx(v_dec, rel=1e-9)
+        assert polytope.cohen_check(dual, 1.0) <= 1e-9
 
 
 class TestLiftCylinder:
