@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError, IsolabError
 from .families import FamilySpec
@@ -110,6 +109,8 @@ def inradius_by_quadrature(
     may sit at the lower endpoint when the integrand extends continuously
     (quadrature nodes never touch endpoints).
     """
+    from scipy import integrate
+
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")

@@ -9,9 +9,11 @@ error, 3 when a requested check fails.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +30,9 @@ _EXPR_NS = {
     "sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "exp": math.exp, "log": math.log, "pi": math.pi, "e": math.e,
 }
+_EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+# largest |exponent| a --fixed ``**`` may have; exponents must be number literals
+_EXPR_MAX_EXPONENT = 64.0
 
 
 def _parse_params(items: list[str] | None) -> dict:
@@ -64,6 +69,60 @@ def _parse_numbers(spec: str) -> np.ndarray:
         return np.array([float(v) for v in spec.split(",")])
     except ValueError as exc:
         raise DomainError(f"malformed list {spec!r}, expected comma-separated numbers") from exc
+
+
+def _is_number(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _check_expr(node: ast.AST) -> None:
+    """Reject any node outside the --fixed grammar, and make number literals floats.
+
+    With float literals every operation is a bounded-time float operation, so
+    no expression can build an unbounded integer.
+    """
+    if _is_number(node):
+        node.value = float(node.value)
+    elif isinstance(node, ast.Name):
+        if node.id != "s" and not isinstance(_EXPR_NS.get(node.id), float):
+            raise ValueError(f"unknown name {node.id!r}")
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        _check_expr(node.operand)
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_BINOPS):
+        if isinstance(node.op, ast.Pow):
+            exp = node.right.operand if isinstance(node.right, ast.UnaryOp) else node.right
+            if not (_is_number(exp) and abs(exp.value) <= _EXPR_MAX_EXPONENT):
+                raise ValueError(
+                    f"an exponent must be a number of size at most {_EXPR_MAX_EXPONENT:g}"
+                )
+        _check_expr(node.left)
+        _check_expr(node.right)
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and callable(_EXPR_NS.get(node.func.id)) and len(node.args) == 1 and not node.keywords):
+        _check_expr(node.args[0])
+    else:
+        raise ValueError(f"unsupported expression {ast.unparse(node)!r}")
+
+
+def _parse_fixed(item: str) -> tuple[int, Callable[[float], float]]:
+    """Parse ``i=expr`` into the coordinate index and a function of s."""
+    try:
+        idx_s, expr = item.split("=", 1)
+        idx = int(idx_s)
+        tree = ast.parse(expr.strip(), mode="eval")
+        _check_expr(tree.body)
+        code = compile(tree, "<--fixed>", "eval")
+    # the parser reports nesting too deep for its stack as MemoryError
+    except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
+        raise DomainError(f"malformed --fixed {item!r}, expected i=expr(s): {exc}") from exc
+
+    def fn(s: float) -> float:
+        try:
+            return float(eval(code, {"__builtins__": {}}, {**_EXPR_NS, "s": s}))
+        except (ArithmeticError, ValueError, TypeError) as exc:  # TypeError: complex value
+            raise DomainError(f"--fixed {item!r} has no real value at s={s}: {exc}") from exc
+
+    return idx, fn
 
 
 def _one_param_family(args) -> families.FamilySpec:
@@ -171,16 +230,7 @@ def cmd_trace(args) -> int:
 
 def cmd_solve_coordinate(args) -> int:
     nfam = _nparam_class(args.cls)
-    fixed = {}
-    for item in args.fixed:
-        try:
-            idx_s, expr = item.split("=", 1)
-            idx = int(idx_s)
-        except ValueError as exc:
-            raise DomainError(f"malformed --fixed {item!r}, expected i=expr(s)") from exc
-        fixed[idx] = (
-            lambda s, expr=expr: float(eval(expr, {"__builtins__": {}}, {**_EXPR_NS, "s": s}))
-        )
+    fixed = dict(_parse_fixed(item) for item in args.fixed)
     root = search.solve_coordinate(nfam, args.k, fixed, args.j, args.s)
     _emit(args, _jdump({"class": nfam.id, "k": args.k, "s": args.s, "j": args.j, "root": root}))
     return EXIT_OK
@@ -263,7 +313,12 @@ def cmd_steiner(args) -> int:
         shape = _parse_numbers(args.box)
     elif args.polygon_file:
         with open(args.polygon_file) as fh:
-            shape = np.asarray(json.load(fh), dtype=float)
+            try:
+                shape = np.asarray(json.load(fh), dtype=float)
+            except (ValueError, TypeError) as exc:
+                raise DomainError(
+                    f"{args.polygon_file}: expected a JSON array of [x, y] vertices ({exc})"
+                ) from exc
     else:
         raise DomainError("pass either --box a,b,c or --polygon-file path")
     v, a = polytope.steiner_parallel_body(shape, args.s)
@@ -374,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--fixed", action="append", required=True,
-                   help="i=expr(s), e.g. 0=sqrt(s); repeatable")
+                   help="i=expr(s), e.g. 0=sqrt(s): numbers, s, pi, e, + - * / ** "
+                        "(number exponent) and sqrt sin cos tan exp log; repeatable")
     _add_output_opts(p)
     p.set_defaults(handler=cmd_solve_coordinate)
 

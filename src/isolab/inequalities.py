@@ -11,8 +11,6 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 
-from scipy.special import gammaln
-
 from .errors import DomainError
 
 # hybrid comparison tolerance; rows can be exact zeros at equality cases
@@ -21,6 +19,8 @@ HOLD_TOL = 1e-12
 
 def kappa(d: int) -> float:
     """Volume of the d-dimensional unit ball, pi^(d/2) / Gamma(d/2 + 1)."""
+    from scipy.special import gammaln
+
     if d < 1:
         raise DomainError("d must be >= 1")
     return math.exp(0.5 * d * math.log(math.pi) - gammaln(0.5 * d + 1.0))

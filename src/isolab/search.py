@@ -17,8 +17,6 @@ from dataclasses import dataclass, asdict
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
 
 from .errors import ConvergenceError, DomainError
 from .families import FamilySpec, NParamFamilySpec, as_nparam, builtin
@@ -72,15 +70,31 @@ def _sample_box(nfamily: NParamFamilySpec) -> tuple[tuple[float, float], ...]:
     return tuple(box)
 
 
+def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
+    """n points of a random Latin hypercube in (0, 1]^d (McKay et al. 1979).
+
+    Each column puts exactly one point in each of the n strata (i/n, (i+1)/n],
+    at a uniform offset inside it.  The draws follow
+    ``scipy.stats.qmc.LatinHypercube(d=d, seed=seed).random(n)`` step for step,
+    so the points are bit-identical to scipy's.
+    """
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(size=(n, d))
+    strata = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in strata:
+        rng.shuffle(row)
+    return (strata.T - offsets) / n
+
+
 def kmin(nfamily: NParamFamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0) -> KminResult:
     """Multistart derivative-free minimization of Q over the class domain."""
+    from scipy import optimize
+
     if starts < 8:
         raise DomainError("starts must be >= 8")
     q = ratio_function(nfamily)
     box = _sample_box(nfamily)
-    n = nfamily.nparams
-    sampler = qmc.LatinHypercube(d=n, seed=seed)
-    unit = sampler.random(starts)
+    unit = latin_hypercube(starts, nfamily.nparams, seed)
     lows = np.array([b[0] for b in box])
     highs = np.array([b[1] for b in box])
     points = lows + unit * (highs - lows)
@@ -174,6 +188,8 @@ def solve_coordinate(
     root refined with Brent's method.  With several roots, the one nearest
     ``prev`` is returned (curve continuity); without ``prev``, the smallest.
     """
+    from scipy import optimize
+
     n = nfamily.nparams
     if not 0 <= j < n:
         raise DomainError(f"coordinate index {j} out of range for {n}-parameter class")

@@ -2,18 +2,38 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import isolab
 from isolab import cli, polytope
+
+SRC = Path(isolab.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*args, timeout=60):
+    """Run ``python *args`` against this checkout's isolab, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = run_process(
+        "-c", "import sys, isolab.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 class TestEval:
@@ -49,6 +69,23 @@ class TestDeterminism:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
         assert json.loads(out1)["kmin"] == pytest.approx(216.0, rel=1e-8)
+
+    # captured before the Latin hypercube moved from scipy.stats.qmc to numpy:
+    # the same start points give the same minimum, digit for digit
+    @pytest.mark.parametrize(
+        "cls, expected",
+        [
+            ("cone", '{"class_id": "cone", "kmin": 226.19467105846493, "argmin": '
+                     '[0.2042688954453072, 0.5777596788555996], "attained": true, '
+                     '"multistart_count": 16}\n'),
+            ("box3", '{"class_id": "box3", "kmin": 215.99999999999983, "argmin": '
+                     '[0.7643235847625458, 0.7643235911129975, 0.76432358923182], '
+                     '"attained": true, "multistart_count": 16}\n'),
+        ],
+    )
+    def test_kmin_output_unchanged(self, capsys, cls, expected):
+        code, out, _ = run(capsys, "kmin", "--class", cls, "--starts", "16")
+        assert (code, out) == (0, expected)
 
     def test_classify_byte_identical(self, capsys):
         argv = ("classify", "--family", "hexagon_120", "--grid", "0.2:3:40")
@@ -87,6 +124,16 @@ class TestExitCodes:
         assert code == expected
         assert out == ""
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    # in a child process with a timeout: before the --fixed grammar, 10**10**8 hung
+    @pytest.mark.parametrize("expr", ["0=foo(s)", "0=().__class__", "0=10**10**8"])
+    def test_fixed_outside_grammar(self, expr):
+        proc = run_process(
+            "-m", "isolab.cli", "solve-coordinate", "--class", "parallelogram3", "--k", "32",
+            "--j", "2", "--s", "2", "--fixed", expr, "--fixed", "1=s-sqrt(s)", timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
 
     def test_domain_error(self, capsys):
         code, _, err = run(
@@ -271,6 +318,14 @@ class TestLiftAndSteiner:
         assert code == 0
         doc = json.loads(out)
         assert (doc["V"], doc["A"]) == pytest.approx((1.0, 4.0))
+
+    @pytest.mark.parametrize("text", ["[[0,0],[1", '[[0,0],[1,"x"]]', "[[0,0],[1]]"])
+    def test_steiner_malformed_polygon_file(self, capsys, tmp_path, text):
+        path = tmp_path / "polygon.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "steiner", "--polygon-file", str(path), "--s", "1")
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def readme_cli_lines():

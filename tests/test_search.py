@@ -9,6 +9,14 @@ from isolab.errors import ConvergenceError, DomainError
 SQRT2 = math.sqrt(2.0)
 
 
+@pytest.mark.parametrize("d, n, seed", [(1, 8, 0), (2, 16, 0), (3, 16, 7), (4, 33, 123)])
+def test_latin_hypercube_matches_scipy(d, n, seed):
+    from scipy.stats import qmc
+
+    expected = qmc.LatinHypercube(d=d, seed=seed).random(n)
+    assert np.array_equal(search.latin_hypercube(n, d, seed), expected)
+
+
 class TestKmin:
     def test_box3_cubes(self):
         result = search.kmin(families.builtin("box3"), starts=8)
