@@ -91,7 +91,7 @@ def _integrand(family: FamilySpec) -> Callable[[float], float]:
 
 
 def _derivative_scale(family: FamilySpec) -> float:
-    lo, hi = family.domain
+    (lo, hi), = family.domain
     if math.isfinite(hi):
         return (hi - lo) / 2.0
     return max(lo, 1.0)
@@ -121,12 +121,10 @@ def inradius_by_quadrature(
         grid = grid[::-1]
     else:
         raise DomainError("grid must be strictly ordered")
-    lo, hi = family.domain
-    outside = (grid <= lo) | (grid >= hi)
-    if np.any(outside):
-        raise DomainError(f"grid point {grid[np.argmax(outside)]} outside open domain")
+    family.require_grid(grid)
+    (lo, hi), = family.domain
     if not (lo <= s0 < hi):
-        raise DomainError(f"anchor s0={s0} outside domain {family.domain}")
+        raise DomainError(f"anchor s0={s0} outside domain [{lo}, {hi})")
 
     f = _integrand(family)
     # cumulative integration over the sorted knots, then shifted to vanish at the anchor
@@ -238,7 +236,7 @@ def reparameterize(
     diffs = np.diff(imgs)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise DomainError("phi is not strictly monotone on the sampled domain")
-    flo, fhi = family.domain
+    (flo, fhi), = family.domain
     if np.any(imgs <= flo) or np.any(imgs >= fhi):
         raise DomainError("phi maps outside the family domain")
 
@@ -249,7 +247,7 @@ def reparameterize(
     return FamilySpec(
         id=f"{family.id}@reparam",
         dimension=family.dimension,
-        domain=new_domain,
+        domain=(new_domain,),
         volume=lambda s: family.volume(phi(s)),
         area=lambda s: family.area(phi(s)),
         params=family.params,

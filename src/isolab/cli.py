@@ -50,7 +50,16 @@ def _parse_params(items: list[str] | None) -> dict:
                 out[key] = float(val)
         except ValueError as exc:
             raise DomainError(f"malformed parameter {item!r}: {exc}") from exc
+        if isinstance(out[key], float):
+            _finite(out[key], f"--param {key}")
     return out
+
+
+def _finite(values, what: str):
+    """``values`` (a float or an array), unless some entry is NaN or infinite."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what}: NaN and infinity are not allowed")
+    return values
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -61,14 +70,16 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DomainError(f"malformed grid spec {spec!r}, expected lo:hi:n") from exc
     if n < 2:
         raise DomainError("grid needs at least 2 points")
+    _finite(hi - lo, f"grid {spec!r}")  # NaN or inf if either end is, or on overflow
     return np.linspace(lo, hi, n)
 
 
 def _parse_numbers(spec: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in spec.split(",")])
+        values = np.array([float(v) for v in spec.split(",")])
     except ValueError as exc:
         raise DomainError(f"malformed list {spec!r}, expected comma-separated numbers") from exc
+    return _finite(values, f"list {spec!r}")
 
 
 def _is_number(node: ast.AST) -> bool:
@@ -127,15 +138,8 @@ def _parse_fixed(item: str) -> tuple[int, Callable[[float], float]]:
 
 def _one_param_family(args) -> families.FamilySpec:
     spec = families.lookup(args.family, **_parse_params(getattr(args, "param", None)))
-    if not isinstance(spec, families.FamilySpec):
+    if spec.nparams != 1:
         raise DomainError(f"{args.family!r} is a multi-parameter class, not a one-parameter family")
-    return spec
-
-
-def _nparam_class(name: str) -> families.NParamFamilySpec:
-    spec = families.lookup(name)
-    if isinstance(spec, families.FamilySpec):
-        return families.as_nparam(spec)
     return spec
 
 
@@ -206,7 +210,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_kmin(args) -> int:
-    nfam = _nparam_class(args.cls)
+    nfam = families.lookup(args.cls)
     result = search.kmin(nfam, starts=args.starts, tol=args.tol, seed=args.seed)
     _emit(args, result.to_json())
     return EXIT_OK
@@ -219,7 +223,7 @@ def cmd_kmin_table(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    nfam = _nparam_class(args.cls)
+    nfam = families.lookup(args.cls)
     start = _parse_numbers(args.start)
     curve = search.trace_level_set(
         nfam, args.k, start, steps=args.steps, step_size=args.step_size
@@ -229,7 +233,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_solve_coordinate(args) -> int:
-    nfam = _nparam_class(args.cls)
+    nfam = families.lookup(args.cls)
     fixed = dict(_parse_fixed(item) for item in args.fixed)
     root = search.solve_coordinate(nfam, args.k, fixed, args.j, args.s)
     _emit(args, _jdump({"class": nfam.id, "k": args.k, "s": args.s, "j": args.j, "root": root}))
@@ -315,10 +319,13 @@ def cmd_steiner(args) -> int:
         with open(args.polygon_file) as fh:
             try:
                 shape = np.asarray(json.load(fh), dtype=float)
+                if shape.ndim != 2 or shape.shape[1] != 2:
+                    raise ValueError(f"got an array of shape {shape.shape}")
             except (ValueError, TypeError) as exc:
                 raise DomainError(
                     f"{args.polygon_file}: expected a JSON array of [x, y] vertices ({exc})"
                 ) from exc
+        _finite(shape, args.polygon_file)
     else:
         raise DomainError("pass either --box a,b,c or --polygon-file path")
     v, a = polytope.steiner_parallel_body(shape, args.s)
@@ -493,6 +500,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float):
+                _finite(value, "--" + name.replace("_", "-"))
         return args.handler(args)
     except argparse.ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

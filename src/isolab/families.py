@@ -1,10 +1,10 @@
 """Catalog of parametric region families with closed-form volume/area functions.
 
-One-parameter families are :class:`FamilySpec` instances: a dimension ``d``,
-an open interval of parameters, and evaluators for volume and surface area
-(for plane figures: area and perimeter, which play the roles of volume and
-area throughout).  Multi-parameter shape classes are
-:class:`NParamFamilySpec` instances over a product of open intervals.
+A family is a :class:`FamilySpec`: a dimension ``d``, a product of n open
+parameter intervals, and evaluators for volume and surface area (for plane
+figures: area and perimeter, which play the roles of volume and area
+throughout).  With n = 1 it is a one-parameter family of regions; with
+n > 1 it is a shape class whose level sets of Q are one-parameter families.
 
 Built-in families carry analytic derivatives of the volume function where
 available, so downstream quadrature is not polluted by differentiation error.
@@ -12,6 +12,7 @@ available, so downstream quadrature is not polluted by differentiation error.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,101 +26,82 @@ Interval = tuple[float, float]
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+RPLUS: Interval = (0.0, math.inf)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A one-parameter smooth family of compact regions.
+    """A smooth family of compact regions over n open parameter intervals.
 
-    ``volume`` must be strictly monotone on ``domain`` (split non-monotone
-    families with :func:`isolab.calculus.monotone_partition` first) and both
-    evaluators must be finite and positive strictly inside the interval.
-    For ``dimension == 2`` the evaluators are the area and the perimeter.
-    """
+    ``domain`` is a tuple of n (lo, hi) intervals.  ``volume``, ``area`` and
+    the optional analytic ``dvolume`` take a float when n = 1 and a length-n
+    array when n > 1; ``feasible`` (extra open constraints, e.g. ring torus
+    center radius > tube radius) and ``boundary_distance`` (scale-free, used
+    to classify boundary infima) take the length-n search vector.  For
+    ``dimension == 2`` the evaluators are the area and the perimeter.
 
-    id: str
-    dimension: int
-    domain: Interval
-    volume: Callable[[float], float]
-    area: Callable[[float], float]
-    params: Mapping[str, float] = field(default_factory=dict)
-    dvolume: Callable[[float], float] | None = None  # analytic V'(s), optional
-
-    def __post_init__(self):
-        if self.dimension < 2:
-            raise DomainError(f"dimension must be >= 2, got {self.dimension}")
-        lo, hi = self.domain
-        if not lo < hi:
-            raise DomainError(f"empty domain ({lo}, {hi})")
-
-    def contains(self, s: float) -> bool:
-        lo, hi = self.domain
-        return lo < s < hi
-
-    def require_inside(self, s: float) -> None:
-        if not self.contains(s):
-            raise DomainError(
-                f"parameter {s} outside open domain {self.domain} of family {self.id!r}"
-            )
-
-    def catalog_entry(self) -> dict:
-        return {
-            "id": self.id,
-            "dimension": self.dimension,
-            "domain": [self.domain[0], self.domain[1]],
-            "params": dict(self.params),
-        }
-
-
-def evaluate(family: FamilySpec, s: float) -> tuple[float, float]:
-    """Return (V, A) at parameter ``s`` strictly inside the family's domain."""
-    family.require_inside(s)
-    return family.volume(s), family.area(s)
-
-
-@dataclass(frozen=True)
-class NParamFamilySpec:
-    """An n-parameter smooth family over a product of open intervals.
-
-    ``homogeneous_prefix_m`` marks that V and A are homogeneous of degrees
-    d and d-1 in the first m coordinates.  ``feasible`` encodes extra open
-    constraints beyond the box (e.g. the ring torus needs center radius
-    strictly larger than tube radius); ``boundary_distance`` is a scale-free
-    distance to the domain boundary used to classify boundary infima, and
-    ``sample_box`` is a finite box used to draw multistart points.
+    One-parameter operations need n = 1, a ``volume`` strictly monotone on the
+    interval (split others with :func:`isolab.calculus.monotone_partition`) and
+    both evaluators finite and positive inside it.  ``homogeneous_prefix_m``
+    marks V and A as homogeneous of degrees d and d-1 in the first m
+    coordinates.  ``sample_box`` is the finite box of multistart points; it
+    defaults to 5-95 % of each interval, or of (lo, lo + 10) if unbounded.
     """
 
     id: str
     dimension: int
     domain: tuple[Interval, ...]
-    volume: Callable[[np.ndarray], float]
-    area: Callable[[np.ndarray], float]
+    volume: Callable
+    area: Callable
     params: Mapping[str, float] = field(default_factory=dict)
+    dvolume: Callable[[float], float] | None = None
     homogeneous_prefix_m: int | None = None
     feasible: Callable[[np.ndarray], bool] | None = None
     boundary_distance: Callable[[np.ndarray], float] | None = None
     sample_box: tuple[Interval, ...] | None = None
 
+    def __post_init__(self):
+        if self.dimension < 2:
+            raise DomainError(f"dimension must be >= 2, got {self.dimension}")
+        if np.ndim(self.domain) != 2 or np.shape(self.domain)[1] != 2:
+            raise DomainError(f"domain of {self.id!r} must be a non-empty tuple of intervals")
+        for lo, hi in self.domain:
+            if not lo < hi:
+                raise DomainError(f"empty domain ({lo}, {hi})")
+        if self.sample_box is None:
+            widths = [(hi - lo) if math.isfinite(hi) else 10.0 for lo, hi in self.domain]
+            box = tuple((lo + 0.05 * w, lo + 0.95 * w) for (lo, _), w in zip(self.domain, widths))
+            object.__setattr__(self, "sample_box", box)
+
     @property
     def nparams(self) -> int:
         return len(self.domain)
 
-    def contains(self, x: np.ndarray) -> bool:
+    def contains(self, x) -> bool:
+        """Whether ``x`` (a length-n vector, or a float when n = 1) is inside."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.nparams,):
+        if x.ndim > 1 or x.size != len(self.domain):
             return False
-        for xi, (lo, hi) in zip(x, self.domain):
+        for xi, (lo, hi) in zip(x.flat, self.domain):
             if not lo < xi < hi:
                 return False
         if self.feasible is not None and not self.feasible(x):
             return False
         return True
 
-    def require_inside(self, x: np.ndarray) -> None:
-        if not self.contains(np.asarray(x, dtype=float)):
-            raise DomainError(
-                f"point {np.asarray(x).tolist()} outside domain of class {self.id!r}"
-            )
+    def require_inside(self, x) -> None:
+        if not self.contains(x):
+            raise DomainError(f"point {np.asarray(x).tolist()} outside the domain of {self.id!r}")
+
+    def require_grid(self, grid: np.ndarray) -> None:
+        """Require n = 1 and every point of the 1-D ``grid`` inside the interval."""
+        if self.nparams != 1:
+            raise DomainError(f"{self.id!r} is a multi-parameter class, not a one-parameter family")
+        (lo, hi), = self.domain
+        outside = ~((grid > lo) & (grid < hi))
+        if np.any(outside):
+            point = grid[np.argmax(outside)]
+            raise DomainError(f"grid point {point} outside ({lo}, {hi}) of family {self.id!r}")
 
     def distance_to_boundary(self, x: np.ndarray) -> float:
         """Scale-free distance from ``x`` to the domain boundary."""
@@ -136,31 +118,30 @@ class NParamFamilySpec:
         return float(min(dists)) if dists else math.inf
 
     def catalog_entry(self) -> dict:
+        domain = [[lo, hi] for lo, hi in self.domain]
         return {
             "id": self.id,
             "dimension": self.dimension,
-            "domain": [[lo, hi] for lo, hi in self.domain],
+            # a one-parameter family lists its interval itself
+            "domain": domain[0] if self.nparams == 1 else domain,
             "params": dict(self.params),
         }
 
 
-def as_nparam(family: FamilySpec) -> NParamFamilySpec:
-    """View a one-parameter family as a 1-dimensional shape class."""
-    lo, hi = family.domain
-    width = (hi - lo) if math.isfinite(hi) else 10.0
-    return NParamFamilySpec(
-        id=family.id,
-        dimension=family.dimension,
-        domain=(family.domain,),
-        volume=lambda x: family.volume(float(x[0])),
-        area=lambda x: family.area(float(x[0])),
-        params=family.params,
-        sample_box=((lo + 0.05 * width, lo + 0.95 * width),),
-    )
+def evaluate(family: FamilySpec, s: float) -> tuple[float, float]:
+    """Return (V, A) at parameter ``s`` strictly inside the family's domain."""
+    family.require_inside(s)
+    return family.volume(s), family.area(s)
+
+
+def as_nparam(family: FamilySpec) -> FamilySpec:
+    """Return ``family``: every :class:`FamilySpec` is already an n-parameter
+    family.  Kept for existing callers."""
+    return family
 
 
 # ------------------------------------------------------------------ #
-# Built-in one-parameter families
+# Built-in one-parameter families (n = 1)
 # ------------------------------------------------------------------ #
 
 
@@ -173,7 +154,7 @@ def _cube() -> FamilySpec:
     return FamilySpec(
         id="cube",
         dimension=3,
-        domain=(0.0, math.inf),
+        domain=(RPLUS,),
         volume=lambda s: s**3,
         area=lambda s: 6.0 * s**2,
         dvolume=lambda s: 3.0 * s**2,
@@ -184,7 +165,7 @@ def _disk() -> FamilySpec:
     return FamilySpec(
         id="disk",
         dimension=2,
-        domain=(0.0, math.inf),
+        domain=(RPLUS,),
         volume=lambda s: math.pi * s**2,
         area=lambda s: 2.0 * math.pi * s,
         dvolume=lambda s: 2.0 * math.pi * s,
@@ -195,7 +176,7 @@ def _ball() -> FamilySpec:
     return FamilySpec(
         id="ball",
         dimension=3,
-        domain=(0.0, math.inf),
+        domain=(RPLUS,),
         volume=lambda s: 4.0 / 3.0 * math.pi * s**3,
         area=lambda s: 4.0 * math.pi * s**2,
         dvolume=lambda s: 4.0 * math.pi * s**2,
@@ -207,7 +188,7 @@ def _rect_fixed_length(a: float = 1.0) -> FamilySpec:
     return FamilySpec(
         id="rect_fixed_length",
         dimension=2,
-        domain=(0.0, math.inf),
+        domain=(RPLUS,),
         volume=lambda s: a * s,
         area=lambda s: 2.0 * s + 2.0 * a,
         params={"a": a},
@@ -220,7 +201,7 @@ def _rect_similar(k: float = 0.5) -> FamilySpec:
     return FamilySpec(
         id="rect_similar",
         dimension=2,
-        domain=(0.0, math.inf),
+        domain=(RPLUS,),
         volume=lambda s: k * s**2,
         area=lambda s: 2.0 * s + 2.0 * k * s,
         params={"k": k},
@@ -248,7 +229,7 @@ def _rhombus(a: float = 1.0, branch: str | None = None) -> FamilySpec:
     return FamilySpec(
         id=f"rhombus_{branch}",
         dimension=2,
-        domain=dom,
+        domain=(dom,),
         volume=lambda s: _rhombus_area(a, s),
         area=lambda s: 4.0 * a,
         params={"a": a},
@@ -282,7 +263,7 @@ def _hexagon_120() -> FamilySpec:
     return FamilySpec(
         id="hexagon_120",
         dimension=2,
-        domain=(0.0, math.inf),
+        domain=(RPLUS,),
         volume=area,
         area=perim,
         dvolume=darea,
@@ -296,7 +277,7 @@ def _ngon(n: int = 6) -> FamilySpec:
     return FamilySpec(
         id=f"ngon_{n}",
         dimension=2,
-        domain=(0.0, math.inf),  # circumradius
+        domain=(RPLUS,),  # circumradius
         volume=lambda s: 0.5 * n * math.sin(2.0 * half) * s**2,
         area=lambda s: 2.0 * n * math.sin(half) * s,
         params={"n": float(n)},
@@ -308,10 +289,8 @@ def _ngon(n: int = 6) -> FamilySpec:
 # Built-in n-parameter shape classes
 # ------------------------------------------------------------------ #
 
-RPLUS: Interval = (0.0, math.inf)
 
-
-def _triangle_sides() -> NParamFamilySpec:
+def _triangle_sides() -> FamilySpec:
     def area(x):
         a, b, c = x
         p = 0.5 * (a + b + c)
@@ -326,7 +305,7 @@ def _triangle_sides() -> NParamFamilySpec:
         scale = a + b + c
         return min(a + b - c, b + c - a, a + c - b, a, b, c) / scale
 
-    return NParamFamilySpec(
+    return FamilySpec(
         id="triangle_sides",
         dimension=2,
         domain=(RPLUS, RPLUS, RPLUS),
@@ -338,8 +317,8 @@ def _triangle_sides() -> NParamFamilySpec:
     )
 
 
-def _right_triangle() -> NParamFamilySpec:
-    return NParamFamilySpec(
+def _right_triangle() -> FamilySpec:
+    return FamilySpec(
         id="right_triangle",
         dimension=2,
         domain=(RPLUS, RPLUS),
@@ -349,8 +328,8 @@ def _right_triangle() -> NParamFamilySpec:
     )
 
 
-def _box3() -> NParamFamilySpec:
-    return NParamFamilySpec(
+def _box3() -> FamilySpec:
+    return FamilySpec(
         id="box3",
         dimension=3,
         domain=(RPLUS, RPLUS, RPLUS),
@@ -361,8 +340,8 @@ def _box3() -> NParamFamilySpec:
     )
 
 
-def _cylinder() -> NParamFamilySpec:
-    return NParamFamilySpec(
+def _cylinder() -> FamilySpec:
+    return FamilySpec(
         id="cylinder",
         dimension=3,
         domain=(RPLUS, RPLUS),  # (radius, height)
@@ -373,9 +352,9 @@ def _cylinder() -> NParamFamilySpec:
     )
 
 
-def _cone() -> NParamFamilySpec:
+def _cone() -> FamilySpec:
     # total surface area: lateral plus base disk
-    return NParamFamilySpec(
+    return FamilySpec(
         id="cone",
         dimension=3,
         domain=(RPLUS, RPLUS),  # (base radius, height)
@@ -387,9 +366,9 @@ def _cone() -> NParamFamilySpec:
     )
 
 
-def _square_pyramid() -> NParamFamilySpec:
+def _square_pyramid() -> FamilySpec:
     # total surface area: four slant faces plus square base
-    return NParamFamilySpec(
+    return FamilySpec(
         id="square_pyramid",
         dimension=3,
         domain=(RPLUS, RPLUS),  # (base side, height)
@@ -401,12 +380,12 @@ def _square_pyramid() -> NParamFamilySpec:
     )
 
 
-def _ring_torus() -> NParamFamilySpec:
+def _ring_torus() -> FamilySpec:
     # x = (tube radius rho1, center radius rho2); formulas valid for rho2 > rho1
     def bdist(x):
         return (x[1] - x[0]) / x[1]
 
-    return NParamFamilySpec(
+    return FamilySpec(
         id="ring_torus",
         dimension=3,
         domain=(RPLUS, RPLUS),
@@ -419,8 +398,8 @@ def _ring_torus() -> NParamFamilySpec:
     )
 
 
-def _parallelogram3() -> NParamFamilySpec:
-    return NParamFamilySpec(
+def _parallelogram3() -> FamilySpec:
+    return FamilySpec(
         id="parallelogram3",
         dimension=2,
         domain=(RPLUS, RPLUS, (0.0, math.pi)),  # (side, side, angle)
@@ -431,8 +410,8 @@ def _parallelogram3() -> NParamFamilySpec:
     )
 
 
-def _rect2() -> NParamFamilySpec:
-    return NParamFamilySpec(
+def _rect2() -> FamilySpec:
+    return FamilySpec(
         id="rect2",
         dimension=2,
         domain=(RPLUS, RPLUS),  # (length, width)
@@ -443,75 +422,65 @@ def _rect2() -> NParamFamilySpec:
     )
 
 
-_ONE_PARAM_BUILTINS: dict[str, Callable[..., FamilySpec]] = {
+# in catalog order: the one-parameter families, then the shape classes
+_BUILTINS: dict[str, Callable[..., FamilySpec]] = {
+    "ball": _ball,
     "cube": _cube,
     "disk": _disk,
-    "ball": _ball,
+    "hexagon_120": _hexagon_120,
+    "ngon": _ngon,
     "rect_fixed_length": _rect_fixed_length,
     "rect_similar": _rect_similar,
     "rhombus": _rhombus,
-    "hexagon_120": _hexagon_120,
-    "ngon": _ngon,
-}
-
-_NPARAM_BUILTINS: dict[str, Callable[[], NParamFamilySpec]] = {
-    "triangle_sides": _triangle_sides,
-    "right_triangle": _right_triangle,
     "box3": _box3,
-    "cylinder": _cylinder,
     "cone": _cone,
-    "square_pyramid": _square_pyramid,
-    "ring_torus": _ring_torus,
+    "cylinder": _cylinder,
     "parallelogram3": _parallelogram3,
     "rect2": _rect2,
+    "right_triangle": _right_triangle,
+    "ring_torus": _ring_torus,
+    "square_pyramid": _square_pyramid,
+    "triangle_sides": _triangle_sides,
 }
 
-_REGISTRY: dict[str, FamilySpec | NParamFamilySpec] = {}
+_REGISTRY: dict[str, FamilySpec] = {}
 
 
-def builtin(id: str, **params) -> FamilySpec | NParamFamilySpec:
+def builtin(id: str, **params) -> FamilySpec:
     """Construct a built-in family or shape class by id.
 
-    Raises :class:`DomainError` for unknown ids or parameters out of range.
+    Raises :class:`DomainError` for unknown ids, parameters the family does
+    not take, or parameters out of range.
     """
-    if id in _ONE_PARAM_BUILTINS:
-        return _ONE_PARAM_BUILTINS[id](**params)
-    if id in _NPARAM_BUILTINS:
-        if params:
-            raise DomainError(f"class {id!r} takes no parameters")
-        return _NPARAM_BUILTINS[id]()
-    raise DomainError(f"unknown built-in family {id!r}")
+    if id not in _BUILTINS:
+        raise DomainError(f"unknown built-in family {id!r}")
+    factory = _BUILTINS[id]
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise DomainError(f"built-in family {id!r}: {exc}") from exc
+    return factory(**params)
 
 
 def builtin_ids() -> list[str]:
-    return sorted(_ONE_PARAM_BUILTINS) + sorted(_NPARAM_BUILTINS)
+    return list(_BUILTINS)
 
 
-def register(spec: FamilySpec | NParamFamilySpec) -> None:
+def register(spec: FamilySpec) -> None:
     """Register a user-defined family; setup-time only, not thread-safe."""
     _REGISTRY[spec.id] = spec
 
 
-def lookup(id: str, **params) -> FamilySpec | NParamFamilySpec:
+def lookup(id: str, **params) -> FamilySpec:
     """Resolve a registered family, falling back to the built-in catalog."""
     if id in _REGISTRY:
         return _REGISTRY[id]
     return builtin(id, **params)
 
 
-def catalog_json(extra: Sequence[FamilySpec | NParamFamilySpec] = ()) -> str:
+def catalog_json(extra: Sequence[FamilySpec] = ()) -> str:
     """The family catalog as a JSON array of ``{id, dimension, domain, params}``."""
-    default_params = {
-        "rect_fixed_length": {"a": 1.0},
-        "rect_similar": {"k": 0.5},
-        "rhombus": {"a": 1.0, "branch": "increasing"},
-        "ngon": {"n": 6},
-    }
-    entries = []
-    for fid in sorted(_ONE_PARAM_BUILTINS):
-        entries.append(builtin(fid, **default_params.get(fid, {})).catalog_entry())
-    for fid in sorted(_NPARAM_BUILTINS):
-        entries.append(builtin(fid).catalog_entry())
-    for spec in extra:
-        entries.append(spec.catalog_entry())
-    return json.dumps(entries, indent=2)
+    # rhombus has no default branch; the catalog lists the increasing one
+    builtins = [builtin(fid, **({"branch": "increasing"} if fid == "rhombus" else {}))
+                for fid in _BUILTINS]
+    return json.dumps([spec.catalog_entry() for spec in [*builtins, *extra]], indent=2)

@@ -73,8 +73,7 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
         raise DomainError("classification grid must have at least 32 points")
     if rtol <= 0:
         raise DomainError("rtol must be positive")
-    for g in grid:
-        family.require_inside(g)
+    family.require_grid(grid)
 
     d = family.dimension
     v = np.array([family.volume(s) for s in grid])

@@ -288,7 +288,7 @@ def lift_cylinder(
     """
     from .homogeneity import classify
 
-    lo, hi = base_family.domain
+    (lo, hi), = base_family.domain
     width = min(hi - lo, 10.0) if math.isfinite(hi) else 10.0
     grid = np.linspace(lo + 0.05 * width, lo + 0.95 * width, grid_points)
     report = classify(base_family, grid, rtol=rtol)

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .families import FamilySpec, NParamFamilySpec, as_nparam, builtin
+from .families import FamilySpec, builtin
 
 _SQRT_EPS = float(np.finfo(float).eps) ** 0.5
 
@@ -28,16 +28,19 @@ STEP_MIN = 1e-6
 STEP_MAX = 1e-1
 
 
-def ratio_function(nfamily: NParamFamilySpec) -> Callable[[np.ndarray], float]:
-    """Q over the class domain, +inf outside (so simplex search stays feasible)."""
+def ratio_function(nfamily: FamilySpec) -> Callable[[np.ndarray], float]:
+    """Q of the length-n search vector, +inf outside the domain (keeps simplex search feasible)."""
     d = nfamily.dimension
+    # the evaluator argument: a float when n = 1, the vector itself when n > 1
+    point = (lambda x: float(x[0])) if nfamily.nparams == 1 else (lambda x: x)
 
     def q(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         if not nfamily.contains(x):
             return math.inf
-        v = nfamily.volume(x)
-        a = nfamily.area(x)
+        p = point(x)
+        v = nfamily.volume(p)
+        a = nfamily.area(p)
         if not (math.isfinite(v) and math.isfinite(a) and v > 0 and a > 0):
             return math.inf
         return a**d / v ** (d - 1)
@@ -57,19 +60,6 @@ class KminResult:
         return json.dumps(asdict(self))
 
 
-def _sample_box(nfamily: NParamFamilySpec) -> tuple[tuple[float, float], ...]:
-    if nfamily.sample_box is not None:
-        return nfamily.sample_box
-    box = []
-    for lo, hi in nfamily.domain:
-        if math.isfinite(hi):
-            w = hi - lo
-            box.append((lo + 0.05 * w, hi - 0.05 * w))
-        else:
-            box.append((lo + 0.1, lo + 10.0))
-    return tuple(box)
-
-
 def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     """n points of a random Latin hypercube in (0, 1]^d (McKay et al. 1979).
 
@@ -86,14 +76,14 @@ def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return (strata.T - offsets) / n
 
 
-def kmin(nfamily: NParamFamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0) -> KminResult:
+def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0) -> KminResult:
     """Multistart derivative-free minimization of Q over the class domain."""
     from scipy import optimize
 
     if starts < 8:
         raise DomainError("starts must be >= 8")
     q = ratio_function(nfamily)
-    box = _sample_box(nfamily)
+    box = nfamily.sample_box
     unit = latin_hypercube(starts, nfamily.nparams, seed)
     lows = np.array([b[0] for b in box])
     highs = np.array([b[1] for b in box])
@@ -132,12 +122,12 @@ def kmin(nfamily: NParamFamilySpec, starts: int = 16, tol: float = 1e-9, seed: i
 
 def kmin_table(starts: int = 16, tol: float = 1e-10, seed: int = 0) -> list[dict]:
     """Reproduce the isoperimetric-ratio table over all built-in shape classes."""
-    rows: list[tuple[str, NParamFamilySpec, float]] = [
+    rows: list[tuple[str, FamilySpec, float]] = [
         ("triangles", builtin("triangle_sides"), 12.0 * math.sqrt(3.0)),
         ("right_triangles", builtin("right_triangle"), 2.0 * (2.0 + math.sqrt(2.0)) ** 2),
     ]
     for n in range(3, 13):
-        rows.append((f"ngon_{n}", as_nparam(builtin("ngon", n=n)), 4.0 * n * math.tan(math.pi / n)))
+        rows.append((f"ngon_{n}", builtin("ngon", n=n), 4.0 * n * math.tan(math.pi / n)))
     rows += [
         ("boxes", builtin("box3"), 216.0),
         ("cylinders", builtin("cylinder"), 54.0 * math.pi),
@@ -174,7 +164,7 @@ def kmin_table(starts: int = 16, tol: float = 1e-10, seed: int = 0) -> list[dict
 
 
 def solve_coordinate(
-    nfamily: NParamFamilySpec,
+    nfamily: FamilySpec,
     k: float,
     fixed: Mapping[int, Callable[[float], float]],
     j: int,
@@ -193,6 +183,9 @@ def solve_coordinate(
     n = nfamily.nparams
     if not 0 <= j < n:
         raise DomainError(f"coordinate index {j} out of range for {n}-parameter class")
+    outside = sorted(set(fixed) - set(range(n)))
+    if outside:
+        raise DomainError(f"fixed coordinates {outside} out of range for {n}-parameter class")
     missing = set(range(n)) - {j} - set(fixed)
     if missing:
         raise DomainError(f"no functions given for coordinates {sorted(missing)}")
@@ -209,7 +202,7 @@ def solve_coordinate(
 
     lo, hi = nfamily.domain[j]
     if not math.isfinite(hi):
-        sb = _sample_box(nfamily)[j]
+        sb = nfamily.sample_box[j]
         hi = max(100.0, 100.0 * sb[1])
     width = hi - lo
     ts = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, scan_points)
@@ -278,7 +271,7 @@ def _gradient(q: Callable, x: np.ndarray, scales: np.ndarray) -> np.ndarray:
 
 
 def trace_level_set(
-    nfamily: NParamFamilySpec,
+    nfamily: FamilySpec,
     k: float,
     x_start: np.ndarray,
     steps: int,
@@ -298,7 +291,7 @@ def trace_level_set(
     q = ratio_function(nfamily)
     if abs(q(x) - k) / k > 1e-2:
         raise DomainError(f"start point has Q={q(x)}, far from the level k={k}")
-    box = _sample_box(nfamily)
+    box = nfamily.sample_box
     scales = np.array([b[1] - b[0] for b in box])
 
     def grad(xx: np.ndarray) -> np.ndarray:
@@ -390,11 +383,11 @@ def trace_level_set(
 
 
 def reduce_homogeneous_prefix(
-    nfamily: NParamFamilySpec,
+    nfamily: FamilySpec,
     n_checks: int = 32,
     tol: float = 1e-9,
     seed: int = 0,
-) -> NParamFamilySpec:
+) -> FamilySpec:
     """Normalize the declared scaling coordinates to z1 = 1.
 
     Verifies by random sampling that V and A are homogeneous of degrees d
@@ -407,7 +400,7 @@ def reduce_homogeneous_prefix(
         raise DomainError("class declares no valid homogeneous prefix m")
     d = nfamily.dimension
     rng = np.random.default_rng(seed)
-    box = _sample_box(nfamily)
+    box = nfamily.sample_box
     for _ in range(n_checks):
         x = np.array([rng.uniform(lo, hi) for lo, hi in box])
         if not nfamily.contains(x):
@@ -425,8 +418,8 @@ def reduce_homogeneous_prefix(
                 f"first {m} coordinates (checked at t={t}, x={x.tolist()})"
             )
 
-    def embed(z: np.ndarray) -> np.ndarray:
-        return np.concatenate([[1.0], np.asarray(z, dtype=float)])
+    def embed(z) -> np.ndarray:  # z is a float when one coordinate is left
+        return np.append(1.0, z)
 
     new_domain = tuple(
         ((0.0, math.inf) if i <= m - 1 else nfamily.domain[i])
@@ -438,14 +431,13 @@ def reduce_homogeneous_prefix(
     feas = None
     if nfamily.feasible is not None:
         feas = lambda z: nfamily.feasible(embed(z))
-    return NParamFamilySpec(
+    return FamilySpec(
         id=f"{nfamily.id}@reduced",
         dimension=d,
         domain=new_domain,
         volume=lambda z: nfamily.volume(embed(z)),
         area=lambda z: nfamily.area(embed(z)),
         params=nfamily.params,
-        homogeneous_prefix_m=None,
         feasible=feas,
         sample_box=new_box,
     )

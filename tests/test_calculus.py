@@ -79,7 +79,7 @@ class TestInradiusByQuadrature:
         full = families.FamilySpec(
             id="rhombus_full",
             dimension=2,
-            domain=(0.0, 2.0),
+            domain=((0.0, 2.0),),
             volume=lambda s: s * math.sqrt(1 - s**2 / 4),
             area=lambda s: 4.0,
         )

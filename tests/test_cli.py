@@ -61,6 +61,13 @@ class TestEval:
         assert out == ""
         assert "error" in err
 
+    # the factory's signature decides which --param keys a built-in family takes
+    @pytest.mark.parametrize("family, param", [("cube", "a=2"), ("ngon", "branch=x")])
+    def test_parameter_not_taken(self, capsys, family, param):
+        code, out, err = run(capsys, "eval", "--family", family, "--param", param, "--s", "1")
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
 
 class TestDeterminism:
     def test_kmin_byte_identical(self, capsys):
@@ -81,6 +88,11 @@ class TestDeterminism:
             ("box3", '{"class_id": "box3", "kmin": 215.99999999999983, "argmin": '
                      '[0.7643235847625458, 0.7643235911129975, 0.76432358923182], '
                      '"attained": true, "multistart_count": 16}\n'),
+            # one-parameter families: start points drawn from 5-95 % of (0, 10)
+            ("ngon", '{"class_id": "ngon_6", "kmin": 13.856406460551009, "argmin": '
+                     '[8.36289109960296], "attained": true, "multistart_count": 16}\n'),
+            ("cube", '{"class_id": "cube", "kmin": 215.99999999999983, "argmin": '
+                     '[9.5880845968871], "attained": true, "multistart_count": 16}\n'),
         ],
     )
     def test_kmin_output_unchanged(self, capsys, cls, expected):
@@ -124,6 +136,40 @@ class TestExitCodes:
         assert code == expected
         assert out == ""
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "classify --family cube --grid 1:2:40 --rtol nan",
+            "classify --family cube --grid 1:inf:40",
+            "deficit --d 3 --V nan --A 1",
+            "kmin --class box3 --tol nan",
+            "eval --family rect_fixed_length --param a=inf --s 1",
+            "trace --class rect2 --k 18 --start 1,nan",
+            "steiner --box nan,1,1 --s 1",
+            "steiner --polygon-file nan.json --s 1",
+            "steiner --polygon-file inf.json --s 1",
+        ],
+    )
+    def test_non_finite_input(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nan.json").write_text("[[0,0],[1,0],[NaN,1]]")
+        (tmp_path / "inf.json").write_text("[[0,0],[1,0],[Infinity,1]]")
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "cls, j, fixed",
+        [("box3", "2", ["0=s", "1=s", "7=s"]), ("cube", "0", ["1=s"])],
+    )
+    def test_fixed_coordinate_out_of_range(self, capsys, cls, j, fixed):
+        argv = ["solve-coordinate", "--class", cls, "--k", "220", "--j", j, "--s", "1"]
+        for item in fixed:
+            argv += ["--fixed", item]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "out of range" in err and len(err.strip().splitlines()) == 1
 
     # in a child process with a timeout: before the --fixed grammar, 10**10**8 hung
     @pytest.mark.parametrize("expr", ["0=foo(s)", "0=().__class__", "0=10**10**8"])
@@ -319,7 +365,7 @@ class TestLiftAndSteiner:
         doc = json.loads(out)
         assert (doc["V"], doc["A"]) == pytest.approx((1.0, 4.0))
 
-    @pytest.mark.parametrize("text", ["[[0,0],[1", '[[0,0],[1,"x"]]', "[[0,0],[1]]"])
+    @pytest.mark.parametrize("text", ["[[0,0],[1", '[[0,0],[1,"x"]]', "[[0,0],[1]]", "[1,1,1]"])
     def test_steiner_malformed_polygon_file(self, capsys, tmp_path, text):
         path = tmp_path / "polygon.json"
         path.write_text(text)

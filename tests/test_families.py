@@ -37,8 +37,8 @@ def test_rhombus_branch_eval():
     area, perim = families.evaluate(inc, 1.0)
     assert area == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
     assert perim == 4.0
-    assert inc.domain == (0.0, SQRT2)
-    assert dec.domain == (SQRT2, 2.0)
+    assert inc.domain == ((0.0, SQRT2),)
+    assert dec.domain == ((SQRT2, 2.0),)
 
 
 def test_rhombus_without_branch_selector():
@@ -127,7 +127,7 @@ def test_register_and_lookup():
     custom = families.FamilySpec(
         id="halfdisk",
         dimension=2,
-        domain=(0.0, math.inf),
+        domain=((0.0, math.inf),),
         volume=lambda s: math.pi * s**2 / 2,
         area=lambda s: (math.pi + 2) * s,
     )

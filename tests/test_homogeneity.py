@@ -72,6 +72,10 @@ class TestClassify:
         with pytest.raises(DomainError):
             homogeneity.classify(families.builtin("cube"), np.linspace(0.5, 4, 20))
 
+    def test_multi_parameter_class_rejected(self):
+        with pytest.raises(DomainError, match="multi-parameter class"):
+            homogeneity.classify(families.builtin("box3"), np.linspace(0.5, 4, 40))
+
     @pytest.mark.parametrize(
         "fid,params",
         [("cube", {}), ("disk", {}), ("ball", {}), ("rect_similar", {"k": 0.7}), ("ngon", {"n": 9})],

@@ -272,7 +272,7 @@ class TestLiftCylinder:
         squares = families.FamilySpec(
             id="squares_2s",
             dimension=2,
-            domain=(0.0, math.inf),
+            domain=((0.0, math.inf),),
             volume=lambda s: 4 * s**2,
             area=lambda s: 8 * s,
             dvolume=lambda s: 8 * s,

@@ -45,7 +45,7 @@ class TestKmin:
     def test_parameterization_invariance(self):
         # the same class of boxes under a smooth bijection of coordinates
         box = families.builtin("box3")
-        warped = families.NParamFamilySpec(
+        warped = families.FamilySpec(
             id="box3_warped",
             dimension=3,
             domain=box.domain,
@@ -145,7 +145,7 @@ class TestTraceLevelSet:
         fam = families.FamilySpec(
             id="traced_level_32",
             dimension=2,
-            domain=(float(arclen[0]), float(arclen[-1])),
+            domain=((float(arclen[0]), float(arclen[-1])),),
             volume=lambda s: par.volume(at(s)),
             area=lambda s: par.area(at(s)),
         )
@@ -197,7 +197,7 @@ class TestReduceHomogeneousPrefix:
 
     def test_angle_declared_as_scaling_variable_rejected(self):
         par = families.builtin("parallelogram3")
-        bad = families.NParamFamilySpec(
+        bad = families.FamilySpec(
             id="parallelogram3_bad",
             dimension=2,
             domain=par.domain,
