@@ -7,16 +7,14 @@ smooth family, and the curve is unique up to the additive constant C.
 
 from __future__ import annotations
 
-import io
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, IsolabError
-from .families import FamilySpec
+from .families import FamilySpec, Record, csv_table, sample
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -42,7 +40,7 @@ def derivative(f: Callable[[float], float], s: float, scale: float = 1.0) -> flo
 
 
 @dataclass(frozen=True)
-class InradiusCurve:
+class InradiusCurve(Record):
     """Sampled change-of-variable curve r(s), anchored at r(s0) = C."""
 
     family_id: str
@@ -71,14 +69,7 @@ class InradiusCurve:
         return float(CubicSpline(ss, rr)(s))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("s,r\n")
-        for s, r in self.samples:
-            buf.write(f"{s:.17g},{r:.17g}\n")
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return csv_table(("s", "r"), self.samples)
 
 
 def _integrand(family: FamilySpec) -> Callable[[float], float]:
@@ -121,10 +112,15 @@ def inradius_by_quadrature(
         grid = grid[::-1]
     else:
         raise DomainError("grid must be strictly ordered")
-    family.require_grid(grid)
+    sign_v = np.sign(np.diff(sample(family, grid)[0]))
     (lo, hi), = family.domain
     if not (lo <= s0 < hi):
         raise DomainError(f"anchor s0={s0} outside domain [{lo}, {hi})")
+    if np.any(sign_v == 0) or len(set(sign_v)) > 1:
+        raise ConvergenceError(
+            f"V is not strictly monotone over the grid of family {family.id!r}; "
+            "split the domain with monotone_partition first"
+        )
 
     f = _integrand(family)
     # cumulative integration over the sorted knots, then shifted to vanish at the anchor
@@ -142,16 +138,7 @@ def inradius_by_quadrature(
     )
     err_total = sum(abs(err) for _, err in segments)
 
-    r = np.array([p[1] for p in samples])
-    v = np.array([family.volume(s) for s in grid])
-    sign_r = np.sign(np.diff(r))
-    sign_v = np.sign(np.diff(v))
-    if np.any(sign_v == 0) or len(set(sign_v)) > 1:
-        raise ConvergenceError(
-            f"V is not strictly monotone over the grid of family {family.id!r}; "
-            "split the domain with monotone_partition first"
-        )
-    if np.any(sign_r != sign_v):
+    if np.any(np.sign(np.diff([r for _, r in samples])) != sign_v):
         raise ConvergenceError("r(s) failed to track the monotonicity of V(s)")
 
     return InradiusCurve(
@@ -194,15 +181,13 @@ def verify_derivative_relation(
     """
     if len(curve.samples) < 8:
         raise DomainError("curve must cover at least 8 samples")
-    if rtol <= 0:
+    if not rtol > 0:
         raise DomainError("rtol must be positive")
-    s = curve.s
     r = curve.r
-    v = np.array([family.volume(si) for si in s])
-    a = np.array([family.area(si) for si in s])
+    v, a = sample(family, curve.s)
     half = 3
     devs = []
-    for i in range(half, len(s) - half):
+    for i in range(half, len(r) - half):
         dvdr = _local_poly_derivative(r, v, i, half)
         devs.append(abs(dvdr - a[i]) / abs(a[i]))
     worst = float(max(devs))
@@ -220,7 +205,6 @@ def reparameterize(
     phi: Callable[[float], float],
     new_domain: tuple[float, float],
     dphi: Callable[[float], float] | None = None,
-    check_points: int = 64,
 ) -> FamilySpec:
     """Compose the family with a strictly monotone map phi: E' -> E.
 
@@ -231,7 +215,7 @@ def reparameterize(
     if not lo < hi:
         raise DomainError(f"empty reparameterized domain ({lo}, {hi})")
     span = (hi - lo) if math.isfinite(hi) else 10.0
-    probe = np.linspace(lo + 1e-6 * span, min(hi, lo + span) - 1e-6 * span, check_points)
+    probe = np.linspace(lo + 1e-6 * span, min(hi, lo + span) - 1e-6 * span, 64)
     imgs = np.array([phi(t) for t in probe])
     diffs = np.diff(imgs)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
@@ -270,7 +254,7 @@ def monotone_partition(
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 16:
         raise DomainError("grid must have at least 16 points")
-    if refine_tol <= 0:
+    if not refine_tol > 0:
         raise DomainError("refine_tol must be positive")
     vals = np.array([v(g) for g in grid])
     slopes = np.sign(np.diff(vals))

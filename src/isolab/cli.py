@@ -513,6 +513,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, GeometryError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except ArithmeticError as exc:  # e.g. a float overflow in an evaluator
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -93,16 +93,6 @@ class FamilySpec:
         if not self.contains(x):
             raise DomainError(f"point {np.asarray(x).tolist()} outside the domain of {self.id!r}")
 
-    def require_grid(self, grid: np.ndarray) -> None:
-        """Require n = 1 and every point of the 1-D ``grid`` inside the interval."""
-        if self.nparams != 1:
-            raise DomainError(f"{self.id!r} is a multi-parameter class, not a one-parameter family")
-        (lo, hi), = self.domain
-        outside = ~((grid > lo) & (grid < hi))
-        if np.any(outside):
-            point = grid[np.argmax(outside)]
-            raise DomainError(f"grid point {point} outside ({lo}, {hi}) of family {self.id!r}")
-
     def distance_to_boundary(self, x: np.ndarray) -> float:
         """Scale-free distance from ``x`` to the domain boundary."""
         x = np.asarray(x, dtype=float)
@@ -128,10 +118,66 @@ class FamilySpec:
         }
 
 
-def evaluate(family: FamilySpec, s: float) -> tuple[float, float]:
-    """Return (V, A) at parameter ``s`` strictly inside the family's domain."""
-    family.require_inside(s)
-    return family.volume(s), family.area(s)
+def evaluate(family: FamilySpec, x) -> tuple[float, float]:
+    """(V, A) at one point: a float, or the length-n search vector.
+
+    When n = 1 the evaluators get a float, also from a length-1 vector.
+    Raises :class:`DomainError` naming the point when it lies outside the
+    domain or V and A are not both finite and positive there.
+    """
+    # contains and len, not require_inside and nparams: this runs for every Q of a search
+    if not family.contains(x):
+        raise DomainError(f"point {np.asarray(x).tolist()} outside the domain of {family.id!r}")
+    p = x if len(family.domain) > 1 else np.asarray(x, dtype=float).item()
+    v, a = family.volume(p), family.area(p)
+    if not (0 < v < math.inf and 0 < a < math.inf):
+        raise _not_finite_positive(family, np.asarray(x).tolist(), v, a)
+    return v, a
+
+
+def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(V, A) arrays of a one-parameter family over a 1-D grid inside its
+    interval, checked as :func:`evaluate` checks one point."""
+    grid = np.asarray(grid, dtype=float)
+    if family.nparams != 1:
+        raise DomainError(f"{family.id!r} is a multi-parameter class, not a one-parameter family")
+    (lo, hi), = family.domain
+    outside = ~((grid > lo) & (grid < hi))
+    if np.any(outside):
+        point = grid[np.argmax(outside)]
+        raise DomainError(f"grid point {point} outside ({lo}, {hi}) of family {family.id!r}")
+    with np.errstate(all="ignore"):
+        v = np.array([family.volume(s) for s in grid])
+        a = np.array([family.area(s) for s in grid])
+    bad = ~((0 < v) & (v < math.inf) & (0 < a) & (a < math.inf))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise _not_finite_positive(family, float(grid[i]), v[i], a[i])
+    return v, a
+
+
+def _not_finite_positive(family: FamilySpec, point, v, a) -> DomainError:
+    return DomainError(
+        f"V = {v}, A = {a} at point {point} of {family.id!r}; both must be finite and positive"
+    )
+
+
+def ratio(d: int, v, a):
+    """The isoperimetric ratio Q = A^d / V^(d-1), scale-invariant."""
+    return a**d / v ** (d - 1)
+
+
+class Record:
+    """Base of the result dataclasses: their one JSON form."""
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self))
+
+
+def csv_table(header: Sequence[str], rows) -> str:
+    """A CSV table: the header line, then one line of ``.17g`` numbers per row."""
+    lines = [",".join(header), *(",".join(f"{x:.17g}" for x in row) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def as_nparam(family: FamilySpec) -> FamilySpec:
@@ -460,10 +506,6 @@ def builtin(id: str, **params) -> FamilySpec:
     except TypeError as exc:
         raise DomainError(f"built-in family {id!r}: {exc}") from exc
     return factory(**params)
-
-
-def builtin_ids() -> list[str]:
-    return list(_BUILTINS)
 
 
 def register(spec: FamilySpec) -> None:

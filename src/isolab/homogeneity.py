@@ -8,16 +8,14 @@ dimension.  ``classify`` tests all three characterizations numerically.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .calculus import InradiusCurve, inradius_by_quadrature
 from .errors import DomainError
-from .families import FamilySpec
+from .families import FamilySpec, Record, evaluate, ratio, sample
 from .inequalities import kappa
 
 
@@ -27,7 +25,7 @@ def isoperimetric_ratio(d: int, v: float, a: float) -> float:
         raise DomainError("d must be >= 2")
     if v <= 0 or a <= 0:
         raise DomainError("V and A must be positive")
-    return a**d / v ** (d - 1)
+    return ratio(d, v, a)
 
 
 def tong_inradius(d: int, v: float, a: float) -> float:
@@ -38,7 +36,7 @@ def tong_inradius(d: int, v: float, a: float) -> float:
 
 
 @dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(Record):
     family_id: str
     grid: tuple[float, ...]
     q_values: tuple[float, ...]
@@ -55,9 +53,6 @@ class HomogeneityReport:
     def homogeneous(self) -> bool:
         return self.verdict == "homogeneous"
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> HomogeneityReport:
     """Three-way homogeneity classification over a sample grid.
@@ -71,14 +66,12 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 32:
         raise DomainError("classification grid must have at least 32 points")
-    if rtol <= 0:
+    if not rtol > 0:
         raise DomainError("rtol must be positive")
-    family.require_grid(grid)
-
+    v, a = sample(family, grid)
     d = family.dimension
-    v = np.array([family.volume(s) for s in grid])
-    a = np.array([family.area(s) for s in grid])
-    q = a**d / v ** (d - 1)
+    # pair by pair, as at one point: numpy's array power can round the last bit differently
+    q = np.array([ratio(d, vi, ai) for vi, ai in zip(v.tolist(), a.tolist())])
     q_center = float(np.median(q))
     q_rel_spread = float(np.max(np.abs(q - q_center)) / q_center)
 
@@ -127,14 +120,14 @@ def elasticity(family: FamilySpec, curve: InradiusCurve, s: float) -> float:
     equals the dimension d exactly for homogeneous families, but is
     anchor-dependent for non-homogeneous ones.
     """
-    family.require_inside(s)
+    v, a = evaluate(family, s)
     r = curve.interpolate(s)
     if r <= 0:
         raise DomainError(
             f"r({s}) = {r} <= 0 for anchor C={curve.anchor_value_C}; "
             "elasticity is anchor-dependent, pick an anchor with positive r"
         )
-    return r * family.area(s) / family.volume(s)
+    return r * a / v
 
 
 def constant_area_check(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-10) -> bool:
@@ -142,12 +135,13 @@ def constant_area_check(family: FamilySpec, grid: Sequence[float], rtol: float =
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 32:
         raise DomainError("grid must have at least 32 points")
-    a = np.array([family.area(s) for s in grid])
+    if not rtol > 0:
+        raise DomainError("rtol must be positive")
+    v, a = sample(family, grid)
     ac = float(np.median(a))
     if np.max(np.abs(a - ac)) / ac > rtol:
         return False
     curve = inradius_by_quadrature(family, float(grid[0]), 0.0, grid)
-    v = np.array([family.volume(s) for s in grid])
     diff = curve.r - v / a
     spread = float(np.max(diff) - np.min(diff))
     scale = float(np.max(np.abs(curve.r))) + 1e-30

@@ -7,11 +7,11 @@ bounds it from below (or, in the Osserman form, bounds r A from below).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 from .errors import DomainError
+from .families import Record
 
 # hybrid comparison tolerance; rows can be exact zeros at equality cases
 HOLD_TOL = 1e-12
@@ -45,7 +45,7 @@ class InequalityRow:
 
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Record):
     dimension: int
     V: float
     A: float
@@ -57,9 +57,6 @@ class InequalityReport:
     @property
     def all_hold(self) -> bool:
         return all(row.holds for row in self.rows)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def _row(name: str, lhs: float, rhs: float, scale: float = 1.0) -> InequalityRow:

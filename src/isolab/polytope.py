@@ -246,17 +246,16 @@ def volume_from_support(p: StarPolyhedron) -> float:
     return float(p.measures @ _convex_support(p)) / p.dimension
 
 
-def cohen_check(p: StarPolyhedron, r: float, incenter: Sequence[float] | None = None) -> float:
+def cohen_check(p: StarPolyhedron, r: float) -> float:
     """Relative residual of V = (r/d) A for a circumscribing polytope.
 
-    Every facet hyperplane must lie at distance r from the incenter
-    (default: the apex); otherwise the precondition is rejected.
+    Every facet hyperplane must lie at distance r from the apex, the
+    incenter; otherwise the precondition is rejected.
     """
     if r <= 0:
         raise DomainError("inradius r must be positive")
     _convex_support(p)
-    center = np.asarray(incenter, dtype=float) if incenter is not None else p.apex
-    dist = p.offsets - p.normals @ center
+    dist = p.offsets - p.normals @ p.apex
     off = np.abs(dist - r) > 1e-9 * max(_bbox_diagonal(p.vertices), r)
     if np.any(off):
         idx = int(np.argmax(off))
@@ -278,7 +277,6 @@ def lift_cylinder(
     rho: Callable[[float], float],
     drho: Callable[[float], float] | None = None,
     rtol: float = 1e-8,
-    grid_points: int = 48,
 ) -> FamilySpec:
     """Right cylinders over a homogeneous base family, height 2 rho(s).
 
@@ -290,7 +288,7 @@ def lift_cylinder(
 
     (lo, hi), = base_family.domain
     width = min(hi - lo, 10.0) if math.isfinite(hi) else 10.0
-    grid = np.linspace(lo + 0.05 * width, lo + 0.95 * width, grid_points)
+    grid = np.linspace(lo + 0.05 * width, lo + 0.95 * width, 48)
     report = classify(base_family, grid, rtol=rtol)
     if not report.homogeneous:
         raise DomainError(

@@ -10,16 +10,14 @@ normalizes away scaling coordinates.
 
 from __future__ import annotations
 
-import io
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .families import FamilySpec, builtin
+from .families import FamilySpec, Record, builtin, csv_table, evaluate, ratio
 
 _SQRT_EPS = float(np.finfo(float).eps) ** 0.5
 
@@ -29,35 +27,26 @@ STEP_MAX = 1e-1
 
 
 def ratio_function(nfamily: FamilySpec) -> Callable[[np.ndarray], float]:
-    """Q of the length-n search vector, +inf outside the domain (keeps simplex search feasible)."""
+    """Q at the search vector, +inf where ``evaluate`` rejects it (keeps the simplex feasible)."""
     d = nfamily.dimension
-    # the evaluator argument: a float when n = 1, the vector itself when n > 1
-    point = (lambda x: float(x[0])) if nfamily.nparams == 1 else (lambda x: x)
 
     def q(x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if not nfamily.contains(x):
+        try:
+            v, a = evaluate(nfamily, x)
+        except DomainError:
             return math.inf
-        p = point(x)
-        v = nfamily.volume(p)
-        a = nfamily.area(p)
-        if not (math.isfinite(v) and math.isfinite(a) and v > 0 and a > 0):
-            return math.inf
-        return a**d / v ** (d - 1)
+        return ratio(d, v, a)
 
     return q
 
 
 @dataclass(frozen=True)
-class KminResult:
+class KminResult(Record):
     class_id: str
     kmin: float
     argmin: tuple[float, ...]
     attained: bool
     multistart_count: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
@@ -170,7 +159,6 @@ def solve_coordinate(
     j: int,
     s: float,
     prev: float | None = None,
-    scan_points: int = 512,
 ) -> float:
     """Solve Q(x) = k for coordinate j, the others given as functions of s.
 
@@ -205,7 +193,7 @@ def solve_coordinate(
         sb = nfamily.sample_box[j]
         hi = max(100.0, 100.0 * sb[1])
     width = hi - lo
-    ts = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, scan_points)
+    ts = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, 512)
     vals = np.array([g(t) for t in ts])
 
     roots = []
@@ -228,7 +216,7 @@ def solve_coordinate(
 
 
 @dataclass(frozen=True)
-class LevelSetCurve:
+class LevelSetCurve(Record):
     class_id: str
     k: float
     points: tuple[tuple[float, tuple[float, ...]], ...]  # (arclength s, x)
@@ -237,15 +225,8 @@ class LevelSetCurve:
 
     def to_csv(self) -> str:
         n = len(self.points[0][1])
-        buf = io.StringIO()
-        buf.write("s," + ",".join(f"x{i+1}" for i in range(n)) + ",Q\n")
-        for (s, x), qv in zip(self.points, self.q_values):
-            cells = [f"{s:.17g}"] + [f"{xi:.17g}" for xi in x] + [f"{qv:.17g}"]
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        header = ("s", *(f"x{i+1}" for i in range(n)), "Q")
+        return csv_table(header, ((s, *x, qv) for (s, x), qv in zip(self.points, self.q_values)))
 
 
 def _gradient(q: Callable, x: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -276,7 +257,6 @@ def trace_level_set(
     x_start: np.ndarray,
     steps: int,
     step_size: float = 1e-2,
-    corrector_tol: float = 1e-10,
 ) -> LevelSetCurve:
     """Predictor-corrector continuation along the hypersurface Q(x) = k.
 
@@ -308,7 +288,7 @@ def trace_level_set(
             val = q(xx)
             if not math.isfinite(val):
                 return None
-            if abs(val - k) <= corrector_tol * k:
+            if abs(val - k) <= 1e-10 * k:
                 return xx
             g = grad(xx)
             xx = xx - (val - k) / float(g @ g) * g
@@ -382,37 +362,30 @@ def trace_level_set(
     )
 
 
-def reduce_homogeneous_prefix(
-    nfamily: FamilySpec,
-    n_checks: int = 32,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> FamilySpec:
+def reduce_homogeneous_prefix(nfamily: FamilySpec) -> FamilySpec:
     """Normalize the declared scaling coordinates to z1 = 1.
 
-    Verifies by random sampling that V and A are homogeneous of degrees d
-    and d-1 in the first m coordinates, then returns the reduced class over
-    (z2, ..., zn) with z_i = x_i / x_1 for i <= m.  Q is invariant under the
-    reduction.
+    Verifies at 32 seeded random points that V and A are homogeneous of
+    degrees d and d-1 in the first m coordinates (to 1e-9 relative), then
+    returns the reduced class over (z2, ..., zn) with z_i = x_i / x_1 for
+    i <= m.  Q is invariant under the reduction.
     """
     m = nfamily.homogeneous_prefix_m
     if m is None or not 1 <= m <= nfamily.nparams:
         raise DomainError("class declares no valid homogeneous prefix m")
     d = nfamily.dimension
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     box = nfamily.sample_box
-    for _ in range(n_checks):
+    for _ in range(32):
         x = np.array([rng.uniform(lo, hi) for lo, hi in box])
-        if not nfamily.contains(x):
-            continue
         t = rng.uniform(0.5, 2.0)
         tx = x.copy()
         tx[:m] *= t
-        if not nfamily.contains(tx):
+        try:
+            (v, a), (vt, at) = evaluate(nfamily, x), evaluate(nfamily, tx)
+        except DomainError:
             continue
-        v, a = nfamily.volume(x), nfamily.area(x)
-        vt, at = nfamily.volume(tx), nfamily.area(tx)
-        if abs(vt - t**d * v) > tol * abs(vt) or abs(at - t ** (d - 1) * a) > tol * abs(at):
+        if abs(vt - t**d * v) > 1e-9 * abs(vt) or abs(at - t ** (d - 1) * a) > 1e-9 * abs(at):
             raise DomainError(
                 f"declared prefix m={m} rejected: V or A is not homogeneous in the "
                 f"first {m} coordinates (checked at t={t}, x={x.tolist()})"

@@ -136,6 +136,12 @@ class TestVerifyDerivativeRelation:
         report = calculus.verify_derivative_relation(fam, curve, rtol=1e-6)
         assert report.passes, (fam.id, report.max_relative_deviation)
 
+    def test_nan_rtol_rejected(self):
+        cube = families.builtin("cube")
+        curve = calculus.inradius_by_quadrature(cube, 1.0, 0.0, np.linspace(1, 2, 40))
+        with pytest.raises(DomainError, match="rtol"):
+            calculus.verify_derivative_relation(cube, curve, rtol=math.nan)
+
     def test_degenerate_two_sample_curve(self):
         cube = families.builtin("cube")
         curve = calculus.InradiusCurve("cube", 1.0, 0.0, ((1.0, 0.5), (2.0, 1.0)), 0.0)
@@ -200,3 +206,7 @@ class TestMonotonePartition:
     def test_small_grid_rejected(self):
         with pytest.raises(DomainError):
             calculus.monotone_partition(lambda s: s, np.linspace(0, 1, 10), 1e-8)
+
+    def test_nan_refine_tol_rejected(self):
+        with pytest.raises(DomainError, match="refine_tol"):
+            calculus.monotone_partition(lambda s: s**3, np.linspace(1, 2, 20), math.nan)

@@ -159,6 +159,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    # a float overflow, underflow or division by zero inside the computation
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "eval --family cube --s 1e200",
+            "classify --family cube --grid 1:1e300:64",
+            "inradius --family cube --s0 0 --grid 1e-300:1e300:40",
+            "deficit --d 400 --V 1 --A 1",
+            "bonnesen --d 1000 --V 1 --A 6",
+        ],
+    )
+    def test_arithmetic_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "cls, j, fixed",
         [("box3", "2", ["0=s", "1=s", "7=s"]), ("cube", "0", ["1=s"])],

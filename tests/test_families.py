@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from isolab import families
+from isolab import calculus, families, homogeneity, search
 from isolab.errors import DomainError
 
 SQRT2 = math.sqrt(2.0)
@@ -140,3 +142,44 @@ def test_as_nparam_wraps_evaluators():
     wrapped = families.as_nparam(cube)
     assert wrapped.volume(np.array([2.0])) == 8.0
     assert wrapped.area(np.array([2.0])) == 24.0
+
+
+class TestOneEvaluationPath:
+    """Every V, A and Q of a family comes from families.evaluate or families.sample."""
+
+    GRID = np.linspace(1.0, 2.0, 40)
+    FIRST_NAN = float(GRID[GRID >= 1.5][0])
+
+    @staticmethod
+    def nan_cube():
+        """The cube with a volume of NaN from s = 1.5 on."""
+        return dataclasses.replace(
+            families.builtin("cube"), volume=lambda s: math.nan if s >= 1.5 else s**3
+        )
+
+    def test_evaluate_names_the_point(self):
+        with pytest.raises(DomainError, match=re.escape("point 1.75 ")):
+            families.evaluate(self.nan_cube(), 1.75)
+        with pytest.raises(DomainError, match=re.escape("point [1.75] ")):
+            families.evaluate(self.nan_cube(), np.array([1.75]))
+
+    def test_classify_names_the_point(self):
+        with pytest.raises(DomainError, match=re.escape(f"point {self.FIRST_NAN} ")):
+            homogeneity.classify(self.nan_cube(), self.GRID)
+
+    def test_inradius_names_the_point(self):
+        with pytest.raises(DomainError, match=re.escape(f"point {self.FIRST_NAN} ")):
+            calculus.inradius_by_quadrature(self.nan_cube(), 1.0, 0.0, self.GRID)
+
+    def test_ratio_function_is_inf(self):
+        q = search.ratio_function(self.nan_cube())
+        assert q(np.array([1.75])) == math.inf
+        assert q(np.array([1.25])) == pytest.approx(216.0, rel=1e-14)
+
+    @pytest.mark.parametrize("fid", ["cube", "hexagon_120", "ngon"])
+    def test_classify_q_equals_ratio_function(self, fid):
+        fam = families.builtin(fid)
+        grid = np.linspace(0.5, 4.0, 64)
+        q = search.ratio_function(fam)
+        report = homogeneity.classify(fam, grid)
+        assert report.q_values == tuple(q(np.array([s])) for s in grid)

@@ -72,6 +72,10 @@ class TestClassify:
         with pytest.raises(DomainError):
             homogeneity.classify(families.builtin("cube"), np.linspace(0.5, 4, 20))
 
+    def test_nan_rtol_rejected(self):
+        with pytest.raises(DomainError, match="rtol"):
+            homogeneity.classify(families.builtin("cube"), np.linspace(1, 2, 40), rtol=math.nan)
+
     def test_multi_parameter_class_rejected(self):
         with pytest.raises(DomainError, match="multi-parameter class"):
             homogeneity.classify(families.builtin("box3"), np.linspace(0.5, 4, 40))
@@ -169,6 +173,12 @@ class TestConstantAreaCheck:
 
     def test_cube_false(self):
         assert homogeneity.constant_area_check(families.builtin("cube"), np.linspace(0.5, 4, 40)) is False
+
+    def test_nan_rtol_rejected(self):
+        with pytest.raises(DomainError, match="rtol"):
+            homogeneity.constant_area_check(
+                families.builtin("cube"), np.linspace(1, 2, 40), rtol=math.nan
+            )
 
     def test_rect_fixed_false(self):
         fam = families.builtin("rect_fixed_length", a=1.0)
