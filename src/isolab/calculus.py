@@ -8,6 +8,7 @@ smooth family, and the curve is unique up to the additive constant C.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -96,9 +97,11 @@ def inradius_by_quadrature(
 ) -> InradiusCurve:
     """Sample r(s) = C + integral from s0 to s of V'(t)/A(t) dt on ``grid``.
 
-    The grid must be strictly ordered and lie inside the family domain; s0
-    may sit at the lower endpoint when the integrand extends continuously
-    (quadrature nodes never touch endpoints).
+    The grid must be strictly ordered, either way, and lie inside the family
+    domain; the samples keep its order.  s0 may sit at the lower endpoint
+    when the integrand extends continuously (quadrature nodes never touch
+    endpoints).  A segment whose quadrature misses its tolerance raises
+    :class:`ConvergenceError`.
     """
     from scipy import integrate
 
@@ -106,11 +109,7 @@ def inradius_by_quadrature(
     if grid.ndim != 1 or len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")
     d = np.diff(grid)
-    if np.all(d > 0):
-        pass
-    elif np.all(d < 0):
-        grid = grid[::-1]
-    else:
+    if not (np.all(d > 0) or np.all(d < 0)):
         raise DomainError("grid must be strictly ordered")
     sign_v = np.sign(np.diff(sample(family, grid)[0]))
     (lo, hi), = family.domain
@@ -125,12 +124,16 @@ def inradius_by_quadrature(
     f = _integrand(family)
     # cumulative integration over the sorted knots, then shifted to vanish at the anchor
     knots = np.unique(np.concatenate([[s0], grid]))
-    segments = [
-        integrate.quad(
-            f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_PANEL_LIMIT
-        )
-        for a, b in zip(knots[:-1], knots[1:])
-    ]
+    segments = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        for a, b in zip(knots[:-1], knots[1:]):
+            try:
+                segments.append(integrate.quad(f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
+                                               limit=QUAD_PANEL_LIMIT))
+            except integrate.IntegrationWarning as exc:  # scipy's message runs over lines
+                reason = str(exc).strip().splitlines()[0]
+                raise ConvergenceError(f"quadrature over ({a}, {b}) missed its tolerance: {reason}")
     cumulative = np.concatenate([[0.0], np.cumsum([seg for seg, _ in segments])])
     vals = cumulative - cumulative[np.searchsorted(knots, s0)]
     samples = tuple(

@@ -34,6 +34,12 @@ _EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 # largest |exponent| a --fixed ``**`` may have; exponents must be number literals
 _EXPR_MAX_EXPONENT = 64.0
 
+# caps on the work one command may ask for, each named in --help
+MAX_STARTS = 256
+MAX_GRID_POINTS = 100_000
+MAX_STEPS = 10_000
+_GRID_HELP = f"lo:hi:n with 2 <= n <= {MAX_GRID_POINTS}"
+
 
 def _parse_params(items: list[str] | None) -> dict:
     out = {}
@@ -68,8 +74,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise DomainError(f"malformed grid spec {spec!r}, expected lo:hi:n") from exc
-    if n < 2:
-        raise DomainError("grid needs at least 2 points")
+    if not 2 <= n <= MAX_GRID_POINTS:
+        raise DomainError(f"grid needs 2 to {MAX_GRID_POINTS} points, got {n}")
     _finite(hi - lo, f"grid {spec!r}")  # NaN or inf if either end is, or on overflow
     return np.linspace(lo, hi, n)
 
@@ -137,7 +143,7 @@ def _parse_fixed(item: str) -> tuple[int, Callable[[float], float]]:
 
 
 def _one_param_family(args) -> families.FamilySpec:
-    spec = families.lookup(args.family, **_parse_params(getattr(args, "param", None)))
+    spec = families.builtin(args.family, **_parse_params(getattr(args, "param", None)))
     if spec.nparams != 1:
         raise DomainError(f"{args.family!r} is a multi-parameter class, not a one-parameter family")
     return spec
@@ -210,7 +216,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_kmin(args) -> int:
-    nfam = families.lookup(args.cls)
+    nfam = families.builtin(args.cls)
     result = search.kmin(nfam, starts=args.starts, tol=args.tol, seed=args.seed)
     _emit(args, result.to_json())
     return EXIT_OK
@@ -223,7 +229,7 @@ def cmd_kmin_table(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    nfam = families.lookup(args.cls)
+    nfam = families.builtin(args.cls)
     start = _parse_numbers(args.start)
     curve = search.trace_level_set(
         nfam, args.k, start, steps=args.steps, step_size=args.step_size
@@ -233,7 +239,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_solve_coordinate(args) -> int:
-    nfam = families.lookup(args.cls)
+    nfam = families.builtin(args.cls)
     fixed = dict(_parse_fixed(item) for item in args.fixed)
     root = search.solve_coordinate(nfam, args.k, fixed, args.j, args.s)
     _emit(args, _jdump({"class": nfam.id, "k": args.k, "s": args.s, "j": args.j, "root": root}))
@@ -391,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append")
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--C", type=float, default=0.0)
-    p.add_argument("--grid", required=True, help="lo:hi:n")
+    p.add_argument("--grid", required=True, help=_GRID_HELP)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_output_opts(p)
     p.set_defaults(handler=cmd_inradius)
@@ -399,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="homogeneity verdict over a grid")
     p.add_argument("--family", required=True)
     p.add_argument("--param", action="append")
-    p.add_argument("--grid", required=True, help="lo:hi:n")
+    p.add_argument("--grid", required=True, help=_GRID_HELP)
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--expect", choices=("homogeneous", "not_homogeneous"))
     _add_output_opts(p)
@@ -407,14 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kmin", help="infimum of Q over a shape class")
     p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--starts", type=int, default=16)
+    p.add_argument("--starts", type=int, default=16, help=f"8 to {MAX_STARTS} start points")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     _add_output_opts(p)
     p.set_defaults(handler=cmd_kmin)
 
     p = sub.add_parser("kmin-table", help="reproduce the isoperimetric-ratio table")
-    p.add_argument("--starts", type=int, default=16)
+    p.add_argument("--starts", type=int, default=16, help=f"8 to {MAX_STARTS} start points")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     _add_output_opts(p)
@@ -424,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--start", required=True, help="comma-separated coordinates")
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=int, default=100, help=f"1 to {MAX_STEPS} steps")
     p.add_argument("--step-size", type=float, default=1e-2)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_output_opts(p)
@@ -462,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append")
     p.add_argument("--rho-scale", type=float, default=1.0, help="half-height = scale * s")
     p.add_argument("--rtol", type=float, default=1e-8)
-    p.add_argument("--grid", default="0.5:4:8", help="lo:hi:n")
+    p.add_argument("--grid", default="0.5:4:8", help=_GRID_HELP)
     _add_output_opts(p)
     p.set_defaults(handler=cmd_lift)
 
@@ -499,23 +505,28 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
-        for name, value in vars(args).items():
-            if isinstance(value, float):
-                _finite(value, "--" + name.replace("_", "-"))
-        return args.handler(args)
-    except argparse.ArgumentError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CheckFailedError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (DomainError, GeometryError, ConvergenceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ArithmeticError as exc:  # e.g. a float overflow in an evaluator
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    # numpy warns on stderr; a non-finite value is rejected where it arises
+    with np.errstate(all="ignore"):
+        try:
+            for name, value in vars(args).items():
+                if isinstance(value, float):
+                    _finite(value, "--" + name.replace("_", "-"))
+            for name, cap in (("starts", MAX_STARTS), ("steps", MAX_STEPS)):
+                if getattr(args, name, 0) > cap:
+                    raise DomainError(f"--{name} is capped at {cap}, got {getattr(args, name)}")
+            return args.handler(args)
+        except argparse.ArgumentError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except CheckFailedError as exc:
+            print(f"check failed: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        except (DomainError, GeometryError, ConvergenceError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
+        except ArithmeticError as exc:  # e.g. a float overflow in an evaluator
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

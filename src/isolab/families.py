@@ -36,9 +36,11 @@ class FamilySpec:
     ``domain`` is a tuple of n (lo, hi) intervals.  ``volume``, ``area`` and
     the optional analytic ``dvolume`` take a float when n = 1 and a length-n
     array when n > 1; ``feasible`` (extra open constraints, e.g. ring torus
-    center radius > tube radius) and ``boundary_distance`` (scale-free, used
-    to classify boundary infima) take the length-n search vector.  For
-    ``dimension == 2`` the evaluators are the area and the perimeter.
+    center radius > tube radius) takes the length-n search vector.  The
+    feasible set is the product of the intervals cut down by ``feasible``,
+    and :meth:`contains` is its one test: :func:`isolab.search.kmin` calls a
+    minimum attained only when small steps along each axis stay inside it.
+    For ``dimension == 2`` the evaluators are the area and the perimeter.
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
@@ -57,7 +59,6 @@ class FamilySpec:
     dvolume: Callable[[float], float] | None = None
     homogeneous_prefix_m: int | None = None
     feasible: Callable[[np.ndarray], bool] | None = None
-    boundary_distance: Callable[[np.ndarray], float] | None = None
     sample_box: tuple[Interval, ...] | None = None
 
     def __post_init__(self):
@@ -92,20 +93,6 @@ class FamilySpec:
     def require_inside(self, x) -> None:
         if not self.contains(x):
             raise DomainError(f"point {np.asarray(x).tolist()} outside the domain of {self.id!r}")
-
-    def distance_to_boundary(self, x: np.ndarray) -> float:
-        """Scale-free distance from ``x`` to the domain boundary."""
-        x = np.asarray(x, dtype=float)
-        if self.boundary_distance is not None:
-            return float(self.boundary_distance(x))
-        dists = []
-        for xi, (lo, hi) in zip(x, self.domain):
-            scale = abs(xi) + 1.0
-            if math.isfinite(lo):
-                dists.append((xi - lo) / scale)
-            if math.isfinite(hi):
-                dists.append((hi - xi) / scale)
-        return float(min(dists)) if dists else math.inf
 
     def catalog_entry(self) -> dict:
         domain = [[lo, hi] for lo, hi in self.domain]
@@ -346,11 +333,6 @@ def _triangle_sides() -> FamilySpec:
         a, b, c = x
         return a + b > c and b + c > a and a + c > b
 
-    def bdist(x):
-        a, b, c = x
-        scale = a + b + c
-        return min(a + b - c, b + c - a, a + c - b, a, b, c) / scale
-
     return FamilySpec(
         id="triangle_sides",
         dimension=2,
@@ -358,7 +340,6 @@ def _triangle_sides() -> FamilySpec:
         volume=area,
         area=lambda x: float(x[0] + x[1] + x[2]),
         feasible=feasible,
-        boundary_distance=bdist,
         sample_box=((0.3, 3.0),) * 3,
     )
 
@@ -428,9 +409,6 @@ def _square_pyramid() -> FamilySpec:
 
 def _ring_torus() -> FamilySpec:
     # x = (tube radius rho1, center radius rho2); formulas valid for rho2 > rho1
-    def bdist(x):
-        return (x[1] - x[0]) / x[1]
-
     return FamilySpec(
         id="ring_torus",
         dimension=3,
@@ -439,7 +417,6 @@ def _ring_torus() -> FamilySpec:
         area=lambda x: 4.0 * math.pi**2 * x[0] * x[1],
         homogeneous_prefix_m=2,
         feasible=lambda x: x[1] > x[0],
-        boundary_distance=bdist,
         sample_box=((0.3, 1.0), (1.1, 3.0)),
     )
 
@@ -489,8 +466,6 @@ _BUILTINS: dict[str, Callable[..., FamilySpec]] = {
     "triangle_sides": _triangle_sides,
 }
 
-_REGISTRY: dict[str, FamilySpec] = {}
-
 
 def builtin(id: str, **params) -> FamilySpec:
     """Construct a built-in family or shape class by id.
@@ -508,21 +483,9 @@ def builtin(id: str, **params) -> FamilySpec:
     return factory(**params)
 
 
-def register(spec: FamilySpec) -> None:
-    """Register a user-defined family; setup-time only, not thread-safe."""
-    _REGISTRY[spec.id] = spec
-
-
-def lookup(id: str, **params) -> FamilySpec:
-    """Resolve a registered family, falling back to the built-in catalog."""
-    if id in _REGISTRY:
-        return _REGISTRY[id]
-    return builtin(id, **params)
-
-
-def catalog_json(extra: Sequence[FamilySpec] = ()) -> str:
-    """The family catalog as a JSON array of ``{id, dimension, domain, params}``."""
+def catalog_json() -> str:
+    """The built-in catalog as a JSON array of ``{id, dimension, domain, params}``."""
     # rhombus has no default branch; the catalog lists the increasing one
-    builtins = [builtin(fid, **({"branch": "increasing"} if fid == "rhombus" else {}))
-                for fid in _BUILTINS]
-    return json.dumps([spec.catalog_entry() for spec in [*builtins, *extra]], indent=2)
+    specs = [builtin(fid, **({"branch": "increasing"} if fid == "rhombus" else {}))
+             for fid in _BUILTINS]
+    return json.dumps([spec.catalog_entry() for spec in specs], indent=2)

@@ -32,7 +32,8 @@ def deficit(d: int, v: float, a: float) -> float:
         raise DomainError("d must be >= 2")
     if v <= 0 or a <= 0:
         raise DomainError("V and A must be positive")
-    return a**d - d**d * kappa(d) * v ** (d - 1)
+    # float(d): an integer d**d grows without bound in time and memory
+    return a**d - float(d) ** d * kappa(d) * v ** (d - 1)
 
 
 @dataclass(frozen=True)

@@ -66,11 +66,20 @@ def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
 
 
 def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0) -> KminResult:
-    """Multistart derivative-free minimization of Q over the class domain."""
+    """Multistart derivative-free minimization of Q over the class domain.
+
+    The minimum is ``attained`` when all 2n points x +- BOUNDARY_REL_TOL *
+    (|x_i| + 1) e_i around the best point x are inside the class by
+    :meth:`FamilySpec.contains`; otherwise it is a boundary infimum.
+    """
     from scipy import optimize
 
     if starts < 8:
         raise DomainError("starts must be >= 8")
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     q = ratio_function(nfamily)
     box = nfamily.sample_box
     unit = latin_hypercube(starts, nfamily.nparams, seed)
@@ -99,12 +108,12 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
     if best_x is None:
         raise ConvergenceError(f"all {starts} starts failed for class {nfamily.id!r}")
 
-    attained = nfamily.distance_to_boundary(best_x) > BOUNDARY_REL_TOL
+    nudges = np.diag(BOUNDARY_REL_TOL * (np.abs(best_x) + 1.0))
     return KminResult(
         class_id=nfamily.id,
         kmin=best_f,
         argmin=tuple(float(v) for v in best_x),
-        attained=attained,
+        attained=all(nfamily.contains(x) for x in (*(best_x + nudges), *(best_x - nudges))),
         multistart_count=starts,
     )
 
@@ -266,6 +275,10 @@ def trace_level_set(
     on corrector failure and doubled after 4 easy successes, capped to
     [1e-6, 1e-1].  Stops at the domain boundary or after ``steps`` steps.
     """
+    if steps < 1:
+        raise DomainError("steps must be >= 1")
+    if not STEP_MIN <= step_size <= STEP_MAX:
+        raise DomainError(f"step_size must be in [{STEP_MIN:g}, {STEP_MAX:g}]")
     x = np.asarray(x_start, dtype=float).copy()
     nfamily.require_inside(x)
     q = ratio_function(nfamily)

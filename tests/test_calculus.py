@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isolab import calculus, families
-from isolab.errors import DomainError
+from isolab.errors import ConvergenceError, DomainError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -52,6 +52,19 @@ class TestInradiusByQuadrature:
         a0 = inc.volume(0.1)
         expected = (np.array([inc.volume(s) for s in grid]) - a0) / (4 * a)
         assert np.allclose(curve.r, expected, rtol=0, atol=1e-8)
+
+    def test_descending_grid_keeps_its_order(self):
+        cube = families.builtin("cube")
+        grid = np.linspace(4.0, 0.25, 40)
+        curve = calculus.inradius_by_quadrature(cube, 0.0, 0.0, grid)
+        assert np.array_equal(curve.s, grid)
+        assert np.allclose(curve.r, grid / 2.0, rtol=0, atol=1e-8)
+
+    def test_missed_tolerance_is_convergence_error(self):
+        fam = families.builtin("rect_fixed_length")
+        grid = np.linspace(1e300, 3.14159, 40)
+        with pytest.raises(ConvergenceError, match="missed its tolerance"):
+            calculus.inradius_by_quadrature(fam, 0.0, 0.0, grid)
 
     def test_anchor_value_exact(self):
         cube = families.builtin("cube")

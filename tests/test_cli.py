@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,9 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import isolab
-from isolab import cli, polytope
+from isolab import cli, families, polytope
 
 SRC = Path(isolab.__file__).resolve().parents[1]
 
@@ -388,6 +391,149 @@ class TestLiftAndSteiner:
         code, out, err = run(capsys, "steiner", "--polygon-file", str(path), "--s", "1")
         assert (code, out) == (2, "")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+class TestBoundedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "kmin --class cube --tol -1",
+            "kmin-table --tol -1",
+            "kmin --class cube --seed -5",
+            "kmin-table --seed -1",
+            "trace --class rect2 --k 18 --start 2,1 --steps -5",
+            "trace --class rect2 --k 18 --start 2,1 --step-size 0",
+            "kmin --class cube --starts 257",
+            "kmin-table --starts 100000000",
+            "classify --family cube --grid 1:2:100001",
+            "trace --class rect2 --k 18 --start 2,1 --steps 10001",
+        ],
+    )
+    def test_rejected_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, cap", [("kmin", cli.MAX_STARTS), ("kmin-table", cli.MAX_STARTS),
+                         ("classify", cli.MAX_GRID_POINTS), ("inradius", cli.MAX_GRID_POINTS),
+                         ("lift", cli.MAX_GRID_POINTS), ("trace", cli.MAX_STEPS)],
+    )
+    def test_help_names_the_cap(self, capsys, command, cap):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and str(cap) in out
+
+    # in a child process, whose stderr shows any numpy or scipy warning
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "trace --class ring_torus --k 1e-12 --start 1e200,1e300 --steps 3",
+            "steiner --box 7,1e-12,1e200 --s 1e200",
+            "inradius --family rect_fixed_length --s0 0 --grid 1e300:3.14159:40",
+        ],
+    )
+    def test_failure_is_one_stderr_line(self, argv):
+        proc = run_process("-m", "isolab.cli", *argv.split())
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+    # in a child process with a timeout: an integer d**d took 6 s at d = 1e6
+    def test_deficit_of_huge_dimension_is_quick(self):
+        proc = run_process("-m", "isolab.cli", "deficit", "--d", "10000000", "--V", "1",
+                           "--A", "1", timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_classify_descending_grid(self, capsys):
+        code, out, _ = run(capsys, "classify", "--family", "cube", "--grid", "4:0.5:40")
+        assert code == 0
+        assert json.loads(out)["criterion_i_residual"] <= 1e-12
+
+
+# argv fuzz: every subcommand but kmin-table (seconds a run) and never --output
+FUZZ_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 1e-308, -1e-308]),
+    st.floats(),
+).map(repr)
+FUZZ_INTS = st.integers().map(str)
+FUZZ_IDS = st.sampled_from([*families._BUILTINS, "nope"])
+FUZZ_GRIDS = st.tuples(FUZZ_FLOATS, FUZZ_FLOATS, FUZZ_INTS).map(":".join)
+FUZZ_LISTS = st.lists(FUZZ_FLOATS, min_size=1, max_size=4).map(",".join)
+FUZZ_PARAMS = st.tuples(st.sampled_from(["a", "k", "n", "branch"]),
+                        st.one_of(FUZZ_FLOATS, FUZZ_INTS, st.sampled_from(["increasing", "x"]))
+                        ).map("=".join)
+FUZZ_EXPRS = st.one_of(st.sampled_from(["s", "sqrt(s)", "s-sqrt(s)", "log(s)", "1/s", "s**64",
+                                        "exp(s)**-64", "foo(s)", "s+"]), FUZZ_FLOATS)
+FUZZ_FIXED = st.tuples(FUZZ_INTS, FUZZ_EXPRS).map("=".join)
+# file names, resolved inside the fixture's directory
+FUZZ_FILES = st.sampled_from(["cube.json", "square.json", "bad.json", "missing.json"])
+FUZZ_OPTIONS = {
+    "families": {},
+    "eval": {"--family": FUZZ_IDS, "--param": FUZZ_PARAMS, "--s": FUZZ_FLOATS},
+    "inradius": {"--family": FUZZ_IDS, "--param": FUZZ_PARAMS, "--s0": FUZZ_FLOATS,
+                 "--C": FUZZ_FLOATS, "--grid": FUZZ_GRIDS,
+                 "--format": st.sampled_from(["json", "csv"])},
+    "classify": {"--family": FUZZ_IDS, "--param": FUZZ_PARAMS, "--grid": FUZZ_GRIDS,
+                 "--rtol": FUZZ_FLOATS,
+                 "--expect": st.sampled_from(["homogeneous", "not_homogeneous"])},
+    "kmin": {"--class": FUZZ_IDS, "--starts": FUZZ_INTS, "--tol": FUZZ_FLOATS,
+             "--seed": FUZZ_INTS},
+    "trace": {"--class": FUZZ_IDS, "--k": FUZZ_FLOATS, "--start": FUZZ_LISTS,
+              "--steps": FUZZ_INTS, "--step-size": FUZZ_FLOATS,
+              "--format": st.sampled_from(["json", "csv"])},
+    "solve-coordinate": {"--class": FUZZ_IDS, "--k": FUZZ_FLOATS, "--j": FUZZ_INTS,
+                         "--s": FUZZ_FLOATS, "--fixed": FUZZ_FIXED},
+    "starlike": {"--file": FUZZ_FILES},
+    "support-volume": {"--file": FUZZ_FILES},
+    "cohen": {"--file": FUZZ_FILES, "--r": FUZZ_FLOATS},
+    "lift": {"--family": FUZZ_IDS, "--param": FUZZ_PARAMS, "--rho-scale": FUZZ_FLOATS,
+             "--rtol": FUZZ_FLOATS, "--grid": FUZZ_GRIDS},
+    "steiner": {"--box": FUZZ_LISTS, "--polygon-file": FUZZ_FILES, "--s": FUZZ_FLOATS},
+    "bonnesen": {"--2d": None, "--d": FUZZ_INTS, "--V": FUZZ_FLOATS, "--A": FUZZ_FLOATS,
+                 "--P": FUZZ_FLOATS, "--r": FUZZ_FLOATS},
+    "deficit": {"--d": FUZZ_INTS, "--V": FUZZ_FLOATS, "--A": FUZZ_FLOATS},
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    tokens = []
+    for option, values in FUZZ_OPTIONS[command].items():
+        if not draw(st.sampled_from((True,) * 9 + (False,))):  # leave some out
+            continue
+        if values is None:
+            tokens.append([option])
+        else:  # --option=value, so that a value like -1e+308 is not read as an option
+            tokens.append([f"{option}={draw(values)}"])
+    return [command, *(t for group in draw(st.permutations(tokens)) for t in group)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "cube.json").write_text(polytope.cube_polyhedron().to_json())
+    (path / "square.json").write_text("[[0,0],[1,0],[1,1],[0,1]]")
+    (path / "bad.json").write_text("[[0,0],[1")
+    return path
+
+
+@settings(derandomize=True, deadline=5000, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=fuzz_argv())
+def test_argv_fuzz_ends_in_exit_0_to_3(fuzz_dir, argv):
+    argv = [a.replace("file=", f"file={fuzz_dir}/") for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), (argv, lines)
+    assert not any("Traceback" in line or "Warning" in line for line in lines), (argv, lines)
+    if code == 2:
+        assert len(lines) == 1, (argv, lines)
+    if code == 3:
+        assert lines[-1].startswith("check failed:"), (argv, lines)
+        assert sum(line.startswith("check failed:") for line in lines) == 1, (argv, lines)
 
 
 def readme_cli_lines():

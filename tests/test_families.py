@@ -125,18 +125,6 @@ def test_catalog_json():
         assert e["dimension"] >= 2
 
 
-def test_register_and_lookup():
-    custom = families.FamilySpec(
-        id="halfdisk",
-        dimension=2,
-        domain=((0.0, math.inf),),
-        volume=lambda s: math.pi * s**2 / 2,
-        area=lambda s: (math.pi + 2) * s,
-    )
-    families.register(custom)
-    assert families.lookup("halfdisk") is custom
-
-
 def test_as_nparam_wraps_evaluators():
     cube = families.builtin("cube")
     wrapped = families.as_nparam(cube)

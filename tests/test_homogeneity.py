@@ -171,6 +171,10 @@ class TestConstantAreaCheck:
         inc = families.rhombus_branches(1.0)[0]
         assert homogeneity.constant_area_check(inc, np.linspace(0.1, SQRT2 - 0.1, 40)) is True
 
+    def test_rhombus_true_on_descending_grid(self):
+        inc = families.rhombus_branches(1.0)[0]
+        assert homogeneity.constant_area_check(inc, np.linspace(0.1, 1.3, 40)[::-1]) is True
+
     def test_cube_false(self):
         assert homogeneity.constant_area_check(families.builtin("cube"), np.linspace(0.5, 4, 40)) is False
 

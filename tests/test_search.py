@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,26 @@ class TestKmin:
     def test_starts_precondition(self):
         with pytest.raises(DomainError):
             search.kmin(families.builtin("box3"), starts=4)
+
+    # contains decides attained, so a class that states only `feasible` reports its edge
+    def test_reduced_ring_torus_boundary_infimum(self):
+        reduced = search.reduce_homogeneous_prefix(families.builtin("ring_torus"))
+        result = search.kmin(reduced)
+        assert result.kmin == pytest.approx(16 * math.pi**2, rel=1e-6)
+        assert not result.attained
+
+    def test_user_feasible_edge_not_attained(self):
+        # rectangles with a > 2b: Q = (2a + 2b)^2 / (ab) decreases to 18 at the excluded a = 2b
+        rect = dataclasses.replace(families.builtin("rect2"), feasible=lambda x: x[0] > 2 * x[1])
+        result = search.kmin(rect)
+        assert result.kmin == pytest.approx(18.0, rel=1e-8)
+        assert not result.attained
+
+    @pytest.mark.parametrize("kwargs", [{"tol": -1.0}, {"tol": 0.0}, {"tol": math.nan},
+                                        {"seed": -5}])
+    def test_tol_and_seed_preconditions(self, kwargs):
+        with pytest.raises(DomainError):
+            search.kmin(families.builtin("box3"), **kwargs)
 
     def test_parameterization_invariance(self):
         # the same class of boxes under a smooth bijection of coordinates
@@ -170,6 +191,13 @@ class TestTraceLevelSet:
         lines = curve.to_csv().strip().split("\n")
         assert lines[0] == "s,x1,x2,x3,Q"
         assert len(lines) == len(curve.points) + 1
+
+    @pytest.mark.parametrize("kwargs", [{"steps": -5}, {"steps": 0}, {"step_size": 0.0},
+                                        {"step_size": math.inf}, {"step_size": math.nan}])
+    def test_steps_and_step_size_preconditions(self, kwargs):
+        par = families.builtin("parallelogram3")
+        with pytest.raises(DomainError, match="step"):
+            search.trace_level_set(par, 32.0, self._start_point(4.0), **{"steps": 5, **kwargs})
 
 
 class TestReduceHomogeneousPrefix:
