@@ -183,7 +183,7 @@ def cmd_eval(args) -> int:
                 "s": args.s,
                 "V": v,
                 "A": a,
-                "Q": homogeneity.isoperimetric_ratio(d, v, a),
+                "Q": families.ratio_at(fam, args.s, v, a),
                 "r_tong": homogeneity.tong_inradius(d, v, a),
             }
         ),

@@ -46,7 +46,9 @@ class FamilySpec:
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
     both evaluators finite and positive inside it.  ``homogeneous_prefix_m``
     marks V and A as homogeneous of degrees d and d-1 in the first m
-    coordinates.  ``sample_box`` is the finite box of multistart points; it
+    coordinates, each over (0, inf); :func:`isolab.search.kmin` then searches
+    with x1 = 1 (with m = n = 1 the regions are similar and Q is constant).
+    ``sample_box`` is the finite box of multistart points; it
     defaults to 5-95 % of each interval, or of (lo, lo + 10) if unbounded.
     """
 
@@ -95,7 +97,8 @@ class FamilySpec:
             raise DomainError(f"point {np.asarray(x).tolist()} outside the domain of {self.id!r}")
 
     def catalog_entry(self) -> dict:
-        domain = [[lo, hi] for lo, hi in self.domain]
+        # JSON (RFC 8259) has no infinity: an unbounded end is null
+        domain = [[e if math.isfinite(e) else None for e in interval] for interval in self.domain]
         return {
             "id": self.id,
             "dimension": self.dimension,
@@ -110,13 +113,19 @@ def evaluate(family: FamilySpec, x) -> tuple[float, float]:
 
     When n = 1 the evaluators get a float, also from a length-1 vector.
     Raises :class:`DomainError` naming the point when it lies outside the
-    domain or V and A are not both finite and positive there.
+    domain, an evaluator overflows, or V and A are not both finite and
+    positive there.
     """
     # contains and len, not require_inside and nparams: this runs for every Q of a search
     if not family.contains(x):
         raise DomainError(f"point {np.asarray(x).tolist()} outside the domain of {family.id!r}")
     p = x if len(family.domain) > 1 else np.asarray(x, dtype=float).item()
-    v, a = family.volume(p), family.area(p)
+    try:
+        v, a = family.volume(p), family.area(p)
+    except OverflowError:  # Python float arithmetic raises where numpy's gives inf
+        raise DomainError(
+            f"V or A overflows at point {np.asarray(x).tolist()} of {family.id!r}"
+        ) from None
     if not (0 < v < math.inf and 0 < a < math.inf):
         raise _not_finite_positive(family, np.asarray(x).tolist(), v, a)
     return v, a
@@ -152,6 +161,15 @@ def _not_finite_positive(family: FamilySpec, point, v, a) -> DomainError:
 def ratio(d: int, v, a):
     """The isoperimetric ratio Q = A^d / V^(d-1), scale-invariant."""
     return a**d / v ** (d - 1)
+
+
+def ratio_at(family: FamilySpec, point, v: float, a: float) -> float:
+    """:func:`ratio` of ``family``'s V and A at ``point``; raises
+    :class:`DomainError` naming the point where Q overflows."""
+    try:
+        return ratio(family.dimension, v, a)
+    except OverflowError:
+        raise DomainError(f"Q overflows at point {point} of {family.id!r}") from None
 
 
 class Record:
@@ -191,6 +209,7 @@ def _cube() -> FamilySpec:
         volume=lambda s: s**3,
         area=lambda s: 6.0 * s**2,
         dvolume=lambda s: 3.0 * s**2,
+        homogeneous_prefix_m=1,
     )
 
 
@@ -202,6 +221,7 @@ def _disk() -> FamilySpec:
         volume=lambda s: math.pi * s**2,
         area=lambda s: 2.0 * math.pi * s,
         dvolume=lambda s: 2.0 * math.pi * s,
+        homogeneous_prefix_m=1,
     )
 
 
@@ -213,6 +233,7 @@ def _ball() -> FamilySpec:
         volume=lambda s: 4.0 / 3.0 * math.pi * s**3,
         area=lambda s: 4.0 * math.pi * s**2,
         dvolume=lambda s: 4.0 * math.pi * s**2,
+        homogeneous_prefix_m=1,
     )
 
 
@@ -239,6 +260,7 @@ def _rect_similar(k: float = 0.5) -> FamilySpec:
         area=lambda s: 2.0 * s + 2.0 * k * s,
         params={"k": k},
         dvolume=lambda s: 2.0 * k * s,
+        homogeneous_prefix_m=1,
     )
 
 
@@ -315,6 +337,7 @@ def _ngon(n: int = 6) -> FamilySpec:
         area=lambda s: 2.0 * n * math.sin(half) * s,
         params={"n": float(n)},
         dvolume=lambda s: n * math.sin(2.0 * half) * s,
+        homogeneous_prefix_m=1,
     )
 
 
@@ -339,6 +362,7 @@ def _triangle_sides() -> FamilySpec:
         domain=(RPLUS, RPLUS, RPLUS),
         volume=area,
         area=lambda x: float(x[0] + x[1] + x[2]),
+        homogeneous_prefix_m=3,
         feasible=feasible,
         sample_box=((0.3, 3.0),) * 3,
     )
@@ -351,6 +375,7 @@ def _right_triangle() -> FamilySpec:
         domain=(RPLUS, RPLUS),
         volume=lambda x: 0.5 * x[0] * x[1],
         area=lambda x: x[0] + x[1] + math.hypot(x[0], x[1]),
+        homogeneous_prefix_m=2,
         sample_box=((0.3, 3.0),) * 2,
     )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .calculus import InradiusCurve, inradius_by_quadrature
 from .errors import DomainError
-from .families import FamilySpec, Record, evaluate, ratio, sample
+from .families import FamilySpec, Record, evaluate, ratio, ratio_at, sample
 from .inequalities import kappa
 
 
@@ -71,7 +71,8 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
     v, a = sample(family, grid)
     d = family.dimension
     # pair by pair, as at one point: numpy's array power can round the last bit differently
-    q = np.array([ratio(d, vi, ai) for vi, ai in zip(v.tolist(), a.tolist())])
+    q = np.array([ratio_at(family, s, vi, ai)
+                  for s, vi, ai in zip(grid.tolist(), v.tolist(), a.tolist())])
     q_center = float(np.median(q))
     q_rel_spread = float(np.max(np.abs(q - q_center)) / q_center)
 

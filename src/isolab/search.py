@@ -1,7 +1,8 @@
 """Minimizing the isoperimetric ratio over shape classes and tracing its level sets.
 
 Each shape class exposes Q(x) = A(x)^d / V(x)^(d-1) over a box of parameters.
-``kmin`` estimates inf Q by multistart simplex search (reporting boundary
+``kmin`` estimates inf Q on the scale-reduced class, by golden-section search
+in one coordinate and multistart simplex search in more (reporting boundary
 infima as unattained), ``trace_level_set`` follows a curve on the
 hypersurface Q(x) = k by predictor-corrector continuation (every such curve
 is a homogeneous one-parameter family), and ``reduce_homogeneous_prefix``
@@ -17,25 +18,29 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .families import FamilySpec, Record, builtin, csv_table, evaluate, ratio
+from .families import RPLUS, FamilySpec, Record, builtin, csv_table, evaluate, ratio
 
 _SQRT_EPS = float(np.finfo(float).eps) ** 0.5
 
 BOUNDARY_REL_TOL = 1e-6
+TOL_MIN = 1e-15  # a kmin tol below the rounding level of Q can never be met
+_GOLDEN_MAX_STEPS = 2000  # shrinks any finite bracket below TOL_MIN
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 0.382..., the golden-section fraction
 STEP_MIN = 1e-6
 STEP_MAX = 1e-1
 
 
 def ratio_function(nfamily: FamilySpec) -> Callable[[np.ndarray], float]:
-    """Q at the search vector, +inf where ``evaluate`` rejects it (keeps the simplex feasible)."""
+    """Q at the search vector, +inf where ``evaluate`` rejects it or Q overflows
+    (keeps the simplex feasible)."""
     d = nfamily.dimension
 
     def q(x: np.ndarray) -> float:
         try:
             v, a = evaluate(nfamily, x)
-        except DomainError:
+            return ratio(d, v, a)
+        except (DomainError, OverflowError):
             return math.inf
-        return ratio(d, v, a)
 
     return q
 
@@ -66,32 +71,64 @@ def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
 
 
 def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0) -> KminResult:
-    """Multistart derivative-free minimization of Q over the class domain.
+    """Minimize Q over the class domain from ``starts`` Latin-hypercube points.
+
+    Q does not change when the homogeneous prefix is scaled, so a class that
+    declares one is searched with x1 = 1 (see :func:`reduce_homogeneous_prefix`)
+    and its argmin is reported with x1 = 1.  With one parameter and a prefix,
+    Q is constant and is evaluated once, at x = 1.  With one coordinate left
+    to search, the sorted start points are scanned and the best one refined
+    by golden-section search; with two or more, each start runs Nelder-Mead.
 
     The minimum is ``attained`` when all 2n points x +- BOUNDARY_REL_TOL *
     (|x_i| + 1) e_i around the best point x are inside the class by
     :meth:`FamilySpec.contains`; otherwise it is a boundary infimum.
     """
-    from scipy import optimize
-
     if starts < 8:
         raise DomainError("starts must be >= 8")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    if not tol >= TOL_MIN:
+        raise DomainError(f"tol must be >= {TOL_MIN:g}")
     if seed < 0:
         raise DomainError("seed must be >= 0")
+    if nfamily.homogeneous_prefix_m is None:
+        best_x, best_f = _minimize(nfamily, starts, tol, seed)
+    elif nfamily.nparams == 1:
+        require_homogeneous_prefix(nfamily)  # a family of similar regions: Q is constant
+        best_x = np.ones(1)
+        best_f = ratio_function(nfamily)(best_x)
+    else:
+        z, best_f = _minimize(reduce_homogeneous_prefix(nfamily), starts, tol, seed)
+        best_x = np.append(1.0, z)
+    if not math.isfinite(best_f):
+        raise ConvergenceError(f"all {starts} starts failed for class {nfamily.id!r}")
+
+    nudges = np.diag(BOUNDARY_REL_TOL * (np.abs(best_x) + 1.0))
+    return KminResult(
+        class_id=nfamily.id,
+        kmin=float(best_f),
+        argmin=tuple(float(v) for v in best_x),
+        attained=all(nfamily.contains(x) for x in (*(best_x + nudges), *(best_x - nudges))),
+        multistart_count=starts,
+    )
+
+
+def _minimize(nfamily: FamilySpec, starts: int, tol: float, seed: int) -> tuple[np.ndarray, float]:
+    """The least Q found and where; Q is +inf when every start failed."""
     q = ratio_function(nfamily)
     box = nfamily.sample_box
     unit = latin_hypercube(starts, nfamily.nparams, seed)
     lows = np.array([b[0] for b in box])
     highs = np.array([b[1] for b in box])
     points = lows + unit * (highs - lows)
+    if nfamily.nparams == 1:
+        x, fx = _golden_section_search(q, sorted(points[:, 0].tolist()), nfamily.domain[0], tol)
+        return np.array([x]), fx
 
-    best_x, best_f = None, math.inf
-    n_failed = 0
+    from scipy import optimize
+
+    best_x, best_f = points[0], math.inf
     for x0 in points:
         if not nfamily.contains(x0):
-            n_failed += 1
             continue
         res = optimize.minimize(
             q, x0, method="Nelder-Mead",
@@ -100,22 +137,67 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
                 "maxiter": 20000, "maxfev": 20000,
             },
         )
-        if not math.isfinite(res.fun):
-            n_failed += 1
-            continue
         if res.fun < best_f:
             best_f, best_x = float(res.fun), np.asarray(res.x, dtype=float)
-    if best_x is None:
-        raise ConvergenceError(f"all {starts} starts failed for class {nfamily.id!r}")
+    return best_x, best_f
 
-    nudges = np.diag(BOUNDARY_REL_TOL * (np.abs(best_x) + 1.0))
-    return KminResult(
-        class_id=nfamily.id,
-        kmin=best_f,
-        argmin=tuple(float(v) for v in best_x),
-        attained=all(nfamily.contains(x) for x in (*(best_x + nudges), *(best_x - nudges))),
-        multistart_count=starts,
-    )
+
+def _golden_section_search(
+    q: Callable[[float], float], xs: list[float], domain: tuple[float, float], tol: float
+) -> tuple[float, float]:
+    """Minimize a function of one variable from the sorted scan points ``xs``.
+
+    The best scan point and its two neighbours bracket the minimum.  At either
+    end of the scan the bracket reaches the domain end on that side, or, where
+    that end is infinite, steps outward, doubling the step while Q decreases.
+    Golden-section search then shrinks the bracket a < x < b to
+    ``b - a <= tol * max(1, |a| + |b|)``, one evaluation per step.
+    """
+    fs = [q(x) for x in xs]
+    i = min(range(len(xs)), key=fs.__getitem__)
+    x, fx = xs[i], fs[i]
+    if not math.isfinite(fx):
+        return x, fx
+    a = xs[i - 1] if i > 0 else domain[0]
+    b = xs[i + 1] if i < len(xs) - 1 else domain[1]
+    if math.isinf(a):
+        b, x, fx, a = _expand(q, b, x, fx)
+    elif math.isinf(b):
+        a, x, fx, b = _expand(q, a, x, fx)
+    # with tol >= TOL_MIN the stopping width spans several ulps, so rounding
+    # cannot stall the search above it; the cap only guards that argument
+    for _ in range(_GOLDEN_MAX_STEPS):
+        if b - a <= tol * max(1.0, abs(a) + abs(b)):
+            break
+        # the new point goes into the larger part, at the golden fraction of it
+        u = x - _GOLDEN * (x - a) if x - a > b - x else x + _GOLDEN * (b - x)
+        fu = q(u)
+        if fu < fx:
+            a, b = (a, x) if u < x else (x, b)
+            x, fx = u, fu
+        elif u < x:
+            a = u
+        else:
+            b = u
+    return x, fx
+
+
+def _expand(q: Callable[[float], float], inner: float, x: float, fx: float):
+    """Step from x away from ``inner``, doubling the step while Q decreases.
+
+    Returns (inner, x, fx, outer) with Q(x) below Q at both other points;
+    outer is x itself when the next step would overflow.
+    """
+    step = x - inner
+    while True:
+        u = x + step
+        if not math.isfinite(u):
+            return inner, x, fx, x
+        fu = q(u)
+        if not fu < fx:
+            return inner, x, fx, u
+        inner, x, fx = x, u, fu
+        step *= 2.0
 
 
 def kmin_table(starts: int = 16, tol: float = 1e-10, seed: int = 0) -> list[dict]:
@@ -375,22 +457,26 @@ def trace_level_set(
     )
 
 
-def reduce_homogeneous_prefix(nfamily: FamilySpec) -> FamilySpec:
-    """Normalize the declared scaling coordinates to z1 = 1.
+def require_homogeneous_prefix(nfamily: FamilySpec) -> int:
+    """The class's declared homogeneous prefix m, checked.
 
-    Verifies at 32 seeded random points that V and A are homogeneous of
-    degrees d and d-1 in the first m coordinates (to 1e-9 relative), then
-    returns the reduced class over (z2, ..., zn) with z_i = x_i / x_1 for
-    i <= m.  Q is invariant under the reduction.
+    Each of the first m intervals must be (0, inf), so that x1 = 1 lies
+    inside the class, and V and A must be homogeneous of degrees d and d-1
+    in the first m coordinates at 32 seeded random points (to 1e-9
+    relative).  Raises :class:`DomainError` otherwise.
     """
     m = nfamily.homogeneous_prefix_m
     if m is None or not 1 <= m <= nfamily.nparams:
-        raise DomainError("class declares no valid homogeneous prefix m")
+        raise DomainError(f"class {nfamily.id!r} declares no valid homogeneous prefix m")
+    if any(tuple(nfamily.domain[i]) != RPLUS for i in range(m)):
+        raise DomainError(
+            f"declared prefix m={m} of {nfamily.id!r} rejected: each of the first {m} "
+            "intervals must be (0, inf)"
+        )
     d = nfamily.dimension
     rng = np.random.default_rng(0)
-    box = nfamily.sample_box
     for _ in range(32):
-        x = np.array([rng.uniform(lo, hi) for lo, hi in box])
+        x = np.array([rng.uniform(lo, hi) for lo, hi in nfamily.sample_box])
         t = rng.uniform(0.5, 2.0)
         tx = x.copy()
         tx[:m] *= t
@@ -403,23 +489,39 @@ def reduce_homogeneous_prefix(nfamily: FamilySpec) -> FamilySpec:
                 f"declared prefix m={m} rejected: V or A is not homogeneous in the "
                 f"first {m} coordinates (checked at t={t}, x={x.tolist()})"
             )
+    return m
+
+
+def reduce_homogeneous_prefix(nfamily: FamilySpec) -> FamilySpec:
+    """Normalize the declared scaling coordinates to z1 = 1.
+
+    Checks the prefix with :func:`require_homogeneous_prefix`, then returns
+    the reduced class over (z2, ..., zn) with z_i = x_i / x_1 for i <= m.
+    Q is invariant under the reduction.  Needs n >= 2, so that a coordinate
+    is left.
+    """
+    if nfamily.nparams < 2:
+        raise DomainError(
+            f"reduction of {nfamily.id!r} rejected: it needs n >= 2, got n = {nfamily.nparams}"
+        )
+    m = require_homogeneous_prefix(nfamily)
+    box = nfamily.sample_box
+    n = nfamily.nparams
 
     def embed(z) -> np.ndarray:  # z is a float when one coordinate is left
-        return np.append(1.0, z)
+        x = np.empty(n)  # three times faster than np.append; this runs for every Q
+        x[0] = 1.0
+        x[1:] = z
+        return x
 
-    new_domain = tuple(
-        ((0.0, math.inf) if i <= m - 1 else nfamily.domain[i])
-        for i in range(1, nfamily.nparams)
-    )
-    new_box = tuple(
-        ((0.3, 3.0) if i <= m - 1 else box[i]) for i in range(1, nfamily.nparams)
-    )
+    new_domain = tuple(RPLUS if i < m else nfamily.domain[i] for i in range(1, n))
+    new_box = tuple((0.3, 3.0) if i < m else box[i] for i in range(1, n))
     feas = None
     if nfamily.feasible is not None:
         feas = lambda z: nfamily.feasible(embed(z))
     return FamilySpec(
         id=f"{nfamily.id}@reduced",
-        dimension=d,
+        dimension=nfamily.dimension,
         domain=new_domain,
         volume=lambda z: nfamily.volume(embed(z)),
         area=lambda z: nfamily.area(embed(z)),

@@ -39,6 +39,16 @@ def test_cli_import_loads_no_scipy():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+# golden-section search in one coordinate after the reduction: no scipy.optimize
+def test_kmin_cone_loads_no_scipy():
+    proc = run_process(
+        "-c", "import sys; from isolab import cli; cli.main(['kmin', '--class', 'cone']); "
+              "print(sorted(m for m in sys.modules if 'scipy' in m))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestEval:
     def test_cube(self, capsys):
         code, out, _ = run(capsys, "eval", "--family", "cube", "--s", "2")
@@ -80,22 +90,22 @@ class TestDeterminism:
         assert out1 == out2
         assert json.loads(out1)["kmin"] == pytest.approx(216.0, rel=1e-8)
 
-    # captured before the Latin hypercube moved from scipy.stats.qmc to numpy:
-    # the same start points give the same minimum, digit for digit
+    # captured from the scale-reduced search: a class with a homogeneous prefix
+    # reports its argmin with x1 = 1
     @pytest.mark.parametrize(
         "cls, expected",
         [
-            ("cone", '{"class_id": "cone", "kmin": 226.19467105846493, "argmin": '
-                     '[0.2042688954453072, 0.5777596788555996], "attained": true, '
+            ("cone", '{"class_id": "cone", "kmin": 226.19467105846505, "argmin": '
+                     '[1.0, 2.82842712891757], "attained": true, '
                      '"multistart_count": 16}\n'),
-            ("box3", '{"class_id": "box3", "kmin": 215.99999999999983, "argmin": '
-                     '[0.7643235847625458, 0.7643235911129975, 0.76432358923182], '
+            ("box3", '{"class_id": "box3", "kmin": 215.9999999999999, "argmin": '
+                     '[1.0, 1.0000000080326794, 1.0000000052239246], '
                      '"attained": true, "multistart_count": 16}\n'),
-            # one-parameter families: start points drawn from 5-95 % of (0, 10)
-            ("ngon", '{"class_id": "ngon_6", "kmin": 13.856406460551009, "argmin": '
-                     '[8.36289109960296], "attained": true, "multistart_count": 16}\n'),
-            ("cube", '{"class_id": "cube", "kmin": 215.99999999999983, "argmin": '
-                     '[9.5880845968871], "attained": true, "multistart_count": 16}\n'),
+            # families of similar regions: Q evaluated once, at s = 1
+            ("ngon", '{"class_id": "ngon_6", "kmin": 13.856406460551016, "argmin": '
+                     '[1.0], "attained": true, "multistart_count": 16}\n'),
+            ("cube", '{"class_id": "cube", "kmin": 216.0, "argmin": '
+                     '[1.0], "attained": true, "multistart_count": 16}\n'),
         ],
     )
     def test_kmin_output_unchanged(self, capsys, cls, expected):
@@ -177,6 +187,20 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, point",
+        [
+            ("eval --family cube --s 1e200", "1e+200"),  # V = s**3 in Python floats
+            ("eval --family cube --s 1e100", "1e+100"),  # A**3 in Q
+            ("classify --family cube --grid 1:1e100:64", repr(1e100 / 63 + 1)),
+        ],
+    )
+    def test_overflow_names_the_point(self, capsys, argv, point):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"point {point} of 'cube'" in err
 
     @pytest.mark.parametrize(
         "cls, j, fixed",
@@ -414,6 +438,17 @@ class TestBoundedInput:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    # below the rounding level of Q no search can meet tol: Nelder-Mead would
+    # run every start to its 20000-iteration limit
+    @pytest.mark.parametrize(
+        "argv", ["kmin --class rect_fixed_length --tol 1.3e-128", "kmin --class box3 --tol 4.5e-16",
+                 "kmin-table --tol 1e-16"],
+    )
+    def test_tol_below_floor_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == "error: tol must be >= 1e-15\n"
+
     @pytest.mark.parametrize(
         "command, cap", [("kmin", cli.MAX_STARTS), ("kmin-table", cli.MAX_STARTS),
                          ("classify", cli.MAX_GRID_POINTS), ("inradius", cli.MAX_GRID_POINTS),
@@ -555,3 +590,16 @@ def test_readme_example_runs_as_written(capsys, tmp_path, monkeypatch, line):
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
     else:
         json.loads(out)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("line", [line for line in readme_cli_lines() if "csv" not in line])
+def test_readme_json_is_rfc8259(capsys, tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cube.json").write_text(polytope.cube_polyhedron().to_json())
+    code, out, _ = run(capsys, *shlex.split(line, comments=True)[1:])
+    assert code == 0
+    json.loads(out, parse_constant=_no_constant)

@@ -34,6 +34,51 @@ class TestKmin:
         rho, h = result.argmin
         assert h == pytest.approx(2 * SQRT2 * rho, rel=1e-4)
 
+    # the analytic optimum shapes, at the tolerance of the cylinder test
+    @pytest.mark.parametrize(
+        "cls, k, shape",
+        [
+            ("square_pyramid", 288.0, lambda a, h: h / a - SQRT2),
+            ("right_triangle", 2 * (2 + SQRT2) ** 2, lambda a, b: b / a - 1),
+            ("triangle_sides", 12 * math.sqrt(3), lambda a, b, c: max(b, c) / min(a, b, c) - 1),
+        ],
+    )
+    def test_optimal_shape(self, cls, k, shape):
+        result = search.kmin(families.builtin(cls), starts=8)
+        assert result.kmin == pytest.approx(k, rel=1e-9)
+        assert result.attained
+        assert abs(shape(*result.argmin)) <= 1e-4
+
+    def test_similar_family_one_evaluation_beyond_probe(self):
+        calls = []
+        ngon = families.builtin("ngon")
+        counted = dataclasses.replace(ngon, volume=lambda s: calls.append(s) or ngon.volume(s))
+        search.require_homogeneous_prefix(counted)
+        probe = len(calls)
+        result = search.kmin(counted)
+        assert len(calls) == 2 * probe + 1
+        assert result.argmin == (1.0,)
+        assert result.kmin == pytest.approx(24 * math.tan(math.pi / 6), rel=1e-15)
+
+    def test_kmin_table_evaluation_budget(self, monkeypatch):
+        calls = []
+
+        def builtin(id, **params):
+            spec = families.builtin(id, **params)
+            return dataclasses.replace(spec, volume=lambda x: calls.append(1) or spec.volume(x))
+
+        monkeypatch.setattr(search, "builtin", builtin)
+        rows = search.kmin_table(starts=16)
+        assert all(row["error"] is None for row in rows)
+        assert len(calls) <= 8600
+
+    @pytest.mark.parametrize("cls", ["box3", "cone", "rect_fixed_length", "ngon"])
+    def test_tol_floor(self, cls):
+        with pytest.raises(DomainError, match="tol"):
+            search.kmin(families.builtin(cls), tol=0.9 * search.TOL_MIN)
+        result = search.kmin(families.builtin(cls), tol=search.TOL_MIN)
+        assert result.attained and math.isfinite(result.kmin)
+
     def test_ring_torus_boundary_infimum(self):
         result = search.kmin(families.builtin("ring_torus"), starts=8)
         assert result.kmin == pytest.approx(16 * math.pi**2, rel=1e-4)
@@ -237,6 +282,27 @@ class TestReduceHomogeneousPrefix:
         with pytest.raises(DomainError, match="rejected"):
             search.reduce_homogeneous_prefix(bad)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            families.builtin("ngon"),  # n = 1: no coordinate would be left
+            # a prefix over (0, pi): x1 = 1 need not be inside
+            dataclasses.replace(families.builtin("rect2"), domain=((0.0, math.pi), (0.0, math.inf))),
+        ],
+    )
+    def test_preconditions_rejected(self, spec):
+        with pytest.raises(DomainError, match="rejected"):
+            search.reduce_homogeneous_prefix(spec)
+
+    def test_non_homogeneous_evaluator_rejected(self):
+        rect = families.builtin("rect2")
+        bad = dataclasses.replace(rect, area=lambda x: rect.area(x) + 1.0)
+        for call in (search.reduce_homogeneous_prefix, search.kmin):
+            with pytest.raises(DomainError, match="not homogeneous"):
+                call(bad)
+
     def test_missing_declaration_rejected(self):
+        undeclared = dataclasses.replace(families.builtin("triangle_sides"),
+                                         homogeneous_prefix_m=None)
         with pytest.raises(DomainError):
-            search.reduce_homogeneous_prefix(families.builtin("triangle_sides"))
+            search.reduce_homogeneous_prefix(undeclared)
