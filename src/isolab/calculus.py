@@ -162,38 +162,30 @@ class DerivativeRelationReport:
     n_checked: int
 
 
-def _local_poly_derivative(x: np.ndarray, y: np.ndarray, i: int, half: int) -> float:
-    """Derivative dy/dx at index i from a local polynomial fit of the window."""
-    j0, j1 = i - half, i + half + 1
-    xs, ys = x[j0:j1], y[j0:j1]
-    xc = xs[half]
-    h = max(abs(xs[-1] - xs[0]), 1e-300)
-    t = (xs - xc) / h
-    deg = len(xs) - 1
-    coeffs = np.polynomial.polynomial.polyfit(t, ys, deg)
-    return float(coeffs[1] / h)
-
-
 def verify_derivative_relation(
     family: FamilySpec, curve: InradiusCurve, rtol: float
 ) -> DerivativeRelationReport:
     """Check dV/dr = A along the curve by differencing V against r.
 
     Uses a sliding 7-point local polynomial fit (degree 6), so smooth
-    families pass at tight tolerances on moderate grids.
+    families pass at tight tolerances on moderate grids.  Each window is
+    fitted in t = (r - r_c) / h, r_c its centre and h its width, and all
+    windows' Vandermonde systems are solved in one batch.
     """
     if len(curve.samples) < 8:
         raise DomainError("curve must cover at least 8 samples")
     if not rtol > 0:
         raise DomainError("rtol must be positive")
-    r = curve.r
     v, a = sample(family, curve.s)
     half = 3
-    devs = []
-    for i in range(half, len(r) - half):
-        dvdr = _local_poly_derivative(r, v, i, half)
-        devs.append(abs(dvdr - a[i]) / abs(a[i]))
-    worst = float(max(devs))
+    width = 2 * half + 1
+    rw = np.lib.stride_tricks.sliding_window_view(curve.r, width)
+    h = np.maximum(np.abs(rw[:, -1] - rw[:, 0]), 1e-300)
+    t = (rw - rw[:, half:half + 1]) / h[:, None]
+    vw = np.lib.stride_tricks.sliding_window_view(v, width)
+    coeffs = np.linalg.solve(t[:, :, None] ** np.arange(width), vw[:, :, None])
+    devs = np.abs(coeffs[:, 1, 0] / h - a[half:-half]) / np.abs(a[half:-half])
+    worst = float(devs.max())
     return DerivativeRelationReport(
         family_id=family.id,
         max_relative_deviation=worst,

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .families import RPLUS, FamilySpec, Record, builtin, csv_table, evaluate, ratio
+from .families import RPLUS, FamilySpec, Record, builtin, csv_table, evaluate, ratio, ratio_at
 
 _SQRT_EPS = float(np.finfo(float).eps) ** 0.5
 
@@ -92,8 +92,7 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
         raise DomainError("seed must be >= 0")
     if nfamily.homogeneous_prefix_m is None:
         best_x, best_f = _minimize(nfamily, starts, tol, seed)
-    elif nfamily.nparams == 1:
-        require_homogeneous_prefix(nfamily)  # a family of similar regions: Q is constant
+    elif nfamily.nparams == 1:  # a family of similar regions: Q is constant
         best_x = np.ones(1)
         best_f = ratio_function(nfamily)(best_x)
     else:
@@ -217,29 +216,15 @@ def kmin_table(starts: int = 16, tol: float = 1e-10, seed: int = 0) -> list[dict
     ]
     out = []
     for class_id, nfam, analytic in rows:
+        row = {"class_id": class_id, "analytic_kmin": analytic, "computed_kmin": None,
+               "attained": None, "argmin": None, "error": None}
         try:
             result = kmin(nfam, starts=starts, tol=tol, seed=seed)
-            out.append(
-                {
-                    "class_id": class_id,
-                    "analytic_kmin": analytic,
-                    "computed_kmin": result.kmin,
-                    "attained": result.attained,
-                    "argmin": list(result.argmin),
-                    "error": None,
-                }
-            )
+            row.update(computed_kmin=result.kmin, attained=result.attained,
+                       argmin=list(result.argmin))
         except ConvergenceError as exc:
-            out.append(
-                {
-                    "class_id": class_id,
-                    "analytic_kmin": analytic,
-                    "computed_kmin": None,
-                    "attained": None,
-                    "argmin": None,
-                    "error": str(exc),
-                }
-            )
+            row["error"] = str(exc)
+        out.append(row)
     return out
 
 
@@ -361,11 +346,13 @@ def trace_level_set(
         raise DomainError("steps must be >= 1")
     if not STEP_MIN <= step_size <= STEP_MAX:
         raise DomainError(f"step_size must be in [{STEP_MIN:g}, {STEP_MAX:g}]")
+    if not k > 0:
+        raise DomainError(f"k must be > 0, got {k}: Q > 0 for every region")
     x = np.asarray(x_start, dtype=float).copy()
-    nfamily.require_inside(x)
+    q_start = ratio_at(nfamily, x.tolist(), *evaluate(nfamily, x))
+    if abs(q_start - k) / k > 1e-2:
+        raise DomainError(f"start point has Q={q_start}, far from the level k={k}")
     q = ratio_function(nfamily)
-    if abs(q(x) - k) / k > 1e-2:
-        raise DomainError(f"start point has Q={q(x)}, far from the level k={k}")
     box = nfamily.sample_box
     scales = np.array([b[1] - b[0] for b in box])
 
@@ -457,54 +444,20 @@ def trace_level_set(
     )
 
 
-def require_homogeneous_prefix(nfamily: FamilySpec) -> int:
-    """The class's declared homogeneous prefix m, checked.
-
-    Each of the first m intervals must be (0, inf), so that x1 = 1 lies
-    inside the class, and V and A must be homogeneous of degrees d and d-1
-    in the first m coordinates at 32 seeded random points (to 1e-9
-    relative).  Raises :class:`DomainError` otherwise.
-    """
-    m = nfamily.homogeneous_prefix_m
-    if m is None or not 1 <= m <= nfamily.nparams:
-        raise DomainError(f"class {nfamily.id!r} declares no valid homogeneous prefix m")
-    if any(tuple(nfamily.domain[i]) != RPLUS for i in range(m)):
-        raise DomainError(
-            f"declared prefix m={m} of {nfamily.id!r} rejected: each of the first {m} "
-            "intervals must be (0, inf)"
-        )
-    d = nfamily.dimension
-    rng = np.random.default_rng(0)
-    for _ in range(32):
-        x = np.array([rng.uniform(lo, hi) for lo, hi in nfamily.sample_box])
-        t = rng.uniform(0.5, 2.0)
-        tx = x.copy()
-        tx[:m] *= t
-        try:
-            (v, a), (vt, at) = evaluate(nfamily, x), evaluate(nfamily, tx)
-        except DomainError:
-            continue
-        if abs(vt - t**d * v) > 1e-9 * abs(vt) or abs(at - t ** (d - 1) * a) > 1e-9 * abs(at):
-            raise DomainError(
-                f"declared prefix m={m} rejected: V or A is not homogeneous in the "
-                f"first {m} coordinates (checked at t={t}, x={x.tolist()})"
-            )
-    return m
-
-
 def reduce_homogeneous_prefix(nfamily: FamilySpec) -> FamilySpec:
     """Normalize the declared scaling coordinates to z1 = 1.
 
-    Checks the prefix with :func:`require_homogeneous_prefix`, then returns
-    the reduced class over (z2, ..., zn) with z_i = x_i / x_1 for i <= m.
-    Q is invariant under the reduction.  Needs n >= 2, so that a coordinate
-    is left.
+    Returns the reduced class over (z2, ..., zn) with z_i = x_i / x_1 for
+    i <= m, the prefix :class:`FamilySpec` checked when it was built.  Q is
+    invariant under the reduction.  Needs n >= 2, so that a coordinate is left.
     """
     if nfamily.nparams < 2:
         raise DomainError(
             f"reduction of {nfamily.id!r} rejected: it needs n >= 2, got n = {nfamily.nparams}"
         )
-    m = require_homogeneous_prefix(nfamily)
+    m = nfamily.homogeneous_prefix_m
+    if m is None:
+        raise DomainError(f"class {nfamily.id!r} declares no homogeneous prefix m")
     box = nfamily.sample_box
     n = nfamily.nparams
 

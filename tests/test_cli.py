@@ -431,6 +431,8 @@ class TestBoundedInput:
             "kmin-table --starts 100000000",
             "classify --family cube --grid 1:2:100001",
             "trace --class rect2 --k 18 --start 2,1 --steps 10001",
+            "trace --class parallelogram3 --k 0 --start 2,2,0.5236",
+            "trace --class parallelogram3 --k -5 --start 2,2,0.5236",
         ],
     )
     def test_rejected_with_one_line(self, capsys, argv):

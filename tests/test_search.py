@@ -49,14 +49,13 @@ class TestKmin:
         assert result.attained
         assert abs(shape(*result.argmin)) <= 1e-4
 
-    def test_similar_family_one_evaluation_beyond_probe(self):
+    def test_similar_family_one_evaluation(self):
         calls = []
         ngon = families.builtin("ngon")
         counted = dataclasses.replace(ngon, volume=lambda s: calls.append(s) or ngon.volume(s))
-        search.require_homogeneous_prefix(counted)
-        probe = len(calls)
+        calls.clear()  # the prefix check made when the spec was built
         result = search.kmin(counted)
-        assert len(calls) == 2 * probe + 1
+        assert calls == [1.0]
         assert result.argmin == (1.0,)
         assert result.kmin == pytest.approx(24 * math.tan(math.pi / 6), rel=1e-15)
 
@@ -225,6 +224,16 @@ class TestTraceLevelSet:
         with pytest.raises(ConvergenceError, match="gradient"):
             search.trace_level_set(box, 216.0, np.array([1.0, 1.0, 1.0]), steps=10)
 
+    @pytest.mark.parametrize("k", [0.0, -5.0])
+    def test_nonpositive_level_rejected(self, k):
+        calls = []
+        par = families.builtin("parallelogram3")
+        counted = dataclasses.replace(par, volume=lambda x: calls.append(1) or par.volume(x))
+        calls.clear()  # the prefix check made when the spec was built
+        with pytest.raises(DomainError, match="k must be > 0"):
+            search.trace_level_set(counted, k, self._start_point(4.0), steps=10)
+        assert calls == []  # rejected before any evaluation
+
     def test_start_far_from_level_rejected(self):
         par = families.builtin("parallelogram3")
         with pytest.raises(DomainError, match="far from"):
@@ -270,36 +279,41 @@ class TestReduceHomogeneousPrefix:
 
     def test_angle_declared_as_scaling_variable_rejected(self):
         par = families.builtin("parallelogram3")
-        bad = families.FamilySpec(
-            id="parallelogram3_bad",
-            dimension=2,
-            domain=par.domain,
-            volume=par.volume,
-            area=par.area,
-            homogeneous_prefix_m=3,
-            sample_box=par.sample_box,
-        )
         with pytest.raises(DomainError, match="rejected"):
-            search.reduce_homogeneous_prefix(bad)
+            families.FamilySpec(
+                id="parallelogram3_bad",
+                dimension=2,
+                domain=par.domain,
+                volume=par.volume,
+                area=par.area,
+                homogeneous_prefix_m=3,
+                sample_box=par.sample_box,
+            )
 
+    # (id, changes): the spec is built inside the test, since an invalid
+    # prefix is rejected when its spec is built
     @pytest.mark.parametrize(
         "spec",
         [
-            families.builtin("ngon"),  # n = 1: no coordinate would be left
+            ("ngon", {}),  # n = 1: no coordinate would be left
             # a prefix over (0, pi): x1 = 1 need not be inside
-            dataclasses.replace(families.builtin("rect2"), domain=((0.0, math.pi), (0.0, math.inf))),
+            ("rect2", {"domain": ((0.0, math.pi), (0.0, math.inf))}),
         ],
     )
     def test_preconditions_rejected(self, spec):
+        fid, changes = spec
         with pytest.raises(DomainError, match="rejected"):
-            search.reduce_homogeneous_prefix(spec)
+            search.reduce_homogeneous_prefix(dataclasses.replace(families.builtin(fid), **changes))
 
     def test_non_homogeneous_evaluator_rejected(self):
         rect = families.builtin("rect2")
-        bad = dataclasses.replace(rect, area=lambda x: rect.area(x) + 1.0)
-        for call in (search.reduce_homogeneous_prefix, search.kmin):
-            with pytest.raises(DomainError, match="not homogeneous"):
-                call(bad)
+        with pytest.raises(DomainError, match="not homogeneous"):
+            dataclasses.replace(rect, area=lambda x: rect.area(x) + 1.0)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_prefix_length_out_of_range_rejected(self, m):
+        with pytest.raises(DomainError, match=f"prefix m={m} .* rejected"):
+            dataclasses.replace(families.builtin("rect2"), homogeneous_prefix_m=m)
 
     def test_missing_declaration_rejected(self):
         undeclared = dataclasses.replace(families.builtin("triangle_sides"),
