@@ -47,6 +47,8 @@ def _parse_params(items: list[str] | None) -> dict:
         if "=" not in item:
             raise DomainError(f"malformed parameter {item!r}, expected key=value")
         key, val = item.split("=", 1)
+        if key in out:
+            raise DomainError(f"parameter {key!r} given twice")
         try:
             if key == "branch":
                 out[key] = val

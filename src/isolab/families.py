@@ -141,13 +141,17 @@ def evaluate(family: FamilySpec, x) -> tuple[float, float]:
     """(V, A) at one point: a float, or the length-n search vector.
 
     When n = 1 the evaluators get a float, also from a length-1 vector.
-    Raises :class:`DomainError` naming the point when it lies outside the
-    domain, an evaluator overflows, or V and A are not both finite and
-    positive there.
+    Raises :class:`DomainError` naming the point when it has the wrong number
+    of coordinates or lies outside the domain, an evaluator overflows, or V
+    and A are not both finite and positive there.
     """
     # len, not nparams: this runs for every Q of a search
     if not family.contains(x):
-        raise DomainError(f"point {np.asarray(x).tolist()} outside the domain of {family.id!r}")
+        point = np.asarray(x, dtype=float)
+        if point.ndim <= 1 and point.size != family.nparams:
+            raise DomainError(f"point {point.tolist()} has {point.size} coordinate"
+                              f"{'s' * (point.size != 1)}; {family.id!r} takes {family.nparams}")
+        raise DomainError(f"point {point.tolist()} outside the domain of {family.id!r}")
     p = x if len(family.domain) > 1 else np.asarray(x, dtype=float).item()
     try:
         v, a = family.volume(p), family.area(p)

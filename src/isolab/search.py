@@ -1,12 +1,12 @@
 """Minimizing the isoperimetric ratio over shape classes and tracing its level sets.
 
 Each shape class exposes Q(x) = A(x)^d / V(x)^(d-1) over a box of parameters.
-``kmin`` estimates inf Q on the scale-reduced class, by golden-section search
-in one coordinate and multistart simplex search in more (reporting boundary
-infima as unattained), ``trace_level_set`` follows a curve on the
-hypersurface Q(x) = k by predictor-corrector continuation (every such curve
-is a homogeneous one-parameter family), and ``reduce_homogeneous_prefix``
-normalizes away scaling coordinates.
+``kmin`` estimates inf Q over a class, with x1 pinned to 1 when the class
+declares a homogeneous prefix, by golden-section search in one coordinate and
+multistart simplex search in more (reporting boundary infima as unattained),
+and ``trace_level_set`` follows a curve on the hypersurface Q(x) = k by
+predictor-corrector continuation (every such curve is a homogeneous
+one-parameter family).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .families import RPLUS, FamilySpec, Record, builtin, csv_table, evaluate, ratio, ratio_at
+from .families import FamilySpec, Record, builtin, csv_table, evaluate, ratio, ratio_at
 
 _SQRT_EPS = float(np.finfo(float).eps) ** 0.5
 
@@ -26,6 +26,7 @@ BOUNDARY_REL_TOL = 1e-6
 TOL_MIN = 1e-15  # a kmin tol below the rounding level of Q can never be met
 _GOLDEN_MAX_STEPS = 2000  # shrinks any finite bracket below TOL_MIN
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 0.382..., the golden-section fraction
+PREFIX_START_BOX = (0.3, 3.0)  # where kmin starts x_i / x_1 for 2 <= i <= m
 STEP_MIN = 1e-6
 STEP_MAX = 1e-1
 
@@ -74,8 +75,8 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
     """Minimize Q over the class domain from ``starts`` Latin-hypercube points.
 
     Q does not change when the homogeneous prefix is scaled, so a class that
-    declares one is searched with x1 = 1 (see :func:`reduce_homogeneous_prefix`)
-    and its argmin is reported with x1 = 1.  With one parameter and a prefix,
+    declares one is searched over x2, ..., xn with x1 pinned to 1, and its
+    argmin is reported with x1 = 1.  With one parameter and a prefix,
     Q is constant and is evaluated once, at x = 1.  With one coordinate left
     to search, the sorted start points are scanned and the best one refined
     by golden-section search; with two or more, each start runs Nelder-Mead.
@@ -90,14 +91,7 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
         raise DomainError(f"tol must be >= {TOL_MIN:g}")
     if seed < 0:
         raise DomainError("seed must be >= 0")
-    if nfamily.homogeneous_prefix_m is None:
-        best_x, best_f = _minimize(nfamily, starts, tol, seed)
-    elif nfamily.nparams == 1:  # a family of similar regions: Q is constant
-        best_x = np.ones(1)
-        best_f = ratio_function(nfamily)(best_x)
-    else:
-        z, best_f = _minimize(reduce_homogeneous_prefix(nfamily), starts, tol, seed)
-        best_x = np.append(1.0, z)
+    best_x, best_f = _minimize(nfamily, starts, tol, seed)
     if not math.isfinite(best_f):
         raise ConvergenceError(f"all {starts} starts failed for class {nfamily.id!r}")
 
@@ -112,33 +106,48 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
 
 
 def _minimize(nfamily: FamilySpec, starts: int, tol: float, seed: int) -> tuple[np.ndarray, float]:
-    """The least Q found and where; Q is +inf when every start failed."""
+    """The least Q found and where; Q is +inf when every start failed.
+
+    With a prefix, x2..xn are searched at x1 = 1 and x2..xm start in
+    ``PREFIX_START_BOX``."""
     q = ratio_function(nfamily)
-    box = nfamily.sample_box
-    unit = latin_hypercube(starts, nfamily.nparams, seed)
-    lows = np.array([b[0] for b in box])
-    highs = np.array([b[1] for b in box])
-    points = lows + unit * (highs - lows)
-    if nfamily.nparams == 1:
-        x, fx = _golden_section_search(q, sorted(points[:, 0].tolist()), nfamily.domain[0], tol)
-        return np.array([x]), fx
+    n, m = nfamily.nparams, nfamily.homogeneous_prefix_m
+    if m is not None and n == 1:  # a family of similar regions: Q is constant
+        return np.ones(1), q(np.ones(1))
+    if m is None:
+        first, f, inside = 0, q, nfamily.contains
+        whole = lambda z: np.array(z, dtype=float, ndmin=1)  # z is a float when n = 1
+    else:
+        def whole(z) -> np.ndarray:  # z is a float when one coordinate is searched
+            x = np.empty(n)  # three times faster than np.append; this runs for every Q
+            x[0] = 1.0
+            x[1:] = z
+            return x
+
+        first, f, inside = 1, lambda z: q(whole(z)), lambda z: nfamily.contains(whole(z))
+    box = [PREFIX_START_BOX if i < (m or 0) else nfamily.sample_box[i] for i in range(first, n)]
+    lows, highs = np.array(box, dtype=float).T
+    points = lows + latin_hypercube(starts, n - first, seed) * (highs - lows)
+    if n - first == 1:
+        z, fz = _golden_section_search(f, sorted(points[:, 0].tolist()), nfamily.domain[first], tol)
+        return whole(z), fz
 
     from scipy import optimize
 
-    best_x, best_f = points[0], math.inf
-    for x0 in points:
-        if not nfamily.contains(x0):
+    best_z, best_f = points[0], math.inf
+    for z0 in points:
+        if not inside(z0):
             continue
         res = optimize.minimize(
-            q, x0, method="Nelder-Mead",
+            f, z0, method="Nelder-Mead",
             options={
-                "xatol": tol, "fatol": tol * max(abs(q(x0)), 1.0),
+                "xatol": tol, "fatol": tol * max(abs(f(z0)), 1.0),
                 "maxiter": 20000, "maxfev": 20000,
             },
         )
         if res.fun < best_f:
-            best_f, best_x = float(res.fun), np.asarray(res.x, dtype=float)
-    return best_x, best_f
+            best_f, best_z = float(res.fun), res.x
+    return whole(best_z), best_f
 
 
 def _golden_section_search(
@@ -236,7 +245,8 @@ def solve_coordinate(
     s: float,
     prev: float | None = None,
 ) -> float:
-    """Solve Q(x) = k for coordinate j, the others given as functions of s.
+    """Solve Q(x) = k for coordinate j, each other coordinate i given as the
+    function ``fixed[i]`` of s; ``fixed`` holding j is a :class:`DomainError`.
 
     Brackets are located by a sign scan over the coordinate interval and the
     root refined with Brent's method.  With several roots, the one nearest
@@ -250,6 +260,8 @@ def solve_coordinate(
     outside = sorted(set(fixed) - set(range(n)))
     if outside:
         raise DomainError(f"fixed coordinates {outside} out of range for {n}-parameter class")
+    if j in fixed:
+        raise DomainError(f"coordinate {j} is the one solved for; it takes no fixed function")
     missing = set(range(n)) - {j} - set(fixed)
     if missing:
         raise DomainError(f"no functions given for coordinates {sorted(missing)}")
@@ -441,44 +453,4 @@ def trace_level_set(
         points=tuple(points),
         q_values=tuple(float(v) for v in q_values),
         residuals=tuple(residuals),
-    )
-
-
-def reduce_homogeneous_prefix(nfamily: FamilySpec) -> FamilySpec:
-    """Normalize the declared scaling coordinates to z1 = 1.
-
-    Returns the reduced class over (z2, ..., zn) with z_i = x_i / x_1 for
-    i <= m, the prefix :class:`FamilySpec` checked when it was built.  Q is
-    invariant under the reduction.  Needs n >= 2, so that a coordinate is left.
-    """
-    if nfamily.nparams < 2:
-        raise DomainError(
-            f"reduction of {nfamily.id!r} rejected: it needs n >= 2, got n = {nfamily.nparams}"
-        )
-    m = nfamily.homogeneous_prefix_m
-    if m is None:
-        raise DomainError(f"class {nfamily.id!r} declares no homogeneous prefix m")
-    box = nfamily.sample_box
-    n = nfamily.nparams
-
-    def embed(z) -> np.ndarray:  # z is a float when one coordinate is left
-        x = np.empty(n)  # three times faster than np.append; this runs for every Q
-        x[0] = 1.0
-        x[1:] = z
-        return x
-
-    new_domain = tuple(RPLUS if i < m else nfamily.domain[i] for i in range(1, n))
-    new_box = tuple((0.3, 3.0) if i < m else box[i] for i in range(1, n))
-    feas = None
-    if nfamily.feasible is not None:
-        feas = lambda z: nfamily.feasible(embed(z))
-    return FamilySpec(
-        id=f"{nfamily.id}@reduced",
-        dimension=nfamily.dimension,
-        domain=new_domain,
-        volume=lambda z: nfamily.volume(embed(z)),
-        area=lambda z: nfamily.area(embed(z)),
-        params=nfamily.params,
-        feasible=feas,
-        sample_box=new_box,
     )

@@ -90,8 +90,7 @@ class TestDeterminism:
         assert out1 == out2
         assert json.loads(out1)["kmin"] == pytest.approx(216.0, rel=1e-8)
 
-    # captured from the scale-reduced search: a class with a homogeneous prefix
-    # reports its argmin with x1 = 1
+    # a class with a homogeneous prefix reports its argmin with x1 = 1
     @pytest.mark.parametrize(
         "cls, expected",
         [
@@ -106,6 +105,18 @@ class TestDeterminism:
                      '[1.0], "attained": true, "multistart_count": 16}\n'),
             ("cube", '{"class_id": "cube", "kmin": 216.0, "argmin": '
                      '[1.0], "attained": true, "multistart_count": 16}\n'),
+            # no prefix: a one-parameter golden-section search over s itself
+            ("hexagon_120", '{"class_id": "hexagon_120", "kmin": 18.47520861406802, '
+                            '"argmin": [6.277068811383156], "attained": true, '
+                            '"multistart_count": 16}\n'),
+            # a prefix and an angle: Nelder-Mead over (x2, x3) with x1 = 1
+            ("parallelogram3", '{"class_id": "parallelogram3", "kmin": 15.999999999999996, '
+                               '"argmin": [1.0, 1.0000000206322623, 1.5707963254045219], '
+                               '"attained": true, "multistart_count": 16}\n'),
+            # one coordinate left and a `feasible` edge: a boundary infimum
+            ("ring_torus", '{"class_id": "ring_torus", "kmin": 157.91367043082062, '
+                           '"argmin": [1.0, 1.0000000000847988], "attained": false, '
+                           '"multistart_count": 16}\n'),
         ],
     )
     def test_kmin_output_unchanged(self, capsys, cls, expected):
@@ -149,6 +160,12 @@ class TestExitCodes:
         assert code == expected
         assert out == ""
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_start_of_wrong_length_named(self, capsys):
+        code, out, err = run(capsys, "trace", "--class", "parallelogram3", "--k", "32",
+                             "--start", "2,2")
+        assert (code, out) == (2, "")
+        assert err == "error: point [2.0, 2.0] has 2 coordinates; 'parallelogram3' takes 3\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -433,6 +450,8 @@ class TestBoundedInput:
             "trace --class rect2 --k 18 --start 2,1 --steps 10001",
             "trace --class parallelogram3 --k 0 --start 2,2,0.5236",
             "trace --class parallelogram3 --k -5 --start 2,2,0.5236",
+            "solve-coordinate --class rect2 --k 18 --j 1 --s 1 --fixed 0=s --fixed 1=s",
+            "eval --family ngon --param n=3 --param n=4 --s 1",
         ],
     )
     def test_rejected_with_one_line(self, capsys, argv):

@@ -88,12 +88,6 @@ class TestKmin:
             search.kmin(families.builtin("box3"), starts=4)
 
     # contains decides attained, so a class that states only `feasible` reports its edge
-    def test_reduced_ring_torus_boundary_infimum(self):
-        reduced = search.reduce_homogeneous_prefix(families.builtin("ring_torus"))
-        result = search.kmin(reduced)
-        assert result.kmin == pytest.approx(16 * math.pi**2, rel=1e-6)
-        assert not result.attained
-
     def test_user_feasible_edge_not_attained(self):
         # rectangles with a > 2b: Q = (2a + 2b)^2 / (ab) decreases to 18 at the excluded a = 2b
         rect = dataclasses.replace(families.builtin("rect2"), feasible=lambda x: x[0] > 2 * x[1])
@@ -177,6 +171,11 @@ class TestSolveCoordinate:
         with pytest.raises(DomainError, match="no root"):
             search.solve_coordinate(par, 10.0, self.FIXED, 2, 2.0)  # 10 < 4 pi
 
+    def test_function_for_solved_coordinate_rejected(self):
+        par = families.builtin("parallelogram3")
+        with pytest.raises(DomainError, match="coordinate 2 is the one solved for"):
+            search.solve_coordinate(par, 32.0, {**self.FIXED, 2: lambda s: 0.5}, 2, 2.0)
+
 
 class TestTraceLevelSet:
     def _start_point(self, s: float) -> np.ndarray:
@@ -256,24 +255,19 @@ class TestTraceLevelSet:
 
 class TestReduceHomogeneousPrefix:
     def test_parallelogram_q_invariance(self):
-        par = families.builtin("parallelogram3")
-        reduced = search.reduce_homogeneous_prefix(par)
-        q_full = search.ratio_function(par)
-        q_red = search.ratio_function(reduced)
+        q = search.ratio_function(families.builtin("parallelogram3"))
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.uniform([0.3, 0.3, 0.2], [3.0, 3.0, math.pi - 0.2])
-            assert q_red(np.array([x[1] / x[0], x[2]])) == pytest.approx(q_full(x), rel=1e-10)
+            assert q(np.array([1.0, x[1] / x[0], x[2]])) == pytest.approx(q(x), rel=1e-10)
 
     def test_rectangles_reduce_to_similar(self):
         # Q(1, z2) = k has finitely many roots z2; each root is an aspect ratio,
         # so homogeneous subfamilies are similar rectangles
-        rect = families.builtin("rect2")
-        reduced = search.reduce_homogeneous_prefix(rect)
-        q = search.ratio_function(reduced)
+        q = search.ratio_function(families.builtin("rect2"))
         k = 18.0  # above the square minimum 16
         zs = np.linspace(0.05, 20.0, 4000)
-        vals = np.array([q(np.array([z])) - k for z in zs])
+        vals = np.array([q(np.array([1.0, z])) - k for z in zs])
         crossings = np.sum(vals[:-1] * vals[1:] < 0)
         assert crossings == 2  # one aspect ratio and its reciprocal
 
@@ -290,20 +284,11 @@ class TestReduceHomogeneousPrefix:
                 sample_box=par.sample_box,
             )
 
-    # (id, changes): the spec is built inside the test, since an invalid
-    # prefix is rejected when its spec is built
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ("ngon", {}),  # n = 1: no coordinate would be left
-            # a prefix over (0, pi): x1 = 1 need not be inside
-            ("rect2", {"domain": ((0.0, math.pi), (0.0, math.inf))}),
-        ],
-    )
-    def test_preconditions_rejected(self, spec):
-        fid, changes = spec
+    # a prefix over (0, pi): x1 = 1 need not be inside
+    def test_prefix_over_bounded_interval_rejected(self):
         with pytest.raises(DomainError, match="rejected"):
-            search.reduce_homogeneous_prefix(dataclasses.replace(families.builtin(fid), **changes))
+            dataclasses.replace(families.builtin("rect2"),
+                                domain=((0.0, math.pi), (0.0, math.inf)))
 
     def test_non_homogeneous_evaluator_rejected(self):
         rect = families.builtin("rect2")
@@ -314,9 +299,3 @@ class TestReduceHomogeneousPrefix:
     def test_prefix_length_out_of_range_rejected(self, m):
         with pytest.raises(DomainError, match=f"prefix m={m} .* rejected"):
             dataclasses.replace(families.builtin("rect2"), homogeneous_prefix_m=m)
-
-    def test_missing_declaration_rejected(self):
-        undeclared = dataclasses.replace(families.builtin("triangle_sides"),
-                                         homogeneous_prefix_m=None)
-        with pytest.raises(DomainError):
-            search.reduce_homogeneous_prefix(undeclared)
