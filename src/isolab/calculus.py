@@ -8,7 +8,6 @@ smooth family, and the curve is unique up to the additive constant C.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,6 +21,18 @@ _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-10
 QUAD_PANEL_LIMIT = 200  # per grid segment; segments are capped elsewhere
+
+# QUADPACK's qk15 (Piessens et al. 1983): the Kronrod nodes x > 0 on [-1, 1], the
+# Kronrod weights of x and of 0, and the 7-point Gauss weights of x[1], x[3], x[5] and 0
+_XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+       0.5860872354676911, 0.4058451513773972, 0.20778495500789848)
+_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+       0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
+_NODES = np.array([*(-x for x in _XK), 0.0, *_XK[::-1]])
+_WEIGHTS = np.zeros((15, 2))  # columns: Kronrod, Gauss
+_WEIGHTS[:, 0] = [*_WK, *_WK[-2::-1]]
+_WEIGHTS[1::2, 1] = [*_WG, *_WG[-2::-1]]
 
 
 def derivative(f: Callable[[float], float], s: float, scale: float = 1.0) -> float:
@@ -58,35 +69,54 @@ class InradiusCurve(Record):
     def r(self) -> np.ndarray:
         return np.array([p[1] for p in self.samples])
 
-    def interpolate(self, s: float) -> float:
-        """Cubic-interpolated r at s inside the sampled range."""
-        ss, rr = self.s, self.r
-        if ss[0] > ss[-1]:
-            ss, rr = ss[::-1], rr[::-1]
-        if not ss[0] <= s <= ss[-1]:
-            raise DomainError(f"s={s} outside sampled range [{ss[0]}, {ss[-1]}]")
-        from scipy.interpolate import CubicSpline
-
-        return float(CubicSpline(ss, rr)(s))
-
     def to_csv(self) -> str:
         return csv_table(("s", "r"), self.samples)
 
 
-def _integrand(family: FamilySpec) -> Callable[[float], float]:
-    if family.dvolume is not None:
-        dv = family.dvolume
-    else:
-        scale = _derivative_scale(family)
+def integrate(f: Callable[[float], float], a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of f from a[i] to b[i] (either way round), and their error estimates.
+
+    Each round applies the 15-point Gauss-Kronrod rule to every open piece at
+    once and halves the pieces whose |K - G| exceeds their share (half per
+    halving) of the segment's max(QUAD_ABS_TOL, QUAD_REL_TOL |K|).  The nodes
+    never touch a piece's ends.  A segment that would need more than
+    QUAD_PANEL_LIMIT pieces raises :class:`ConvergenceError`.
+    """
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    n = len(a)
+    total, err, pieces = np.zeros(n), np.zeros(n), np.ones(n, dtype=int)
+    seg, lo, hi, share = np.arange(n), a, b, np.ones(n)
+    while len(seg):
+        half = (hi - lo) / 2.0
+        nodes = (lo + half)[:, None] + half[:, None] * _NODES
+        fx = np.array([f(t) for t in nodes.ravel().tolist()]).reshape(-1, 15)
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite f fails its test
+            k, g = (fx @ _WEIGHTS).T * half
+            e = np.abs(k - g)
+            tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(total + np.bincount(seg, k, n)))
+        done = e <= share * tol[seg]  # NaN fails, so keeps halving up to the cap
+        np.add.at(total, seg[done], k[done])
+        np.add.at(err, seg[done], e[done])
+        keep = ~done
+        np.add.at(pieces, seg[keep], 1)
+        if np.any(pieces > QUAD_PANEL_LIMIT):
+            i = int(np.argmax(pieces > QUAD_PANEL_LIMIT))
+            raise ConvergenceError(f"quadrature over ({a[i]}, {b[i]}) missed its tolerance "
+                                   f"within {QUAD_PANEL_LIMIT} pieces")
+        mid = lo[keep] + half[keep]
+        seg, share = np.tile(seg[keep], 2), np.tile(share[keep] / 2.0, 2)
+        lo, hi = np.concatenate([lo[keep], mid]), np.concatenate([mid, hi[keep]])
+    return total, err
+
+
+def dr_ds(family: FamilySpec) -> Callable[[float], float]:
+    """The integrand V'(s)/A(s) of the change-of-variable curve r(s)."""
+    dv = family.dvolume
+    if dv is None:
+        (lo, hi), = family.domain
+        scale = (hi - lo) / 2.0 if math.isfinite(hi) else max(lo, 1.0)
         dv = lambda t: derivative(family.volume, t, scale)
     return lambda t: dv(t) / family.area(t)
-
-
-def _derivative_scale(family: FamilySpec) -> float:
-    (lo, hi), = family.domain
-    if math.isfinite(hi):
-        return (hi - lo) / 2.0
-    return max(lo, 1.0)
 
 
 def inradius_by_quadrature(
@@ -103,8 +133,6 @@ def inradius_by_quadrature(
     endpoints).  A segment whose quadrature misses its tolerance raises
     :class:`ConvergenceError`.
     """
-    from scipy import integrate
-
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")
@@ -121,25 +149,14 @@ def inradius_by_quadrature(
             "split the domain with monotone_partition first"
         )
 
-    f = _integrand(family)
     # cumulative integration over the sorted knots, then shifted to vanish at the anchor
     knots = np.unique(np.concatenate([[s0], grid]))
-    segments = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        for a, b in zip(knots[:-1], knots[1:]):
-            try:
-                segments.append(integrate.quad(f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
-                                               limit=QUAD_PANEL_LIMIT))
-            except integrate.IntegrationWarning as exc:  # scipy's message runs over lines
-                reason = str(exc).strip().splitlines()[0]
-                raise ConvergenceError(f"quadrature over ({a}, {b}) missed its tolerance: {reason}")
-    cumulative = np.concatenate([[0.0], np.cumsum([seg for seg, _ in segments])])
+    segments, errors = integrate(dr_ds(family), knots[:-1], knots[1:])
+    cumulative = np.concatenate([[0.0], np.cumsum(segments)])
     vals = cumulative - cumulative[np.searchsorted(knots, s0)]
     samples = tuple(
         (float(s), C + float(v)) for s, v in zip(grid, vals[np.searchsorted(knots, grid)])
     )
-    err_total = sum(abs(err) for _, err in segments)
 
     if np.any(np.sign(np.diff([r for _, r in samples])) != sign_v):
         raise ConvergenceError("r(s) failed to track the monotonicity of V(s)")
@@ -149,7 +166,7 @@ def inradius_by_quadrature(
         anchor_s0=float(s0),
         anchor_value_C=float(C),
         samples=samples,
-        quadrature_error_estimate=float(err_total),
+        quadrature_error_estimate=float(errors.sum()),
     )
 
 

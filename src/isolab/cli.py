@@ -242,7 +242,11 @@ def cmd_trace(args) -> int:
 
 def cmd_solve_coordinate(args) -> int:
     nfam = families.builtin(args.cls)
-    fixed = dict(_parse_fixed(item) for item in args.fixed)
+    fixed = {}
+    for idx, fn in map(_parse_fixed, args.fixed):
+        if idx in fixed:
+            raise DomainError(f"fixed coordinate {idx} given twice")
+        fixed[idx] = fn
     root = search.solve_coordinate(nfam, args.k, fixed, args.j, args.s)
     _emit(args, _jdump({"class": nfam.id, "k": args.k, "s": args.s, "j": args.j, "root": root}))
     return EXIT_OK

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import InradiusCurve, inradius_by_quadrature
+from .calculus import InradiusCurve, dr_ds, inradius_by_quadrature, integrate
 from .errors import DomainError
 from .families import FamilySpec, Record, evaluate, ratio, ratio_at, sample
 from .inequalities import kappa
@@ -117,12 +117,12 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
 def elasticity(family: FamilySpec, curve: InradiusCurve, s: float) -> float:
     """Proportional volume change per proportional change of the curve variable.
 
-    e = r(s) A(s) / V(s) with r taken from the supplied (anchored) curve;
-    equals the dimension d exactly for homogeneous families, but is
-    anchor-dependent for non-homogeneous ones.
+    e = r(s) A(s) / V(s), r(s) = C + the integral of V'/A from the curve's anchor
+    s0 to s (anywhere in the domain); it equals the dimension d exactly for
+    homogeneous families and is anchor-dependent for non-homogeneous ones.
     """
     v, a = evaluate(family, s)
-    r = curve.interpolate(s)
+    r = curve.anchor_value_C + float(integrate(dr_ds(family), curve.anchor_s0, s)[0][0])
     if r <= 0:
         raise DomainError(
             f"r({s}) = {r} <= 0 for anchor C={curve.anchor_value_C}; "

@@ -17,13 +17,23 @@ from .families import Record
 HOLD_TOL = 1e-12
 
 
-def kappa(d: int) -> float:
-    """Volume of the d-dimensional unit ball, pi^(d/2) / Gamma(d/2 + 1)."""
-    from scipy.special import gammaln
+# kappa_1 .. kappa_12, correctly rounded (mpmath at 200 bits)
+_KAPPA = (2.0, 3.141592653589793, 4.188790204786391, 4.934802200544679, 5.263789013914325,
+          5.16771278004997, 4.7247659703314016, 4.0587121264167685, 3.298508902738707,
+          2.5501640398773455, 1.8841038793899003, 1.3352627688545895)
 
-    if d < 1:
-        raise DomainError("d must be >= 1")
-    return math.exp(0.5 * d * math.log(math.pi) - gammaln(0.5 * d + 1.0))
+
+def kappa(d: int) -> float:
+    """Volume of the d-dimensional unit ball, pi^(d/2) / Gamma(d/2 + 1): tabled up to
+    d = 12, then kappa_d = 2 pi / d kappa_(d-2), within 1e-13 relative up to d = 400."""
+    if d < 1 or d % 1:  # NaN fails too
+        raise DomainError(f"d must be an integer >= 1, got {d}")
+    j = int(min(d, len(_KAPPA) - (d - len(_KAPPA)) % 2))  # d, or the last tabled d of its parity
+    k = _KAPPA[j - 1]
+    while j < d and k > 0.0:  # 0.0 once it underflows
+        j += 2
+        k *= 2.0 * math.pi / j
+    return k
 
 
 def deficit(d: int, v: float, a: float) -> float:

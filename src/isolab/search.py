@@ -60,8 +60,8 @@ def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
 
     Each column puts exactly one point in each of the n strata (i/n, (i+1)/n],
     at a uniform offset inside it.  The draws follow
-    ``scipy.stats.qmc.LatinHypercube(d=d, seed=seed).random(n)`` step for step,
-    so the points are bit-identical to scipy's.
+    SciPy's ``stats.qmc.LatinHypercube(d=d, seed=seed).random(n)`` step for
+    step, so the points are bit-identical to SciPy's.
     """
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(size=(n, d))
@@ -83,7 +83,8 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
 
     The minimum is ``attained`` when all 2n points x +- BOUNDARY_REL_TOL *
     (|x_i| + 1) e_i around the best point x are inside the class by
-    :meth:`FamilySpec.contains`; otherwise it is a boundary infimum.
+    :meth:`FamilySpec.contains` and golden-section search, where it ran, found
+    Q rising on its outward steps; otherwise it is a boundary infimum, or one at infinity.
     """
     if starts < 8:
         raise DomainError("starts must be >= 8")
@@ -91,7 +92,7 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
         raise DomainError(f"tol must be >= {TOL_MIN:g}")
     if seed < 0:
         raise DomainError("seed must be >= 0")
-    best_x, best_f = _minimize(nfamily, starts, tol, seed)
+    best_x, best_f, bounded = _minimize(nfamily, starts, tol, seed)
     if not math.isfinite(best_f):
         raise ConvergenceError(f"all {starts} starts failed for class {nfamily.id!r}")
 
@@ -100,20 +101,24 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
         class_id=nfamily.id,
         kmin=float(best_f),
         argmin=tuple(float(v) for v in best_x),
-        attained=all(nfamily.contains(x) for x in (*(best_x + nudges), *(best_x - nudges))),
+        attained=bounded and all(nfamily.contains(x)
+                                 for x in (*(best_x + nudges), *(best_x - nudges))),
         multistart_count=starts,
     )
 
 
-def _minimize(nfamily: FamilySpec, starts: int, tol: float, seed: int) -> tuple[np.ndarray, float]:
-    """The least Q found and where; Q is +inf when every start failed.
+def _minimize(
+    nfamily: FamilySpec, starts: int, tol: float, seed: int
+) -> tuple[np.ndarray, float, bool]:
+    """The least Q found, where, and whether the search stayed bounded; Q is
+    +inf when every start failed.
 
     With a prefix, x2..xn are searched at x1 = 1 and x2..xm start in
     ``PREFIX_START_BOX``."""
     q = ratio_function(nfamily)
     n, m = nfamily.nparams, nfamily.homogeneous_prefix_m
     if m is not None and n == 1:  # a family of similar regions: Q is constant
-        return np.ones(1), q(np.ones(1))
+        return np.ones(1), q(np.ones(1)), True
     if m is None:
         first, f, inside = 0, q, nfamily.contains
         whole = lambda z: np.array(z, dtype=float, ndmin=1)  # z is a float when n = 1
@@ -129,8 +134,9 @@ def _minimize(nfamily: FamilySpec, starts: int, tol: float, seed: int) -> tuple[
     lows, highs = np.array(box, dtype=float).T
     points = lows + latin_hypercube(starts, n - first, seed) * (highs - lows)
     if n - first == 1:
-        z, fz = _golden_section_search(f, sorted(points[:, 0].tolist()), nfamily.domain[first], tol)
-        return whole(z), fz
+        z, fz, bounded = _golden_section_search(f, sorted(points[:, 0].tolist()),
+                                                nfamily.domain[first], tol)
+        return whole(z), fz, bounded
 
     from scipy import optimize
 
@@ -147,31 +153,33 @@ def _minimize(nfamily: FamilySpec, starts: int, tol: float, seed: int) -> tuple[
         )
         if res.fun < best_f:
             best_f, best_z = float(res.fun), res.x
-    return whole(best_z), best_f
+    return whole(best_z), best_f, True
 
 
 def _golden_section_search(
     q: Callable[[float], float], xs: list[float], domain: tuple[float, float], tol: float
-) -> tuple[float, float]:
+) -> tuple[float, float, bool]:
     """Minimize a function of one variable from the sorted scan points ``xs``.
 
     The best scan point and its two neighbours bracket the minimum.  At either
     end of the scan the bracket reaches the domain end on that side, or, where
     that end is infinite, steps outward, doubling the step while Q decreases.
     Golden-section search then shrinks the bracket a < x < b to
-    ``b - a <= tol * max(1, |a| + |b|)``, one evaluation per step.
+    ``b - a <= tol * max(1, |a| + |b|)``, one evaluation per step.  Returns
+    x, Q(x) and whether the outward steps stayed bounded (see :func:`_expand`).
     """
     fs = [q(x) for x in xs]
     i = min(range(len(xs)), key=fs.__getitem__)
     x, fx = xs[i], fs[i]
     if not math.isfinite(fx):
-        return x, fx
+        return x, fx, True
     a = xs[i - 1] if i > 0 else domain[0]
     b = xs[i + 1] if i < len(xs) - 1 else domain[1]
+    bounded = True
     if math.isinf(a):
-        b, x, fx, a = _expand(q, b, x, fx)
+        b, x, fx, a, bounded = _expand(q, b, x, fx)
     elif math.isinf(b):
-        a, x, fx, b = _expand(q, a, x, fx)
+        a, x, fx, b, bounded = _expand(q, a, x, fx)
     # with tol >= TOL_MIN the stopping width spans several ulps, so rounding
     # cannot stall the search above it; the cap only guards that argument
     for _ in range(_GOLDEN_MAX_STEPS):
@@ -187,23 +195,24 @@ def _golden_section_search(
             a = u
         else:
             b = u
-    return x, fx
+    return x, fx, bounded
 
 
 def _expand(q: Callable[[float], float], inner: float, x: float, fx: float):
     """Step from x away from ``inner``, doubling the step while Q decreases.
 
-    Returns (inner, x, fx, outer) with Q(x) below Q at both other points;
-    outer is x itself when the next step would overflow.
+    Returns (inner, x, fx, outer, bounded) with Q(x) below Q(inner) and at most
+    Q(outer).  ``bounded`` is false, as for an infimum at infinity, when the
+    next step would overflow (outer is then x itself) or Q(outer) == Q(x).
     """
     step = x - inner
     while True:
         u = x + step
         if not math.isfinite(u):
-            return inner, x, fx, x
+            return inner, x, fx, x, False
         fu = q(u)
         if not fu < fx:
-            return inner, x, fx, u
+            return inner, x, fx, u, fu != fx
         inner, x, fx = x, u, fu
         step *= 2.0
 

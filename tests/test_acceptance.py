@@ -12,6 +12,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from isolab import calculus, families, homogeneity, inequalities, polytope, search
+from random_shapes import random_convex_polygon, random_convex_polytope, random_interior_point
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -107,10 +108,10 @@ def test_05_cube_identities():
 def test_06_starlike_means():
     rng = np.random.default_rng(20240817)
     for _ in range(20):
-        p = polytope.random_convex_polytope(rng, 14)
+        p = random_convex_polytope(rng, 14)
         means = []
         for _ in range(2):
-            apex = polytope.random_interior_point(p, rng)
+            apex = random_interior_point(p, rng)
             dec = polytope.decompose(p.with_apex(apex))
             arith, harm = polytope.mean_altitudes(dec)
             r_tong = 3 * dec.total_volume / dec.total_area
@@ -124,7 +125,7 @@ def test_06_starlike_means():
 def test_07_support_and_cohen():
     rng = np.random.default_rng(20240817)
     for _ in range(20):
-        p = polytope.random_convex_polytope(rng, 14)
+        p = random_convex_polytope(rng, 14)
         v_sup = polytope.volume_from_support(p)
         v_dec = polytope.decompose(p).total_volume
         assert v_sup == pytest.approx(v_dec, rel=1e-9)
@@ -162,7 +163,7 @@ def test_09_bonnesen_suite():
             assert inequalities.bonnesen_general(fam.dimension, v, a).all_hold
     rng = np.random.default_rng(7)
     for _ in range(10):
-        p = polytope.random_convex_polytope(rng, 12)
+        p = random_convex_polytope(rng, 12)
         dec = polytope.decompose(p)
         assert inequalities.bonnesen_general(3, dec.total_volume, dec.total_area).all_hold
     # ball equalities
@@ -186,7 +187,7 @@ def test_09_bonnesen_suite():
 
 def test_10_steiner():
     rng = np.random.default_rng(31)
-    shapes = [polytope.random_convex_polygon(rng, 12) for _ in range(10)]
+    shapes = [random_convex_polygon(rng, 12) for _ in range(10)]
     shapes += [tuple(rng.uniform(0.5, 3.0, 3)) for _ in range(5)]
     for shape in shapes:
         vc, ac = polytope.steiner_coefficients(shape)

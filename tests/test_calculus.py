@@ -29,6 +29,49 @@ class TestDerivative:
             calculus.derivative(bad, 1.0)
 
 
+def _integrand_families():
+    """Every built-in one-parameter family, the rhombus by both branches."""
+    fams = [families.builtin(fid) for fid in families._BUILTINS if fid != "rhombus"]
+    return [f for f in fams if f.nparams == 1] + list(families.rhombus_branches())
+
+
+class TestIntegrate:
+    # scipy's adaptive QUADPACK routine is the reference; the library does not use it
+    @pytest.mark.parametrize("fam", _integrand_families(), ids=lambda f: f.id)
+    def test_matches_quad(self, fam):
+        from scipy.integrate import quad
+
+        (lo, hi), = fam.domain
+        hi = min(hi, lo + 10.0)
+        rng = np.random.default_rng(0)
+        a, b = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi, (2, 50)), axis=0)
+        f = calculus.dr_ds(fam)
+        got, err = calculus.integrate(f, a, b)
+        for ai, bi, gi, ei in zip(a, b, got, err):
+            ref = quad(f, ai, bi, epsabs=calculus.QUAD_ABS_TOL, epsrel=calculus.QUAD_REL_TOL,
+                       limit=calculus.QUAD_PANEL_LIMIT)[0]
+            tol = max(calculus.QUAD_ABS_TOL, calculus.QUAD_REL_TOL * abs(ref))
+            assert abs(gi - ref) <= tol and 0 <= ei <= tol, (ai, bi)
+
+    def test_orientation_and_empty_segment(self):
+        got, err = calculus.integrate(math.cos, [0.0, 2.0, 1.5], [2.0, 0.0, 1.5])
+        assert got[0] == pytest.approx(math.sin(2.0), rel=1e-14)
+        assert got[1] == pytest.approx(-math.sin(2.0), rel=1e-14)
+        assert (got[2], err[2]) == (0.0, 0.0)
+
+    def test_rough_integrand_stops_at_piece_cap(self):
+        calls = []
+
+        def sawtooth(t):  # period 1e-8: no piece the cap allows is smooth
+            calls.append(t)
+            return (t * 1e8) % 1.0
+
+        with pytest.raises(ConvergenceError, match="missed its tolerance"):
+            calculus.integrate(sawtooth, [0.0, 1.0], [1.0, 2.0])
+        # pieces double each round, so all rounds together evaluate under 4 caps of pieces
+        assert len(calls) <= 15 * 4 * 2 * calculus.QUAD_PANEL_LIMIT
+
+
 class TestInradiusByQuadrature:
     def test_cube_half_edge(self):
         cube = families.builtin("cube")

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -451,6 +452,7 @@ class TestBoundedInput:
             "trace --class parallelogram3 --k 0 --start 2,2,0.5236",
             "trace --class parallelogram3 --k -5 --start 2,2,0.5236",
             "solve-coordinate --class rect2 --k 18 --j 1 --s 1 --fixed 0=s --fixed 1=s",
+            "solve-coordinate --class rect2 --k 18 --j 1 --s 1 --fixed 0=s --fixed 0=2*s",
             "eval --family ngon --param n=3 --param n=4 --s 1",
         ],
     )
@@ -611,6 +613,31 @@ def test_readme_example_runs_as_written(capsys, tmp_path, monkeypatch, line):
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
     else:
         json.loads(out)
+
+
+# kmin on two or more free coordinates (Nelder-Mead), kmin-table (its box3 and
+# triangle_sides rows) and solve-coordinate (Brent's root) use scipy.optimize
+def _may_use_optimize(line):
+    if line.startswith("isolab kmin --class "):
+        spec = families.builtin(line.split()[3])
+        return spec.nparams - (spec.homogeneous_prefix_m is not None) >= 2
+    return line.startswith(("isolab kmin-table", "isolab solve-coordinate"))
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_line_loads_no_scipy(tmp_path, line):
+    (tmp_path / "cube.json").write_text(polytope.cube_polyhedron().to_json())
+    code = ("import sys; from isolab import cli; code = cli.main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *shlex.split(line, comments=True)[1:]],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    if _may_use_optimize(line):
+        optimize = run_process("-c", "import sys, scipy.optimize; print(sorted(sys.modules))")
+        loaded -= set(ast.literal_eval(optimize.stdout))
+    assert not loaded, line
 
 
 def _no_constant(name):

@@ -158,6 +158,13 @@ class TestElasticity:
         for s in (0.5, 1.0, 2.5):
             assert homogeneity.elasticity(hexf, curve, s) == pytest.approx(2.0, rel=1e-6)
 
+    # r(s) is integrated from the anchor, so s need not lie on the curve's grid
+    def test_outside_sampled_range(self):
+        cube = families.builtin("cube")
+        curve = calculus.inradius_by_quadrature(cube, 1.0, 0.5, np.linspace(1.0, 2.0, 8))
+        for s in (0.25, 10.0):
+            assert homogeneity.elasticity(cube, curve, s) == pytest.approx(3.0, rel=1e-12)
+
     def test_negative_r_rejected(self):
         cube = families.builtin("cube")
         grid = np.linspace(0.5, 4, 32)

@@ -24,6 +24,28 @@ class TestKappa:
         with pytest.raises(DomainError):
             inequalities.kappa(0)
 
+    def test_matches_mpmath(self):
+        import mpmath
+
+        for d in range(1, 401):
+            with mpmath.workprec(200):
+                exact = mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
+            if d <= len(inequalities._KAPPA):  # the table is correctly rounded
+                assert inequalities.kappa(d) == float(exact), d
+            else:
+                assert abs(inequalities.kappa(d) - exact) <= 1e-13 * exact, d
+
+    # the table is indexed by d: an integral float works, a fractional d is rejected
+    def test_float_dimension(self):
+        assert inequalities.kappa(3.0) == inequalities.kappa(3)
+        assert inequalities.kappa(20.0) == inequalities.kappa(20)
+        for d in (2.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                inequalities.kappa(d)
+
+    def test_huge_dimension_underflows_quickly(self):
+        assert inequalities.kappa(10**9) == 0.0
+
 
 class TestDeficit:
     def test_circle_zero(self):

@@ -7,6 +7,7 @@ from scipy.spatial import ConvexHull
 
 from isolab import calculus, families, homogeneity, polytope
 from isolab.errors import DomainError, GeometryError
+from random_shapes import random_convex_polygon, random_convex_polytope, random_interior_point
 
 SQRT2 = math.sqrt(2.0)
 
@@ -82,7 +83,7 @@ class TestStarPolyhedron:
     def test_decomposition_consistency_random(self):
         rng = np.random.default_rng(123)
         for _ in range(10):
-            p = polytope.random_convex_polytope(rng, 16)
+            p = random_convex_polytope(rng, 16)
             dec = polytope.decompose(p)
             hull = ConvexHull(p.vertices)
             assert dec.total_volume == pytest.approx(hull.volume, rel=1e-10)
@@ -134,10 +135,10 @@ class TestMeanAltitudes:
     def test_random_polytopes_apex_independent(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
-            p = polytope.random_convex_polytope(rng, 14)
+            p = random_convex_polytope(rng, 14)
             means = []
             for _ in range(2):
-                apex = polytope.random_interior_point(p, rng)
+                apex = random_interior_point(p, rng)
                 dec = polytope.decompose(p.with_apex(apex))
                 arith, harm = polytope.mean_altitudes(dec)
                 r_tong = 3 * dec.total_volume / dec.total_area
@@ -214,7 +215,7 @@ class TestVolumeFromSupport:
     def test_matches_decomposition_on_random_polytopes(self):
         rng = np.random.default_rng(99)
         for _ in range(20):
-            p = polytope.random_convex_polytope(rng, 12)
+            p = random_convex_polytope(rng, 12)
             v_sup = polytope.volume_from_support(p)
             v_dec = polytope.decompose(p).total_volume
             assert v_sup == pytest.approx(v_dec, rel=1e-9)
@@ -317,7 +318,7 @@ class TestSteiner:
 
     def test_derivative_matches_area_by_fd(self):
         rng = np.random.default_rng(5)
-        shapes = [polytope.random_convex_polygon(rng, 12) for _ in range(4)]
+        shapes = [random_convex_polygon(rng, 12) for _ in range(4)]
         shapes += [tuple(rng.uniform(0.5, 3.0, 3)) for _ in range(3)]
         for shape in shapes:
             for s in (0.1, 1.0, 10.0):

@@ -95,6 +95,15 @@ class TestKmin:
         assert result.kmin == pytest.approx(18.0, rel=1e-8)
         assert not result.attained
 
+    # Q = (2 + 1/s^2)^2 decreases to 4 as s -> inf: the outward doubling stops
+    # where Q stops decreasing in floating point, not at a minimum
+    def test_infimum_at_infinity_not_attained(self):
+        tail = families.FamilySpec(id="tail", dimension=2, domain=((0.0, math.inf),),
+                                   volume=lambda s: s * s, area=lambda s: 2.0 * s + 1.0 / s)
+        result = search.kmin(tail)
+        assert result.kmin == pytest.approx(4.0, rel=1e-12)
+        assert not result.attained
+
     @pytest.mark.parametrize("kwargs", [{"tol": -1.0}, {"tol": 0.0}, {"tol": math.nan},
                                         {"seed": -5}])
     def test_tol_and_seed_preconditions(self, kwargs):
