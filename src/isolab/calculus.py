@@ -38,7 +38,8 @@ _WEIGHTS[1::2, 1] = [*_WG, *_WG[-2::-1]]
 def derivative(f: Callable[[float], float], s: float, scale: float = 1.0) -> float:
     """Central difference with one Richardson extrapolation level.
 
-    Step h = cbrt(machine eps) * max(|s|, scale).
+    Step h = cbrt(machine eps) * max(|s|, scale).  A :class:`DomainError`
+    names s where f is not real and finite on the stencil.
     """
     if scale <= 0:
         raise DomainError("scale must be positive")
@@ -48,7 +49,10 @@ def derivative(f: Callable[[float], float], s: float, scale: float = 1.0) -> flo
         d2 = (f(s + h / 2.0) - f(s - h / 2.0)) / h
     except Exception as exc:  # evaluation failure inside the stencil
         raise IsolabError(f"function evaluation failed near s={s}: {exc}") from exc
-    return (4.0 * d2 - d1) / 3.0
+    d = (4.0 * d2 - d1) / 3.0
+    if isinstance(d, complex) or not math.isfinite(d):  # numpy's complex types subclass complex
+        raise DomainError(f"f is not real and finite on the stencil s +- {h:.3g} at s={s}")
+    return float(d)
 
 
 @dataclass(frozen=True)

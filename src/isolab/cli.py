@@ -379,23 +379,17 @@ def cmd_deficit(args) -> int:
 # ------------------------------------------------------------------ #
 
 
-def _add_output_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", help="write the data document here instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="isolab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("families", help="family catalog as JSON")
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_families)
 
     p = sub.add_parser("eval", help="evaluate V, A, Q, r_tong of a family")
     p.add_argument("--family", required=True)
     p.add_argument("--param", action="append", help="key=value, repeatable")
     p.add_argument("--s", type=float, required=True)
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("inradius", help="quadrature change-of-variable curve")
@@ -405,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=0.0)
     p.add_argument("--grid", required=True, help=_GRID_HELP)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_inradius)
 
     p = sub.add_parser("classify", help="homogeneity verdict over a grid")
@@ -414,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help=_GRID_HELP)
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--expect", choices=("homogeneous", "not_homogeneous"))
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("kmin", help="infimum of Q over a shape class")
@@ -422,14 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=16, help=f"8 to {MAX_STARTS} start points")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_kmin)
 
     p = sub.add_parser("kmin-table", help="reproduce the isoperimetric-ratio table")
     p.add_argument("--starts", type=int, default=16, help=f"8 to {MAX_STARTS} start points")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_kmin_table)
 
     p = sub.add_parser("trace", help="trace the level set Q = k")
@@ -439,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100, help=f"1 to {MAX_STEPS} steps")
     p.add_argument("--step-size", type=float, default=1e-2)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_trace)
 
     p = sub.add_parser("solve-coordinate", help="solve Q = k for one coordinate")
@@ -450,23 +439,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", action="append", required=True,
                    help="i=expr(s), e.g. 0=sqrt(s): numbers, s, pi, e, + - * / ** "
                         "(number exponent) and sqrt sin cos tan exp log; repeatable")
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_solve_coordinate)
 
     p = sub.add_parser("starlike", help="pyramid decomposition and altitude means")
     p.add_argument("--file", required=True, help="polyhedron JSON")
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_starlike)
 
     p = sub.add_parser("support-volume", help="support-function volume identity")
     p.add_argument("--file", required=True)
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_support_volume)
 
     p = sub.add_parser("cohen", help="circumscribing-polytope volume check")
     p.add_argument("--file", required=True)
     p.add_argument("--r", type=float, required=True)
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_cohen)
 
     p = sub.add_parser("lift", help="lift a 2D family to right cylinders")
@@ -475,14 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-scale", type=float, default=1.0, help="half-height = scale * s")
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--grid", default="0.5:4:8", help=_GRID_HELP)
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_lift)
 
     p = sub.add_parser("steiner", help="outer parallel body volume and area")
     p.add_argument("--box", help="a,b,c edge lengths")
     p.add_argument("--polygon-file", help="JSON array of CCW polygon vertices")
     p.add_argument("--s", type=float, required=True)
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_steiner)
 
     p = sub.add_parser("bonnesen", help="Bonnesen inequality report")
@@ -492,16 +475,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=float, required=True)
     p.add_argument("--P", type=float)
     p.add_argument("--r", type=float)
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_bonnesen)
 
     p = sub.add_parser("deficit", help="isoperimetric deficit")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--V", type=float, required=True)
     p.add_argument("--A", type=float, required=True)
-    _add_output_opts(p)
     p.set_defaults(handler=cmd_deficit)
 
+    for p in sub.choices.values():  # every command writes one document
+        p.add_argument("--output", help="write the data document here instead of stdout")
     return parser
 
 

@@ -65,10 +65,10 @@ class StarPolyhedron:
     measures: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.dimension
+        d = _integer(self.dimension, "dimension")
         vertices = _frozen(self.vertices)
         apex = _frozen(self.apex)
-        facets = tuple(tuple(int(i) for i in f) for f in self.facets)
+        facets = tuple(tuple(_integer(i, "facet vertex index") for i in f) for f in self.facets)
         if d not in (2, 3):
             raise GeometryError("only dimensions 2 and 3 are supported")
         if vertices.ndim != 2 or vertices.shape[1] != d:
@@ -120,6 +120,7 @@ class StarPolyhedron:
                 )
             normals[idx], offsets[idx], measures[idx] = n, c, measure
 
+        object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "facets", facets)
@@ -141,6 +142,15 @@ class StarPolyhedron:
         )
 
 
+def _integer(value, what: str) -> int:
+    """An int, or an integral float, as an int; never truncates, and rejects a bool."""
+    if isinstance(value, float) and value.is_integer():  # numpy's float64 subclasses float
+        value = int(value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise GeometryError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _frozen(values) -> np.ndarray:
     """A read-only float copy, so no caller can change a polyhedron's geometry."""
     out = np.array(values, dtype=float)
@@ -153,7 +163,7 @@ def from_json(text: str) -> StarPolyhedron:
     try:
         doc = json.loads(text)
         return StarPolyhedron(
-            dimension=int(doc["dimension"]),
+            dimension=doc["dimension"],
             vertices=np.asarray(doc["vertices"], dtype=float),
             facets=tuple(tuple(f) for f in doc["facets"]),
             apex=np.asarray(doc["apex"], dtype=float),

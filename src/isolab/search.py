@@ -27,6 +27,8 @@ TOL_MIN = 1e-15  # a kmin tol below the rounding level of Q can never be met
 _GOLDEN_MAX_STEPS = 2000  # shrinks any finite bracket below TOL_MIN
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 0.382..., the golden-section fraction
 PREFIX_START_BOX = (0.3, 3.0)  # where kmin starts x_i / x_1 for 2 <= i <= m
+_NM_MAX_EVALS = 20000  # Nelder-Mead's cap on evaluations, and on iterations
+_BRENT_MAX_STEPS, _BRENT_XTOL, _BRENT_RTOL = 100, 1e-15, 8.9e-16  # rtol: 4 eps, rounded up
 STEP_MIN = 1e-6
 STEP_MAX = 1e-1
 
@@ -138,21 +140,13 @@ def _minimize(
                                                 nfamily.domain[first], tol)
         return whole(z), fz, bounded
 
-    from scipy import optimize
-
     best_z, best_f = points[0], math.inf
     for z0 in points:
         if not inside(z0):
             continue
-        res = optimize.minimize(
-            f, z0, method="Nelder-Mead",
-            options={
-                "xatol": tol, "fatol": tol * max(abs(f(z0)), 1.0),
-                "maxiter": 20000, "maxfev": 20000,
-            },
-        )
-        if res.fun < best_f:
-            best_f, best_z = float(res.fun), res.x
+        z, fz = nelder_mead(f, z0, tol, tol * max(abs(f(z0)), 1.0))
+        if fz < best_f:
+            best_z, best_f = z, fz
     return whole(best_z), best_f, True
 
 
@@ -217,6 +211,111 @@ def _expand(q: Callable[[float], float], inner: float, x: float, fx: float):
         step *= 2.0
 
 
+class _EvalCapReached(Exception):
+    """Nelder-Mead's evaluation cap stops a step halfway, as SciPy's does."""
+
+
+def nelder_mead(f: Callable[[np.ndarray], float], x0, xatol: float, fatol: float):
+    """Minimize f from x0 by the downhill simplex method (Nelder & Mead 1965)
+    until every vertex is within ``xatol`` of the best in each coordinate and
+    ``fatol`` in f, or for _NM_MAX_EVALS evaluations; returns (x, f(x)).  This
+    is SciPy 1.17's Nelder-Mead with maxiter = maxfev = _NM_MAX_EVALS, step
+    for step, so x, f(x) and the evaluations are bit-identical to SciPy's."""
+    x0 = np.array(x0, dtype=float).ravel()
+    n, calls = len(x0), 0
+    sim = np.tile(x0, (n + 1, 1))
+    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+
+    def fc(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= _NM_MAX_EVALS:
+            raise _EvalCapReached
+        calls += 1
+        return f(x.copy())
+
+    fsim = np.array([fc(x) for x in sim], dtype=float)
+    for _ in range(2):  # sorted twice, as SciPy does: argsort may reorder ties
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    iterations = 1
+    while calls < _NM_MAX_EVALS and iterations < _NM_MAX_EVALS:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol and math.isfinite(fsim[0])  # no inf - inf
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        try:
+            xbar = sim[:-1].sum(axis=0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = fc(xr)
+            if fxr < fsim[0]:  # expand
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = fc(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:  # reflect
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside or inside, else shrink towards the best vertex
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = fc(xc)
+                if fxc <= fxr if outside else fxc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = fc(sim[j])
+            iterations += 1
+        except _EvalCapReached:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], float(np.min(fsim))
+
+
+def brentq(f: Callable[[float], float], a: float, b: float) -> float:
+    """A root of f between a and b, where f changes sign, by Brent's method
+    (Brent 1973, ch. 4), to within _BRENT_XTOL + _BRENT_RTOL |root|: SciPy's
+    ``Zeros/brentq.c`` step for step, so bit-identical to SciPy's ``brentq``
+    with those tolerances.  A NaN value of f is a :class:`DomainError`, and no
+    convergence in _BRENT_MAX_STEPS steps a :class:`ConvergenceError`."""
+    def fc(x: float) -> float:
+        fx = float(f(x))  # as C reads it, so that x stays a float too
+        if math.isnan(fx):
+            raise DomainError(f"the function is NaN at {x}, inside the bracket [{a}, {b}]")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fc(xpre), fc(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise DomainError(f"f({a}) and f({b}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_STEPS):
+        if (fpre < 0) != (fcur < 0):  # the root is between xpre and xcur
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):  # make xcur the best point
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation promises a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)  # C's x / 0 is never a short step
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fc(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in {_BRENT_MAX_STEPS} steps")
+
+
 def kmin_table(starts: int = 16, tol: float = 1e-10, seed: int = 0) -> list[dict]:
     """Reproduce the isoperimetric-ratio table over all built-in shape classes."""
     rows: list[tuple[str, FamilySpec, float]] = [
@@ -258,11 +357,9 @@ def solve_coordinate(
     function ``fixed[i]`` of s; ``fixed`` holding j is a :class:`DomainError`.
 
     Brackets are located by a sign scan over the coordinate interval and the
-    root refined with Brent's method.  With several roots, the one nearest
+    root refined with :func:`brentq`.  With several roots, the one nearest
     ``prev`` is returned (curve continuity); without ``prev``, the smallest.
     """
-    from scipy import optimize
-
     n = nfamily.nparams
     if not 0 <= j < n:
         raise DomainError(f"coordinate index {j} out of range for {n}-parameter class")
@@ -301,7 +398,7 @@ def solve_coordinate(
         if a == 0.0:
             roots.append(float(ts[i]))
         elif a * b < 0:
-            roots.append(float(optimize.brentq(g, ts[i], ts[i + 1], xtol=1e-15, rtol=8.9e-16)))
+            roots.append(brentq(g, ts[i], ts[i + 1]))
     if not roots:
         raise DomainError(
             f"no root of Q=k for coordinate {j} at s={s}; scanned ({ts[0]}, {ts[-1]}) "

@@ -28,6 +28,14 @@ class TestDerivative:
         with pytest.raises(Exception, match="evaluation failed"):
             calculus.derivative(bad, 1.0)
 
+    def test_stencil_past_the_domain_end(self):
+        # sqrt of a negative float is complex; the estimate must not be
+        with pytest.raises(DomainError, match="not real and finite .* at s=1e-08$"):
+            calculus.derivative(lambda s: s**0.5, 1e-8)
+        with pytest.raises(DomainError, match="at s=0.0$"):
+            calculus.derivative(lambda s: math.log(s) if s > 0 else -math.inf, 0.0)
+        assert type(calculus.derivative(lambda s: np.float64(s) ** 2, 1.0)) is float
+
 
 def _integrand_families():
     """Every built-in one-parameter family, the rhombus by both branches."""
@@ -142,6 +150,13 @@ class TestInradiusByQuadrature:
         grid = np.linspace(0.2, 1.9, 30)
         with pytest.raises(Exception):
             calculus.inradius_by_quadrature(full, 0.2, 0.0, grid)
+
+    def test_differentiated_volume_past_the_domain_end(self):
+        # no dvolume: the stencil of V at the nodes nearest the anchor 0 reaches below 0
+        root = families.FamilySpec(id="sqrt", dimension=2, domain=((0.0, 10.0),),
+                                   volume=lambda s: s**0.5, area=lambda s: 1.0)
+        with pytest.raises(DomainError, match="not real and finite"):
+            calculus.inradius_by_quadrature(root, 0.0, 0.0, np.linspace(1.0, 4.0, 8))
 
     def test_grid_outside_domain(self):
         inc = families.rhombus_branches(1.0)[0]

@@ -1,4 +1,3 @@
-import ast
 import contextlib
 import csv
 import io
@@ -338,6 +337,29 @@ class TestPolyhedronCommands:
         code, _, _ = run(capsys, "starlike", "--file", "/nonexistent.json")
         assert code == 2
 
+    # facet 2 of the tetrahedron is [0, 3, 1]; 1.9 and true were read as vertex 1
+    @pytest.mark.parametrize("key, value, message", [
+        ("facets", [0, 3, 1.9], "facet vertex index must be an integer, got 1.9"),
+        ("facets", [0, 3, True], "facet vertex index must be an integer, got True"),
+        ("dimension", 2.7, "dimension must be an integer, got 2.7"),
+        ("dimension", True, "dimension must be an integer, got True"),
+        ("facets", [0.0, 3.0, 1.0], None),
+        ("dimension", 3.0, None),
+    ])
+    def test_integer_fields(self, capsys, tmp_path, key, value, message):
+        doc = json.loads(polytope.regular_tetrahedron().to_json())
+        if key == "facets":
+            doc["facets"][2] = value
+        else:
+            doc["dimension"] = value
+        path = tmp_path / "tetrahedron.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "starlike", "--file", str(path))
+        if message is None:
+            assert code == 0 and json.loads(out)["V"] == pytest.approx(math.sqrt(2.0) / 12.0)  # unit edge
+        else:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestSearchCommands:
     def test_solve_coordinate(self, capsys):
@@ -615,15 +637,7 @@ def test_readme_example_runs_as_written(capsys, tmp_path, monkeypatch, line):
         json.loads(out)
 
 
-# kmin on two or more free coordinates (Nelder-Mead), kmin-table (its box3 and
-# triangle_sides rows) and solve-coordinate (Brent's root) use scipy.optimize
-def _may_use_optimize(line):
-    if line.startswith("isolab kmin --class "):
-        spec = families.builtin(line.split()[3])
-        return spec.nparams - (spec.homogeneous_prefix_m is not None) >= 2
-    return line.startswith(("isolab kmin-table", "isolab solve-coordinate"))
-
-
+# numpy is the only runtime dependency: no command loads a scipy module
 @pytest.mark.parametrize("line", readme_cli_lines())
 def test_readme_line_loads_no_scipy(tmp_path, line):
     (tmp_path / "cube.json").write_text(polytope.cube_polyhedron().to_json())
@@ -633,11 +647,7 @@ def test_readme_line_loads_no_scipy(tmp_path, line):
     proc = subprocess.run([sys.executable, "-c", code, *shlex.split(line, comments=True)[1:]],
                           env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
-    if _may_use_optimize(line):
-        optimize = run_process("-c", "import sys, scipy.optimize; print(sorted(sys.modules))")
-        loaded -= set(ast.literal_eval(optimize.stdout))
-    assert not loaded, line
+    assert proc.stdout.splitlines()[-1] == "[]", line
 
 
 def _no_constant(name):

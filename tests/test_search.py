@@ -18,6 +18,97 @@ def test_latin_hypercube_matches_scipy(d, n, seed):
     assert np.array_equal(search.latin_hypercube(n, d, seed), expected)
 
 
+def _recorded(monkeypatch, name, run):
+    """The arguments of every call ``run()`` makes to ``search.<name>``."""
+    calls, port = [], getattr(search, name)
+    with monkeypatch.context() as m:
+        m.setattr(search, name, lambda *args: calls.append(args) or port(*args))
+        run()
+    return calls
+
+
+def _counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+
+    g.calls = 0
+    return g
+
+
+def _nelder_mead_pair(f, z0, xatol, fatol):
+    """(x, f(x), evaluations) from the port and from SciPy, from the same start."""
+    from scipy import optimize
+
+    ours, theirs = _counted(f), _counted(f)
+    x, fx = search.nelder_mead(ours, z0, xatol, fatol)
+    with np.errstate(invalid="ignore"):  # SciPy's f test computes inf - inf on an all-inf simplex
+        res = optimize.minimize(theirs, z0, method="Nelder-Mead", options={
+            "xatol": xatol, "fatol": fatol, "maxiter": 20000, "maxfev": 20000})
+    return (x.tolist(), fx, ours.calls), (res.x.tolist(), res.fun, theirs.calls)
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cls", ["box3", "triangle_sides", "parallelogram3"])
+    def test_matches_scipy_on_kmin_starts(self, monkeypatch, cls, seed):
+        spec = families.builtin(cls)
+        starts = _recorded(monkeypatch, "nelder_mead", lambda: search.kmin(spec, seed=seed))
+        assert starts
+        for args in starts:
+            ours, theirs = _nelder_mead_pair(*args)
+            assert ours == theirs
+
+    def test_infeasible_start_runs_to_the_cap_as_scipy_does(self):
+        q = search.ratio_function(families.builtin("box3"))
+        z0 = np.array([-1.0, 1.0, 2.0])  # x1 < 0 at every vertex: Q is +inf throughout
+        ours, theirs = _nelder_mead_pair(q, z0, 1e-9, 1e-9)
+        assert ours == theirs and ours[1:] == (math.inf, 20000)
+
+    # a zero coordinate starts its simplex edge at 0.00025, not 5 % of itself
+    def test_zero_coordinates_as_scipy_does(self):
+        def f(x):
+            return (x[0] - 1.0) ** 2 + 3.0 * (x[1] + 0.5) ** 2 + x[0] * x[1] + abs(x[2] - 0.1)
+
+        ours, theirs = _nelder_mead_pair(f, np.array([0.0, 2.0, 0.0]), 1e-10, 1e-10)
+        assert ours == theirs and ours[1] < 0.1
+
+
+class TestBrentq:
+    FIXED = {0: lambda s: math.sqrt(s), 1: lambda s: s - math.sqrt(s)}
+
+    @pytest.mark.parametrize("cls, k, fixed, j, svals", [
+        ("rect2", 18.0, {0: lambda s: s}, 1, [0.5, 1.0, 3.0]),
+        ("cone", 250.0, {0: lambda s: s}, 1, [0.5, 1.0, 2.0]),
+        ("parallelogram3", 32.0, FIXED, 2,
+         np.linspace(24 - 16 * SQRT2 + 0.05, 24 + 16 * SQRT2 - 0.05, 40).tolist()),
+    ])
+    def test_matches_scipy_on_solve_coordinate_brackets(self, monkeypatch, cls, k, fixed, j, svals):
+        from scipy import optimize
+
+        spec = families.builtin(cls)
+        brackets = _recorded(monkeypatch, "brentq", lambda: [
+            search.solve_coordinate(spec, k, fixed, j, s) for s in svals])
+        assert len(brackets) >= len(svals)
+        for g, a, b in brackets:
+            expected = optimize.brentq(g, a, b, xtol=1e-15, rtol=8.9e-16)
+            assert search.brentq(g, a, b) == expected
+
+    def test_nan_inside_a_bracket(self):
+        # rect2 without a thin slab around b = 2, a root of 4 (1 + b)^2 / b = 18 at a = 1,
+        # which no scan point hits
+        holed = dataclasses.replace(families.builtin("rect2"),
+                                    feasible=lambda x: abs(x[1] - 2.0) > 1e-3)
+        with pytest.raises(DomainError, match="NaN"):
+            search.solve_coordinate(holed, 18.0, {0: lambda s: s}, 1, 1.0)
+
+    def test_same_signs_and_no_convergence(self):
+        with pytest.raises(DomainError, match="same sign"):
+            search.brentq(lambda t: t * t + 1.0, -1.0, 1.0)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            search.brentq(lambda t: math.copysign(1.0, t), -1.0, 2.0 ** 200)
+
+
 class TestKmin:
     def test_box3_cubes(self):
         result = search.kmin(families.builtin("box3"), starts=8)
