@@ -35,14 +35,33 @@ _WEIGHTS[:, 0] = [*_WK, *_WK[-2::-1]]
 _WEIGHTS[1::2, 1] = [*_WG, *_WG[-2::-1]]
 
 
-def derivative(f: Callable[[float], float], s: float, scale: float = 1.0) -> float:
+def _at_points(f: Callable, t: np.ndarray) -> np.ndarray:
+    """f at each point of the 1-D float array t: one call with t if that gives a real,
+    finite array of t's shape, else one call per point with a float, as a loop makes."""
+    try:
+        with np.errstate(all="ignore"):
+            y = np.asarray(f(t))
+        if y.shape == t.shape and y.dtype.kind in "iuf" and np.all(np.isfinite(y)):
+            return y
+    except Exception:  # raised again by the per-point calls, if f fails there too
+        pass
+    return np.array([f(x) for x in t.tolist()])
+
+
+def derivative(f: Callable[[float], float], s, scale: float = 1.0):
     """Central difference with one Richardson extrapolation level.
 
     Step h = cbrt(machine eps) * max(|s|, scale).  A :class:`DomainError`
-    names s where f is not real and finite on the stencil.
+    names s where f is not real and finite on the stencil; on an array s, f
+    must act elementwise, and the same operations run unchecked.
     """
     if scale <= 0:
         raise DomainError("scale must be positive")
+    if np.ndim(s):  # checked point by point by _at_points, the caller
+        h = _CBRT_EPS * np.maximum(np.abs(s), scale)
+        d1 = (f(s + h) - f(s - h)) / (2.0 * h)
+        d2 = (f(s + h / 2.0) - f(s - h / 2.0)) / h
+        return (4.0 * d2 - d1) / 3.0
     h = _CBRT_EPS * max(abs(s), scale)
     try:
         d1 = (f(s + h) - f(s - h)) / (2.0 * h)
@@ -83,17 +102,24 @@ def integrate(f: Callable[[float], float], a, b) -> tuple[np.ndarray, np.ndarray
     Each round applies the 15-point Gauss-Kronrod rule to every open piece at
     once and halves the pieces whose |K - G| exceeds their share (half per
     halving) of the segment's max(QUAD_ABS_TOL, QUAD_REL_TOL |K|).  The nodes
-    never touch a piece's ends.  A segment that would need more than
-    QUAD_PANEL_LIMIT pieces raises :class:`ConvergenceError`.
+    never touch a piece's ends.  Each round calls f once with all its nodes in
+    a 1-D float array; f must act elementwise, or raise or return another shape
+    to be called once per node with a float.  More than QUAD_PANEL_LIMIT pieces
+    in a segment raise :class:`ConvergenceError`; unpaired or non-finite ends
+    raise :class:`DomainError`.
     """
     a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise DomainError(f"a and b must be 1-D of one length, not {a.shape} and {b.shape}")
+    if not np.all(np.isfinite(ends := np.concatenate([a, b]))):
+        raise DomainError(f"integration end {ends[~np.isfinite(ends)][0]} is not finite")
     n = len(a)
     total, err, pieces = np.zeros(n), np.zeros(n), np.ones(n, dtype=int)
     seg, lo, hi, share = np.arange(n), a, b, np.ones(n)
     while len(seg):
         half = (hi - lo) / 2.0
         nodes = (lo + half)[:, None] + half[:, None] * _NODES
-        fx = np.array([f(t) for t in nodes.ravel().tolist()]).reshape(-1, 15)
+        fx = _at_points(f, nodes.ravel()).reshape(-1, 15)
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite f fails its test
             k, g = (fx @ _WEIGHTS).T * half
             e = np.abs(k - g)
@@ -123,6 +149,12 @@ def dr_ds(family: FamilySpec) -> Callable[[float], float]:
     return lambda t: dv(t) / family.area(t)
 
 
+def _require_ordered(x: np.ndarray, message: str = "grid must be strictly ordered") -> None:
+    d = np.diff(x)
+    if not (np.all(d > 0) or np.all(d < 0)):
+        raise DomainError(message)
+
+
 def inradius_by_quadrature(
     family: FamilySpec,
     s0: float,
@@ -137,13 +169,16 @@ def inradius_by_quadrature(
     endpoints).  A segment whose quadrature misses its tolerance raises
     :class:`ConvergenceError`.
     """
+    return _inradius(family, s0, C, grid)
+
+
+def _inradius(family: FamilySpec, s0: float, C: float, grid, v=None) -> InradiusCurve:
+    """:func:`inradius_by_quadrature`, given V sampled on ``grid`` unless v is None."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")
-    d = np.diff(grid)
-    if not (np.all(d > 0) or np.all(d < 0)):
-        raise DomainError("grid must be strictly ordered")
-    sign_v = np.sign(np.diff(sample(family, grid)[0]))
+    _require_ordered(grid)
+    sign_v = np.sign(np.diff(sample(family, grid)[0] if v is None else v))
     (lo, hi), = family.domain
     if not (lo <= s0 < hi):
         raise DomainError(f"anchor s0={s0} outside domain [{lo}, {hi})")
@@ -233,9 +268,7 @@ def reparameterize(
     span = (hi - lo) if math.isfinite(hi) else 10.0
     probe = np.linspace(lo + 1e-6 * span, min(hi, lo + span) - 1e-6 * span, 64)
     imgs = np.array([phi(t) for t in probe])
-    diffs = np.diff(imgs)
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise DomainError("phi is not strictly monotone on the sampled domain")
+    _require_ordered(imgs, "phi is not strictly monotone on the sampled domain")
     (flo, fhi), = family.domain
     if np.any(imgs <= flo) or np.any(imgs >= fhi):
         raise DomainError("phi maps outside the family domain")
@@ -265,15 +298,21 @@ def monotone_partition(
     Breakpoints between adjacent runs of opposite slope sign are refined by
     bisection on the sign of the finite-difference slope to width <=
     refine_tol.  Stretches where v is numerically constant are excluded as
-    gaps rather than reported as branches.
+    gaps rather than reported as branches.  The grid is strictly ordered,
+    either way, and the intervals follow it; v gets it as one float array,
+    as :func:`integrate` gives f its nodes, and must be real and finite on it.
     """
     grid = np.asarray(grid, dtype=float)
-    if len(grid) < 16:
+    if grid.ndim != 1 or len(grid) < 16:
         raise DomainError("grid must have at least 16 points")
     if not refine_tol > 0:
         raise DomainError("refine_tol must be positive")
-    vals = np.array([v(g) for g in grid])
-    slopes = np.sign(np.diff(vals))
+    _require_ordered(grid)
+    vals = _at_points(v, grid)
+    bad = ~np.isfinite(vals) | (np.imag(vals) != 0)
+    if np.any(bad):
+        raise DomainError(f"v is not real and finite at grid point {grid[np.argmax(bad)]}")
+    slopes = np.sign(np.diff(vals.real))
 
     def local_slope_sign(m: float, h: float) -> float:
         dv = v(m + h) - v(m - h)
@@ -290,9 +329,9 @@ def monotone_partition(
             start = grid[i]
             cur = slopes[i]
             continue
-        # refine the breakpoint inside (grid[i-1], grid[i+1])
+        # refine the breakpoint inside (grid[i-1], grid[i+1]), in the grid's direction
         a, b = grid[i - 1], grid[i + 1]
-        while b - a > refine_tol:
+        while abs(b - a) > refine_tol:
             m = 0.5 * (a + b)
             if local_slope_sign(m, (b - a) / 8.0) == cur:
                 a = m

@@ -41,6 +41,8 @@ class FamilySpec:
     and :meth:`contains` is its one test: :func:`isolab.search.kmin` calls a
     minimum attained only when small steps along each axis stay inside it.
     For ``dimension == 2`` the evaluators are the area and the perimeter.
+    A one-parameter evaluator may get a 1-D float array of quadrature nodes;
+    it must act elementwise, or raise or return another shape to get floats.
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
@@ -298,11 +300,11 @@ def _rect_similar(k: float = 0.5) -> FamilySpec:
 
 
 def _rhombus_area(a: float, s: float) -> float:
-    return s * math.sqrt(a**2 - s**2 / 4.0)
+    return s * np.sqrt(a**2 - s**2 / 4.0)
 
 
 def _rhombus_darea(a: float, s: float) -> float:
-    return (a**2 - s**2 / 2.0) / math.sqrt(a**2 - s**2 / 4.0)
+    return (a**2 - s**2 / 2.0) / np.sqrt(a**2 - s**2 / 4.0)
 
 
 def _rhombus(a: float = 1.0, branch: str | None = None) -> FamilySpec:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import InradiusCurve, dr_ds, inradius_by_quadrature, integrate
+from .calculus import InradiusCurve, _inradius, dr_ds, integrate
 from .errors import DomainError
 from .families import FamilySpec, Record, evaluate, ratio, ratio_at, sample
 from .inequalities import kappa
@@ -77,7 +77,7 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
     q_rel_spread = float(np.max(np.abs(q - q_center)) / q_center)
 
     # (i) r_quad(s) - d V/A constant
-    curve = inradius_by_quadrature(family, float(grid[0]), 0.0, grid)
+    curve = _inradius(family, float(grid[0]), 0.0, grid, v)
     r_tong = d * v / a
     offsets = curve.r - r_tong
     c_star = float(np.median(offsets))
@@ -142,7 +142,7 @@ def constant_area_check(family: FamilySpec, grid: Sequence[float], rtol: float =
     ac = float(np.median(a))
     if np.max(np.abs(a - ac)) / ac > rtol:
         return False
-    curve = inradius_by_quadrature(family, float(grid[0]), 0.0, grid)
+    curve = _inradius(family, float(grid[0]), 0.0, grid, v)
     diff = curve.r - v / a
     spread = float(np.max(diff) - np.min(diff))
     scale = float(np.max(np.abs(curve.r))) + 1e-30

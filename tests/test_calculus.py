@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from isolab import calculus, families
+from isolab import calculus, families, homogeneity
 from isolab.errors import ConvergenceError, DomainError
+from isolab.families import FamilySpec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -35,6 +37,12 @@ class TestDerivative:
         with pytest.raises(DomainError, match="at s=0.0$"):
             calculus.derivative(lambda s: math.log(s) if s > 0 else -math.inf, 0.0)
         assert type(calculus.derivative(lambda s: np.float64(s) ** 2, 1.0)) is float
+
+    def test_elementwise_on_arrays(self):
+        s = np.concatenate([np.linspace(-3.0, 3.0, 61), [1e-300, 1e100]])
+        got = calculus.derivative(lambda t: t * t * t, s, 0.5)
+        want = [calculus.derivative(lambda t: t * t * t, x, 0.5) for x in s.tolist()]
+        assert got.tolist() == want
 
 
 def _integrand_families():
@@ -78,6 +86,19 @@ class TestIntegrate:
             calculus.integrate(sawtooth, [0.0, 1.0], [1.0, 2.0])
         # pieces double each round, so all rounds together evaluate under 4 caps of pieces
         assert len(calls) <= 15 * 4 * 2 * calculus.QUAD_PANEL_LIMIT
+
+    @pytest.mark.parametrize("a,b,match", [
+        ([0.0, 1.0], [1.0], "of one length"),
+        ([[0.0, 1.0]], [[1.0, 2.0]], "1-D"),
+        ([0.0], [math.inf], "end inf is not finite"),
+        ([0.0, math.nan], [1.0, 2.0], "end nan is not finite"),
+        ([-math.inf], [0.0], "end -inf is not finite"),
+    ])
+    def test_bad_ends_rejected_before_any_call(self, a, b, match):
+        calls = []
+        with pytest.raises(DomainError, match=match):
+            calculus.integrate(calls.append, a, b)
+        assert calls == []
 
 
 class TestInradiusByQuadrature:
@@ -158,6 +179,56 @@ class TestInradiusByQuadrature:
         with pytest.raises(DomainError, match="not real and finite"):
             calculus.inradius_by_quadrature(root, 0.0, 0.0, np.linspace(1.0, 4.0, 8))
 
+    # V takes arrays, whose square roots past 0 are NaN or complex: the per-node calls
+    # name the node
+    @pytest.mark.parametrize("volume", [lambda s: s**0.5, np.emath.sqrt])
+    def test_differentiated_volume_error_names_the_first_bad_node(self, volume):
+        root = FamilySpec(id="sqrt", dimension=2, domain=((0.0, 10.0),),
+                          volume=volume, area=lambda s: 1.0)
+        msg = "f is not real and finite on the stencil s +- 3.03e-05 at s=1.6688728279662867e-05"
+        with pytest.raises(DomainError) as info:
+            calculus.inradius_by_quadrature(root, 0.0, 0.0, np.linspace(1.0, 4.0, 8))
+        assert str(info.value) == msg
+
+    def test_one_array_call_for_the_readme_grid(self):
+        # isolab inradius --family cube --s0 0 --grid 0.5:4:48: one round of 48 x 15 nodes
+        cube = families.builtin("cube")
+        calls = []
+
+        def dvolume(s):
+            calls.append(np.shape(s))
+            return cube.dvolume(s)
+
+        grid = np.linspace(0.5, 4.0, 48)
+        curve = calculus.inradius_by_quadrature(dataclasses.replace(cube, dvolume=dvolume),
+                                                0.0, 0.0, grid)
+        assert calls == [(720,)]
+        per_node = dataclasses.replace(cube, dvolume=lambda s: cube.dvolume(float(s)))
+        assert curve == calculus.inradius_by_quadrature(per_node, 0.0, 0.0, grid)
+
+    # each evaluator fails or misbehaves on arrays, so every node falls back to a float
+    # call; the curves are those the per-node loop gave
+    @pytest.mark.parametrize("fam,want", [
+        (FamilySpec(id="floats_only", dimension=2, domain=((0.0, 10.0),),
+                    volume=lambda s: math.exp(s), area=lambda s: 1.0 + math.log1p(s)),
+         [0.0, 0.3840088137203659, 0.8503902132086367, 1.4302064165206207, 2.162327276193797,
+          3.096966389714268]),
+        (FamilySpec(id="branching", dimension=3, domain=((0.0, math.inf),),
+                    volume=lambda s: s**3 if s > 0 else 0.0, area=lambda s: 6.0 * s * s),
+         [0.0, 0.14999999999711863, 0.29999999999547367, 0.4499999999948822,
+          0.5999999999943344, 0.7499999999939663]),
+        (FamilySpec(id="constant", dimension=2, domain=((0.0, math.inf),),
+                    volume=lambda s: 3.0 * s, area=lambda s: 6.0, dvolume=lambda s: 3.0),
+         [0.0, 0.15000000000000002, 0.30000000000000004, 0.44999999999999996, 0.6, 0.75]),
+        (FamilySpec(id="wrong_shape", dimension=3, domain=((0.0, math.inf),),
+                    volume=lambda s: s**3, area=lambda s: 6.0 * s * s,
+                    dvolume=lambda s: np.atleast_2d(3.0 * s * s)),
+         [0.0, 0.15000000000000002, 0.30000000000000004, 0.44999999999999996, 0.6, 0.75]),
+    ], ids=lambda x: getattr(x, "id", ""))
+    def test_per_node_fallback(self, fam, want):
+        curve = calculus.inradius_by_quadrature(fam, 0.5, 0.0, np.linspace(0.5, 2.0, 6))
+        assert curve.r.tolist() == want
+
     def test_grid_outside_domain(self):
         inc = families.rhombus_branches(1.0)[0]
         with pytest.raises(DomainError):
@@ -175,6 +246,35 @@ class TestInradiusByQuadrature:
         doc = json.loads(curve.to_json())
         assert doc["family_id"] == "cube"
         assert len(doc["samples"]) == 10
+
+
+def _counting_volume(fam: FamilySpec) -> tuple[FamilySpec, list]:
+    """``fam`` with a volume that logs the number of points of each call, the
+    log started after the spec's own construction probe."""
+    points = []
+
+    def volume(s):
+        points.append(np.size(s))
+        return fam.volume(s)
+
+    counted = dataclasses.replace(fam, volume=volume)
+    points.clear()
+    return counted, points
+
+
+class TestOneSamplePerGrid:
+    # V is sampled once per grid point; the quadrature reads V' from dvolume
+    def test_classify(self):
+        fam, points = _counting_volume(families.builtin("cube"))
+        grid = np.linspace(0.5, 4.0, 40)
+        assert homogeneity.classify(fam, grid).homogeneous
+        assert points == [1] * len(grid)
+
+    def test_constant_area_check(self):
+        fam, points = _counting_volume(families.rhombus_branches(1.0)[0])
+        grid = np.linspace(0.1, SQRT2 - 0.1, 40)
+        assert homogeneity.constant_area_check(fam, grid)
+        assert points == [1] * len(grid)
 
 
 ALL_ONE_PARAM = [
@@ -281,3 +381,39 @@ class TestMonotonePartition:
     def test_nan_refine_tol_rejected(self):
         with pytest.raises(DomainError, match="refine_tol"):
             calculus.monotone_partition(lambda s: s**3, np.linspace(1, 2, 20), math.nan)
+
+    def test_nan_value_names_the_point(self):
+        grid = np.linspace(0.0, 2.0, 64)
+        with pytest.raises(DomainError, match=f"not real and finite at grid point {grid[48]}$"):
+            calculus.monotone_partition(lambda s: math.nan if s > 1.5 else s, grid, 1e-8)
+
+    def test_complex_value_names_the_point(self):
+        with pytest.raises(DomainError, match="not real and finite at grid point -1.0$"):
+            calculus.monotone_partition(lambda s: s**0.5, np.linspace(-1.0, 1.0, 64), 1e-8)
+
+    def test_unordered_grid_rejected(self):
+        grid = np.random.default_rng(0).permutation(np.linspace(0.0, 2.0, 64))
+        with pytest.raises(DomainError, match="grid must be strictly ordered"):
+            calculus.monotone_partition(lambda s: s, grid, 1e-8)
+
+    @pytest.mark.parametrize("v,grid,tol", [
+        (lambda s: (s - 1.0) ** 2, np.linspace(0.0, 2.0, 64), 1e-8),
+        (math.sin, np.linspace(0.01, 2 * math.pi - 0.01, 200), 1e-6),
+    ])
+    def test_descending_grid_matches_ascending(self, v, grid, tol):
+        up = calculus.monotone_partition(v, grid, tol)
+        down = calculus.monotone_partition(v, grid[::-1], tol)
+        mirrored = [(hi, lo) for lo, hi in reversed(up)]
+        assert np.allclose(mirrored, down, rtol=0, atol=tol)
+        assert down[0][0] == grid[-1] and down[-1][1] == grid[0]
+
+    def test_one_call_for_the_grid(self):
+        calls = []
+
+        def v(s):
+            calls.append(np.size(s))
+            return s**3
+
+        grid = np.linspace(0.1, 10.0, 64)
+        assert calculus.monotone_partition(v, grid, 1e-8) == [(0.1, 10.0)]
+        assert calls == [64]
