@@ -301,7 +301,7 @@ def cmd_cohen(args) -> int:
     p = _load_polyhedron(args.file)
     residual = polytope.cohen_check(p, args.r)
     _emit(args, _jdump({"r": args.r, "residual": residual}))
-    if residual > 1e-9:
+    if not residual <= 1e-9:  # NaN fails too
         raise CheckFailedError(f"Cohen residual {residual} exceeds 1e-9")
     return EXIT_OK
 

@@ -10,7 +10,8 @@ altitudes, independent of the apex choice.
 
 Each polyhedron's facet geometry (unit normals, plane offsets and facet
 measures, with 3D facet areas from the Newell vector) is fixed once at
-construction; every operation below is an array expression over it.
+construction, in one array pass per facet size; every operation below is an
+array expression over it.  Polyhedra and Steiner shapes must be finite.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,9 +53,11 @@ class StarPolyhedron:
     facet i) and ``measures`` (facet lengths or areas) are computed once.
     In 3D a facet's normal and area both come from its Newell vector, taken
     relative to its first vertex, which is exact for any simple planar
-    polygon, convex or not.  Construction checks planarity, positive facet
-    measure, and that the apex lies strictly on the inner side of every
-    facet hyperplane.
+    polygon, convex or not.  The facets are grouped by vertex count and each
+    group is computed in one array pass.  Construction rejects non-finite
+    vertices or apex, and checks positive facet measure, planarity, and that
+    the apex lies strictly on the inner side of every facet hyperplane; an
+    error names the lowest-numbered bad facet.
     """
 
     dimension: int
@@ -68,57 +72,24 @@ class StarPolyhedron:
         d = _integer(self.dimension, "dimension")
         vertices = _frozen(self.vertices)
         apex = _frozen(self.apex)
-        facets = tuple(tuple(_integer(i, "facet vertex index") for i in f) for f in self.facets)
+        facets = tuple(map(tuple, self.facets))
+        if set(map(type, chain.from_iterable(facets))) - {int}:  # a bool, float or numpy index
+            facets = tuple(tuple(_integer(i, "facet vertex index") for i in f) for f in facets)
         if d not in (2, 3):
             raise GeometryError("only dimensions 2 and 3 are supported")
         if vertices.ndim != 2 or vertices.shape[1] != d:
             raise GeometryError("vertex array shape does not match dimension")
         if apex.shape != (d,):
             raise GeometryError("apex shape does not match dimension")
+        for name, values in (("vertices", vertices), ("apex", apex)):
+            if not np.all(np.isfinite(values)):
+                raise GeometryError(f"{name} must be finite")
         if not facets:
             raise GeometryError("polyhedron has no facets")
         diag = _bbox_diagonal(vertices)
         if diag <= 0:
             raise GeometryError("degenerate vertex set")
-        tol = PLANARITY_RTOL * diag
-        if any(not 0 <= i < len(vertices) for f in facets for i in f):
-            raise GeometryError("facet vertex index out of range")
-
-        normals = np.empty((len(facets), d))
-        offsets = np.empty(len(facets))
-        measures = np.empty(len(facets))
-        for idx, facet in enumerate(facets):
-            pts = vertices[list(facet)]
-            if d == 2:
-                if len(facet) != 2:
-                    raise GeometryError(f"facet {idx}: 2D facets are edges of 2 vertices")
-                e = pts[1] - pts[0]
-                measure = float(np.linalg.norm(e))
-                if measure <= 0:
-                    raise GeometryError(f"facet {idx}: zero-length edge")
-                n = np.array([e[1], -e[0]]) / measure
-            else:
-                if len(facet) < 3:
-                    raise GeometryError(f"facet {idx}: 3D facets need >= 3 vertices")
-                rel = pts - pts[0]
-                newell = np.cross(rel, np.roll(rel, -1, axis=0)).sum(axis=0)
-                measure = 0.5 * float(np.linalg.norm(newell))
-                if measure <= tol * diag:
-                    raise GeometryError(f"facet {idx}: vanishing area")
-                n = newell / (2.0 * measure)
-                worst = float(np.max(np.abs(rel @ n)))
-                if worst > tol:
-                    raise GeometryError(
-                        f"facet {idx}: non-planar (max deviation {worst:.3e} > {tol:.3e})"
-                    )
-            c = float(n @ pts[0])
-            dist = c - float(n @ apex)
-            if dist <= tol:
-                raise GeometryError(
-                    f"facet {idx}: apex is not strictly interior "
-                    f"(signed distance {dist:.3e})"
-                )
-            normals[idx], offsets[idx], measures[idx] = n, c, measure
+        normals, offsets, measures = _facet_geometry(d, vertices, facets, apex, diag)
 
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "vertices", vertices)
@@ -156,6 +127,63 @@ def _frozen(values) -> np.ndarray:
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products as a batched matmul, which rounds like the 1-D ``dot``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, apex: np.ndarray, diag: float):
+    """Unit normals, offsets and measures of the facets, one array pass per facet size.
+
+    Raises for the lowest-numbered bad facet, checking its vertex count, its
+    measure, its planarity (3D) and then the side of the apex.
+    """
+    sizes = np.fromiter(map(len, facets), dtype=np.intp, count=len(facets))
+    try:
+        flat = np.fromiter(chain.from_iterable(facets), dtype=np.intp, count=int(sizes.sum()))
+    except OverflowError:  # an int beyond the index type is out of range too
+        flat = np.array([-1])
+    if not np.all((flat >= 0) & (flat < len(vertices))):
+        raise GeometryError("facet vertex index out of range")
+    starts = np.cumsum(sizes) - sizes
+    miscounted = sizes != 2 if d == 2 else sizes < 3
+    normals = np.full((len(facets), d), np.nan)
+    offsets, measures, worst = np.full((3, len(facets)), np.nan)  # NaN compares false below
+    with np.errstate(all="ignore"):
+        for k in np.flatnonzero(np.bincount(sizes[~miscounted])):
+            ids = np.flatnonzero(sizes == k)
+            pts = vertices[flat[starts[ids, None] + np.arange(k)]]  # facets x k x d
+            if d == 2:
+                e = pts[:, 1] - pts[:, 0]
+                measures[ids] = np.sqrt(_rowdot(e, e))
+                n = np.stack([e[:, 1], -e[:, 0]], axis=1) / measures[ids, None]
+            else:
+                rel = pts - pts[:, :1]
+                nxt = rel[:, (np.arange(k) + 1) % k]
+                (x, y, z), (u, v, w) = rel.transpose(2, 0, 1), nxt.transpose(2, 0, 1)
+                # rel x nxt with xyz stored last, so the sum adds vertex by vertex as on one facet
+                cross = np.stack([y * w - z * v, z * u - x * w, x * v - y * u], axis=-1)
+                newell = cross.sum(axis=1)
+                measures[ids] = 0.5 * np.sqrt(_rowdot(newell, newell))
+                n = newell / (2.0 * measures[ids, None])
+                worst[ids] = np.abs(rel @ n[:, :, None])[..., 0].max(axis=1)
+            normals[ids], offsets[ids] = n, _rowdot(n, pts[:, 0])
+        dist = offsets - _rowdot(normals, apex)
+    tol = PLANARITY_RTOL * diag
+    checks = [miscounted, measures <= (0.0 if d == 2 else tol * diag), worst > tol, dist <= tol]
+    bad = np.logical_or.reduce(checks)
+    if bad.any():
+        i = int(np.argmax(bad))
+        say = [
+            "2D facets are edges of 2 vertices" if d == 2 else "3D facets need >= 3 vertices",
+            "zero-length edge" if d == 2 else "vanishing area",
+            f"non-planar (max deviation {worst[i]:.3e} > {tol:.3e})",
+            f"apex is not strictly interior (signed distance {dist[i]:.3e})",
+        ]
+        raise GeometryError(f"facet {i}: {next(s for s, mask in zip(say, checks) if mask[i])}")
+    return normals, offsets, measures
 
 
 def from_json(text: str) -> StarPolyhedron:
@@ -339,13 +367,12 @@ def _require_convex_polygon(pts: np.ndarray) -> None:
         raise GeometryError("polygon needs at least 3 vertices")
     if _polygon_area_2d(pts) <= 0:
         raise GeometryError("polygon must be counterclockwise with positive area")
-    diag = _bbox_diagonal(pts)
-    n = len(pts)
-    for i in range(n):
-        a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if cross < -CONVEXITY_RTOL * diag**2:
-            raise GeometryError(f"reflex vertex at index {(i + 1) % n}; polygon not convex")
+    (ax, ay), (bx, by), (cx, cy) = pts.T, np.roll(pts, -1, axis=0).T, np.roll(pts, -2, axis=0).T
+    cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+    reflex = cross < -CONVEXITY_RTOL * _bbox_diagonal(pts) ** 2
+    if reflex.any():
+        i = (int(np.argmax(reflex)) + 1) % len(pts)
+        raise GeometryError(f"reflex vertex at index {i}; polygon not convex")
 
 
 def steiner_coefficients(
@@ -354,9 +381,12 @@ def steiner_coefficients(
     """Ascending polynomial coefficients of V(s) and A(s) for the parallel body.
 
     ``shape`` is a convex CCW polygon (N x 2 vertex array) or a 3-tuple of
-    box edge lengths.  The coefficient lists satisfy dV/ds = A(s) exactly.
+    box edge lengths, all finite.  The coefficient lists satisfy dV/ds = A(s)
+    exactly.
     """
     shape_arr = np.asarray(shape, dtype=float)
+    if not np.all(np.isfinite(shape_arr)):
+        raise DomainError("shape must be finite")
     if shape_arr.ndim == 2 and shape_arr.shape[1] == 2:
         _require_convex_polygon(shape_arr)
         area = _polygon_area_2d(shape_arr)

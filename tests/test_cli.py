@@ -179,12 +179,21 @@ class TestExitCodes:
             "steiner --box nan,1,1 --s 1",
             "steiner --polygon-file nan.json --s 1",
             "steiner --polygon-file inf.json --s 1",
+            "starlike --file nan_vertex.json",
+            "support-volume --file nan_vertex.json",
+            "cohen --file nan_apex.json --r 0.5",
         ],
     )
     def test_non_finite_input(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "nan.json").write_text("[[0,0],[1,0],[NaN,1]]")
         (tmp_path / "inf.json").write_text("[[0,0],[1,0],[Infinity,1]]")
+        cube = json.loads(polytope.cube_polyhedron().to_json())
+        cube["vertices"][6][2] = math.nan
+        (tmp_path / "nan_vertex.json").write_text(json.dumps(cube))
+        cube = json.loads(polytope.cube_polyhedron().to_json())
+        cube["apex"][0] = math.nan
+        (tmp_path / "nan_apex.json").write_text(json.dumps(cube))
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1

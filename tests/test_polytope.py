@@ -30,6 +30,67 @@ def sphere_hull_dual(rng, npoints):
     return polytope.StarPolyhedron(3, dverts, tuple(facets), np.zeros(3))
 
 
+def sphere_hull(rng, npoints):
+    """Hull of random unit vectors: 2 npoints - 4 triangles, CCW seen from outside."""
+    u = rng.standard_normal((npoints, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    hull = ConvexHull(u)
+    tri = hull.simplices.copy()
+    a, b, c = u[tri[:, 0]], u[tri[:, 1]], u[tri[:, 2]]
+    flip = np.sum(np.cross(b - a, c - a) * hull.equations[:, :3], axis=1) < 0
+    tri[flip, 1], tri[flip, 2] = tri[flip, 2], tri[flip, 1].copy()
+    return polytope.StarPolyhedron(3, u, tuple(map(tuple, tri.tolist())), np.zeros(3))
+
+
+def l_prism(start):
+    """L-shaped prism, cross-section of area 3 and perimeter 8, height 1; its two
+    non-convex facets list their vertices from ``start``."""
+    base = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
+    verts = np.vstack([np.c_[base, np.zeros(6)], np.c_[base, np.ones(6)]])
+    sides = tuple((i, (i + 1) % 6, 6 + (i + 1) % 6, 6 + i) for i in range(6))
+    ring = [(i + start) % 6 for i in range(6)]
+    bottom = tuple(reversed(ring))
+    top = tuple(6 + i for i in ring)
+    return polytope.StarPolyhedron(3, verts, (bottom, top) + sides, np.full(3, 0.5))
+
+
+def per_facet_geometry(p):
+    """Normals, offsets and measures from one facet at a time, as a reference."""
+    normals, offsets, measures = [], [], []
+    for facet in p.facets:
+        pts = p.vertices[list(facet)]
+        if p.dimension == 2:
+            e = pts[1] - pts[0]
+            measure = float(np.linalg.norm(e))
+            n = np.array([e[1], -e[0]]) / measure
+        else:
+            rel = pts - pts[0]
+            newell = np.cross(rel, np.roll(rel, -1, axis=0)).sum(axis=0)
+            measure = 0.5 * float(np.linalg.norm(newell))
+            n = newell / (2.0 * measure)
+        normals.append(n)
+        offsets.append(float(n @ pts[0]))
+        measures.append(measure)
+    return np.array(normals), np.array(offsets), np.array(measures)
+
+
+# a triangular prism with three quadrilateral facets (0-2) before two triangles
+# (3-4), and one spare vertex (6) off the plane x + y = 2 of facet 2
+PRISM = np.array(
+    [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 1], [2, 0, 1], [0, 2, 1], [2.05, 0, 1]], dtype=float
+)
+PRISM_FACETS = ((0, 1, 4, 3), (0, 3, 5, 2), (1, 2, 5, 4), (0, 2, 1), (3, 4, 5))
+SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+
+
+def prism(**replaced):
+    """Arguments of the prism with facet i replaced by ``f<i>=...``."""
+    facets = list(PRISM_FACETS)
+    for key, facet in replaced.items():
+        facets[int(key[1:])] = facet
+    return 3, PRISM, tuple(facets), np.array([2 / 3, 2 / 3, 0.5])
+
+
 class TestStarPolyhedron:
     def test_unit_square_decomposition(self):
         sq = polytope.square_polygon(1.0)
@@ -91,16 +152,8 @@ class TestStarPolyhedron:
 
 
     def test_nonconvex_facets_l_prism(self):
-        # L-shaped prism: cross-section of area 3 and perimeter 8, height 1
-        base = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
-        verts = np.vstack([np.c_[base, np.zeros(6)], np.c_[base, np.ones(6)]])
-        sides = tuple((i, (i + 1) % 6, 6 + (i + 1) % 6, 6 + i) for i in range(6))
         for k in range(6):
-            ring = [(i + k) % 6 for i in range(6)]
-            bottom = tuple(reversed(ring))
-            top = tuple(6 + i for i in ring)
-            p = polytope.StarPolyhedron(3, verts, (bottom, top) + sides, np.full(3, 0.5))
-            dec = polytope.decompose(p)
+            dec = polytope.decompose(l_prism(k))
             assert dec.total_volume == pytest.approx(3.0, rel=1e-12)
             assert dec.total_area == pytest.approx(14.0, rel=1e-12)
 
@@ -115,6 +168,93 @@ class TestStarPolyhedron:
         assert after.total_area == before.total_area == pytest.approx(6.0)
         with pytest.raises(ValueError):
             p.vertices[0, 0] = 5.0
+
+
+class TestFacetGeometry:
+    """The array pass per facet size against one facet at a time, and its errors."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: sphere_hull(np.random.default_rng(1), 52), id="hull-100"),
+            pytest.param(lambda: sphere_hull(np.random.default_rng(2), 127), id="hull-250"),
+            pytest.param(lambda: sphere_hull(np.random.default_rng(3), 202), id="hull-400"),
+            # the polar duals of those hulls, with facets of 3 to 11 vertices
+            pytest.param(lambda: sphere_hull_dual(np.random.default_rng(1), 52), id="dual-52"),
+            pytest.param(lambda: sphere_hull_dual(np.random.default_rng(2), 127), id="dual-127"),
+            pytest.param(lambda: sphere_hull_dual(np.random.default_rng(3), 202), id="dual-202"),
+            pytest.param(lambda: random_convex_polytope(np.random.default_rng(4), 40), id="random"),
+            *(pytest.param(lambda k=k: l_prism(k), id=f"l_prism-{k}") for k in range(6)),
+            pytest.param(lambda: polytope.cube_polyhedron(), id="cube"),
+            pytest.param(lambda: polytope.cube_polyhedron(2.0, (0.3, -1.2, 5.0)), id="cube-moved"),
+            pytest.param(lambda: polytope.regular_tetrahedron(), id="tetrahedron"),
+            pytest.param(lambda: polytope.regular_polygon(7), id="7-gon"),
+            pytest.param(lambda: polytope.square_polygon(), id="square"),
+        ],
+    )
+    def test_matches_per_facet_loop(self, build):
+        p = build()
+        # only the rounding of a length-3 dot product may differ
+        for got, want in zip((p.normals, p.offsets, p.measures), per_facet_geometry(p)):
+            np.testing.assert_array_max_ulp(got, want, maxulp=2)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (prism(f1=(0, 3, 3, 0), f4=(3, 5, 4)), "facet 1: vanishing area"),
+            (prism(f2=(1, 2, 5, 6), f3=(0, 1, 2)),
+             "facet 2: non-planar (max deviation 1.756e-02 > 3.034e-09)"),
+            (prism(f0=(3, 4, 1, 0), f4=(3, 4)),
+             "facet 0: apex is not strictly interior (signed distance -6.667e-01)"),
+            # non-planar and reversed: planarity is checked first
+            (prism(f2=(6, 5, 2, 1), f4=(3, 5, 4)),
+             "facet 2: non-planar (max deviation 1.756e-02 > 3.034e-09)"),
+            (prism(f1=(0, 3), f3=(0,)), "facet 1: 3D facets need >= 3 vertices"),
+            ((2, SQUARE, ((0, 1), (1, 2, 3), (2, 2), (3, 0)), np.full(2, 0.5)),
+             "facet 1: 2D facets are edges of 2 vertices"),
+            ((2, SQUARE, ((0, 1), (1, 2), (2, 2), (3, 0, 1)), np.full(2, 0.5)),
+             "facet 2: zero-length edge"),
+            (prism(f0=(0, 0, 0, 0), f3=(0, 2, 7)), "facet vertex index out of range"),
+            (prism(f0=(0, 0, 0, 0), f3=(0, 2, -1)), "facet vertex index out of range"),
+            (prism(f0=(0, 0, 0, 0), f3=(0, 2, 2**70)), "facet vertex index out of range"),
+            (prism(f0=(3, 4, 1, 0), f4=(3, True, 5)),
+             "facet vertex index must be an integer, got True"),
+            (prism(f0=(3, 4, 1, 0), f2=(1, 2, 5, 1.5)),
+             "facet vertex index must be an integer, got 1.5"),
+        ],
+    )
+    def test_first_bad_facet(self, args, message):
+        # messages as the per-facet loop raised them; the lowest-numbered bad
+        # facet is reported even when a larger one has fewer vertices
+        with pytest.raises(GeometryError) as info:
+            polytope.StarPolyhedron(*args)
+        assert str(info.value) == message
+
+    def test_integral_float_and_numpy_indices(self):
+        plain = polytope.StarPolyhedron(*prism())
+        facets = ((0, 1.0, np.int64(4), 3),) + PRISM_FACETS[1:]
+        mixed = polytope.StarPolyhedron(3, PRISM, facets, plain.apex)
+        assert mixed.facets == PRISM_FACETS
+        assert all(type(i) is int for f in mixed.facets for i in f)
+        np.testing.assert_array_equal(mixed.normals, plain.normals)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        cube = polytope.cube_polyhedron()
+        verts = np.array(cube.vertices)
+        verts[3, 1] = bad
+        with pytest.raises(GeometryError, match="^vertices must be finite$"):
+            polytope.StarPolyhedron(3, verts, cube.facets, cube.apex)
+        with pytest.raises(GeometryError, match="^apex must be finite$"):
+            cube.with_apex([0.5, bad, 0.5])
+        square = np.array(SQUARE)
+        square[2, 0] = bad
+        with pytest.raises(GeometryError, match="^vertices must be finite$"):
+            polytope.StarPolyhedron(2, square, ((0, 1), (1, 2), (2, 3), (3, 0)), np.full(2, 0.5))
+        doc = json.loads(cube.to_json())
+        doc["vertices"][0][0] = bad
+        with pytest.raises(GeometryError, match="^vertices must be finite$"):
+            polytope.from_json(json.dumps(doc))
 
 
 class TestMeanAltitudes:
@@ -334,3 +474,26 @@ class TestSteiner:
         verts = np.array([[0, 0], [2, 0], [1, 0.2], [1, 2]], dtype=float)
         with pytest.raises(GeometryError, match="convex"):
             polytope.steiner_parallel_body(verts, 0.5)
+
+    @pytest.mark.parametrize(
+        "pts, index",
+        [
+            ([[0, 0], [2, 0], [1, 0.2], [2, 2], [1, 1.8], [0, 2]], 2),
+            ([[1, 0.2], [2, 0], [2, 2], [1, 1.8], [0, 2], [0, 0]], 3),
+            ([[1, 0.2], [2, 0], [2, 2], [0, 2], [0, 0]], 0),
+        ],
+    )
+    def test_first_reflex_vertex_named(self, pts, index):
+        with pytest.raises(GeometryError) as info:
+            polytope.steiner_coefficients(np.array(pts, dtype=float))
+        assert str(info.value) == f"reflex vertex at index {index}; polygon not convex"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_shape_rejected(self, bad):
+        polygon = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+        polygon[2, 1] = bad
+        for shape in ((bad, 1.0, 1.0), (1.0, 1.0, -bad), polygon):
+            with pytest.raises(DomainError, match="^shape must be finite$"):
+                polytope.steiner_coefficients(shape)
+            with pytest.raises(DomainError, match="^shape must be finite$"):
+                polytope.steiner_parallel_body(shape, 1.0)
