@@ -43,6 +43,11 @@ class FamilySpec:
     For ``dimension == 2`` the evaluators are the area and the perimeter.
     A one-parameter evaluator may get a 1-D float array of quadrature nodes;
     it must act elementwise, or raise or return another shape to get floats.
+    Likewise an evaluator of a class with n > 1 may get an (n, m) float array
+    whose row i holds coordinate i of m points (the sign scan of
+    :func:`isolab.search.solve_coordinate`), so that ``x[0] * x[1]`` serves
+    one point and many; one that raises, or returns anything but a float
+    array of shape (m,), gets one length-n vector per point instead.
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
@@ -120,7 +125,8 @@ class FamilySpec:
         x = np.asarray(x, dtype=float)
         if x.ndim > 1 or x.size != len(self.domain):
             return False
-        for xi, (lo, hi) in zip(x.flat, self.domain):
+        # Python floats compare faster than numpy scalars; this runs for every Q
+        for xi, (lo, hi) in zip(x.tolist() if x.ndim else (float(x),), self.domain):
             if not lo < xi < hi:
                 return False
         if self.feasible is not None and not self.feasible(x):
@@ -486,7 +492,7 @@ def _parallelogram3() -> FamilySpec:
         id="parallelogram3",
         dimension=2,
         domain=(RPLUS, RPLUS, (0.0, math.pi)),  # (side, side, angle)
-        volume=lambda x: x[0] * x[1] * math.sin(x[2]),
+        volume=lambda x: x[0] * x[1] * np.sin(x[2]),
         area=lambda x: 2.0 * x[0] + 2.0 * x[1],
         homogeneous_prefix_m=2,
         sample_box=((0.3, 3.0), (0.3, 3.0), (0.2, math.pi - 0.2)),

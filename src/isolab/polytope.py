@@ -290,8 +290,8 @@ def cohen_check(p: StarPolyhedron, r: float) -> float:
     Every facet hyperplane must lie at distance r from the apex, the
     incenter; otherwise the precondition is rejected.
     """
-    if r <= 0:
-        raise DomainError("inradius r must be positive")
+    if not 0 < r < math.inf:
+        raise DomainError("inradius r must be positive and finite")
     _convex_support(p)
     dist = p.offsets - p.normals @ p.apex
     off = np.abs(dist - r) > 1e-9 * max(_bbox_diagonal(p.vertices), r)
@@ -404,8 +404,8 @@ def steiner_coefficients(
 
 def steiner_parallel_body(shape, s: float) -> tuple[float, float]:
     """(V(s), A(s)) of the outer parallel body at distance s >= 0."""
-    if s < 0:
-        raise DomainError("parallel-body distance s must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise DomainError("parallel-body distance s must be nonnegative and finite")
     vc, ac = steiner_coefficients(shape)
     v = sum(coef * s**i for i, coef in enumerate(vc))
     a = sum(coef * s**i for i, coef in enumerate(ac))

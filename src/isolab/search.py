@@ -356,9 +356,14 @@ def solve_coordinate(
     """Solve Q(x) = k for coordinate j, each other coordinate i given as the
     function ``fixed[i]`` of s; ``fixed`` holding j is a :class:`DomainError`.
 
-    Brackets are located by a sign scan over the coordinate interval and the
-    root refined with :func:`brentq`.  With several roots, the one nearest
-    ``prev`` is returned (curve continuity); without ``prev``, the smallest.
+    Brackets are located by a sign scan of 512 points over the coordinate
+    interval, which calls each evaluator once on all of them as an (n, m)
+    array (see :class:`FamilySpec`; an evaluator that does not act elementwise
+    gets one call per point), and each root is refined with :func:`brentq` on
+    the scalar Q.  A bracket with a NaN inside is dropped; when no root is
+    left, the first such :class:`DomainError` is raised.  With several roots,
+    the one nearest ``prev`` is returned (curve continuity); without ``prev``,
+    the smallest.
     """
     n = nfamily.nparams
     if not 0 <= j < n:
@@ -388,9 +393,9 @@ def solve_coordinate(
         hi = max(100.0, 100.0 * sb[1])
     width = hi - lo
     ts = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, 512)
-    vals = np.array([g(t) for t in ts])
+    vals = _scan(nfamily, k, base, j, ts, g)
 
-    roots = []
+    roots, nan_error = [], None
     for i in range(len(ts) - 1):
         a, b = vals[i], vals[i + 1]
         if math.isnan(a) or math.isnan(b):
@@ -398,8 +403,13 @@ def solve_coordinate(
         if a == 0.0:
             roots.append(float(ts[i]))
         elif a * b < 0:
-            roots.append(brentq(g, ts[i], ts[i + 1]))
+            try:
+                roots.append(brentq(g, ts[i], ts[i + 1]))
+            except DomainError as exc:  # a NaN inside this bracket: the others may hold roots
+                nan_error = nan_error or exc
     if not roots:
+        if nan_error is not None:
+            raise nan_error
         raise DomainError(
             f"no root of Q=k for coordinate {j} at s={s}; scanned ({ts[0]}, {ts[-1]}) "
             "(s may be outside the feasible parameter interval)"
@@ -407,6 +417,52 @@ def solve_coordinate(
     if prev is not None:
         return min(roots, key=lambda t: abs(t - prev))
     return min(roots)
+
+
+def _scan(
+    nfamily: FamilySpec, k: float, base: np.ndarray, j: int, ts: np.ndarray,
+    g: Callable[[float], float],
+) -> np.ndarray:
+    """g at each scan point t of coordinate j, the others held at ``base``,
+    with the signs and NaNs that calling g at each point gives.
+
+    The evaluators get all m points at once: ts itself when n = 1, else the
+    (n, m) array whose row i holds coordinate i of every point.  A point
+    outside the domain, or where V or A is not finite and positive or Q
+    overflows, is NaN, as :func:`evaluate` and :func:`ratio_function` make it;
+    ``feasible`` is asked per point with the length-n vector, as
+    :meth:`FamilySpec.contains` asks it.  The array arithmetic may round
+    differently in the last bits, so g is called again at every NaN point and
+    every point within 1e-12 |k| of the level.  An evaluator that raises or
+    returns anything but a float array of shape (m,) gets one call per point.
+    """
+    rows = np.repeat(base[:, None], len(ts), axis=1)
+    rows[j] = ts
+    x = rows if len(base) > 1 else ts
+    try:
+        with np.errstate(all="ignore"):
+            v, a = np.asarray(nfamily.volume(x)), np.asarray(nfamily.area(x))
+        elementwise = all(y.shape == ts.shape and y.dtype == float for y in (v, a))
+    except Exception:  # raised again by g, if the evaluator fails at one point too
+        elementwise = False
+    if not elementwise:
+        return np.array([g(t) for t in ts])
+
+    lows, highs = np.array(nfamily.domain).T
+    with np.errstate(all="ignore"):
+        q = ratio(nfamily.dimension, v, a)
+        ok = (np.all((lows[:, None] < rows) & (rows < highs[:, None]), axis=0)
+              & (0 < v) & (v < math.inf) & (0 < a) & (a < math.inf) & np.isfinite(q))
+        vals = np.where(ok, q - k, math.nan)
+    if nfamily.feasible is not None:
+        for i in np.flatnonzero(ok):
+            point = base.copy()
+            point[j] = ts[i]
+            if not nfamily.feasible(point):
+                vals[i] = math.nan
+    for i in np.flatnonzero(np.isnan(vals) | (np.abs(vals) <= 1e-12 * abs(k))):
+        vals[i] = g(ts[i])
+    return vals
 
 
 @dataclass(frozen=True)

@@ -397,6 +397,11 @@ class TestCohenCheck:
         assert polytope.volume_from_support(dual) == pytest.approx(v_dec, rel=1e-9)
         assert polytope.cohen_check(dual, 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+    def test_r_not_positive_and_finite_rejected(self, r):
+        with pytest.raises(DomainError, match="^inradius r must be positive and finite$"):
+            polytope.cohen_check(polytope.cube_polyhedron(2.0), r)
+
 
 class TestLiftCylinder:
     def test_disks_to_cylinders(self):
@@ -469,6 +474,12 @@ class TestSteiner:
     def test_negative_distance_rejected(self):
         with pytest.raises(DomainError):
             polytope.steiner_parallel_body((1.0, 1.0, 1.0), -0.1)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -0.1])
+    def test_distance_not_nonnegative_and_finite_rejected(self, s):
+        with pytest.raises(DomainError) as info:
+            polytope.steiner_parallel_body((1.0, 1.0, 1.0), s)
+        assert str(info.value) == "parallel-body distance s must be nonnegative and finite"
 
     def test_nonconvex_polygon_rejected(self):
         verts = np.array([[0, 0], [2, 0], [1, 0.2], [1, 2]], dtype=float)

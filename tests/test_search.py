@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,12 @@ def _nelder_mead_pair(f, z0, xatol, fatol):
         res = optimize.minimize(theirs, z0, method="Nelder-Mead", options={
             "xatol": xatol, "fatol": fatol, "maxiter": 20000, "maxfev": 20000})
     return (x.tolist(), fx, ours.calls), (res.x.tolist(), res.fun, theirs.calls)
+
+
+def _holed_rect2(*holes):
+    """rect2 without a thin slab around each b in ``holes``, which no scan point hits."""
+    return dataclasses.replace(families.builtin("rect2"),
+                               feasible=lambda x: all(abs(x[1] - b) > 1e-3 for b in holes))
 
 
 class TestNelderMead:
@@ -95,12 +102,18 @@ class TestBrentq:
             assert search.brentq(g, a, b) == expected
 
     def test_nan_inside_a_bracket(self):
-        # rect2 without a thin slab around b = 2, a root of 4 (1 + b)^2 / b = 18 at a = 1,
-        # which no scan point hits
-        holed = dataclasses.replace(families.builtin("rect2"),
-                                    feasible=lambda x: abs(x[1] - 2.0) > 1e-3)
-        with pytest.raises(DomainError, match="NaN"):
-            search.solve_coordinate(holed, 18.0, {0: lambda s: s}, 1, 1.0)
+        # the bracket of b = 2 is dropped; the other root of 4 (1 + b)^2 / b = 18 at a = 1 stays
+        holed = _holed_rect2(2.0)
+        for prev in (None, 2.0):
+            root = search.solve_coordinate(holed, 18.0, {0: lambda s: s}, 1, 1.0, prev)
+            assert root == pytest.approx(0.5, abs=1e-12)
+
+    def test_every_root_in_a_hole(self):
+        with pytest.raises(DomainError, match="NaN") as info:
+            search.solve_coordinate(_holed_rect2(0.5, 2.0), 18.0, {0: lambda s: s}, 1, 1.0)
+        # the error of the first bracket, the one around b = 0.5
+        a, b = re.search(r"inside the bracket \[(.+), (.+)\]$", str(info.value)).groups()
+        assert float(a) < 0.5 < float(b)
 
     def test_same_signs_and_no_convergence(self):
         with pytest.raises(DomainError, match="same sign"):
@@ -275,6 +288,140 @@ class TestSolveCoordinate:
         par = families.builtin("parallelogram3")
         with pytest.raises(DomainError, match="coordinate 2 is the one solved for"):
             search.solve_coordinate(par, 32.0, {**self.FIXED, 2: lambda s: 0.5}, 2, 2.0)
+
+
+def _per_point_scan(nfamily, k, base, j, ts, g):
+    """The sign scan as ``solve_coordinate`` made it with one call of g per point:
+    the oracle of ``search._scan``."""
+    return np.array([g(t) for t in ts])
+
+
+class TestSolveScan:
+    FIXED = {0: lambda s: math.sqrt(s), 1: lambda s: s - math.sqrt(s)}
+    S_04 = np.linspace(24 - 16 * SQRT2 + 0.05, 24 + 16 * SQRT2 - 0.05, 40).tolist()
+    RECT2_SCAN = np.linspace(3e-7, 300.0 - 3e-7, 512)  # rect2's scan of b over (0, inf)
+
+    @staticmethod
+    def _outcomes(spec, k, fixed, j, cases):
+        out = []
+        for s, prev in cases:
+            try:
+                out.append(search.solve_coordinate(spec, k, fixed, j, s, prev))
+            except Exception as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    def _assert_as_oracle(self, monkeypatch, spec, k, fixed, j, cases):
+        """Roots and error messages bit-equal to those of the per-point scan, and
+        every scan value of the same sign, or NaN, as the oracle's."""
+        scans, array_scan = [], search._scan
+
+        def both(*args):
+            scans.append((array_scan(*args), _per_point_scan(*args)))
+            return scans[-1][0]
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "_scan", both)
+            ours = self._outcomes(spec, k, fixed, j, cases)
+        with monkeypatch.context() as m:
+            m.setattr(search, "_scan", _per_point_scan)
+            theirs = self._outcomes(spec, k, fixed, j, cases)
+        assert ours == theirs
+        for vals, expected in scans:
+            assert np.array_equal(np.sign(vals), np.sign(expected), equal_nan=True)
+        return ours
+
+    def test_parallelogram_curve(self, monkeypatch):
+        cases = [(s, None) for s in self.S_04] + [(s, 2.5) for s in self.S_04[::3]]
+        roots = self._assert_as_oracle(monkeypatch, families.builtin("parallelogram3"), 32.0,
+                                       self.FIXED, 2, cases)
+        assert all(isinstance(r, float) for r in roots)
+
+    @pytest.mark.parametrize("k", [16.0, 16.5, 18.0, 25.0, 40.0, 1e4, 15.0])
+    def test_rect2_level_sweep(self, monkeypatch, k):
+        self._assert_as_oracle(monkeypatch, families.builtin("rect2"), k, {0: lambda s: s}, 1,
+                               [(0.5, None), (1.0, None), (3.0, None), (1.0, 10.0)])
+
+    def test_box3_with_prev(self, monkeypatch):
+        fixed = {0: lambda s: s, 1: lambda s: 1.0}
+        for k in (220.0, 250.0, 400.0):
+            self._assert_as_oracle(monkeypatch, families.builtin("box3"), k, fixed, 2,
+                                   [(s, prev) for s in (0.7, 1.0, 1.5) for prev in (0.1, 5.0)])
+
+    def test_cone_per_point_fallback(self, monkeypatch):
+        self._assert_as_oracle(monkeypatch, families.builtin("cone"), 250.0, {0: lambda s: s}, 1,
+                               [(0.5, None), (1.0, None), (2.0, 0.1), (2.0, 50.0)])
+
+    @pytest.mark.parametrize("k", [100.0, 200.0, 400.0])
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_ring_torus_feasible(self, monkeypatch, k, j):
+        # Q = 16 pi^2 rho2 / rho1, feasible where rho2 > rho1, that is k > 16 pi^2
+        self._assert_as_oracle(monkeypatch, families.builtin("ring_torus"), k,
+                               {1 - j: lambda s: s}, j, [(0.5, None), (2.0, None)])
+
+    @pytest.mark.parametrize("holes", [(2.0,), (0.5, 2.0)])
+    def test_holed_rect2(self, monkeypatch, holes):
+        self._assert_as_oracle(monkeypatch, _holed_rect2(*holes), 18.0, {0: lambda s: s}, 1,
+                               [(1.0, None), (1.0, 2.0)])
+
+    @pytest.mark.parametrize("volume", [
+        lambda x: float(x[0]) * float(x[1]),  # raises on arrays
+        # raises on arrays, and at one scan point past b = 50 too
+        lambda x: x[0] * x[1] if x[1] < 50.0 else [][0],
+    ])
+    def test_evaluator_that_raises_on_arrays(self, monkeypatch, volume):
+        spec = dataclasses.replace(families.builtin("rect2"), volume=volume)
+        self._assert_as_oracle(monkeypatch, spec, 18.0, {0: lambda s: s}, 1,
+                               [(1.0, None), (1.0, 2.0), (0.5, None)])
+
+    @pytest.mark.parametrize("area", [lambda x: 2.0 * np.sum(x),
+                                      lambda x: 2.0 * np.sum(x, axis=-1)])
+    def test_evaluator_of_the_wrong_shape(self, monkeypatch, area):
+        spec = dataclasses.replace(families.builtin("rect2"), area=area)
+        self._assert_as_oracle(monkeypatch, spec, 18.0, {0: lambda s: s}, 1,
+                               [(1.0, None), (1.0, 2.0), (0.5, None)])
+
+    def test_level_on_a_scan_point(self, monkeypatch):
+        rect2 = families.builtin("rect2")
+        t = float(self.RECT2_SCAN[100])
+        k = search.ratio_function(rect2)(np.array([1.0, t]))
+        roots = self._assert_as_oracle(monkeypatch, rect2, k, {0: lambda s: s}, 1,
+                                       [(1.0, t), (1.0, None)])
+        assert roots[0] == t and roots[1] < 1.0
+
+    def test_volume_not_positive_inside_the_domain(self, monkeypatch):
+        # angles past pi give V < 0, which evaluate rejects: NaN in the scan, as per point
+        par = families.builtin("parallelogram3")
+        wide = dataclasses.replace(par, domain=(*par.domain[:2], (0.0, 2.0 * math.pi)))
+        self._assert_as_oracle(monkeypatch, wide, 32.0, self.FIXED, 2,
+                               [(s, prev) for s in self.S_04[::5] for prev in (None, 5.0)])
+
+    def test_fixed_coordinate_on_the_domain_end(self, monkeypatch):
+        # sin(pi) is 1.2e-16 > 0, but the angle pi lies outside the open interval
+        self._assert_as_oracle(monkeypatch, families.builtin("parallelogram3"), 1e18,
+                               {0: lambda s: s, 2: lambda s: math.pi}, 1, [(1.0, None)])
+
+    def test_array_rounding_another_last_bit(self, monkeypatch):
+        # an evaluator whose array results are one ulp above its values at single points,
+        # with the level exactly on a scan point and a root between two others
+        rect2 = families.builtin("rect2")
+        spec = dataclasses.replace(rect2, volume=lambda x: (
+            np.nextafter(x[0] * x[1], math.inf) if np.ndim(x) > 1 else x[0] * x[1]))
+        t = float(self.RECT2_SCAN[3])
+        k = search.ratio_function(rect2)(np.array([1.0, t]))
+        self._assert_as_oracle(monkeypatch, spec, k, {0: lambda s: s}, 1, [(1.0, None), (1.0, t)])
+
+    def test_one_array_call_per_scan(self):
+        par = families.builtin("parallelogram3")
+        counted = dataclasses.replace(par, volume=_counted(par.volume))
+        counted.volume.calls = 0  # not the prefix check of the replaced spec
+        search.solve_coordinate(counted, 32.0, self.FIXED, 2, 2.0)
+        assert 0 < counted.volume.calls < 100
+        cone = families.builtin("cone")
+        counted = dataclasses.replace(cone, volume=_counted(cone.volume))
+        counted.volume.calls = 0
+        search.solve_coordinate(counted, 250.0, {0: lambda s: s}, 1, 1.0)
+        assert counted.volume.calls >= 512  # math.hypot: one call per point
 
 
 class TestTraceLevelSet:
