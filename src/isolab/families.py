@@ -193,6 +193,32 @@ def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
     return v, a
 
 
+def _evaluate_batch(family: FamilySpec, x: np.ndarray):
+    """(V, A, ok) at the m points of the (n, m) float array x, whose column i
+    is point i, from one call of each evaluator: with x itself, or with its
+    one row when n = 1.  ``ok`` marks the points that :func:`evaluate` accepts
+    as the array's values have them: inside the intervals, with V and A finite
+    and positive, and ``feasible`` there (asked per point, with the length-n
+    vector).  None when an evaluator raises or returns anything but a float
+    array of shape (m,): the caller then asks one point at a time.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            p = x if len(x) > 1 else x[0]
+            v, a = np.asarray(family.volume(p)), np.asarray(family.area(p))
+        if not (v.shape == a.shape == x.shape[1:] and v.dtype == a.dtype == float):
+            return None
+    except Exception:  # raised again by the per-point calls, if the evaluator fails there too
+        return None
+    lows, highs = np.array(family.domain).T[:, :, None]
+    ok = (((lows < x) & (x < highs)).all(axis=0)  # NaN fails each comparison
+          & (np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf))
+    if family.feasible is not None:
+        for i in ok.nonzero()[0]:
+            ok[i] = bool(family.feasible(x[:, i].copy()))
+    return v, a, ok
+
+
 def _not_finite_positive(family: FamilySpec, point, v, a) -> DomainError:
     return DomainError(
         f"V = {v}, A = {a} at point {point} of {family.id!r}; both must be finite and positive"
@@ -391,7 +417,7 @@ def _triangle_sides() -> FamilySpec:
     def area(x):
         a, b, c = x
         p = 0.5 * (a + b + c)
-        return math.sqrt(max(p * (p - a) * (p - b) * (p - c), 0.0))
+        return np.sqrt(np.maximum(p * (p - a) * (p - b) * (p - c), 0.0))
 
     def feasible(x):
         a, b, c = x
@@ -402,7 +428,7 @@ def _triangle_sides() -> FamilySpec:
         dimension=2,
         domain=(RPLUS, RPLUS, RPLUS),
         volume=area,
-        area=lambda x: float(x[0] + x[1] + x[2]),
+        area=lambda x: x[0] + x[1] + x[2],
         homogeneous_prefix_m=3,
         feasible=feasible,
         sample_box=((0.3, 3.0),) * 3,

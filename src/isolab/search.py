@@ -18,7 +18,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .families import FamilySpec, Record, builtin, csv_table, evaluate, ratio, ratio_at
+from .families import (FamilySpec, Record, _evaluate_batch, builtin, csv_table, evaluate, ratio,
+                       ratio_at)
 
 _SQRT_EPS = float(np.finfo(float).eps) ** 0.5
 
@@ -140,14 +141,43 @@ def _minimize(
                                                 nfamily.domain[first], tol)
         return whole(z), fz, bounded
 
+    def fs(z: np.ndarray) -> np.ndarray:  # Q at each row of z, as f gives it there
+        x = np.empty((n, len(z)))
+        x[0] = 1.0
+        x[first:] = z.T
+        return _ratios(nfamily, x, q)
+
     best_z, best_f = points[0], math.inf
-    for z0 in points:
-        if not inside(z0):
-            continue
-        z, fz = nelder_mead(f, z0, tol, tol * max(abs(f(z0)), 1.0))
-        if fz < best_f:
-            best_z, best_f = z, fz
+    z0 = points[[inside(z) for z in points]]
+    if len(z0):
+        fatol = tol * np.maximum(np.abs(fs(z0)), 1.0)
+        zs, fz, _ = _lockstep(fs, z0, tol, fatol)
+        for z, fv in zip(zs, fz.tolist()):
+            if fv < best_f:
+                best_z, best_f = z, fv
     return whole(best_z), best_f, True
+
+
+def _ratios(nfamily: FamilySpec, x: np.ndarray, q: Callable[[np.ndarray], float]) -> np.ndarray:
+    """Q at each column of the (n, m) array x, bit-equal to ``q``, the
+    :func:`ratio_function` of the class, at each point.
+
+    V and A come from one batch call (see :func:`~isolab.families._evaluate_batch`);
+    Q is then :func:`ratio` of each point's two floats, as ``q`` takes it, or
+    ``q`` itself at a point where that overflows, and at every point when
+    the evaluators take one point at a time.
+    """
+    batch = _evaluate_batch(nfamily, x)
+    if batch is None:
+        return np.array([q(p) for p in x.T.copy()], dtype=float)
+    d = nfamily.dimension
+    out = []
+    for i, (vi, ai, oki) in enumerate(zip(*(y.tolist() for y in batch))):
+        try:
+            out.append(ratio(d, vi, ai) if oki else math.inf)
+        except ArithmeticError:  # Python's float arithmetic raises where numpy's may not
+            out.append(q(x[:, i].copy()))
+    return np.array(out)
 
 
 def _golden_section_search(
@@ -211,63 +241,114 @@ def _expand(q: Callable[[float], float], inner: float, x: float, fx: float):
         step *= 2.0
 
 
-class _EvalCapReached(Exception):
-    """Nelder-Mead's evaluation cap stops a step halfway, as SciPy's does."""
-
-
 def nelder_mead(f: Callable[[np.ndarray], float], x0, xatol: float, fatol: float):
     """Minimize f from x0 by the downhill simplex method (Nelder & Mead 1965)
     until every vertex is within ``xatol`` of the best in each coordinate and
     ``fatol`` in f, or for _NM_MAX_EVALS evaluations; returns (x, f(x)).  This
     is SciPy 1.17's Nelder-Mead with maxiter = maxfev = _NM_MAX_EVALS, step
-    for step, so x, f(x) and the evaluations are bit-identical to SciPy's."""
+    for step, so x, f(x) and the evaluations are bit-identical to SciPy's.
+    It is the one-start case of the lockstep multistart that :func:`kmin`
+    runs, with f called once per point, on a copy."""
     x0 = np.array(x0, dtype=float).ravel()
-    n, calls = len(x0), 0
-    sim = np.tile(x0, (n + 1, 1))
-    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    x, fun, _ = _lockstep(lambda z: np.array([f(p.copy()) for p in z], dtype=float),
+                          x0[None], xatol, np.array([fatol], dtype=float))
+    return x[0], float(fun[0])
 
-    def fc(x: np.ndarray) -> float:
-        nonlocal calls
-        if calls >= _NM_MAX_EVALS:
-            raise _EvalCapReached
-        calls += 1
-        return f(x.copy())
 
-    fsim = np.array([fc(x) for x in sim], dtype=float)
+def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: float,
+              fatol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`nelder_mead` from each row of the (S, n) array x0 at once, start s
+    with the f tolerance ``fatol[s]``; returns each start's x, f(x) and number
+    of evaluations, each bit-identical to a run of that start alone.
+
+    The simplices of the running starts form one (k, n+1, n) array.  Each
+    round drops the starts that have converged or reached a cap, then hands
+    ``fs`` all reflection points as one (k, n) array, then all expansion or
+    contraction points, then all shrink points, and applies each start's
+    branch through masks.  A start keeps its own counts of evaluations and
+    iterations; as in SciPy, a shrink cut short by the cap on evaluations
+    moves the vertex whose evaluation would pass it and leaves its f stale.
+    """
+    count, n = x0.shape
+    x_out, f_out, calls_out = np.empty((count, n)), np.empty(count), np.empty(count, dtype=int)
+    sim = np.repeat(x0[:, None], n + 1, axis=1)
+    axes = np.arange(n)
+    sim[:, axes + 1, axes] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = fs(sim.reshape(-1, n)).reshape(count, n + 1)
     for _ in range(2):  # sorted twice, as SciPy does: argsort may reorder ties
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    iterations = 1
-    while calls < _NM_MAX_EVALS and iterations < _NM_MAX_EVALS:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol and math.isfinite(fsim[0])  # no inf - inf
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        try:
-            xbar = sim[:-1].sum(axis=0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = fc(xr)
-            if fxr < fsim[0]:  # expand
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = fc(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:  # reflect
-                sim[-1], fsim[-1] = xr, fxr
-            else:  # contract outside or inside, else shrink towards the best vertex
-                outside = fxr < fsim[-1]
-                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-                fxc = fc(xc)
-                if fxc <= fxr if outside else fxc < fsim[-1]:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = fc(sim[j])
-            iterations += 1
-        except _EvalCapReached:
-            pass
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0], float(np.min(fsim))
+        sim, fsim = _sorted(sim, fsim)
+    ids, calls, iterations = np.arange(count), np.full(count, n + 1), np.ones(count, dtype=int)
+    while True:
+        # SciPy's test; each f row is sorted, so its largest |f0 - fj| is f[-1] - f0
+        with np.errstate(invalid="ignore"):  # inf - inf where f0 is inf
+            done = np.isfinite(fsim[:, 0]) & (fsim[:, -1] - fsim[:, 0] <= fatol)
+        if done.any():
+            done &= np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(ids), -1).max(axis=1) <= xatol
+        if max(calls.max(), iterations.max()) >= _NM_MAX_EVALS:
+            done |= (calls >= _NM_MAX_EVALS) | (iterations >= _NM_MAX_EVALS)
+        if done.any():
+            x_out[ids[done]], f_out[ids[done]] = sim[done, 0], fsim[done].min(axis=1)
+            calls_out[ids[done]] = calls[done]
+            if done.all():
+                return x_out, f_out, calls_out
+            ids, sim, fsim, calls, iterations, fatol = (
+                a[~done] for a in (ids, sim, fsim, calls, iterations, fatol))
+        xbar = sim[:, :-1].sum(axis=1) / n
+        worst = sim[:, -1]
+        xr = 2 * xbar - worst
+        fxr = fs(xr)
+        calls += 1
+        expand, outside = fxr < fsim[:, 0], fxr < fsim[:, -1]
+        reflect = ~expand & (fxr < fsim[:, -2])
+        second = ~reflect  # an expansion or contraction point, unless the cap stops the step
+        if calls.max() >= _NM_MAX_EVALS:
+            second &= calls < _NM_MAX_EVALS
+        x2, f2 = xr, np.full(len(ids), math.nan)
+        if second.any():
+            a, b = _SECOND_POINT[np.where(expand, 2, outside)].T
+            x2 = a[:, None] * xbar - b[:, None] * worst
+            f2[second] = fs(x2[second])
+            calls += second
+        # expansion: the better of the two points; contraction: its point or a shrink
+        take2 = second & np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
+        shrink = second & ~expand & ~take2
+        replace = reflect | second & expand | take2
+        sim[:, -1] = np.where(replace[:, None], np.where(take2[:, None], x2, xr), worst)
+        fsim[:, -1] = np.where(replace, np.where(take2, f2, fxr), fsim[:, -1])
+        if shrink.any():
+            r = shrink.nonzero()[0]
+            left = _NM_MAX_EVALS - calls[r]  # each start's evaluations before its cap
+            vertex = np.arange(1, n + 1)
+            moved = vertex <= left[:, None] + 1  # the first vertex past the cap moves, unevaluated
+            evaluated = vertex <= left[:, None]
+            tail, ftail = sim[r, 1:], fsim[r, 1:]
+            tail[moved] = (sim[r, :1] + 0.5 * (tail - sim[r, :1]))[moved]
+            if evaluated.any():
+                ftail[evaluated] = fs(tail[evaluated])
+            sim[r, 1:], fsim[r, 1:] = tail, ftail
+            calls[r] += evaluated.sum(axis=1)
+            replace[r] = left >= n
+        iterations += replace  # a step counts once it is complete
+        sim, fsim = _sorted(sim, fsim)
+
+
+# (a, b) of the second trial point a * xbar - b * worst of an inside contraction, an
+# outside contraction and an expansion; a * xbar - (-b) * worst rounds as a + b does
+_SECOND_POINT = np.array([[0.5, -0.5], [1.5, 0.5], [3.0, 2.0]])
+
+
+def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each simplex with its vertices in the order of ``np.argsort`` of its f.
+    A row with ties or NaNs is sorted alone, as a run of its start alone sorts it."""
+    order = fsim.argsort(axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    fsorted = fsim[rows, order]
+    rising = fsorted[:, 1:] > fsorted[:, :-1]
+    if not rising.all():
+        for i in (~rising.all(axis=1)).nonzero()[0]:
+            order[i] = np.argsort(fsim[i])
+            fsorted[i] = fsim[i, order[i]]
+    return sim[rows, order], fsorted
 
 
 def brentq(f: Callable[[float], float], a: float, b: float) -> float:
@@ -426,40 +507,23 @@ def _scan(
     """g at each scan point t of coordinate j, the others held at ``base``,
     with the signs and NaNs that calling g at each point gives.
 
-    The evaluators get all m points at once: ts itself when n = 1, else the
-    (n, m) array whose row i holds coordinate i of every point.  A point
-    outside the domain, or where V or A is not finite and positive or Q
-    overflows, is NaN, as :func:`evaluate` and :func:`ratio_function` make it;
-    ``feasible`` is asked per point with the length-n vector, as
-    :meth:`FamilySpec.contains` asks it.  The array arithmetic may round
+    The evaluators get all m points at once through
+    :func:`~isolab.families._evaluate_batch`, which marks the points that
+    :func:`evaluate` rejects; those, and the points where Q overflows, are
+    NaN, as :func:`ratio_function` makes them.  The array arithmetic may round
     differently in the last bits, so g is called again at every NaN point and
     every point within 1e-12 |k| of the level.  An evaluator that raises or
     returns anything but a float array of shape (m,) gets one call per point.
     """
     rows = np.repeat(base[:, None], len(ts), axis=1)
     rows[j] = ts
-    x = rows if len(base) > 1 else ts
-    try:
-        with np.errstate(all="ignore"):
-            v, a = np.asarray(nfamily.volume(x)), np.asarray(nfamily.area(x))
-        elementwise = all(y.shape == ts.shape and y.dtype == float for y in (v, a))
-    except Exception:  # raised again by g, if the evaluator fails at one point too
-        elementwise = False
-    if not elementwise:
+    batch = _evaluate_batch(nfamily, rows)
+    if batch is None:
         return np.array([g(t) for t in ts])
-
-    lows, highs = np.array(nfamily.domain).T
+    v, a, ok = batch
     with np.errstate(all="ignore"):
         q = ratio(nfamily.dimension, v, a)
-        ok = (np.all((lows[:, None] < rows) & (rows < highs[:, None]), axis=0)
-              & (0 < v) & (v < math.inf) & (0 < a) & (a < math.inf) & np.isfinite(q))
-        vals = np.where(ok, q - k, math.nan)
-    if nfamily.feasible is not None:
-        for i in np.flatnonzero(ok):
-            point = base.copy()
-            point[j] = ts[i]
-            if not nfamily.feasible(point):
-                vals[i] = math.nan
+        vals = np.where(ok & np.isfinite(q), q - k, math.nan)
     for i in np.flatnonzero(np.isnan(vals) | (np.abs(vals) <= 1e-12 * abs(k))):
         vals[i] = g(ts[i])
     return vals

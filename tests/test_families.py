@@ -171,3 +171,43 @@ class TestOneEvaluationPath:
         q = search.ratio_function(fam)
         report = homogeneity.classify(fam, grid)
         assert report.q_values == tuple(q(np.array([s])) for s in grid)
+
+
+class TestBatchEvaluation:
+    """One (n, m) call of a class's evaluators, as kmin's Nelder-Mead makes it."""
+
+    @staticmethod
+    def points(spec, m=10_000):
+        lows, highs = np.array(spec.sample_box).T
+        u = np.random.default_rng(0).uniform(size=(spec.nparams, m))
+        return lows[:, None] + u * (highs - lows)[:, None]
+
+    @pytest.mark.parametrize("cls", ["box3", "triangle_sides", "parallelogram3"])
+    def test_one_call_equals_evaluate_per_point(self, cls):
+        spec = families.builtin(cls)
+        x = self.points(spec)
+        v, a, ok = families._evaluate_batch(spec, x)
+        per_point = []
+        for p in x.T:
+            try:
+                per_point.append((*families.evaluate(spec, p), True))
+            except DomainError:  # the triangle inequality fails
+                per_point.append((math.nan, math.nan, False))
+        pv, pa, pok = map(np.array, zip(*per_point))
+        np.testing.assert_array_equal(ok, pok)
+        np.testing.assert_array_equal(v[ok], pv[ok])
+        np.testing.assert_array_equal(a[ok], pa[ok])
+        np.testing.assert_array_equal(v, [spec.volume(p) for p in x.T])
+        np.testing.assert_array_equal(a, [spec.area(p) for p in x.T])
+        q = search.ratio_function(spec)
+        np.testing.assert_array_equal(search._ratios(spec, x, q), [q(p) for p in x.T])
+        assert 0 < ok.sum() and (ok.all() or cls == "triangle_sides")
+
+    # math.hypot and math.sqrt take one point at a time
+    @pytest.mark.parametrize("cls", ["cone", "square_pyramid", "right_triangle"])
+    def test_scalar_evaluators_fall_back(self, cls):
+        spec = families.builtin(cls)
+        x = self.points(spec, 64)
+        assert families._evaluate_batch(spec, x) is None
+        q = search.ratio_function(spec)
+        np.testing.assert_array_equal(search._ratios(spec, x, q), [q(p) for p in x.T])

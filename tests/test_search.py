@@ -37,16 +37,22 @@ def _counted(f):
     return g
 
 
-def _nelder_mead_pair(f, z0, xatol, fatol):
-    """(x, f(x), evaluations) from the port and from SciPy, from the same start."""
+def _scipy_nelder_mead(f, z0, xatol, fatol):
+    """(x, f(x), evaluations) from SciPy's Nelder-Mead, with the port's caps."""
     from scipy import optimize
 
-    ours, theirs = _counted(f), _counted(f)
-    x, fx = search.nelder_mead(ours, z0, xatol, fatol)
+    counted = _counted(f)
     with np.errstate(invalid="ignore"):  # SciPy's f test computes inf - inf on an all-inf simplex
-        res = optimize.minimize(theirs, z0, method="Nelder-Mead", options={
+        res = optimize.minimize(counted, z0, method="Nelder-Mead", options={
             "xatol": xatol, "fatol": fatol, "maxiter": 20000, "maxfev": 20000})
-    return (x.tolist(), fx, ours.calls), (res.x.tolist(), res.fun, theirs.calls)
+    return res.x.tolist(), res.fun, counted.calls
+
+
+def _nelder_mead_pair(f, z0, xatol, fatol):
+    """(x, f(x), evaluations) from the port and from SciPy, from the same start."""
+    ours = _counted(f)
+    x, fx = search.nelder_mead(ours, z0, xatol, fatol)
+    return (x.tolist(), fx, ours.calls), _scipy_nelder_mead(f, z0, xatol, fatol)
 
 
 def _holed_rect2(*holes):
@@ -60,11 +66,35 @@ class TestNelderMead:
     @pytest.mark.parametrize("cls", ["box3", "triangle_sides", "parallelogram3"])
     def test_matches_scipy_on_kmin_starts(self, monkeypatch, cls, seed):
         spec = families.builtin(cls)
-        starts = _recorded(monkeypatch, "nelder_mead", lambda: search.kmin(spec, seed=seed))
-        assert starts
-        for args in starts:
-            ours, theirs = _nelder_mead_pair(*args)
-            assert ours == theirs
+        runs, lockstep = [], search._lockstep
+
+        def recorded(fs, x0, xatol, fatol):
+            out = lockstep(fs, x0, xatol, fatol)
+            runs.append((x0.copy(), xatol, fatol.copy(), out))
+            return out
+
+        monkeypatch.setattr(search, "_lockstep", recorded)
+        search.kmin(spec, seed=seed)
+        (x0, xatol, fatol, (xs, fun, calls)), = runs
+        assert len(x0) >= 8
+        q = search.ratio_function(spec)
+        f = lambda z: q(np.concatenate(([1.0], z)))  # each class pins x1 = 1
+        for s in range(len(x0)):
+            assert (xs[s].tolist(), fun[s], calls[s]) == _scipy_nelder_mead(f, x0[s], xatol,
+                                                                            fatol[s])
+
+    # f is 1 on the unit disk and +inf left of x1 = -1, so whole simplices tie, at 1 or at inf
+    def test_tied_values_as_scipy_does(self):
+        def f(x):
+            return math.inf if x[0] < -1.0 else max(float(x @ x), 1.0)
+
+        x0 = np.array([[0.1, 0.2], [2.0, -1.5], [-1.02, 0.3], [0.0, 0.0], [-0.5, 3.0]])
+        fatol = np.array([1e-8, 1e-8, 1e-8, 1e-3, 0.5])
+        xs, fun, calls = search._lockstep(lambda z: np.array([f(p) for p in z]), x0, 1e-8, fatol)
+        for s in range(len(x0)):
+            assert (xs[s].tolist(), fun[s], calls[s]) == _scipy_nelder_mead(f, x0[s], 1e-8,
+                                                                            fatol[s])
+        assert fun[0] == 1.0 and calls[0] > 40  # the flat start shrank to xatol through ties
 
     def test_infeasible_start_runs_to_the_cap_as_scipy_does(self):
         q = search.ratio_function(families.builtin("box3"))
