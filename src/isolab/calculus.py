@@ -48,30 +48,71 @@ def _at_points(f: Callable, t: np.ndarray) -> np.ndarray:
     return np.array([f(x) for x in t.tolist()])
 
 
-def derivative(f: Callable[[float], float], s, scale: float = 1.0):
+def derivative(f: Callable[[float], float], s, scale: float = 1.0,
+               domain: tuple[float, float] = (-math.inf, math.inf)):
     """Central difference with one Richardson extrapolation level.
 
-    Step h = cbrt(machine eps) * max(|s|, scale).  A :class:`DomainError`
-    names s where f is not real and finite on the stencil; on an array s, f
-    must act elementwise, and the same operations run unchecked.
+    Step h = cbrt(machine eps) * max(|s|, scale).  Where s - h or s + h
+    leaves the open interval ``domain`` and the other side stays inside, the
+    differences are one-sided, towards the inside, with the same step and
+    extrapolation.  A :class:`DomainError` names s where f is not real and
+    finite on the stencil, or where the one-sided difference quotient grows
+    by more than _ONE_SIDED_GROWTH as the step halves: f' is then unbounded
+    at the domain end, as for s**p with p < 0.83 at 0.  On an array s, f must
+    act elementwise, the same operations run unchecked, and such a point is NaN.
     """
     if scale <= 0:
         raise DomainError("scale must be positive")
+    lo, hi = domain
     if np.ndim(s):  # checked point by point by _at_points, the caller
+        s = np.asarray(s, dtype=float)
         h = _CBRT_EPS * np.maximum(np.abs(s), scale)
-        d1 = (f(s + h) - f(s - h)) / (2.0 * h)
-        d2 = (f(s + h / 2.0) - f(s - h / 2.0)) / h
-        return (4.0 * d2 - d1) / 3.0
+        below, above = s - h <= lo, s + h >= hi
+        one = below ^ above
+        if not one.any():
+            return _central(f, s, h)
+        d = np.empty(s.shape)
+        if not one.all():
+            d[~one] = _central(f, s[~one], h[~one])
+        half, full = _quotients(f, s[one], np.where(below, h, -h)[one])
+        d[one] = np.where(np.abs(half) > _ONE_SIDED_GROWTH * np.abs(full), math.nan,
+                          2.0 * half - full)
+        return d
     h = _CBRT_EPS * max(abs(s), scale)
+    below, above = s - h <= lo, s + h >= hi
     try:
-        d1 = (f(s + h) - f(s - h)) / (2.0 * h)
-        d2 = (f(s + h / 2.0) - f(s - h / 2.0)) / h
+        if below == above:
+            d = _central(f, s, h)
+        else:
+            half, full = _quotients(f, s, h if below else -h)
+            d = 2.0 * half - full
     except Exception as exc:  # evaluation failure inside the stencil
         raise IsolabError(f"function evaluation failed near s={s}: {exc}") from exc
-    d = (4.0 * d2 - d1) / 3.0
     if isinstance(d, complex) or not math.isfinite(d):  # numpy's complex types subclass complex
-        raise DomainError(f"f is not real and finite on the stencil s +- {h:.3g} at s={s}")
+        step = "+-" if below == above else "+" if below else "-"
+        raise DomainError(f"f is not real and finite on the stencil s {step} {h:.3g} at s={s}")
+    if below != above and abs(half) > _ONE_SIDED_GROWTH * abs(full):
+        raise DomainError(f"the derivative of f is not real and finite at the domain end "
+                          f"{lo if below else hi}: its one-sided differences from s={s} "
+                          "grow as the step shrinks")
     return float(d)
+
+
+def _central(f: Callable, s, h):
+    d1 = (f(s + h) - f(s - h)) / (2.0 * h)
+    d2 = (f(s + h / 2.0) - f(s - h / 2.0)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+# the most that a one-sided difference quotient may grow as its step halves: it grows
+# by 2**(1 - p) for s**p at s = 0, and by 1 + O(h f''/f') for a smooth f
+_ONE_SIDED_GROWTH = 1.125
+
+
+def _quotients(f: Callable, s, t):
+    """The difference quotients of f from s over the steps t / 2 and t."""
+    f0 = f(s)
+    return (f(s + t / 2.0) - f0) / (t / 2.0), (f(s + t) - f0) / t
 
 
 @dataclass(frozen=True)
@@ -145,7 +186,7 @@ def dr_ds(family: FamilySpec) -> Callable[[float], float]:
     if dv is None:
         (lo, hi), = family.domain
         scale = (hi - lo) / 2.0 if math.isfinite(hi) else max(lo, 1.0)
-        dv = lambda t: derivative(family.volume, t, scale)
+        dv = lambda t: derivative(family.volume, t, scale, family.domain[0])
     return lambda t: dv(t) / family.area(t)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,27 @@ class TestDerivative:
         got = calculus.derivative(lambda t: t * t * t, s, 0.5)
         want = [calculus.derivative(lambda t: t * t * t, x, 0.5) for x in s.tolist()]
         assert got.tolist() == want
+
+
+    # V = s**1.5 is complex below 0, so the stencil turns inward at the domain's end
+    def test_one_sided_at_the_domain_end(self):
+        pow15 = FamilySpec(id="pow15", dimension=2, domain=((0.0, 10.0),),
+                           volume=lambda s: s**1.5, area=lambda s: 1.0)
+        grid = np.linspace(1.0, 4.0, 8)
+        curve = calculus.inradius_by_quadrature(pow15, 0.0, 0.0, grid)
+        np.testing.assert_allclose(curve.r, grid**1.5, rtol=1e-7)
+
+    def test_one_sided_stencils_on_both_ends(self):
+        f, domain = (lambda t: t * t * t), (0.0, 1.0)
+        s = np.array([1e-7, 1e-6, 0.25, 0.5, 1.0 - 1e-6, 1.0 - 1e-7])
+        got = calculus.derivative(f, s, 0.5, domain)
+        want = [calculus.derivative(f, x, 0.5, domain) for x in s.tolist()]
+        assert got.tolist() == want
+        np.testing.assert_allclose(got, 3.0 * s**2, rtol=1e-6, atol=1e-9)
+        # points whose central stencil stays inside are unchanged
+        assert got[2:4].tolist() == calculus.derivative(f, s[2:4], 0.5).tolist()
+        with pytest.raises(DomainError, match=re.escape("stencil s + ")):
+            calculus.derivative(lambda t: math.nan, 1e-7, 0.5, domain)
 
 
 def _integrand_families():
@@ -179,13 +201,14 @@ class TestInradiusByQuadrature:
         with pytest.raises(DomainError, match="not real and finite"):
             calculus.inradius_by_quadrature(root, 0.0, 0.0, np.linspace(1.0, 4.0, 8))
 
-    # V takes arrays, whose square roots past 0 are NaN or complex: the per-node calls
-    # name the node
+    # V takes arrays; its one-sided differences near 0 grow like 1/sqrt(s), which makes the
+    # node NaN, and the per-node calls name the node
     @pytest.mark.parametrize("volume", [lambda s: s**0.5, np.emath.sqrt])
     def test_differentiated_volume_error_names_the_first_bad_node(self, volume):
         root = FamilySpec(id="sqrt", dimension=2, domain=((0.0, 10.0),),
                           volume=volume, area=lambda s: 1.0)
-        msg = "f is not real and finite on the stencil s +- 3.03e-05 at s=1.6688728279662867e-05"
+        msg = ("the derivative of f is not real and finite at the domain end 0.0: its one-sided "
+               "differences from s=8.344364139831434e-06 grow as the step shrinks")
         with pytest.raises(DomainError) as info:
             calculus.inradius_by_quadrature(root, 0.0, 0.0, np.linspace(1.0, 4.0, 8))
         assert str(info.value) == msg
