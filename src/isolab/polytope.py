@@ -32,7 +32,12 @@ CONVEXITY_RTOL = 1e-9
 
 
 def _bbox_diagonal(vertices: np.ndarray) -> float:
-    return float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
+    """The bounding box's diagonal, inf where that overflows.  Its sides are
+    scaled by a power of two, which is exact, before they are squared."""
+    with np.errstate(over="ignore"):
+        sides = vertices.max(axis=0) - vertices.min(axis=0)
+        e = math.frexp(float(sides.max()))[1]
+        return float(np.ldexp(np.linalg.norm(np.ldexp(sides, -e)), e))
 
 
 def _polygon_area_2d(pts: np.ndarray) -> float:
@@ -54,10 +59,13 @@ class StarPolyhedron:
     In 3D a facet's normal and area both come from its Newell vector, taken
     relative to its first vertex, which is exact for any simple planar
     polygon, convex or not.  The facets are grouped by vertex count and each
-    group is computed in one array pass.  Construction rejects non-finite
+    group is computed in one array pass, at a power-of-two scale where no
+    square overflows or underflows.  Construction rejects non-finite
     vertices or apex, and checks positive facet measure, planarity, and that
     the apex lies strictly on the inner side of every facet hyperplane; an
-    error names the lowest-numbered bad facet.
+    error names the lowest-numbered bad facet.  A facet measure or offset
+    outside the float range is an error too, as is such a volume in
+    :func:`decompose`.
     """
 
     dimension: int
@@ -89,6 +97,8 @@ class StarPolyhedron:
         diag = _bbox_diagonal(vertices)
         if diag <= 0:
             raise GeometryError("degenerate vertex set")
+        if diag == math.inf:
+            raise GeometryError("the vertices' bounding-box diagonal is outside the float range")
         normals, offsets, measures = _facet_geometry(d, vertices, facets, apex, diag)
 
         object.__setattr__(self, "dimension", d)
@@ -137,9 +147,16 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, apex: np.ndarray, diag: float):
     """Unit normals, offsets and measures of the facets, one array pass per facet size.
 
-    Raises for the lowest-numbered bad facet, checking its vertex count, its
-    measure, its planarity (3D) and then the side of the apex.
+    The geometry is computed with every coordinate scaled by 2**-shift, where
+    the diagonal is 2**shift times a number in [0.5, 1), so no square overflows
+    or underflows; the scaling is exact, and offsets and measures are scaled
+    back at the end.  Raises for the lowest-numbered bad facet, checking its
+    vertex count, its measure, its planarity (3D) and then the side of the
+    apex, and then for a measure or offset outside the float range.
     """
+    shift = math.frexp(diag)[1]
+    vertices, apex = np.ldexp(vertices, -shift), np.ldexp(apex, -shift)
+    diag = math.ldexp(diag, -shift)
     sizes = np.fromiter(map(len, facets), dtype=np.intp, count=len(facets))
     try:
         flat = np.fromiter(chain.from_iterable(facets), dtype=np.intp, count=int(sizes.sum()))
@@ -179,11 +196,35 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, apex: np.ndarra
         say = [
             "2D facets are edges of 2 vertices" if d == 2 else "3D facets need >= 3 vertices",
             "zero-length edge" if d == 2 else "vanishing area",
-            f"non-planar (max deviation {worst[i]:.3e} > {tol:.3e})",
-            f"apex is not strictly interior (signed distance {dist[i]:.3e})",
+            f"non-planar (max deviation {math.ldexp(worst[i], shift):.3e} "
+            f"> {math.ldexp(tol, shift):.3e})",
+            f"apex is not strictly interior (signed distance {math.ldexp(dist[i], shift):.3e})",
         ]
         raise GeometryError(f"facet {i}: {next(s for s, mask in zip(say, checks) if mask[i])}")
-    return normals, offsets, measures
+    measures = _unscaled("length" if d == 2 else "area", measures, (d - 1) * shift)
+    return normals, _unscaled("plane offset", offsets, shift), measures
+
+
+def _unscaled(name: str, values: np.ndarray, power: int) -> np.ndarray:
+    """values * 2**power, exactly; raises for the first facet whose value that
+    takes outside the float range."""
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.ldexp(values, power)
+    lost = np.isinf(out) | (out == 0) & (values != 0)
+    if lost.any():
+        i = int(np.argmax(lost))
+        raise _out_of_range(f"facet {i}: {name}",
+                            math.log10(abs(values[i])) + power * math.log10(2.0))
+    return out
+
+
+def _out_of_range(what: str, log10: float) -> GeometryError:
+    """The error for a quantity of 10**log10, beyond what a float holds."""
+    k = math.floor(log10)
+    m = 10 ** (log10 - k)
+    if m >= 9.9995:  # prints as 10.000
+        m, k = m / 10, k + 1
+    return GeometryError(f"{what} {m:.3f}e{k:+d} is outside the float range")
 
 
 def from_json(text: str) -> StarPolyhedron:
@@ -222,14 +263,20 @@ def decompose(p: StarPolyhedron) -> PyramidDecomposition:
         raise GeometryError(
             f"facet {idx}: apex outside, pyramid altitude {r_i[idx]:.3e} is nonpositive"
         )
-    v_i = p.measures * r_i / p.dimension
+    with np.errstate(over="ignore", under="ignore"):
+        v_i = p.measures * r_i / p.dimension
+        total_volume = float(v_i.sum())
+    if not (v_i.all() and total_volume < math.inf):  # each V_i > 0 unless it underflows
+        logs = np.log10(p.measures) + np.log10(r_i) - math.log10(p.dimension)
+        top = float(logs.max())
+        raise _out_of_range("volume", top + math.log10(float(np.sum(10.0 ** (logs - top)))))
     return PyramidDecomposition(
         dimension=p.dimension,
         facet_measures=p.measures,
         altitudes=r_i,
         pyramid_volumes=v_i,
         total_area=float(p.measures.sum()),
-        total_volume=float(v_i.sum()),
+        total_volume=total_volume,
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,58 @@ class TestFacetGeometry:
         with pytest.raises(GeometryError, match="^vertices must be finite$"):
             polytope.from_json(json.dumps(doc))
 
+
+
+class TestScale:
+    """Facet geometry at a power-of-two scale, so no square overflows or underflows."""
+
+    @pytest.mark.parametrize("k", [-330, -200, -50, 50, 200, 340])
+    def test_cubes_scale_exactly(self, k):
+        unit, dec1 = polytope.cube_polyhedron(), polytope.decompose(polytope.cube_polyhedron())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cube = polytope.cube_polyhedron(2.0**k)
+            dec = polytope.decompose(cube)
+        assert cube.normals.tolist() == unit.normals.tolist()
+        assert cube.offsets.tolist() == np.ldexp(unit.offsets, k).tolist()
+        assert cube.measures.tolist() == np.ldexp(unit.measures, 2 * k).tolist()
+        assert dec.total_area == math.ldexp(dec1.total_area, 2 * k)
+        assert dec.total_volume == math.ldexp(dec1.total_volume, 3 * k)
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_squares_scale_exactly(self, k):
+        square = polytope.StarPolyhedron(2, np.ldexp(SQUARE, k), ((0, 1), (1, 2), (2, 3), (3, 0)),
+                                         np.full(2, math.ldexp(0.5, k)))
+        assert square.measures.tolist() == [math.ldexp(1.0, k)] * 4
+
+    @pytest.mark.parametrize("edge", [1e77, 1e-80, 1e-90])
+    def test_cubes_far_from_unit_size(self, edge):
+        dec = polytope.decompose(polytope.cube_polyhedron(edge))
+        assert dec.total_area / edge**2 == pytest.approx(6.0, rel=1e-14)
+        assert dec.total_volume / edge**3 == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("edge, message", [
+        (1e160, "facet 0: area 1.000e+320 is outside the float range"),
+        (1e-200, "facet 0: area 1.000e-400 is outside the float range"),
+    ])
+    def test_area_outside_the_float_range(self, edge, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError) as info:
+                polytope.cube_polyhedron(edge)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("edge, message", [
+        (1e103, "volume 1.000e+309 is outside the float range"),
+        (1e-110, "volume 1.000e-330 is outside the float range"),
+    ])
+    def test_volume_outside_the_float_range(self, edge, message):
+        cube = polytope.cube_polyhedron(edge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError) as info:
+                polytope.decompose(cube)
+        assert str(info.value) == message
 
 class TestMeanAltitudes:
     def test_unit_square_center(self):
