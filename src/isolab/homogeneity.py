@@ -1,4 +1,4 @@
-"""Isoperimetric ratio, Tong inradius, elasticity, and homogeneity verdicts.
+"""Tong inradius, elasticity, and homogeneity verdicts.
 
 A one-parameter family is homogeneous exactly when its isoperimetric ratio
 Q = A^d / V^(d-1) is constant; equivalently the change-of-variable curve
@@ -15,17 +15,8 @@ import numpy as np
 
 from .calculus import InradiusCurve, _inradius, dr_ds, integrate
 from .errors import DomainError
-from .families import FamilySpec, Record, evaluate, ratio, ratio_at, sample
+from .families import FamilySpec, Record, evaluate, ratio_at, sample
 from .inequalities import kappa
-
-
-def isoperimetric_ratio(d: int, v: float, a: float) -> float:
-    """Q = A^d / V^(d-1); scale-invariant, minimized by balls at d^d * kappa_d."""
-    if d < 2:
-        raise DomainError("d must be >= 2")
-    if v <= 0 or a <= 0:
-        raise DomainError("V and A must be positive")
-    return ratio(d, v, a)
 
 
 def tong_inradius(d: int, v: float, a: float) -> float:

@@ -291,17 +291,6 @@ def mean_altitudes(dec: PyramidDecomposition) -> tuple[float, float]:
     return arith, harm
 
 
-def support_function(vertices: np.ndarray, u: np.ndarray) -> float:
-    """h(u) = max over the vertex set of x . u, for unit u."""
-    vertices = np.asarray(vertices, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if vertices.size == 0:
-        raise DomainError("empty vertex set")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-        raise DomainError("u must be a unit vector")
-    return float(np.max(vertices @ u))
-
-
 # entries of the vertex-by-facet product held at once (8 MB of floats)
 _SUPPORT_BLOCK = 1 << 20
 
@@ -397,13 +386,6 @@ def lift_cylinder(
     )
 
 
-def symmetric_harmonic_mean(values: Sequence[float]) -> float:
-    values = np.asarray(values, dtype=float)
-    if np.any(values <= 0):
-        raise DomainError("harmonic mean needs positive values")
-    return len(values) / float(np.sum(1.0 / values))
-
-
 # ------------------------------------------------------------------ #
 # Steiner outer parallel bodies
 # ------------------------------------------------------------------ #
@@ -494,17 +476,3 @@ def regular_tetrahedron(edge: float = 1.0) -> StarPolyhedron:
             tri[1], tri[2] = tri[2], tri[1]
         facets.append(tuple(tri))
     return StarPolyhedron(3, verts, tuple(facets), np.zeros(3))
-
-
-def regular_polygon(n: int, circumradius: float = 1.0) -> StarPolyhedron:
-    ang = 2.0 * math.pi * np.arange(n) / n
-    verts = circumradius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    facets = tuple((i, (i + 1) % n) for i in range(n))
-    return StarPolyhedron(2, verts, facets, np.zeros(2))
-
-
-def square_polygon(side: float = 1.0) -> StarPolyhedron:
-    verts = side * np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-    facets = ((0, 1), (1, 2), (2, 3), (3, 0))
-    return StarPolyhedron(2, verts, facets, np.array([side / 2.0, side / 2.0]))
-

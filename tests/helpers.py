@@ -1,0 +1,51 @@
+"""Helpers that only the tests use: a checked isoperimetric ratio, a support
+function, a harmonic mean and two polygon constructors."""
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from isolab.errors import DomainError
+from isolab.families import ratio
+from isolab.polytope import StarPolyhedron
+
+
+def isoperimetric_ratio(d: int, v: float, a: float) -> float:
+    """Q = A^d / V^(d-1); scale-invariant, minimized by balls at d^d * kappa_d."""
+    if d < 2:
+        raise DomainError("d must be >= 2")
+    if v <= 0 or a <= 0:
+        raise DomainError("V and A must be positive")
+    return ratio(d, v, a)
+
+
+def support_function(vertices: np.ndarray, u: np.ndarray) -> float:
+    """h(u) = max over the vertex set of x . u, for unit u."""
+    vertices = np.asarray(vertices, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if vertices.size == 0:
+        raise DomainError("empty vertex set")
+    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+        raise DomainError("u must be a unit vector")
+    return float(np.max(vertices @ u))
+
+
+def symmetric_harmonic_mean(values: Sequence[float]) -> float:
+    values = np.asarray(values, dtype=float)
+    if np.any(values <= 0):
+        raise DomainError("harmonic mean needs positive values")
+    return len(values) / float(np.sum(1.0 / values))
+
+
+def regular_polygon(n: int, circumradius: float = 1.0) -> StarPolyhedron:
+    ang = 2.0 * math.pi * np.arange(n) / n
+    verts = circumradius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    facets = tuple((i, (i + 1) % n) for i in range(n))
+    return StarPolyhedron(2, verts, facets, np.zeros(2))
+
+
+def square_polygon(side: float = 1.0) -> StarPolyhedron:
+    verts = side * np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    facets = ((0, 1), (1, 2), (2, 3), (3, 0))
+    return StarPolyhedron(2, verts, facets, np.array([side / 2.0, side / 2.0]))

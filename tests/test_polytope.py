@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from helpers import regular_polygon, square_polygon, support_function, symmetric_harmonic_mean
 from isolab import calculus, families, homogeneity, polytope
 from isolab.errors import DomainError, GeometryError
 from random_shapes import random_convex_polygon, random_convex_polytope, random_interior_point
@@ -94,7 +95,7 @@ def prism(**replaced):
 
 class TestStarPolyhedron:
     def test_unit_square_decomposition(self):
-        sq = polytope.square_polygon(1.0)
+        sq = square_polygon(1.0)
         dec = polytope.decompose(sq)
         assert np.allclose(dec.facet_measures, 1.0)
         assert np.allclose(dec.altitudes, 0.5)
@@ -113,7 +114,7 @@ class TestStarPolyhedron:
 
     def test_apex_outside_rejected(self):
         with pytest.raises(GeometryError, match="interior"):
-            polytope.square_polygon(1.0).with_apex([2.0, 0.5])
+            square_polygon(1.0).with_apex([2.0, 0.5])
 
     def test_nonplanar_facet_rejected(self):
         verts = np.array(
@@ -189,8 +190,8 @@ class TestFacetGeometry:
             pytest.param(lambda: polytope.cube_polyhedron(), id="cube"),
             pytest.param(lambda: polytope.cube_polyhedron(2.0, (0.3, -1.2, 5.0)), id="cube-moved"),
             pytest.param(lambda: polytope.regular_tetrahedron(), id="tetrahedron"),
-            pytest.param(lambda: polytope.regular_polygon(7), id="7-gon"),
-            pytest.param(lambda: polytope.square_polygon(), id="square"),
+            pytest.param(lambda: regular_polygon(7), id="7-gon"),
+            pytest.param(lambda: square_polygon(), id="square"),
         ],
     )
     def test_matches_per_facet_loop(self, build):
@@ -312,13 +313,13 @@ class TestScale:
 
 class TestMeanAltitudes:
     def test_unit_square_center(self):
-        dec = polytope.decompose(polytope.square_polygon(1.0))
+        dec = polytope.decompose(square_polygon(1.0))
         arith, harm = polytope.mean_altitudes(dec)
         assert arith == pytest.approx(0.5)
         assert harm == pytest.approx(0.5)
 
     def test_unit_square_off_center_apex(self):
-        sq = polytope.square_polygon(1.0).with_apex([0.3, 0.6])
+        sq = square_polygon(1.0).with_apex([0.3, 0.6])
         dec = polytope.decompose(sq)
         assert sorted(dec.altitudes) == pytest.approx([0.3, 0.4, 0.6, 0.7])
         arith, harm = polytope.mean_altitudes(dec)
@@ -344,7 +345,7 @@ class TestMeanAltitudes:
         # means of inscribed regular n-gons tend to the disk radius
         errors = []
         for n in (8, 32, 128, 512):
-            dec = polytope.decompose(polytope.regular_polygon(n, circumradius=1.0))
+            dec = polytope.decompose(regular_polygon(n, circumradius=1.0))
             arith, _ = polytope.mean_altitudes(dec)
             errors.append(abs(arith - 1.0))
         assert errors == sorted(errors, reverse=True)
@@ -372,25 +373,25 @@ class TestMeanAltitudes:
 class TestSupportFunction:
     def test_square_axis(self):
         verts = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-        assert polytope.support_function(verts, np.array([1.0, 0.0])) == 1.0
+        assert support_function(verts, np.array([1.0, 0.0])) == 1.0
 
     def test_square_diagonal(self):
         verts = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
         u = np.array([1.0, 1.0]) / SQRT2
-        assert polytope.support_function(verts, u) == pytest.approx(SQRT2, rel=1e-14)
+        assert support_function(verts, u) == pytest.approx(SQRT2, rel=1e-14)
 
     def test_single_point(self):
         p = np.array([[0.3, -0.4, 1.2]])
         u = np.array([0.0, 0.0, 1.0])
-        assert polytope.support_function(p, u) == pytest.approx(1.2)
+        assert support_function(p, u) == pytest.approx(1.2)
 
     def test_non_unit_vector_rejected(self):
         with pytest.raises(DomainError):
-            polytope.support_function(np.eye(2), np.array([1.0, 1.0]))
+            support_function(np.eye(2), np.array([1.0, 1.0]))
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            polytope.support_function(np.empty((0, 3)), np.array([0.0, 0.0, 1.0]))
+            support_function(np.empty((0, 3)), np.array([0.0, 0.0, 1.0]))
 
 
 class TestVolumeFromSupport:
@@ -488,7 +489,7 @@ class TestLiftCylinder:
         for s in (0.5, 1.0, 3.0):
             v, a = families.evaluate(lifted, s)
             r = homogeneity.tong_inradius(3, v, a)
-            assert r == pytest.approx(polytope.symmetric_harmonic_mean([s, s, 2 * s]), rel=1e-12)
+            assert r == pytest.approx(symmetric_harmonic_mean([s, s, 2 * s]), rel=1e-12)
             assert r == pytest.approx(6 * s / 5, rel=1e-12)
 
     def test_non_homogeneous_base_rejected(self):
