@@ -3,7 +3,7 @@
 Submodules:
     families     -- built-in parametric region families and the registry
     calculus     -- differentiation, quadrature inradius curves, dV/dr = A
-    homogeneity  -- isoperimetric ratio, Tong inradius, classification
+    homogeneity  -- Tong inradius, classification
     search       -- k_min over shape classes and level-set continuation
     polytope     -- star-like polyhedra, support functions, parallel bodies
     inequalities -- isoperimetric deficit and Bonnesen-type inequalities

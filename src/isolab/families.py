@@ -44,10 +44,15 @@ class FamilySpec:
     A one-parameter evaluator may get a 1-D float array of quadrature nodes;
     it must act elementwise, or raise or return another shape to get floats.
     Likewise an evaluator of a class with n > 1 may get an (n, m) float array
-    whose row i holds coordinate i of m points (the sign scan of
-    :func:`isolab.search.solve_coordinate`), so that ``x[0] * x[1]`` serves
-    one point and many; one that raises, or returns anything but a float
-    array of shape (m,), gets one length-n vector per point instead.
+    whose row i holds coordinate i of m points, so that ``x[0] * x[1]``
+    serves one point and many; one that raises, or returns anything but a
+    float array of shape (m,), gets one length-n vector per point instead.
+    The sign scan of :func:`isolab.search.solve_coordinate` rechecks the
+    points near its level one at a time, but :func:`isolab.search.kmin`
+    passes its Nelder-Mead points this way with no recheck, so an
+    array-capable evaluator must round each point as it does alone: write
+    integer powers as products (array ``**`` rounds differently from
+    Python's) and use correctly rounded functions such as ``np.sqrt``.
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
@@ -214,9 +219,21 @@ def _evaluate_batch(family: FamilySpec, x: np.ndarray):
     ok = (((lows < x) & (x < highs)).all(axis=0)  # NaN fails each comparison
           & (np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf))
     if family.feasible is not None:
-        for i in ok.nonzero()[0]:
-            ok[i] = bool(family.feasible(x[:, i].copy()))
+        ok &= _feasible_batch(family.feasible, x)
     return v, a, ok
+
+
+def _feasible_batch(feasible: Callable, x: np.ndarray) -> np.ndarray:
+    """``feasible`` at each column of x: from one call with x where that gives
+    a bool array of shape (m,), else from one call per length-n vector."""
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(feasible(x))
+        if out.shape == x.shape[1:] and out.dtype == bool:
+            return out
+    except Exception:  # raised again by the per-point calls, if feasible fails there too
+        pass
+    return np.array([bool(feasible(p)) for p in x.T.copy()], dtype=bool)
 
 
 def _not_finite_positive(family: FamilySpec, point, v, a) -> DomainError:
@@ -421,7 +438,7 @@ def _triangle_sides() -> FamilySpec:
 
     def feasible(x):
         a, b, c = x
-        return a + b > c and b + c > a and a + c > b
+        return (a + b > c) & (b + c > a) & (a + c > b)
 
     return FamilySpec(
         id="triangle_sides",

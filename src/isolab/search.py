@@ -265,9 +265,11 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
     round drops the starts that have converged or reached a cap, then hands
     ``fs`` all reflection points as one (k, n) array, then all expansion or
     contraction points, then all shrink points, and applies each start's
-    branch through masks.  A start keeps its own counts of evaluations and
-    iterations; as in SciPy, a shrink cut short by the cap on evaluations
-    moves the vertex whose evaluation would pass it and leaves its f stale.
+    branch through masks.  Each start counts its own evaluations up to the
+    cap; as in SciPy, a shrink cut short by the cap moves the vertex whose
+    evaluation would pass it and leaves its f stale.  SciPy's cap on
+    iterations, the same number, never stops a start first: each iteration
+    costs at least one evaluation, and the first simplex n + 1.
     """
     count, n = x0.shape
     x_out, f_out, calls_out = np.empty((count, n)), np.empty(count), np.empty(count, dtype=int)
@@ -277,22 +279,20 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
     fsim = fs(sim.reshape(-1, n)).reshape(count, n + 1)
     for _ in range(2):  # sorted twice, as SciPy does: argsort may reorder ties
         sim, fsim = _sorted(sim, fsim)
-    ids, calls, iterations = np.arange(count), np.full(count, n + 1), np.ones(count, dtype=int)
+    ids, calls = np.arange(count), np.full(count, n + 1)
     while True:
         # SciPy's test; each f row is sorted, so its largest |f0 - fj| is f[-1] - f0
         with np.errstate(invalid="ignore"):  # inf - inf where f0 is inf
             done = np.isfinite(fsim[:, 0]) & (fsim[:, -1] - fsim[:, 0] <= fatol)
         if done.any():
             done &= np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(ids), -1).max(axis=1) <= xatol
-        if max(calls.max(), iterations.max()) >= _NM_MAX_EVALS:
-            done |= (calls >= _NM_MAX_EVALS) | (iterations >= _NM_MAX_EVALS)
+        done |= calls >= _NM_MAX_EVALS
         if done.any():
             x_out[ids[done]], f_out[ids[done]] = sim[done, 0], fsim[done].min(axis=1)
             calls_out[ids[done]] = calls[done]
             if done.all():
                 return x_out, f_out, calls_out
-            ids, sim, fsim, calls, iterations, fatol = (
-                a[~done] for a in (ids, sim, fsim, calls, iterations, fatol))
+            ids, sim, fsim, calls, fatol = (a[~done] for a in (ids, sim, fsim, calls, fatol))
         xbar = sim[:, :-1].sum(axis=1) / n
         worst = sim[:, -1]
         xr = 2 * xbar - worst
@@ -327,8 +327,6 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
                 ftail[evaluated] = fs(tail[evaluated])
             sim[r, 1:], fsim[r, 1:] = tail, ftail
             calls[r] += evaluated.sum(axis=1)
-            replace[r] = left >= n
-        iterations += replace  # a step counts once it is complete
         sim, fsim = _sorted(sim, fsim)
 
 
