@@ -280,20 +280,25 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
     for _ in range(2):  # sorted twice, as SciPy does: argsort may reorder ties
         sim, fsim = _sorted(sim, fsim)
     ids, calls = np.arange(count), np.full(count, n + 1)
+    most = n + 1  # the most evaluations any start has made: a round makes at most n + 2
     while True:
         # SciPy's test; each f row is sorted, so its largest |f0 - fj| is f[-1] - f0
         with np.errstate(invalid="ignore"):  # inf - inf where f0 is inf
             done = np.isfinite(fsim[:, 0]) & (fsim[:, -1] - fsim[:, 0] <= fatol)
         if done.any():
             done &= np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(ids), -1).max(axis=1) <= xatol
-        done |= calls >= _NM_MAX_EVALS
+        if most >= _NM_MAX_EVALS:
+            done |= calls >= _NM_MAX_EVALS
         if done.any():
             x_out[ids[done]], f_out[ids[done]] = sim[done, 0], fsim[done].min(axis=1)
             calls_out[ids[done]] = calls[done]
             if done.all():
                 return x_out, f_out, calls_out
             ids, sim, fsim, calls, fatol = (a[~done] for a in (ids, sim, fsim, calls, fatol))
-        xbar = sim[:, :-1].sum(axis=1) / n
+        xbar = sim[:, 0]
+        for j in range(1, n):  # vertex by vertex, as SciPy's sum over the vertices adds
+            xbar = xbar + sim[:, j]
+        xbar = xbar / n
         worst = sim[:, -1]
         xr = 2 * xbar - worst
         fxr = fs(xr)
@@ -301,12 +306,14 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
         expand, outside = fxr < fsim[:, 0], fxr < fsim[:, -1]
         reflect = ~expand & (fxr < fsim[:, -2])
         second = ~reflect  # an expansion or contraction point, unless the cap stops the step
-        if calls.max() >= _NM_MAX_EVALS:
+        if most + 1 >= _NM_MAX_EVALS:
             second &= calls < _NM_MAX_EVALS
         x2, f2 = xr, np.full(len(ids), math.nan)
         if second.any():
-            a, b = _SECOND_POINT[np.where(expand, 2, outside)].T
-            x2 = a[:, None] * xbar - b[:, None] * worst
+            # SciPy's a * xbar - (a - 1) * worst: a = 3 expands, 1.5 and 0.5 contract
+            # outside and inside, where a * xbar - (-0.5 * worst) rounds as its sum does
+            a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))[:, None]
+            x2 = a * xbar - (a - 1.0) * worst
             f2[second] = fs(x2[second])
             calls += second
         # expansion: the better of the two points; contraction: its point or a shrink
@@ -328,25 +335,16 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
             sim[r, 1:], fsim[r, 1:] = tail, ftail
             calls[r] += evaluated.sum(axis=1)
         sim, fsim = _sorted(sim, fsim)
-
-
-# (a, b) of the second trial point a * xbar - b * worst of an inside contraction, an
-# outside contraction and an expansion; a * xbar - (-b) * worst rounds as a + b does
-_SECOND_POINT = np.array([[0.5, -0.5], [1.5, 0.5], [3.0, 2.0]])
+        most += n + 2
 
 
 def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each simplex with its vertices in the order of ``np.argsort`` of its f.
-    A row with ties or NaNs is sorted alone, as a run of its start alone sorts it."""
+    Sorting along axis 1 runs numpy's 1-D sort on each row by itself, so tied
+    vertices fall in the order that they take in a run of their start alone."""
     order = fsim.argsort(axis=1)
     rows = np.arange(len(fsim))[:, None]
-    fsorted = fsim[rows, order]
-    rising = fsorted[:, 1:] > fsorted[:, :-1]
-    if not rising.all():
-        for i in (~rising.all(axis=1)).nonzero()[0]:
-            order[i] = np.argsort(fsim[i])
-            fsorted[i] = fsim[i, order[i]]
-    return sim[rows, order], fsorted
+    return sim[rows, order], fsim[rows, order]
 
 
 def brentq(f: Callable[[float], float], a: float, b: float) -> float:
