@@ -221,21 +221,9 @@ def _evaluate_batch(family: FamilySpec, x: np.ndarray):
     ok = (((lows < x) & (x < highs)).all(axis=0)  # NaN fails each comparison
           & (np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf))
     if family.feasible is not None:
-        ok &= _feasible_batch(family.feasible, x)
+        for i in ok.nonzero()[0]:
+            ok[i] = bool(family.feasible(x[:, i].copy()))
     return v, a, ok
-
-
-def _feasible_batch(feasible: Callable, x: np.ndarray) -> np.ndarray:
-    """``feasible`` at each column of x: from one call with x where that gives
-    a bool array of shape (m,), else from one call per length-n vector."""
-    try:
-        with np.errstate(all="ignore"):
-            out = np.asarray(feasible(x))
-        if out.shape == x.shape[1:] and out.dtype == bool:
-            return out
-    except Exception:  # raised again by the per-point calls, if feasible fails there too
-        pass
-    return np.array([bool(feasible(p)) for p in x.T.copy()], dtype=bool)
 
 
 def _not_finite_positive(family: FamilySpec, point, v, a) -> DomainError:
@@ -440,7 +428,7 @@ def _triangle_sides() -> FamilySpec:
 
     def feasible(x):
         a, b, c = x
-        return (a + b > c) & (b + c > a) & (a + c > b)
+        return a + b > c and b + c > a and a + c > b
 
     return FamilySpec(
         id="triangle_sides",

@@ -82,7 +82,8 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
     argmin is reported with x1 = 1.  With one parameter and a prefix,
     Q is constant and is evaluated once, at x = 1.  With one coordinate left
     to search, the sorted start points are scanned and the best one refined
-    by golden-section search; with two or more, each start runs Nelder-Mead.
+    by golden-section search; with two or more, the starts run Nelder-Mead
+    in lockstep, each as :func:`nelder_mead` would run it alone.
 
     The minimum is ``attained`` when all 2n points x +- BOUNDARY_REL_TOL *
     (|x_i| + 1) e_i around the best point x are inside the class by
