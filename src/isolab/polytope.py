@@ -32,12 +32,10 @@ CONVEXITY_RTOL = 1e-9
 
 
 def _bbox_diagonal(vertices: np.ndarray) -> float:
-    """The bounding box's diagonal, inf where that overflows.  Its sides are
-    scaled by a power of two, which is exact, before they are squared."""
-    with np.errstate(over="ignore"):
-        sides = vertices.max(axis=0) - vertices.min(axis=0)
-        e = math.frexp(float(sides.max()))[1]
-        return float(np.ldexp(np.linalg.norm(np.ldexp(sides, -e)), e))
+    """The bounding box's diagonal; inf where it overflows (``math.hypot``
+    scales the sides before it squares them)."""
+    lows, highs = vertices.min(axis=0).tolist(), vertices.max(axis=0).tolist()
+    return math.hypot(*(hi - lo for lo, hi in zip(lows, highs)))
 
 
 def _polygon_area_2d(pts: np.ndarray) -> float:
@@ -63,9 +61,8 @@ class StarPolyhedron:
     square overflows or underflows.  Construction rejects non-finite
     vertices or apex, and checks positive facet measure, planarity, and that
     the apex lies strictly on the inner side of every facet hyperplane; an
-    error names the lowest-numbered bad facet.  A facet measure or offset
-    outside the float range is an error too, as is such a volume in
-    :func:`decompose`.
+    error names the lowest-numbered bad facet.  A facet measure or a volume
+    outside the float range is an error too.
     """
 
     dimension: int
@@ -152,7 +149,7 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, apex: np.ndarra
     or underflows; the scaling is exact, and offsets and measures are scaled
     back at the end.  Raises for the lowest-numbered bad facet, checking its
     vertex count, its measure, its planarity (3D) and then the side of the
-    apex, and then for a measure or offset outside the float range.
+    apex, and then for a measure outside the float range.
     """
     shift = math.frexp(diag)[1]
     vertices, apex = np.ldexp(vertices, -shift), np.ldexp(apex, -shift)
@@ -201,30 +198,24 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, apex: np.ndarra
             f"apex is not strictly interior (signed distance {math.ldexp(dist[i], shift):.3e})",
         ]
         raise GeometryError(f"facet {i}: {next(s for s, mask in zip(say, checks) if mask[i])}")
-    measures = _unscaled("length" if d == 2 else "area", measures, (d - 1) * shift)
-    return normals, _unscaled("plane offset", offsets, shift), measures
+    # the measures and the volume sum(A_i r_i) / d must be floats at scale 1 too;
+    # the offsets, scaled back, are what they are at scale 1
+    name = "length" if d == 2 else "area"
+    for i in measures.argmax(), measures.argmin():
+        _require_float(f"facet {i}: {name}", measures[i], (d - 1) * shift)
+    _require_float("volume", float(np.dot(measures, dist)) / d, d * shift)
+    return normals, np.ldexp(offsets, shift), np.ldexp(measures, (d - 1) * shift)
 
 
-def _unscaled(name: str, values: np.ndarray, power: int) -> np.ndarray:
-    """values * 2**power, exactly; raises for the first facet whose value that
-    takes outside the float range."""
-    with np.errstate(over="ignore", under="ignore"):
-        out = np.ldexp(values, power)
-    lost = np.isinf(out) | (out == 0) & (values != 0)
-    if lost.any():
-        i = int(np.argmax(lost))
-        raise _out_of_range(f"facet {i}: {name}",
-                            math.log10(abs(values[i])) + power * math.log10(2.0))
-    return out
-
-
-def _out_of_range(what: str, log10: float) -> GeometryError:
-    """The error for a quantity of 10**log10, beyond what a float holds."""
-    k = math.floor(log10)
-    m = 10 ** (log10 - k)
-    if m >= 9.9995:  # prints as 10.000
-        m, k = m / 10, k + 1
-    return GeometryError(f"{what} {m:.3f}e{k:+d} is outside the float range")
+def _require_float(what: str, scaled: float, power: int) -> None:
+    """Raise unless scaled * 2**power, for a scaled > 0, is a float other than 0 and inf."""
+    if not -1074 < math.frexp(scaled)[1] + power <= 1024:
+        log10 = math.log10(scaled) + power * math.log10(2.0)
+        k = math.floor(log10)
+        m = 10 ** (log10 - k)
+        if m >= 9.9995:  # prints as 10.000
+            m, k = m / 10, k + 1
+        raise GeometryError(f"{what} {m:.3f}e{k:+d} is outside the float range")
 
 
 def from_json(text: str) -> StarPolyhedron:
@@ -263,20 +254,14 @@ def decompose(p: StarPolyhedron) -> PyramidDecomposition:
         raise GeometryError(
             f"facet {idx}: apex outside, pyramid altitude {r_i[idx]:.3e} is nonpositive"
         )
-    with np.errstate(over="ignore", under="ignore"):
-        v_i = p.measures * r_i / p.dimension
-        total_volume = float(v_i.sum())
-    if not (v_i.all() and total_volume < math.inf):  # each V_i > 0 unless it underflows
-        logs = np.log10(p.measures) + np.log10(r_i) - math.log10(p.dimension)
-        top = float(logs.max())
-        raise _out_of_range("volume", top + math.log10(float(np.sum(10.0 ** (logs - top)))))
+    v_i = p.measures * r_i / p.dimension
     return PyramidDecomposition(
         dimension=p.dimension,
         facet_measures=p.measures,
         altitudes=r_i,
         pyramid_volumes=v_i,
         total_area=float(p.measures.sum()),
-        total_volume=total_volume,
+        total_volume=float(v_i.sum()),
     )
 
 
