@@ -281,21 +281,19 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
     for _ in range(2):  # sorted twice, as SciPy does: argsort may reorder ties
         sim, fsim = _sorted(sim, fsim)
     ids, calls = np.arange(count), np.full(count, n + 1)
-    most = n + 1  # the most evaluations any start has made: a round makes at most n + 2
     while True:
         # SciPy's test; each f row is sorted, so its largest |f0 - fj| is f[-1] - f0
         with np.errstate(invalid="ignore"):  # inf - inf where f0 is inf
             done = np.isfinite(fsim[:, 0]) & (fsim[:, -1] - fsim[:, 0] <= fatol)
         if done.any():
             done &= np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(ids), -1).max(axis=1) <= xatol
-        if most >= _NM_MAX_EVALS:
-            done |= calls >= _NM_MAX_EVALS
+        done |= calls >= _NM_MAX_EVALS
         if done.any():
             x_out[ids[done]], f_out[ids[done]] = sim[done, 0], fsim[done].min(axis=1)
             calls_out[ids[done]] = calls[done]
             if done.all():
                 return x_out, f_out, calls_out
-            ids, sim, fsim, calls, fatol = (a[~done] for a in (ids, sim, fsim, calls, fatol))
+            ids, sim, fsim, calls, fatol = (v[~done] for v in (ids, sim, fsim, calls, fatol))
         xbar = sim[:, 0]
         for j in range(1, n):  # vertex by vertex, as SciPy's sum over the vertices adds
             xbar = xbar + sim[:, j]
@@ -306,9 +304,7 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
         calls += 1
         expand, outside = fxr < fsim[:, 0], fxr < fsim[:, -1]
         reflect = ~expand & (fxr < fsim[:, -2])
-        second = ~reflect  # an expansion or contraction point, unless the cap stops the step
-        if most + 1 >= _NM_MAX_EVALS:
-            second &= calls < _NM_MAX_EVALS
+        second = ~reflect & (calls < _NM_MAX_EVALS)  # the cap may stop a step halfway
         x2, f2 = xr, np.full(len(ids), math.nan)
         if second.any():
             # SciPy's a * xbar - (a - 1) * worst: a = 3 expands, 1.5 and 0.5 contract
@@ -336,7 +332,6 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
             sim[r, 1:], fsim[r, 1:] = tail, ftail
             calls[r] += evaluated.sum(axis=1)
         sim, fsim = _sorted(sim, fsim)
-        most += n + 2
 
 
 def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
