@@ -58,7 +58,7 @@ def derivative(f: Callable[[float], float], s, scale: float = 1.0,
     extrapolation.  A :class:`DomainError` names s where f is not real and
     finite on the stencil, or where the one-sided difference quotient grows
     by more than _ONE_SIDED_GROWTH as the step halves: f' is then unbounded
-    at the domain end, as for s**p with p < 0.83 at 0.  On an array s, f must
+    at the domain end, as for s**p with p < 0.986 at 0.  On an array s, f must
     act elementwise, the same operations run unchecked, and such a point is NaN.
     """
     if scale <= 0:
@@ -105,8 +105,8 @@ def _central(f: Callable, s, h):
 
 
 # the most that a one-sided difference quotient may grow as its step halves: it grows
-# by 2**(1 - p) for s**p at s = 0, and by 1 + O(h f''/f') for a smooth f
-_ONE_SIDED_GROWTH = 1.125
+# by 2**(1 - p) for s**p near s = 0, and by about 1 + h |f''/f'| / 4 for a smooth f
+_ONE_SIDED_GROWTH = 1.01
 
 
 def _quotients(f: Callable, s, t):
