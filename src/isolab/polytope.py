@@ -57,12 +57,12 @@ class StarPolyhedron:
     In 3D a facet's normal and area both come from its Newell vector, taken
     relative to its first vertex, which is exact for any simple planar
     polygon, convex or not.  The facets are grouped by vertex count and each
-    group is computed in one array pass, at a power-of-two scale where no
-    square overflows or underflows.  Construction rejects non-finite
-    vertices or apex, and checks positive facet measure, planarity, and that
-    the apex lies strictly on the inner side of every facet hyperplane; an
-    error names the lowest-numbered bad facet.  A facet measure or a volume
-    outside the float range is an error too.
+    group is computed in one array pass; far from unit size, at a
+    power-of-two scale where no square overflows.  Construction rejects
+    non-finite vertices or apex, and checks positive facet measure,
+    planarity, and that the apex lies strictly on the inner side of every
+    facet hyperplane; an error names the lowest-numbered bad facet.  A facet
+    measure or a volume outside the float range is an error too.
     """
 
     dimension: int
@@ -144,16 +144,20 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, apex: np.ndarray, diag: float):
     """Unit normals, offsets and measures of the facets, one array pass per facet size.
 
-    The geometry is computed with every coordinate scaled by 2**-shift, where
-    the diagonal is 2**shift times a number in [0.5, 1), so no square overflows
-    or underflows; the scaling is exact, and offsets and measures are scaled
-    back at the end.  Raises for the lowest-numbered bad facet, checking its
-    vertex count, its measure, its planarity (3D) and then the side of the
-    apex, and then for a measure outside the float range.
+    A polyhedron whose diagonal is beyond 2**+-_SCALE_LIMIT is computed with
+    every coordinate scaled by 2**-shift, where the diagonal is 2**shift
+    times a number in [0.5, 1), so that no square overflows or underflows;
+    the scaling is exact, and offsets and measures are scaled back at the
+    end.  Raises for the lowest-numbered bad facet, checking its vertex
+    count, its measure, its planarity (3D) and then the side of the apex,
+    and then for a measure outside the float range.
     """
     shift = math.frexp(diag)[1]
-    vertices, apex = np.ldexp(vertices, -shift), np.ldexp(apex, -shift)
-    diag = math.ldexp(diag, -shift)
+    if abs(shift) <= _SCALE_LIMIT:
+        shift = 0
+    else:
+        vertices, apex = np.ldexp(vertices, -shift), np.ldexp(apex, -shift)
+        diag = math.ldexp(diag, -shift)
     sizes = np.fromiter(map(len, facets), dtype=np.intp, count=len(facets))
     try:
         flat = np.fromiter(chain.from_iterable(facets), dtype=np.intp, count=int(sizes.sum()))
@@ -198,13 +202,19 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, apex: np.ndarra
             f"apex is not strictly interior (signed distance {math.ldexp(dist[i], shift):.3e})",
         ]
         raise GeometryError(f"facet {i}: {next(s for s, mask in zip(say, checks) if mask[i])}")
-    # the measures and the volume sum(A_i r_i) / d must be floats at scale 1 too;
-    # the offsets, scaled back, are what they are at scale 1
-    name = "length" if d == 2 else "area"
-    for i in measures.argmax(), measures.argmin():
-        _require_float(f"facet {i}: {name}", measures[i], (d - 1) * shift)
-    _require_float("volume", float(np.dot(measures, dist)) / d, d * shift)
-    return normals, np.ldexp(offsets, shift), np.ldexp(measures, (d - 1) * shift)
+    if shift:  # the measures and the volume sum(A_i r_i) / d must be floats at scale 1 too
+        name = "length" if d == 2 else "area"
+        for i in measures.argmax(), measures.argmin():
+            _require_float(f"facet {i}: {name}", measures[i], (d - 1) * shift)
+        _require_float("volume", float(np.dot(measures, dist)) / d, d * shift)
+        offsets, measures = np.ldexp(offsets, shift), np.ldexp(measures, (d - 1) * shift)
+    return normals, offsets, measures
+
+
+# within 2**+-200 of unit size no square over- or underflows, nor any measure or
+# volume: area <= diag**2 and, with every apex distance above 1e-9 diag, volume
+# above 1e-9 diag area / 3, all far inside the float range
+_SCALE_LIMIT = 200
 
 
 def _require_float(what: str, scaled: float, power: int) -> None:
