@@ -219,8 +219,8 @@ def _evaluate_batch(family: FamilySpec, x: np.ndarray):
     ok = (((lows < x) & (x < highs)).all(axis=0)  # NaN fails each comparison
           & (np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf))
     if family.feasible is not None:
-        for i in ok.nonzero()[0]:
-            ok[i] = bool(family.feasible(x[:, i].copy()))
+        points, i = x.T.copy(), ok.nonzero()[0]
+        ok[i] = [bool(family.feasible(points[j])) for j in i]
     return v, a, ok
 
 

@@ -278,10 +278,14 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
     axes = np.arange(n)
     sim[:, axes + 1, axes] = np.where(x0 != 0, 1.05 * x0, 0.00025)
     fsim = fs(sim.reshape(-1, n)).reshape(count, n + 1)
-    for _ in range(2):  # sorted twice, as SciPy does: argsort may reorder ties
-        sim, fsim = _sorted(sim, fsim)
-    ids, calls = np.arange(count), np.full(count, n + 1)
+    ids, calls, rows = np.arange(count), np.full(count, n + 1), np.arange(count)[:, None]
+    order = fsim.argsort(axis=1)  # SciPy sorts the first simplex twice: argsort may reorder ties
+    sim, fsim = sim[rows, order], fsim[rows, order]
     while True:
+        # argsort along axis 1 sorts each row by itself, with numpy's 1-D sort,
+        # so tied vertices fall in the order they take in a run of their start alone
+        order = fsim.argsort(axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
         # SciPy's test; each f row is sorted, so its largest |f0 - fj| is f[-1] - f0
         with np.errstate(invalid="ignore"):  # inf - inf where f0 is inf
             done = np.isfinite(fsim[:, 0]) & (fsim[:, -1] - fsim[:, 0] <= fatol)
@@ -294,6 +298,7 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
             if done.all():
                 return x_out, f_out, calls_out
             ids, sim, fsim, calls, fatol = (v[~done] for v in (ids, sim, fsim, calls, fatol))
+            rows = rows[:len(ids)]
         xbar = sim[:, 0]
         for j in range(1, n):  # vertex by vertex, as SciPy's sum over the vertices adds
             xbar = xbar + sim[:, j]
@@ -331,16 +336,6 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
                 ftail[evaluated] = fs(tail[evaluated])
             sim[r, 1:], fsim[r, 1:] = tail, ftail
             calls[r] += evaluated.sum(axis=1)
-        sim, fsim = _sorted(sim, fsim)
-
-
-def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each simplex with its vertices in the order of ``np.argsort`` of its f.
-    Sorting along axis 1 runs numpy's 1-D sort on each row by itself, so tied
-    vertices fall in the order that they take in a run of their start alone."""
-    order = fsim.argsort(axis=1)
-    rows = np.arange(len(fsim))[:, None]
-    return sim[rows, order], fsim[rows, order]
 
 
 def brentq(f: Callable[[float], float], a: float, b: float) -> float:
