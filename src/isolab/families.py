@@ -87,6 +87,8 @@ class FamilySpec:
         for lo, hi in self.domain:
             if not lo < hi:
                 raise DomainError(f"empty domain ({lo}, {hi})")
+        # the interval ends as a (2, n, 1) array, for _evaluate_batch
+        object.__setattr__(self, "_ends", np.array(self.domain, dtype=float).T[:, :, None])
         if self.sample_box is None:
             widths = [(hi - lo) if math.isfinite(hi) else 10.0 for lo, hi in self.domain]
             box = tuple((lo + 0.05 * w, lo + 0.95 * w) for (lo, _), w in zip(self.domain, widths))
@@ -215,7 +217,7 @@ def _evaluate_batch(family: FamilySpec, x: np.ndarray):
             return None
     except Exception:  # raised again by the per-point calls, if the evaluator fails there too
         return None
-    lows, highs = np.array(family.domain).T[:, :, None]
+    lows, highs = family._ends
     ok = (((lows < x) & (x < highs)).all(axis=0)  # NaN fails each comparison
           & (np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf))
     if family.feasible is not None:

@@ -279,6 +279,7 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
     sim[:, axes + 1, axes] = np.where(x0 != 0, 1.05 * x0, 0.00025)
     fsim = fs(sim.reshape(-1, n)).reshape(count, n + 1)
     ids, calls, rows = np.arange(count), np.full(count, n + 1), np.arange(count)[:, None]
+    most = n + 1  # no start has made more evaluations: a round makes at most n + 2
     order = fsim.argsort(axis=1)  # SciPy sorts the first simplex twice: argsort may reorder ties
     sim, fsim = sim[rows, order], fsim[rows, order]
     while True:
@@ -291,7 +292,8 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
             done = np.isfinite(fsim[:, 0]) & (fsim[:, -1] - fsim[:, 0] <= fatol)
         if done.any():
             done &= np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(ids), -1).max(axis=1) <= xatol
-        done |= calls >= _NM_MAX_EVALS
+        if most >= _NM_MAX_EVALS:
+            done |= calls >= _NM_MAX_EVALS
         if done.any():
             x_out[ids[done]], f_out[ids[done]] = sim[done, 0], fsim[done].min(axis=1)
             calls_out[ids[done]] = calls[done]
@@ -309,7 +311,9 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
         calls += 1
         expand, outside = fxr < fsim[:, 0], fxr < fsim[:, -1]
         reflect = ~expand & (fxr < fsim[:, -2])
-        second = ~reflect & (calls < _NM_MAX_EVALS)  # the cap may stop a step halfway
+        second = ~reflect  # unless the cap stops the step halfway
+        if most + 1 >= _NM_MAX_EVALS:
+            second &= calls < _NM_MAX_EVALS
         x2, f2 = xr, np.full(len(ids), math.nan)
         if second.any():
             # SciPy's a * xbar - (a - 1) * worst: a = 3 expands, 1.5 and 0.5 contract
@@ -336,6 +340,7 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
                 ftail[evaluated] = fs(tail[evaluated])
             sim[r, 1:], fsim[r, 1:] = tail, ftail
             calls[r] += evaluated.sum(axis=1)
+        most += n + 2
 
 
 def brentq(f: Callable[[float], float], a: float, b: float) -> float:
