@@ -393,7 +393,8 @@ def _require_convex_polygon(pts: np.ndarray) -> None:
         raise GeometryError("polygon must be counterclockwise with positive area")
     (ax, ay), (bx, by), (cx, cy) = pts.T, np.roll(pts, -1, axis=0).T, np.roll(pts, -2, axis=0).T
     cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-    reflex = cross < -CONVEXITY_RTOL * _bbox_diagonal(pts) ** 2
+    diag = _bbox_diagonal(pts)
+    reflex = cross < -CONVEXITY_RTOL * diag * diag  # inf, not OverflowError, past 1e154
     if reflex.any():
         i = (int(np.argmax(reflex)) + 1) % len(pts)
         raise GeometryError(f"reflex vertex at index {i}; polygon not convex")
