@@ -208,7 +208,9 @@ def inradius_by_quadrature(
     domain; the samples keep its order.  s0 may sit at the lower endpoint
     when the integrand extends continuously (quadrature nodes never touch
     endpoints).  A segment whose quadrature misses its tolerance raises
-    :class:`ConvergenceError`.
+    :class:`ConvergenceError`.  Without ``dvolume``, V' within one step of a
+    domain end comes from the one-sided stencil of :func:`derivative`, off by
+    about 1e-7 relative where V'' is unbounded, which the error estimate omits.
     """
     return _inradius(family, s0, C, grid)
 

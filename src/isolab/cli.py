@@ -313,13 +313,9 @@ def cmd_lift(args) -> int:
         base, rho=lambda s: c * s, drho=lambda s: c, rtol=args.rtol
     )
     grid = _parse_grid(args.grid)
-    rows = []
-    for s in grid:
-        v, a = families.evaluate(lifted, float(s))
-        rows.append(
-            {"s": float(s), "V": v, "A": a,
-             "r_tong": homogeneity.tong_inradius(lifted.dimension, v, a)}
-        )
+    v, a = families.sample(lifted, grid)
+    rows = [{"s": s, "V": vi, "A": ai, "r_tong": homogeneity.tong_inradius(lifted.dimension, vi, ai)}
+            for s, vi, ai in zip(grid.tolist(), v.tolist(), a.tolist())]
     _emit(args, _jdump({"id": lifted.id, "dimension": lifted.dimension, "samples": rows}))
     return EXIT_OK
 

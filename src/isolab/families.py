@@ -12,6 +12,7 @@ available, so downstream quadrature is not polluted by differentiation error.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import math
@@ -41,18 +42,16 @@ class FamilySpec:
     and :meth:`contains` is its one test: :func:`isolab.search.kmin` calls a
     minimum attained only when small steps along each axis stay inside it.
     For ``dimension == 2`` the evaluators are the area and the perimeter.
-    A one-parameter evaluator may get a 1-D float array of quadrature nodes;
-    it must act elementwise, or raise or return another shape to get floats.
-    Likewise an evaluator of a class with n > 1 may get an (n, m) float array
-    whose row i holds coordinate i of m points, so that ``x[0] * x[1]``
-    serves one point and many; one that raises, or returns anything but a
-    float array of shape (m,), gets one length-n vector per point instead.
-    The sign scan of :func:`isolab.search.solve_coordinate` rechecks the
-    points near its level one at a time, but :func:`isolab.search.kmin`
-    passes its Nelder-Mead points this way with no recheck, so an
-    array-capable evaluator must round each point as it does alone: write
-    integer powers as products (array ``**`` rounds differently from
-    Python's) and use correctly rounded functions such as ``np.sqrt``.
+    V and A at many points take one path, :func:`_evaluate_batch`: each
+    evaluator first gets all m points at once, as a 1-D float array when
+    n = 1, else as an (n, m) float array whose row i holds coordinate i (so
+    ``x[0] * x[1]`` serves one point and many).  One that raises, or returns
+    anything but a float array of shape (m,), gets each point through
+    :func:`evaluate` instead.  :func:`sample` and :func:`isolab.search.kmin`
+    use the array's values as they are, so an array-capable evaluator must
+    round each point as it does alone: write integer powers as products
+    (array ``**`` rounds differently from Python's) and use correctly rounded
+    functions such as ``np.sqrt``.
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
@@ -181,7 +180,7 @@ def evaluate(family: FamilySpec, x) -> tuple[float, float]:
 
 def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
     """(V, A) arrays of a one-parameter family over a 1-D grid inside its
-    interval, checked as :func:`evaluate` checks one point."""
+    interval, from :func:`_evaluate_batch`, checked as :func:`evaluate` checks one point."""
     grid = np.asarray(grid, dtype=float)
     if family.nparams != 1:
         raise DomainError(f"{family.id!r} is a multi-parameter class, not a one-parameter family")
@@ -190,33 +189,36 @@ def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
     if np.any(outside):
         point = grid[np.argmax(outside)]
         raise DomainError(f"grid point {point} outside ({lo}, {hi}) of family {family.id!r}")
-    with np.errstate(all="ignore"):
-        v = np.array([family.volume(s) for s in grid])
-        a = np.array([family.area(s) for s in grid])
-    bad = ~((0 < v) & (v < math.inf) & (0 < a) & (a < math.inf))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise _not_finite_positive(family, float(grid[i]), v[i], a[i])
+    v, a, ok = _evaluate_batch(family, grid[None])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        evaluate(family, grid[i])  # raises, naming the point
+        raise _not_finite_positive(family, float(grid[i]), v[i], a[i])  # array rounding differs
     return v, a
 
 
 def _evaluate_batch(family: FamilySpec, x: np.ndarray):
     """(V, A, ok) at the m points of the (n, m) float array x, whose column i
-    is point i, from one call of each evaluator: with x itself, or with its
-    one row when n = 1.  ``ok`` marks the points that :func:`evaluate` accepts
-    as the array's values have them: inside the intervals, with V and A finite
-    and positive, and ``feasible`` there (asked per point, with the length-n
-    vector).  None when an evaluator raises or returns anything but a float
-    array of shape (m,): the caller then asks one point at a time.
+    is point i; ``ok`` marks the points that :func:`evaluate` accepts.  One
+    call of each evaluator, with x or with its one row when n = 1, gives all
+    m points if it returns float arrays of shape (m,); ``ok`` then makes the
+    checks of :func:`evaluate` as masks, asking ``feasible`` per point.  Else
+    each point goes through :func:`evaluate`: V = A = NaN and ``ok`` False
+    where it raises :class:`DomainError`; other exceptions propagate.
     """
     try:
         with np.errstate(all="ignore"):
             p = x if len(x) > 1 else x[0]
             v, a = np.asarray(family.volume(p)), np.asarray(family.area(p))
-        if not (v.shape == a.shape == x.shape[1:] and v.dtype == a.dtype == float):
-            return None
+        per_point = not (v.shape == a.shape == x.shape[1:] and v.dtype == a.dtype == float)
     except Exception:  # raised again by the per-point calls, if the evaluator fails there too
-        return None
+        per_point = True
+    if per_point:
+        v, a = np.full((2, x.shape[1]), math.nan)
+        for i, point in enumerate(x.T.copy()):
+            with contextlib.suppress(DomainError):
+                v[i], a[i] = evaluate(family, point)
+        return v, a, ~np.isnan(v)
     lows, highs = family._ends
     ok = (((lows < x) & (x < highs)).all(axis=0)  # NaN fails each comparison
           & (np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf))
@@ -280,9 +282,9 @@ def _cube() -> FamilySpec:
         id="cube",
         dimension=3,
         domain=(RPLUS,),
-        volume=lambda s: s**3,
-        area=lambda s: 6.0 * s**2,
-        dvolume=lambda s: 3.0 * s**2,
+        volume=lambda s: s * s * s,
+        area=lambda s: 6.0 * (s * s),
+        dvolume=lambda s: 3.0 * (s * s),
         homogeneous_prefix_m=1,
     )
 
@@ -292,7 +294,7 @@ def _disk() -> FamilySpec:
         id="disk",
         dimension=2,
         domain=(RPLUS,),
-        volume=lambda s: math.pi * s**2,
+        volume=lambda s: math.pi * (s * s),
         area=lambda s: 2.0 * math.pi * s,
         dvolume=lambda s: 2.0 * math.pi * s,
         homogeneous_prefix_m=1,
@@ -304,9 +306,9 @@ def _ball() -> FamilySpec:
         id="ball",
         dimension=3,
         domain=(RPLUS,),
-        volume=lambda s: 4.0 / 3.0 * math.pi * s**3,
-        area=lambda s: 4.0 * math.pi * s**2,
-        dvolume=lambda s: 4.0 * math.pi * s**2,
+        volume=lambda s: 4.0 / 3.0 * math.pi * (s * s * s),
+        area=lambda s: 4.0 * math.pi * (s * s),
+        dvolume=lambda s: 4.0 * math.pi * (s * s),
         homogeneous_prefix_m=1,
     )
 
@@ -330,7 +332,7 @@ def _rect_similar(k: float = 0.5) -> FamilySpec:
         id="rect_similar",
         dimension=2,
         domain=(RPLUS,),
-        volume=lambda s: k * s**2,
+        volume=lambda s: k * (s * s),
         area=lambda s: 2.0 * s + 2.0 * k * s,
         params={"k": k},
         dvolume=lambda s: 2.0 * k * s,
@@ -339,11 +341,11 @@ def _rect_similar(k: float = 0.5) -> FamilySpec:
 
 
 def _rhombus_area(a: float, s: float) -> float:
-    return s * np.sqrt(a**2 - s**2 / 4.0)
+    return s * np.sqrt(a * a - s * s / 4.0)
 
 
 def _rhombus_darea(a: float, s: float) -> float:
-    return (a**2 - s**2 / 2.0) / np.sqrt(a**2 - s**2 / 4.0)
+    return (a * a - s * s / 2.0) / np.sqrt(a * a - s * s / 4.0)
 
 
 def _rhombus(a: float = 1.0, branch: str | None = None) -> FamilySpec:
@@ -360,7 +362,7 @@ def _rhombus(a: float = 1.0, branch: str | None = None) -> FamilySpec:
         dimension=2,
         domain=(dom,),
         volume=lambda s: _rhombus_area(a, s),
-        area=lambda s: 4.0 * a,
+        area=lambda s: 4.0 * a + 0.0 * s,  # of s's shape on arrays
         params={"a": a},
         dvolume=lambda s: _rhombus_darea(a, s),
     )
@@ -372,7 +374,7 @@ def rhombus_branches(a: float = 1.0) -> tuple[FamilySpec, FamilySpec]:
 
 
 def _hexagon_sides(s: float) -> tuple[float, float, float]:
-    return 1.0, s**2, (s + 1.0) ** 2
+    return 1.0, s * s, (s + 1.0) * (s + 1.0)
 
 
 def _hexagon_120() -> FamilySpec:
@@ -387,7 +389,7 @@ def _hexagon_120() -> FamilySpec:
 
     def darea(s: float) -> float:
         # A(s) = (sqrt(3)/2) (s^2 + s + 1)^2
-        return SQRT3 * (s**2 + s + 1.0) * (2.0 * s + 1.0)
+        return SQRT3 * (s * s + s + 1.0) * (2.0 * s + 1.0)
 
     return FamilySpec(
         id="hexagon_120",
@@ -407,7 +409,7 @@ def _ngon(n: int = 6) -> FamilySpec:
         id=f"ngon_{n}",
         dimension=2,
         domain=(RPLUS,),  # circumradius
-        volume=lambda s: 0.5 * n * math.sin(2.0 * half) * s**2,
+        volume=lambda s: 0.5 * n * math.sin(2.0 * half) * (s * s),
         area=lambda s: 2.0 * n * math.sin(half) * s,
         params={"n": float(n)},
         dvolume=lambda s: n * math.sin(2.0 * half) * s,
@@ -471,8 +473,8 @@ def _cylinder() -> FamilySpec:
         id="cylinder",
         dimension=3,
         domain=(RPLUS, RPLUS),  # (radius, height)
-        volume=lambda x: math.pi * x[0] ** 2 * x[1],
-        area=lambda x: 2.0 * math.pi * x[0] ** 2 + 2.0 * math.pi * x[0] * x[1],
+        volume=lambda x: math.pi * (x[0] * x[0]) * x[1],
+        area=lambda x: 2.0 * math.pi * (x[0] * x[0]) + 2.0 * math.pi * x[0] * x[1],
         homogeneous_prefix_m=2,
         sample_box=((0.3, 3.0),) * 2,
     )
@@ -512,8 +514,8 @@ def _ring_torus() -> FamilySpec:
         id="ring_torus",
         dimension=3,
         domain=(RPLUS, RPLUS),
-        volume=lambda x: 2.0 * math.pi**2 * x[0] ** 2 * x[1],
-        area=lambda x: 4.0 * math.pi**2 * x[0] * x[1],
+        volume=lambda x: 2.0 * math.pi * math.pi * (x[0] * x[0]) * x[1],
+        area=lambda x: 4.0 * math.pi * math.pi * x[0] * x[1],
         homogeneous_prefix_m=2,
         feasible=lambda x: x[1] > x[0],
         sample_box=((0.3, 1.0), (1.1, 3.0)),

@@ -407,34 +407,42 @@ def steiner_coefficients(
 
     ``shape`` is a convex CCW polygon (N x 2 vertex array) or a 3-tuple of
     box edge lengths, all finite.  The coefficient lists satisfy dV/ds = A(s)
-    exactly.
+    exactly.  A coefficient that overflows is a :class:`DomainError`.
     """
     shape_arr = np.asarray(shape, dtype=float)
     if not np.all(np.isfinite(shape_arr)):
         raise DomainError("shape must be finite")
     if shape_arr.ndim == 2 and shape_arr.shape[1] == 2:
-        _require_convex_polygon(shape_arr)
-        area = _polygon_area_2d(shape_arr)
-        perim = float(np.sum(np.linalg.norm(np.roll(shape_arr, -1, axis=0) - shape_arr, axis=1)))
-        return (area, perim, math.pi), (perim, 2.0 * math.pi)
-    if shape_arr.shape == (3,):
-        a, b, c = shape_arr
+        with np.errstate(all="ignore"):  # an overflow shows in the coefficients
+            _require_convex_polygon(shape_arr)
+            area = _polygon_area_2d(shape_arr)
+            perim = float(np.sum(np.linalg.norm(np.roll(shape_arr, -1, axis=0) - shape_arr, axis=1)))
+        v, da = (area, perim, math.pi), (perim, 2.0 * math.pi)
+    elif shape_arr.shape == (3,):
+        a, b, c = shape_arr.tolist()  # Python floats overflow to inf without a warning
         if min(a, b, c) <= 0:
             raise DomainError("box edge lengths must be positive")
         v = (a * b * c, 2.0 * (a * b + b * c + c * a), math.pi * (a + b + c), 4.0 * math.pi / 3.0)
         da = (2.0 * (a * b + b * c + c * a), 2.0 * math.pi * (a + b + c), 4.0 * math.pi)
-        return v, da
-    raise DomainError("shape must be an Nx2 polygon vertex array or 3 box edge lengths")
+    else:
+        raise DomainError("shape must be an Nx2 polygon vertex array or 3 box edge lengths")
+    if not all(map(math.isfinite, v + da)):
+        raise DomainError(f"Steiner coefficients {list(v)}, {list(da)} are not all finite")
+    return v, da
 
 
 def steiner_parallel_body(shape, s: float) -> tuple[float, float]:
-    """(V(s), A(s)) of the outer parallel body at distance s >= 0."""
+    """(V(s), A(s)) of the outer parallel body at distance s >= 0; each must be finite."""
     if not 0 <= s < math.inf:
         raise DomainError("parallel-body distance s must be nonnegative and finite")
     vc, ac = steiner_coefficients(shape)
-    v = sum(coef * s**i for i, coef in enumerate(vc))
-    a = sum(coef * s**i for i, coef in enumerate(ac))
-    return float(v), float(a)
+    try:
+        v, a = (float(sum(coef * s**i for i, coef in enumerate(c))) for c in (vc, ac))
+    except OverflowError:  # s**i in Python floats
+        v = a = math.inf
+    if not (math.isfinite(v) and math.isfinite(a)):
+        raise DomainError(f"V = {v}, A = {a} of the parallel body at s = {s}; both must be finite")
+    return v, a
 
 
 # ------------------------------------------------------------------ #

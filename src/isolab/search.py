@@ -163,19 +163,15 @@ def _ratios(nfamily: FamilySpec, x: np.ndarray, q: Callable[[np.ndarray], float]
     """Q at each column of the (n, m) array x, bit-equal to ``q``, the
     :func:`ratio_function` of the class, at each point.
 
-    V and A come from one batch call (see :func:`~isolab.families._evaluate_batch`);
-    Q is then :func:`ratio` of each point's two floats, as ``q`` takes it, or
-    ``q`` itself at a point where that overflows, and at every point when
-    the evaluators take one point at a time.
+    V and A come from :func:`~isolab.families._evaluate_batch`, the one path
+    of V and A at many points, with its per-point fallback; Q is then
+    :func:`ratio` of each point's two floats, as ``q`` takes it, or ``q``
+    itself at a point where that overflows.
     """
-    batch = _evaluate_batch(nfamily, x)
-    if batch is None:
-        return np.array([q(p) for p in x.T.copy()], dtype=float)
-    d = nfamily.dimension
     out = []
-    for i, (vi, ai, oki) in enumerate(zip(*(y.tolist() for y in batch))):
+    for i, (vi, ai, oki) in enumerate(zip(*(y.tolist() for y in _evaluate_batch(nfamily, x)))):
         try:
-            out.append(ratio(d, vi, ai) if oki else math.inf)
+            out.append(ratio(nfamily.dimension, vi, ai) if oki else math.inf)
         except ArithmeticError:  # Python's float arithmetic raises where numpy's may not
             out.append(q(x[:, i].copy()))
     return np.array(out)
@@ -499,20 +495,15 @@ def _scan(
     """g at each scan point t of coordinate j, the others held at ``base``,
     with the signs and NaNs that calling g at each point gives.
 
-    The evaluators get all m points at once through
-    :func:`~isolab.families._evaluate_batch`, which marks the points that
-    :func:`evaluate` rejects; those, and the points where Q overflows, are
-    NaN, as :func:`ratio_function` makes them.  The array arithmetic may round
-    differently in the last bits, so g is called again at every NaN point and
-    every point within 1e-12 |k| of the level.  An evaluator that raises or
-    returns anything but a float array of shape (m,) gets one call per point.
+    V and A come from :func:`~isolab.families._evaluate_batch`, the one path
+    of V and A at many points; the points that :func:`evaluate` rejects and
+    those where Q overflows are NaN, as :func:`ratio_function` makes them.
+    Array Q may round differently in the last bits, so g is called again at
+    every NaN point and every point within 1e-12 |k| of the level.
     """
     rows = np.repeat(base[:, None], len(ts), axis=1)
     rows[j] = ts
-    batch = _evaluate_batch(nfamily, rows)
-    if batch is None:
-        return np.array([g(t) for t in ts])
-    v, a, ok = batch
+    v, a, ok = _evaluate_batch(nfamily, rows)
     with np.errstate(all="ignore"):
         q = ratio(nfamily.dimension, v, a)
         vals = np.where(ok & np.isfinite(q), q - k, math.nan)

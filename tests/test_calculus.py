@@ -290,18 +290,18 @@ def _counting_volume(fam: FamilySpec) -> tuple[FamilySpec, list]:
 
 
 class TestOneSamplePerGrid:
-    # V is sampled once per grid point; the quadrature reads V' from dvolume
+    # V is sampled once per grid point, in one call; the quadrature reads V' from dvolume
     def test_classify(self):
         fam, points = _counting_volume(families.builtin("cube"))
         grid = np.linspace(0.5, 4.0, 40)
         assert homogeneity.classify(fam, grid).homogeneous
-        assert points == [1] * len(grid)
+        assert points == [len(grid)]
 
     def test_constant_area_check(self):
         fam, points = _counting_volume(families.rhombus_branches(1.0)[0])
         grid = np.linspace(0.1, SQRT2 - 0.1, 40)
         assert homogeneity.constant_area_check(fam, grid)
-        assert points == [1] * len(grid)
+        assert points == [len(grid)]
 
 
 ALL_ONE_PARAM = [

@@ -465,6 +465,16 @@ class TestLiftAndSteiner:
         assert (code, out) == (2, "")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    # finite input whose coefficients overflow: exit 0 with "V": Infinity before
+    @pytest.mark.parametrize("argv", ["--polygon-file big.json --s 1",
+                                      "--box 1e200,1e200,1e200 --s 1"])
+    def test_steiner_overflow(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.json").write_text("[[0,0],[1e160,0],[1e160,1e160],[0,1e160]]")
+        code, out, err = run(capsys, "steiner", *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestBoundedInput:
     @pytest.mark.parametrize(

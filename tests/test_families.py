@@ -173,8 +173,15 @@ class TestOneEvaluationPath:
         assert report.q_values == tuple(q(np.array([s])) for s in grid)
 
 
+# every built-in, with both rhombus branches
+ALL_BUILTINS = [
+    *(families.builtin(fid) for fid in families._BUILTINS if fid != "rhombus"),
+    *families.rhombus_branches(),
+]
+
+
 class TestBatchEvaluation:
-    """One (n, m) call of a class's evaluators, as kmin's Nelder-Mead makes it."""
+    """One array call of a family's evaluators, as sample, kmin and the coordinate scan make it."""
 
     @staticmethod
     def points(spec, m=10_000):
@@ -182,32 +189,71 @@ class TestBatchEvaluation:
         u = np.random.default_rng(0).uniform(size=(spec.nparams, m))
         return lows[:, None] + u * (highs - lows)[:, None]
 
-    @pytest.mark.parametrize("cls", ["box3", "triangle_sides", "parallelogram3"])
-    def test_one_call_equals_evaluate_per_point(self, cls):
-        spec = families.builtin(cls)
-        x = self.points(spec)
-        v, a, ok = families._evaluate_batch(spec, x)
-        per_point = []
+    @staticmethod
+    def per_point(spec, x):
+        """(V, A, ok) from evaluate at each column of x, NaN where it raises DomainError."""
+        rows = []
         for p in x.T:
             try:
-                per_point.append((*families.evaluate(spec, p), True))
-            except DomainError:  # the triangle inequality fails
-                per_point.append((math.nan, math.nan, False))
-        pv, pa, pok = map(np.array, zip(*per_point))
+                rows.append((*families.evaluate(spec, p), True))
+            except DomainError:
+                rows.append((math.nan, math.nan, False))
+        return tuple(map(np.array, zip(*rows)))
+
+    # n = 1 as a (1, m) array
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda spec: spec.id)
+    def test_one_call_equals_evaluate_per_point(self, spec):
+        x = self.points(spec)
+        v, a, ok = families._evaluate_batch(spec, x)
+        pv, pa, pok = self.per_point(spec, x)
         np.testing.assert_array_equal(ok, pok)
         np.testing.assert_array_equal(v[ok], pv[ok])
         np.testing.assert_array_equal(a[ok], pa[ok])
-        np.testing.assert_array_equal(v, [spec.volume(p) for p in x.T])
-        np.testing.assert_array_equal(a, [spec.area(p) for p in x.T])
         q = search.ratio_function(spec)
         np.testing.assert_array_equal(search._ratios(spec, x, q), [q(p) for p in x.T])
-        assert 0 < ok.sum() and (ok.all() or cls == "triangle_sides")
+        assert 0 < ok.sum() and (ok.all() or spec.id == "triangle_sides")
+        if spec.nparams == 1:
+            sv, sa = families.sample(spec, x[0])
+            np.testing.assert_array_equal(sv, pv)
+            np.testing.assert_array_equal(sa, pa)
+        else:  # the evaluators at one point, infeasible points included
+            np.testing.assert_array_equal(v, [spec.volume(p) for p in x.T])
+            np.testing.assert_array_equal(a, [spec.area(p) for p in x.T])
 
-    # math.hypot and math.sqrt take one point at a time
-    @pytest.mark.parametrize("cls", ["cone", "square_pyramid", "right_triangle"])
-    def test_scalar_evaluators_fall_back(self, cls):
-        spec = families.builtin(cls)
+    # math.hypot and math.sqrt take one point at a time; the last cone also has feasible
+    @pytest.mark.parametrize("spec", [
+        *(families.builtin(cls) for cls in ["cone", "square_pyramid", "right_triangle"]),
+        dataclasses.replace(families.builtin("cone"), feasible=lambda x: x[1] > x[0]),
+    ], ids=lambda spec: spec.id + "_feasible" * (spec.feasible is not None))
+    def test_scalar_evaluators_fall_back(self, spec):
         x = self.points(spec, 64)
-        assert families._evaluate_batch(spec, x) is None
+        with pytest.raises(TypeError):
+            spec.area(x)
+        batch = families._evaluate_batch(spec, x)
+        for got, want in zip(batch, self.per_point(spec, x)):
+            np.testing.assert_array_equal(got, want)
+        assert 0 < batch[2].sum() and (batch[2].all() == (spec.feasible is None))
         q = search.ratio_function(spec)
         np.testing.assert_array_equal(search._ratios(spec, x, q), [q(p) for p in x.T])
+
+    def test_overflow_at_one_point_falls_back(self):
+        spec = dataclasses.replace(families.builtin("rect_fixed_length"), volume=math.exp)
+        x = np.array([[1.0, 800.0, 2.0]])
+        v, a, ok = families._evaluate_batch(spec, x)
+        np.testing.assert_array_equal(ok, [True, False, True])
+        np.testing.assert_array_equal(v, [math.exp(1.0), math.nan, math.exp(2.0)])
+        np.testing.assert_array_equal(a, [4.0, math.nan, 6.0])
+        with pytest.raises(DomainError, match=re.escape("V or A overflows at point 800.0 ")):
+            families.sample(spec, x[0])
+
+    def test_sample_rejects_an_array_value_that_one_point_does_not_give(self):
+        spec = dataclasses.replace(families.builtin("rect_fixed_length"), volume=lambda s: (
+            np.where(s > 2.5, math.nan, s) if np.ndim(s) else s))
+        with pytest.raises(DomainError, match=re.escape("V = nan, A = 8.0 at point 3.0 of ")):
+            families.sample(spec, np.array([1.0, 3.0]))
+
+    def test_other_errors_propagate(self):
+        spec = dataclasses.replace(families.builtin("rect_fixed_length"),
+                                   volume=lambda s: math.log(s - 2.0))
+        with pytest.raises(ValueError, match="math domain error"):
+            families._evaluate_batch(spec, np.array([[3.0, 1.0]]))

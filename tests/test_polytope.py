@@ -553,3 +553,25 @@ class TestSteiner:
                 polytope.steiner_coefficients(shape)
             with pytest.raises(DomainError, match="^shape must be finite$"):
                 polytope.steiner_parallel_body(shape, 1.0)
+
+    # a square of area 1e320 and a box of volume 1e600
+    @pytest.mark.parametrize("shape", [
+        np.array([[0, 0], [1e160, 0], [1e160, 1e160], [0, 1e160]], dtype=float),
+        (1e200, 1e200, 1e200),
+    ])
+    def test_overflowing_coefficients_rejected(self, shape):
+        with pytest.raises(DomainError, match="^Steiner coefficients .* are not all finite$"):
+            polytope.steiner_coefficients(shape)
+        with pytest.raises(DomainError, match="^Steiner coefficients .* are not all finite$"):
+            polytope.steiner_parallel_body(shape, 1.0)
+
+    # finite coefficients: s**3 overflows in Python floats, or 2e300 s overflows to inf
+    @pytest.mark.parametrize("shape, s, v, a", [
+        ((1.0, 1.0, 1.0), 1e200, "inf", "inf"),
+        ((1e200, 1e100, 1.0), 1e10, "inf", repr(2e300 + 2 * math.pi * (1e200 + 1e100 + 1) * 1e10)),
+    ])
+    def test_overflowing_parallel_body_rejected(self, shape, s, v, a):
+        with pytest.raises(DomainError) as info:
+            polytope.steiner_parallel_body(shape, s)
+        assert str(info.value) == (
+            f"V = {v}, A = {a} of the parallel body at s = {s!r}; both must be finite")
