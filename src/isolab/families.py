@@ -156,8 +156,8 @@ def evaluate(family: FamilySpec, x) -> tuple[float, float]:
 
     When n = 1 the evaluators get a float, also from a length-1 vector.
     Raises :class:`DomainError` naming the point when it has the wrong number
-    of coordinates or lies outside the domain, an evaluator overflows, or V
-    and A are not both finite and positive there.
+    of coordinates or lies outside the domain, an evaluator overflows or
+    divides by zero, or V and A are not both finite and positive there.
     """
     # len, not nparams: this runs for every Q of a search
     if not family.contains(x):
@@ -169,9 +169,10 @@ def evaluate(family: FamilySpec, x) -> tuple[float, float]:
     p = x if len(family.domain) > 1 else np.asarray(x, dtype=float).item()
     try:
         v, a = family.volume(p), family.area(p)
-    except OverflowError:  # Python float arithmetic raises where numpy's gives inf
+    except ArithmeticError as exc:  # Python float arithmetic raises where numpy's gives inf
+        what = "divides by zero" if isinstance(exc, ZeroDivisionError) else "overflows"
         raise DomainError(
-            f"V or A overflows at point {np.asarray(x).tolist()} of {family.id!r}"
+            f"V or A {what} at point {np.asarray(x).tolist()} of {family.id!r}"
         ) from None
     if not (0 < v < math.inf and 0 < a < math.inf):
         raise _not_finite_positive(family, np.asarray(x).tolist(), v, a)
@@ -241,10 +242,11 @@ def ratio(d: int, v, a):
 
 def ratio_at(family: FamilySpec, point, v: float, a: float) -> float:
     """:func:`ratio` of ``family``'s V and A at ``point``; raises
-    :class:`DomainError` naming the point where Q overflows."""
+    :class:`DomainError` naming the point where Q overflows (also where
+    V^(d-1) underflows to 0)."""
     try:
         return ratio(family.dimension, v, a)
-    except OverflowError:
+    except ArithmeticError:
         raise DomainError(f"Q overflows at point {point} of {family.id!r}") from None
 
 

@@ -43,7 +43,7 @@ def ratio_function(nfamily: FamilySpec) -> Callable[[np.ndarray], float]:
         try:
             v, a = evaluate(nfamily, x)
             return ratio(d, v, a)
-        except (DomainError, OverflowError):
+        except (DomainError, ArithmeticError):  # ZeroDivisionError: V^(d-1) underflows
             return math.inf
 
     return q
@@ -519,6 +519,10 @@ class LevelSetCurve(Record):
     points: tuple[tuple[float, tuple[float, ...]], ...]  # (arclength s, x)
     q_values: tuple[float, ...]
     residuals: tuple[float, ...]
+    # steps, gradient_zero, tangent_degenerate, left_domain or corrector_failed
+    stop_reason: str
+    halvings: int  # times the step was halved, the last failed attempts included
+    max_corrector_iterations: int  # the most corrector steps one landing took
 
     def to_csv(self) -> str:
         n = len(self.points[0][1])
@@ -526,25 +530,21 @@ class LevelSetCurve(Record):
         return csv_table(header, ((s, *x, qv) for (s, x), qv in zip(self.points, self.q_values)))
 
 
-def _gradient(q: Callable, x: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def _gradient(q: Callable, x: np.ndarray, f0: float, scales: np.ndarray) -> np.ndarray:
+    """Forward differences of q at x from f0 = q(x), one q call per coordinate;
+    a backward difference in a coordinate whose forward point leaves the domain."""
     g = np.empty(len(x))
     for i in range(len(x)):
         h = _SQRT_EPS * (abs(x[i]) + scales[i])
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp, fm = q(xp), q(xm)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            # one-sided fallback at the domain edge
-            f0 = q(x)
-            if math.isfinite(fp):
-                g[i] = (fp - f0) / h
-            elif math.isfinite(fm):
-                g[i] = (f0 - fm) / h
-            else:
+        xs = x.copy()
+        xs[i] += h
+        fs = q(xs)
+        if not math.isfinite(fs):  # one-sided the other way at the domain edge
+            xs[i] = x[i] - h
+            fs = q(xs)
+            if not math.isfinite(fs):
                 raise ConvergenceError("gradient stencil left the domain")
-        else:
-            g[i] = (fp - fm) / (2.0 * h)
+        g[i] = (fs - f0) / (xs[i] - x[i])
     return g
 
 
@@ -558,10 +558,16 @@ def trace_level_set(
     """Predictor-corrector continuation along the hypersurface Q(x) = k.
 
     The predictor moves along a unit tangent (kept direction-continuous with
-    the previous step); the corrector is Newton iteration on Q(x) = k
-    projected along the numerically estimated gradient.  The step is halved
-    on corrector failure and doubled after 4 easy successes, capped to
-    [1e-6, 1e-1].  Stops at the domain boundary or after ``steps`` steps.
+    the previous step).  The gradient g of Q at each accepted point, forward
+    differences from the Q(x) already computed there, gives the tangent and
+    drives a chord corrector along g (Allgower & Georg, *Numerical
+    Continuation Methods*, ch. 6): n + 1 Q calls a step plus one per
+    corrector iteration.  Newton steps land the start.  A point is on the
+    level when |Q - k| <= 1e-10 k, within 25 iterations.  The step is halved
+    when the predictor leaves the domain or the corrector fails, and doubled
+    after 4 successes, within [1e-6, 1e-1].  ``stop_reason`` is ``steps``,
+    or the boundary met: ``gradient_zero``, ``tangent_degenerate``,
+    ``left_domain`` or ``corrector_failed``.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -574,92 +580,101 @@ def trace_level_set(
     if abs(q_start - k) / k > 1e-2:
         raise DomainError(f"start point has Q={q_start}, far from the level k={k}")
     q = ratio_function(nfamily)
-    box = nfamily.sample_box
-    scales = np.array([b[1] - b[0] for b in box])
+    scales = np.array([b[1] - b[0] for b in nfamily.sample_box])
+    widest = float(np.max(scales))
 
-    def grad(xx: np.ndarray) -> np.ndarray:
-        g = _gradient(q, xx, scales)
-        if np.linalg.norm(g) * float(np.max(scales)) < 1e-6 * k:
+    def flat(g: np.ndarray) -> bool:
+        return math.sqrt(g @ g) * widest < 1e-6 * k
+
+    def grad(xx: np.ndarray, fxx: float) -> np.ndarray:
+        g = _gradient(q, xx, fxx, scales)
+        if flat(g):
             raise ConvergenceError(
                 "gradient of Q numerically zero (near a critical point of Q); "
                 "the level set has no unique tangent here"
             )
         return g
 
-    def correct(xx: np.ndarray) -> np.ndarray | None:
-        for _ in range(25):
+    def correct(xx: np.ndarray, g: np.ndarray | None = None):
+        """(x, Q(x), iterations) on the level, or why not: Newton steps when
+        g is None, else chord steps along g."""
+        for it in range(25):
             val = q(xx)
-            if not math.isfinite(val):
-                return None
+            if not math.isfinite(val):  # q is inf outside the domain
+                return "left_domain"
             if abs(val - k) <= 1e-10 * k:
-                return xx
-            g = grad(xx)
-            xx = xx - (val - k) / float(g @ g) * g
-            if not nfamily.contains(xx):
-                return None
-        return None
+                return xx, val, it
+            gi = grad(xx, val) if g is None else g
+            xx = xx - (val - k) / float(gi @ gi) * gi
+        return "corrector_failed"
 
-    corrected = correct(x.copy())
-    if corrected is None:
+    landed = correct(x)
+    if isinstance(landed, str):
         raise ConvergenceError("corrector failed to land on the level set at the start")
-    x = corrected
+    x, fx, iterations = landed
 
-    g = grad(x)
-    ghat = g / np.linalg.norm(g)
-    # deterministic initial tangent: coordinate axis least aligned with the gradient
-    axis = int(np.argmin(np.abs(ghat)))
+    g = grad(x, fx)
+    ghat = g / math.sqrt(g @ g)
+    # first direction: the axis least aligned with g, projected in the first step
     t = np.zeros(len(x))
-    t[axis] = 1.0
-    t -= (t @ ghat) * ghat
-    t /= np.linalg.norm(t)
+    t[int(np.argmin(np.abs(ghat)))] = 1.0
 
-    points = [(0.0, tuple(float(v) for v in x))]
-    q_values = [q(x)]
-    residuals = [abs(q_values[-1] - k) / k]
+    points = [(0.0, tuple(x.tolist()))]
+    q_values = [fx]
     arclen = 0.0
     h = float(step_size)
-    easy = 0
-    for _ in range(steps):
-        try:
-            g = grad(x)
-        except ConvergenceError:
-            break
-        ghat = g / np.linalg.norm(g)
+    easy = halvings = 0
+    stop_reason = "steps"
+    for step in range(steps):
+        if step:
+            try:
+                g = _gradient(q, x, fx, scales)
+            except ConvergenceError:
+                stop_reason = "left_domain"
+                break
+            if flat(g):
+                stop_reason = "gradient_zero"
+                break
+            ghat = g / math.sqrt(g @ g)
         tt = t - (t @ ghat) * ghat
-        nrm = np.linalg.norm(tt)
+        nrm = math.sqrt(tt @ tt)
         if nrm < 1e-12:
+            stop_reason = "tangent_degenerate"
             break
         tt /= nrm
-        moved = False
         while h >= STEP_MIN:
             x_pred = x + h * tt
             if not nfamily.contains(x_pred):
-                h *= 0.5
-                continue
-            x_new = correct(x_pred.copy())
-            if x_new is None:
-                h *= 0.5
-                easy = 0
-                continue
-            arclen += float(np.linalg.norm(x_new - x))
-            x = x_new
-            t = tt
-            points.append((arclen, tuple(float(v) for v in x)))
-            q_values.append(q(x))
-            residuals.append(abs(q_values[-1] - k) / k)
-            easy += 1
-            if easy >= 4:
-                h = min(2.0 * h, STEP_MAX)
-                easy = 0
-            moved = True
+                failure = "left_domain"
+            else:
+                landed = correct(x_pred, g)
+                if not isinstance(landed, str):
+                    break
+                failure, easy = landed, 0
+            h *= 0.5
+            halvings += 1
+        else:
+            stop_reason = failure  # the domain boundary, or no landing at the minimal step
             break
-        if not moved:
-            break  # boundary or persistent corrector failure at minimal step
+        x_new, fx, it = landed
+        dx = x_new - x
+        arclen += math.sqrt(dx @ dx)
+        x, t = x_new, tt
+        points.append((arclen, tuple(x.tolist())))
+        q_values.append(fx)
+        iterations = max(iterations, it)
+        easy += 1
+        if easy >= 4:
+            h = min(2.0 * h, STEP_MAX)
+            easy = 0
 
     return LevelSetCurve(
         class_id=nfamily.id,
         k=float(k),
         points=tuple(points),
         q_values=tuple(float(v) for v in q_values),
-        residuals=tuple(residuals),
+        residuals=tuple(abs(v - k) / k for v in q_values),
+        stop_reason=stop_reason,
+        halvings=halvings,
+        max_corrector_iterations=iterations,
     )

@@ -164,6 +164,25 @@ class TestOneEvaluationPath:
         assert q(np.array([1.75])) == math.inf
         assert q(np.array([1.25])) == pytest.approx(216.0, rel=1e-14)
 
+    def test_division_by_zero_is_a_domain_error(self):
+        pole = dataclasses.replace(families.builtin("rect_fixed_length"),
+                                   volume=lambda s: 1.0 / abs(s - 1.0))
+        grid = np.linspace(0.5, 1.5, 33)  # holds 1.0
+        with pytest.raises(DomainError, match=re.escape("V or A divides by zero at point 1.0 ")):
+            families.evaluate(pole, 1.0)
+        with pytest.raises(DomainError, match=re.escape("at point 1.0 ")):
+            homogeneity.classify(pole, grid)
+        q = search.ratio_function(pole)
+        assert q(np.array([1.0])) == math.inf
+        assert math.isfinite(q(np.array([1.5])))
+
+    def test_underflowing_volume_power_is_inf(self):
+        thin = families.FamilySpec(id="thin", dimension=3, domain=((0.0, 1.0),),
+                                   volume=lambda s: 1e-200, area=lambda s: 1.0)
+        assert search.ratio_function(thin)(np.array([0.5])) == math.inf  # V^2 is 0.0
+        with pytest.raises(DomainError, match="Q overflows at point"):
+            families.ratio_at(thin, 0.5, *families.evaluate(thin, 0.5))
+
     @pytest.mark.parametrize("fid", ["cube", "hexagon_120", "ngon"])
     def test_classify_q_equals_ratio_function(self, fid):
         fam = families.builtin(fid)

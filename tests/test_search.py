@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -521,6 +522,64 @@ class TestTraceLevelSet:
         lines = curve.to_csv().strip().split("\n")
         assert lines[0] == "s,x1,x2,x3,Q"
         assert len(lines) == len(curve.points) + 1
+
+    def test_evaluation_budget_per_step(self):
+        par = families.builtin("parallelogram3")
+        counted = dataclasses.replace(par, volume=_counted(par.volume))
+        counted.volume.calls = 0  # not the prefix check of the replaced spec
+        curve = search.trace_level_set(counted, 32.0, self._start_point(4.0), steps=200)
+        assert len(curve.points) == 201
+        assert counted.volume.calls <= 10 * 200  # the start and its landing included
+
+    @pytest.mark.parametrize("cid, k, start", [
+        ("parallelogram3", 32.0, (2.0, 2.0, math.pi / 6)),
+        ("rect2", 18.0, (1.0, 2.0)),
+        ("cylinder", 200.0, (1.0, 1.0)),  # Q = 64 pi there: the landing moves it
+    ])
+    def test_residuals_within_corrector_tolerance(self, cid, k, start):
+        curve = search.trace_level_set(families.builtin(cid), k, np.array(start), steps=200)
+        assert len(curve.points) == 201
+        assert curve.stop_reason == "steps"
+        assert max(curve.residuals) <= 1e-10
+
+    def test_gradient_backward_at_the_domain_edge(self):
+        par = families.builtin("parallelogram3")
+        q = search.ratio_function(par)
+        scales = np.array([hi - lo for lo, hi in par.sample_box])
+        x = np.array([2.0, 2.0, math.pi - 1e-8])
+        f0 = q(x)
+        g = search._gradient(q, x, f0, scales)
+        h = search._SQRT_EPS * (x[2] + scales[2])
+        assert not par.contains(x + [0.0, 0.0, h])  # the forward point is past pi
+        back = x - [0.0, 0.0, h]
+        assert g[2] == (q(back) - f0) / (back[2] - x[2])
+        assert g[2] > 0  # Q = 4 (a + b)^2 / (a b sin x3) grows toward x3 = pi
+        # dQ/da = dQ/db = 0 at a = b, by forward differences
+        assert np.all(np.abs(g[:2]) <= 1e-6 * f0)
+
+    def test_stop_reasons(self):
+        # rect2 cut at length 3: the level Q = 18 is the ray b = 2a, which leaves there
+        cut = dataclasses.replace(families.builtin("rect2"), domain=((0.0, 3.0), (0.0, math.inf)),
+                                  homogeneous_prefix_m=None)
+        curve = search.trace_level_set(cut, 18.0, np.array([1.0, 2.0]), steps=200)
+        assert curve.stop_reason == "left_domain"
+        assert 1 < len(curve.points) < 201
+        assert 3.0 - curve.points[-1][1][0] < 1e-5
+        assert curve.halvings >= math.log2(search.STEP_MAX / search.STEP_MIN)
+        # a one-parameter family's level set is isolated points, with no tangent
+        curve = search.trace_level_set(families.builtin("rect_fixed_length"), 18.0,
+                                       np.array([2.0]), steps=5)
+        assert curve.stop_reason == "tangent_degenerate"
+        assert len(curve.points) == 1
+
+    def test_evidence_in_json(self):
+        par = families.builtin("parallelogram3")
+        curve = search.trace_level_set(par, 32.0, self._start_point(4.0), steps=20)
+        doc = json.loads(curve.to_json())
+        assert (doc["stop_reason"], doc["halvings"]) == ("steps", 0)
+        assert 1 <= doc["max_corrector_iterations"] <= 25
+        again = search.trace_level_set(par, 32.0, self._start_point(4.0), steps=20)
+        assert again.to_json() == curve.to_json()
 
     @pytest.mark.parametrize("kwargs", [{"steps": -5}, {"steps": 0}, {"step_size": 0.0},
                                         {"step_size": math.inf}, {"step_size": math.nan}])
