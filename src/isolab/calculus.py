@@ -212,11 +212,13 @@ def inradius_by_quadrature(
     domain end comes from the one-sided stencil of :func:`derivative`, off by
     about 1e-7 relative where V'' is unbounded, which the error estimate omits.
     """
-    return _inradius(family, s0, C, grid)
+    r, err = _inradius(family, s0, C, grid)
+    samples = tuple(zip(np.asarray(grid, dtype=float).tolist(), r.tolist()))
+    return InradiusCurve(family.id, float(s0), float(C), samples, err)
 
 
-def _inradius(family: FamilySpec, s0: float, C: float, grid, v=None) -> InradiusCurve:
-    """:func:`inradius_by_quadrature`, given V sampled on ``grid`` unless v is None."""
+def _inradius(family: FamilySpec, s0: float, C: float, grid, v=None) -> tuple[np.ndarray, float]:
+    """r and the error estimate of :func:`inradius_by_quadrature`; V is sampled unless given."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")
@@ -225,7 +227,7 @@ def _inradius(family: FamilySpec, s0: float, C: float, grid, v=None) -> Inradius
     (lo, hi), = family.domain
     if not (lo <= s0 < hi):
         raise DomainError(f"anchor s0={s0} outside domain [{lo}, {hi})")
-    if np.any(sign_v == 0) or len(set(sign_v)) > 1:
+    if not (np.all(sign_v > 0) or np.all(sign_v < 0)):
         raise ConvergenceError(
             f"V is not strictly monotone over the grid of family {family.id!r}; "
             "split the domain with monotone_partition first"
@@ -236,20 +238,10 @@ def _inradius(family: FamilySpec, s0: float, C: float, grid, v=None) -> Inradius
     segments, errors = integrate(dr_ds(family), knots[:-1], knots[1:])
     cumulative = np.concatenate([[0.0], np.cumsum(segments)])
     vals = cumulative - cumulative[np.searchsorted(knots, s0)]
-    samples = tuple(
-        (float(s), C + float(v)) for s, v in zip(grid, vals[np.searchsorted(knots, grid)])
-    )
-
-    if np.any(np.sign(np.diff([r for _, r in samples])) != sign_v):
+    r = float(C) + vals[np.searchsorted(knots, grid)]
+    if np.any(np.sign(np.diff(r)) != sign_v):
         raise ConvergenceError("r(s) failed to track the monotonicity of V(s)")
-
-    return InradiusCurve(
-        family_id=family.id,
-        anchor_s0=float(s0),
-        anchor_value_C=float(C),
-        samples=samples,
-        quadrature_error_estimate=float(errors.sum()),
-    )
+    return r, float(errors.sum())
 
 
 @dataclass(frozen=True)
@@ -266,24 +258,33 @@ def verify_derivative_relation(
 ) -> DerivativeRelationReport:
     """Check dV/dr = A along the curve by differencing V against r.
 
-    Uses a sliding 7-point local polynomial fit (degree 6), so smooth
-    families pass at tight tolerances on moderate grids.  Each window is
-    fitted in t = (r - r_c) / h, r_c its centre and h its width, and all
-    windows' Vandermonde systems are solved in one batch.
+    The slope at the centre c of each sliding 7-point window is that of the
+    degree-6 polynomial interpolating V there, so smooth families pass at
+    tight tolerances on moderate grids.  It is row c of the barycentric
+    differentiation matrix applied to V - V_c (Berrut & Trefethen,
+    "Barycentric Lagrange Interpolation", SIAM Review 46, 2004): the sum over
+    j != c of (w_j / w_c) (V_j - V_c) / (r_c - r_j), with the weights
+    w_j = 1 / prod over k != j of (t_j - t_k) taken in t = (r - r_c) / h, h
+    the window's width, so that they neither overflow nor underflow.  All
+    windows are done at once.  A :class:`DomainError` names the first sample
+    whose s or r is not finite, or whose r repeats an earlier one.
     """
     if len(curve.samples) < 8:
         raise DomainError("curve must cover at least 8 samples")
     if not rtol > 0:
         raise DomainError("rtol must be positive")
-    v, a = sample(family, curve.s)
-    half = 3
-    width = 2 * half + 1
-    rw = np.lib.stride_tricks.sliding_window_view(curve.r, width)
-    h = np.maximum(np.abs(rw[:, -1] - rw[:, 0]), 1e-300)
-    t = (rw - rw[:, half:half + 1]) / h[:, None]
-    vw = np.lib.stride_tricks.sliding_window_view(v, width)
-    coeffs = np.linalg.solve(t[:, :, None] ** np.arange(width), vw[:, :, None])
-    devs = np.abs(coeffs[:, 1, 0] / h - a[half:-half]) / np.abs(a[half:-half])
+    s, r = curve.s, curve.r
+    bad = ~(np.isfinite(s) & np.isfinite(r))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DomainError(f"curve sample {i} (s={s[i]}, r={r[i]}) is not finite")
+    order = np.argsort(r, kind="stable")
+    repeats = order[1:][np.diff(r[order]) == 0]
+    if len(repeats):
+        i = int(repeats.min())
+        raise DomainError(f"curve sample {i} (s={s[i]}) repeats the value r={r[i]}")
+    v, a = sample(family, s)
+    devs = np.abs(_centre_slopes(r, v) - a[3:-3]) / np.abs(a[3:-3])
     worst = float(devs.max())
     return DerivativeRelationReport(
         family_id=family.id,
@@ -292,6 +293,19 @@ def verify_derivative_relation(
         passes=worst <= rtol,
         n_checked=len(devs),
     )
+
+
+def _centre_slopes(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """dV/dr at the centre of each window of 7 samples; r must not repeat a value."""
+    # row j of these (7, windows) views holds sample j of every window
+    rw, vw = np.lib.stride_tricks.sliding_window_view(np.stack([r, v]), len(r) - 6, axis=1)
+    t = (rw - rw[3]) / np.abs(rw[-1] - rw[0])
+    gaps = t - t[:, None]  # gaps[k, j] = t_j - t_k
+    gaps[range(7), range(7)] = 1.0
+    p = gaps.prod(axis=0)  # 1 / w
+    dr = rw[3] - rw
+    dr[3] = 1.0  # the centre's term is 0 / 1
+    return (p[3] / p * (vw - vw[3]) / dr).sum(axis=0)
 
 
 def reparameterize(

@@ -39,6 +39,7 @@ class HomogeneityReport(Record):
     criterion_iii_residual: float
     k_constant: float
     rtol: float
+    rtol_margin: float  # rtol - q_rel_spread: homogeneous exactly when >= 0
 
     @property
     def homogeneous(self) -> bool:
@@ -48,7 +49,8 @@ class HomogeneityReport(Record):
 def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> HomogeneityReport:
     """Three-way homogeneity classification over a sample grid.
 
-    The verdict is driven by the relative spread of Q about its median.  The
+    The verdict is driven by the relative spread of Q about its median, and
+    ``rtol_margin`` is how far that spread lies within ``rtol``.  The
     other two characterizations are evaluated as cross-check residuals:
     (i) the quadrature curve minus d V/A is constant (offset fitted as the
     median), (ii) A^d is proportional to V^(d-1) with the fitted constant,
@@ -61,16 +63,18 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
         raise DomainError("rtol must be positive")
     v, a = sample(family, grid)
     d = family.dimension
-    # pair by pair, as at one point: numpy's array power can round the last bit differently
-    q = np.array([ratio_at(family, s, vi, ai)
-                  for s, vi, ai in zip(grid.tolist(), v.tolist(), a.tolist())])
+    # ratio_at's expression on floats: numpy's array power can round the last bit differently
+    try:
+        q_values = tuple(ai**d / vi ** (d - 1) for vi, ai in zip(v.tolist(), a.tolist()))
+    except ArithmeticError:  # ratio_at raises it again, naming the point
+        q_values = tuple(ratio_at(family, *p) for p in zip(grid.tolist(), v.tolist(), a.tolist()))
+    q = np.array(q_values)
     q_center = float(np.median(q))
     q_rel_spread = float(np.max(np.abs(q - q_center)) / q_center)
 
     # (i) r_quad(s) - d V/A constant
-    curve = _inradius(family, float(grid[0]), 0.0, grid, v)
-    r_tong = d * v / a
-    offsets = curve.r - r_tong
+    r, _ = _inradius(family, float(grid[0]), 0.0, grid, v)
+    offsets = r - d * v / a
     c_star = float(np.median(offsets))
     res_i = float(np.max(np.abs(offsets - c_star)))
 
@@ -82,19 +86,20 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
     k2c = float(np.median(k2))
     res_iii = float(np.max(np.abs(k2 - k2c)) / k2c)
 
-    verdict = "homogeneous" if q_rel_spread <= rtol else "not_homogeneous"
+    rtol_margin = float(rtol) - q_rel_spread
     report = HomogeneityReport(
         family_id=family.id,
-        grid=tuple(float(g) for g in grid),
-        q_values=tuple(float(x) for x in q),
+        grid=tuple(grid.tolist()),
+        q_values=q_values,
         q_center=q_center,
         q_rel_spread=q_rel_spread,
-        verdict=verdict,
+        verdict="homogeneous" if rtol_margin >= 0 else "not_homogeneous",
         criterion_i_residual=res_i,
         criterion_ii_residual=res_ii,
         criterion_iii_residual=res_iii,
         k_constant=q_center,
         rtol=float(rtol),
+        rtol_margin=rtol_margin,
     )
     floor = d**d * kappa(d)
     if q_center < floor * (1.0 - 1e-9):
@@ -133,10 +138,10 @@ def constant_area_check(family: FamilySpec, grid: Sequence[float], rtol: float =
     ac = float(np.median(a))
     if np.max(np.abs(a - ac)) / ac > rtol:
         return False
-    curve = _inradius(family, float(grid[0]), 0.0, grid, v)
-    diff = curve.r - v / a
+    r, _ = _inradius(family, float(grid[0]), 0.0, grid, v)
+    diff = r - v / a
     spread = float(np.max(diff) - np.min(diff))
-    scale = float(np.max(np.abs(curve.r))) + 1e-30
+    scale = float(np.max(np.abs(r))) + 1e-30
     if spread > max(1e-8, 100.0 * rtol) * scale:
         raise DomainError(
             "A is constant but r - V/A failed to be constant; quadrature inconsistency"

@@ -1,11 +1,14 @@
 """Helpers that only the tests use: a checked isoperimetric ratio, a support
-function, a harmonic mean and two polygon constructors."""
+function, a harmonic mean, two polygon constructors, the one-parameter
+built-ins on sample grids and a reference for the windowed slopes of
+``calculus.verify_derivative_relation``."""
 
 import math
 from typing import Sequence
 
 import numpy as np
 
+from isolab import families
 from isolab.errors import DomainError
 from isolab.families import ratio
 from isolab.polytope import StarPolyhedron
@@ -49,3 +52,32 @@ def square_polygon(side: float = 1.0) -> StarPolyhedron:
     verts = side * np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     facets = ((0, 1), (1, 2), (2, 3), (3, 0))
     return StarPolyhedron(2, verts, facets, np.array([side / 2.0, side / 2.0]))
+
+
+SQRT2 = math.sqrt(2.0)
+
+# every one-parameter built-in, on a 48-point grid inside its domain
+ALL_ONE_PARAM = [
+    (families.builtin("cube"), np.linspace(0.5, 4.0, 48)),
+    (families.builtin("disk"), np.linspace(0.5, 4.0, 48)),
+    (families.builtin("ball"), np.linspace(0.5, 4.0, 48)),
+    (families.builtin("rect_fixed_length", a=1.0), np.linspace(0.5, 4.0, 48)),
+    (families.builtin("rect_similar", k=0.5), np.linspace(0.5, 4.0, 48)),
+    (families.builtin("hexagon_120"), np.linspace(0.2, 3.0, 48)),
+    (families.builtin("ngon", n=5), np.linspace(0.5, 4.0, 48)),
+    (families.rhombus_branches(1.0)[0], np.linspace(0.08, SQRT2 - 0.08, 48)),
+    (families.rhombus_branches(1.0)[1], np.linspace(SQRT2 + 0.04, 1.96, 48)),
+]
+
+
+def vandermonde_slopes(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """dV/dr at the centre of each window of 7 consecutive samples: the linear
+    coefficient of the degree-6 polynomial through the window, solved from its
+    Vandermonde system in t = (r - r_c) / h, h the window's width."""
+    half, width = 3, 7
+    rw = np.lib.stride_tricks.sliding_window_view(r, width)
+    vw = np.lib.stride_tricks.sliding_window_view(v, width)
+    h = np.abs(rw[:, -1] - rw[:, 0])
+    t = (rw - rw[:, half:half + 1]) / h[:, None]
+    coeffs = np.linalg.solve(t[:, :, None] ** np.arange(width), vw[:, :, None])
+    return coeffs[:, 1, 0] / h

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from helpers import ALL_ONE_PARAM, vandermonde_slopes
 from isolab import calculus, families, homogeneity
 from isolab.errors import ConvergenceError, DomainError
 from isolab.families import FamilySpec
@@ -133,6 +135,19 @@ class TestInradiusByQuadrature:
         grid = np.linspace(0.25, 4.0, 40)
         curve = calculus.inradius_by_quadrature(cube, 0.0, 0.0, grid)
         assert np.allclose(curve.r, grid / 2.0, rtol=0, atol=1e-8)
+
+    def test_samples_equal_pairs_built_one_at_a_time(self):
+        # (float(s), C + float(r - C)) per grid point, from the same quadrature
+        fam = families.builtin("hexagon_120")
+        grid, s0, C = np.linspace(3.0, 0.2, 40), 1.3, 0.1
+        curve = calculus.inradius_by_quadrature(fam, s0, C, grid)
+        knots = np.unique(np.concatenate([[s0], grid]))
+        segments, _ = calculus.integrate(calculus.dr_ds(fam), knots[:-1], knots[1:])
+        cumulative = np.concatenate([[0.0], np.cumsum(segments)])
+        vals = cumulative - cumulative[np.searchsorted(knots, s0)]
+        pairs = zip(grid, vals[np.searchsorted(knots, grid)])
+        assert curve.samples == tuple((float(s), C + float(v)) for s, v in pairs)
+        assert all(type(x) is float for pair in curve.samples for x in pair)
 
     def test_rect_fixed_length_log_curve(self):
         a = 1.5
@@ -304,19 +319,6 @@ class TestOneSamplePerGrid:
         assert points == [len(grid)]
 
 
-ALL_ONE_PARAM = [
-    (families.builtin("cube"), np.linspace(0.5, 4.0, 48)),
-    (families.builtin("disk"), np.linspace(0.5, 4.0, 48)),
-    (families.builtin("ball"), np.linspace(0.5, 4.0, 48)),
-    (families.builtin("rect_fixed_length", a=1.0), np.linspace(0.5, 4.0, 48)),
-    (families.builtin("rect_similar", k=0.5), np.linspace(0.5, 4.0, 48)),
-    (families.builtin("hexagon_120"), np.linspace(0.2, 3.0, 48)),
-    (families.builtin("ngon", n=5), np.linspace(0.5, 4.0, 48)),
-    (families.rhombus_branches(1.0)[0], np.linspace(0.08, SQRT2 - 0.08, 48)),
-    (families.rhombus_branches(1.0)[1], np.linspace(SQRT2 + 0.04, 1.96, 48)),
-]
-
-
 class TestVerifyDerivativeRelation:
     def test_cube_curve(self):
         cube = families.builtin("cube")
@@ -334,11 +336,50 @@ class TestVerifyDerivativeRelation:
         report = calculus.verify_derivative_relation(fam, curve, rtol=1e-6)
         assert report.passes, (fam.id, report.max_relative_deviation)
 
+    def test_exact_for_degree_six_polynomial(self):
+        # along r = s each window interpolates V = p exactly, so the slope is A = p'
+        p = [1.0 / math.factorial(k) for k in range(6, -1, -1)]
+        poly = FamilySpec("poly6", 3, ((0.0, math.inf),), lambda s: np.polyval(p, s),
+                          lambda s: np.polyval(np.polyder(p), s))
+        s = (0.5 + 3.0 * np.linspace(0.0, 1.0, 40) ** 2).tolist()  # non-uniform
+        curve = calculus.InradiusCurve("poly6", s[0], 0.0, tuple(zip(s, s)), 0.0)
+        report = calculus.verify_derivative_relation(poly, curve, rtol=1e-12)
+        assert report.max_relative_deviation <= 1e-12
+        assert report.passes and report.n_checked == 34
+
+    @pytest.mark.parametrize("fam,grid", ALL_ONE_PARAM, ids=lambda x: getattr(x, "id", "grid"))
+    def test_slopes_match_vandermonde_solve(self, fam, grid):
+        curve = calculus.inradius_by_quadrature(fam, float(grid[0]), 0.0, grid)
+        v, _ = families.sample(fam, grid)
+        got = calculus._centre_slopes(curve.r, v)
+        np.testing.assert_allclose(got, vandermonde_slopes(curve.r, v), rtol=1e-10, atol=0)
+
     def test_nan_rtol_rejected(self):
         cube = families.builtin("cube")
         curve = calculus.inradius_by_quadrature(cube, 1.0, 0.0, np.linspace(1, 2, 40))
         with pytest.raises(DomainError, match="rtol"):
             calculus.verify_derivative_relation(cube, curve, rtol=math.nan)
+
+    @pytest.mark.parametrize("column,value", [(0, math.nan), (1, math.nan), (1, -math.inf), (0, math.inf)])
+    def test_non_finite_sample_rejected(self, column, value):
+        cube = families.builtin("cube")
+        samples = [list(p) for p in calculus.inradius_by_quadrature(cube, 1.0, 0.0, np.linspace(1, 2, 40)).samples]
+        samples[5][column] = value
+        curve = calculus.InradiusCurve("cube", 1.0, 0.0, tuple(map(tuple, samples)), 0.0)
+        with pytest.raises(DomainError, match=r"curve sample 5 \(s=.*, r=.*\) is not finite"):
+            calculus.verify_derivative_relation(cube, curve, rtol=1e-6)
+
+    def test_repeated_r_rejected_before_any_division(self):
+        cube = families.builtin("cube")
+        curve = calculus.inradius_by_quadrature(cube, 1.0, 0.0, np.linspace(1, 2, 40))
+        samples = list(curve.samples)
+        samples[9] = (samples[9][0], samples[4][1])
+        curve = dataclasses.replace(curve, samples=tuple(samples))
+        message = f"curve sample 9 (s={samples[9][0]}) repeats the value r={samples[4][1]}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero warning on the way
+            with pytest.raises(DomainError, match=re.escape(message)):
+                calculus.verify_derivative_relation(cube, curve, rtol=1e-6)
 
     def test_degenerate_two_sample_curve(self):
         cube = families.builtin("cube")

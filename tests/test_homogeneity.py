@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import isoperimetric_ratio
+from helpers import ALL_ONE_PARAM, isoperimetric_ratio
 from isolab import calculus, families, homogeneity
 from isolab.errors import DomainError
 from isolab.inequalities import kappa
@@ -130,6 +130,38 @@ class TestClassify:
         doc = json.loads(report.to_json())
         assert doc["verdict"] == "homogeneous"
         assert len(doc["q_values"]) == 40
+
+    @pytest.mark.parametrize("fam,grid", ALL_ONE_PARAM, ids=lambda x: getattr(x, "id", "grid"))
+    def test_q_values_equal_ratio_at(self, fam, grid):
+        report = homogeneity.classify(fam, grid)
+        v, a = families.sample(fam, grid)
+        want = [families.ratio_at(fam, s, vi, ai) for s, vi, ai in zip(grid.tolist(), v.tolist(), a.tolist())]
+        assert [x.hex() for x in report.q_values] == [x.hex() for x in want]
+        assert report.grid == tuple(float(g) for g in grid)
+
+
+class TestRtolMargin:
+    @pytest.mark.parametrize("fid,params", [("cube", {}), ("hexagon_120", {}), ("rect_fixed_length", {"a": 1.0})])
+    def test_margin_decides_the_verdict(self, fid, params):
+        report = homogeneity.classify(families.builtin(fid, **params), np.linspace(0.5, 3, 40))
+        assert report.rtol_margin == report.rtol - report.q_rel_spread
+        assert report.homogeneous == (report.rtol_margin >= 0)
+
+    def test_zero_margin_is_homogeneous(self):
+        fam, grid = families.builtin("rect_fixed_length", a=1.0), np.linspace(0.5, 4, 40)
+        spread = homogeneity.classify(fam, grid).q_rel_spread
+        at = homogeneity.classify(fam, grid, rtol=spread)
+        assert at.rtol_margin == 0.0 and at.homogeneous
+        below = homogeneity.classify(fam, grid, rtol=math.nextafter(spread, 0.0))
+        assert below.rtol_margin < 0 and not below.homogeneous
+
+    def test_json_key(self):
+        import json
+
+        report = homogeneity.classify(families.builtin("hexagon_120"), np.linspace(0.2, 3, 40))
+        doc = json.loads(report.to_json())
+        assert list(doc)[-2:] == ["rtol", "rtol_margin"]
+        assert doc["rtol_margin"] == report.rtol_margin > 0
 
 
 class TestElasticity:
