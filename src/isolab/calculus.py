@@ -8,13 +8,13 @@ smooth family, and the curve is unique up to the additive constant C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, IsolabError
-from .families import FamilySpec, Record, csv_table, sample
+from .families import FamilySpec, Record, _frozen, csv_table, sample
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -115,23 +115,39 @@ def _quotients(f: Callable, s, t):
     return (f(s + t / 2.0) - f0) / (t / 2.0), (f(s + t) - f0) / t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InradiusCurve(Record):
-    """Sampled change-of-variable curve r(s), anchored at r(s0) = C."""
+    """Sampled change-of-variable curve r(s), anchored at r(s0) = C, with V and A at its
+    points outside the JSON and CSV forms; ``==`` is identity: arrays have no single truth value."""
 
     family_id: str
     anchor_s0: float
     anchor_value_C: float
-    samples: tuple[tuple[float, float], ...]  # ordered (s, r(s))
+    samples: np.ndarray  # (m, 2)
     quadrature_error_estimate: float
+    v: np.ndarray = field(repr=False)  # (m,)
+    a: np.ndarray = field(repr=False)  # (m,)
+
+    def __post_init__(self):
+        try:
+            samples, v, a = (_frozen(x) for x in (self.samples, self.v, self.a))
+        except (TypeError, ValueError) as exc:  # ragged or not numbers
+            raise DomainError(f"curve samples, v and a must be float arrays: {exc}") from None
+        if samples.shape[1:] != (2,) or not v.shape == a.shape == samples.shape[:1]:
+            raise DomainError(f"curve samples, v and a must be of shapes (m, 2), (m,) and (m,), "
+                              f"not {samples.shape}, {v.shape} and {a.shape}")
+        if not np.all((np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf)):  # NaN fails too
+            raise DomainError("curve v and a must be finite and positive")
+        for name, x in (("samples", samples), ("v", v), ("a", a)):
+            object.__setattr__(self, name, x)
 
     @property
     def s(self) -> np.ndarray:
-        return np.array([p[0] for p in self.samples])
+        return self.samples[:, 0]
 
     @property
     def r(self) -> np.ndarray:
-        return np.array([p[1] for p in self.samples])
+        return self.samples[:, 1]
 
     def to_csv(self) -> str:
         return csv_table(("s", "r"), self.samples)
@@ -212,18 +228,18 @@ def inradius_by_quadrature(
     domain end comes from the one-sided stencil of :func:`derivative`, off by
     about 1e-7 relative where V'' is unbounded, which the error estimate omits.
     """
-    r, err = _inradius(family, s0, C, grid)
-    samples = tuple(zip(np.asarray(grid, dtype=float).tolist(), r.tolist()))
-    return InradiusCurve(family.id, float(s0), float(C), samples, err)
-
-
-def _inradius(family: FamilySpec, s0: float, C: float, grid, v=None) -> tuple[np.ndarray, float]:
-    """r and the error estimate of :func:`inradius_by_quadrature`; V is sampled unless given."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")
     _require_ordered(grid)
-    sign_v = np.sign(np.diff(sample(family, grid)[0] if v is None else v))
+    v, a = sample(family, grid)
+    r, err = _inradius(family, s0, C, grid, v)
+    return InradiusCurve(family.id, float(s0), float(C), np.column_stack([grid, r]), err, v, a)
+
+
+def _inradius(family: FamilySpec, s0: float, C: float, grid, v) -> tuple[np.ndarray, float]:
+    """r and the error estimate of :func:`inradius_by_quadrature`, given its checked grid and V."""
+    sign_v = np.sign(np.diff(v))
     (lo, hi), = family.domain
     if not (lo <= s0 < hi):
         raise DomainError(f"anchor s0={s0} outside domain [{lo}, {hi})")
@@ -256,7 +272,8 @@ class DerivativeRelationReport:
 def verify_derivative_relation(
     family: FamilySpec, curve: InradiusCurve, rtol: float
 ) -> DerivativeRelationReport:
-    """Check dV/dr = A along the curve by differencing V against r.
+    """Check dV/dr = A along the curve of ``family`` (by id; :class:`DomainError` if not),
+    with the V and A it holds, by differencing V against r; no evaluator is called.
 
     The slope at the centre c of each sliding 7-point window is that of the
     degree-6 polynomial interpolating V there, so smooth families pass at
@@ -265,10 +282,11 @@ def verify_derivative_relation(
     "Barycentric Lagrange Interpolation", SIAM Review 46, 2004): the sum over
     j != c of (w_j / w_c) (V_j - V_c) / (r_c - r_j), with the weights
     w_j = 1 / prod over k != j of (t_j - t_k) taken in t = (r - r_c) / h, h
-    the window's width, so that they neither overflow nor underflow.  All
-    windows are done at once.  A :class:`DomainError` names the first sample
-    whose s or r is not finite, or whose r repeats an earlier one.
-    """
+    the window's width, so that they neither overflow nor underflow; all windows at
+    once.  A :class:`DomainError` names the first sample whose s or r is not finite, or
+    whose r repeats an earlier one."""
+    if family.id != curve.family_id:
+        raise DomainError(f"curve of {curve.family_id!r} does not belong to family {family.id!r}")
     if len(curve.samples) < 8:
         raise DomainError("curve must cover at least 8 samples")
     if not rtol > 0:
@@ -283,8 +301,8 @@ def verify_derivative_relation(
     if len(repeats):
         i = int(repeats.min())
         raise DomainError(f"curve sample {i} (s={s[i]}) repeats the value r={r[i]}")
-    v, a = sample(family, s)
-    devs = np.abs(_centre_slopes(r, v) - a[3:-3]) / np.abs(a[3:-3])
+    a = curve.a[3:-3]
+    devs = np.abs(_centre_slopes(r, curve.v) - a) / np.abs(a)
     worst = float(devs.max())
     return DerivativeRelationReport(
         family_id=family.id,

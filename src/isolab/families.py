@@ -16,7 +16,7 @@ import contextlib
 import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -185,6 +185,8 @@ def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
     grid = np.asarray(grid, dtype=float)
     if family.nparams != 1:
         raise DomainError(f"{family.id!r} is a multi-parameter class, not a one-parameter family")
+    if grid.ndim != 1:
+        raise DomainError(f"grid must be 1-D, not of shape {grid.shape}")
     (lo, hi), = family.domain
     outside = ~((grid > lo) & (grid < hi))
     if np.any(outside):
@@ -251,10 +253,19 @@ def ratio_at(family: FamilySpec, point, v: float, a: float) -> float:
 
 
 class Record:
-    """Base of the result dataclasses: their one JSON form."""
+    """Base of the result dataclasses: their one JSON form, with arrays as lists,
+    nested dataclasses as objects, and no field declared ``field(repr=False)``."""
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        return json.dumps(doc, default=lambda x: asdict(x) if is_dataclass(x) else x.tolist())
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy, so no caller can change a record's arrays."""
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def csv_table(header: Sequence[str], rows) -> str:

@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import InradiusCurve, _inradius, dr_ds, integrate
+from .calculus import InradiusCurve, _inradius, _require_ordered, dr_ds, integrate
 from .errors import DomainError
-from .families import FamilySpec, Record, evaluate, ratio_at, sample
+from .families import FamilySpec, Record, _frozen, evaluate, ratio_at, sample
 from .inequalities import kappa
 
 
@@ -26,11 +26,11 @@ def tong_inradius(d: int, v: float, a: float) -> float:
     return d * v / a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: arrays have no single truth value
 class HomogeneityReport(Record):
     family_id: str
-    grid: tuple[float, ...]
-    q_values: tuple[float, ...]
+    grid: np.ndarray
+    q_values: np.ndarray  # Q at each grid point
     q_center: float
     q_rel_spread: float
     verdict: str  # "homogeneous" | "not_homogeneous"
@@ -56,8 +56,8 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
     median), (ii) A^d is proportional to V^(d-1) with the fitted constant,
     (iii) A / V^((d-1)/d) is constant.
     """
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 32:
+    grid = _frozen(grid)  # the report keeps it
+    if grid.size < 32:
         raise DomainError("classification grid must have at least 32 points")
     if not rtol > 0:
         raise DomainError("rtol must be positive")
@@ -65,14 +65,14 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
     d = family.dimension
     # ratio_at's expression on floats: numpy's array power can round the last bit differently
     try:
-        q_values = tuple(ai**d / vi ** (d - 1) for vi, ai in zip(v.tolist(), a.tolist()))
+        q = _frozen([ai**d / vi ** (d - 1) for vi, ai in zip(v.tolist(), a.tolist())])
     except ArithmeticError:  # ratio_at raises it again, naming the point
-        q_values = tuple(ratio_at(family, *p) for p in zip(grid.tolist(), v.tolist(), a.tolist()))
-    q = np.array(q_values)
+        q = _frozen([ratio_at(family, *p) for p in zip(grid.tolist(), v.tolist(), a.tolist())])
     q_center = float(np.median(q))
     q_rel_spread = float(np.max(np.abs(q - q_center)) / q_center)
 
     # (i) r_quad(s) - d V/A constant
+    _require_ordered(grid)
     r, _ = _inradius(family, float(grid[0]), 0.0, grid, v)
     offsets = r - d * v / a
     c_star = float(np.median(offsets))
@@ -86,11 +86,17 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
     k2c = float(np.median(k2))
     res_iii = float(np.max(np.abs(k2 - k2c)) / k2c)
 
+    floor = d**d * kappa(d)
+    if q_center < floor * (1.0 - 1e-9):
+        raise DomainError(
+            f"isoperimetric ratio {q_center} below the ball floor {floor}; "
+            "volume/area evaluators are inconsistent"
+        )
     rtol_margin = float(rtol) - q_rel_spread
-    report = HomogeneityReport(
+    return HomogeneityReport(
         family_id=family.id,
-        grid=tuple(grid.tolist()),
-        q_values=q_values,
+        grid=grid,
+        q_values=q,
         q_center=q_center,
         q_rel_spread=q_rel_spread,
         verdict="homogeneous" if rtol_margin >= 0 else "not_homogeneous",
@@ -101,13 +107,6 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
         rtol=float(rtol),
         rtol_margin=rtol_margin,
     )
-    floor = d**d * kappa(d)
-    if q_center < floor * (1.0 - 1e-9):
-        raise DomainError(
-            f"isoperimetric ratio {q_center} below the ball floor {floor}; "
-            "volume/area evaluators are inconsistent"
-        )
-    return report
 
 
 def elasticity(family: FamilySpec, curve: InradiusCurve, s: float) -> float:
@@ -130,7 +129,7 @@ def elasticity(family: FamilySpec, curve: InradiusCurve, s: float) -> float:
 def constant_area_check(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-10) -> bool:
     """True iff A is constant on the grid; then r - V/A must also be constant."""
     grid = np.asarray(grid, dtype=float)
-    if len(grid) < 32:
+    if grid.size < 32:
         raise DomainError("grid must have at least 32 points")
     if not rtol > 0:
         raise DomainError("rtol must be positive")
@@ -138,6 +137,7 @@ def constant_area_check(family: FamilySpec, grid: Sequence[float], rtol: float =
     ac = float(np.median(a))
     if np.max(np.abs(a - ac)) / ac > rtol:
         return False
+    _require_ordered(grid)
     r, _ = _inradius(family, float(grid[0]), 0.0, grid, v)
     diff = r - v / a
     spread = float(np.max(diff) - np.min(diff))

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .families import FamilySpec
+from .families import FamilySpec, Record, _frozen
 
 PLANARITY_RTOL = 1e-9
 CONVEXITY_RTOL = 1e-9
@@ -44,7 +44,7 @@ def _polygon_area_2d(pts: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class StarPolyhedron:
+class StarPolyhedron(Record):
     """Polygon (d=2) or polyhedron (d=3) star-like with respect to ``apex``.
 
     Facets list vertex indices; in 2D each facet is an edge, in 3D a simple
@@ -109,16 +109,6 @@ class StarPolyhedron:
     def with_apex(self, apex: Sequence[float]) -> "StarPolyhedron":
         return StarPolyhedron(self.dimension, self.vertices, self.facets, np.asarray(apex))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dimension": self.dimension,
-                "vertices": self.vertices.tolist(),
-                "facets": [list(f) for f in self.facets],
-                "apex": self.apex.tolist(),
-            }
-        )
-
 
 def _integer(value, what: str) -> int:
     """An int, or an integral float, as an int; never truncates, and rejects a bool."""
@@ -127,13 +117,6 @@ def _integer(value, what: str) -> int:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise GeometryError(f"{what} must be an integer, got {value!r}")
     return int(value)
-
-
-def _frozen(values) -> np.ndarray:
-    """A read-only float copy, so no caller can change a polyhedron's geometry."""
-    out = np.array(values, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

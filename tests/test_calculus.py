@@ -146,8 +146,8 @@ class TestInradiusByQuadrature:
         cumulative = np.concatenate([[0.0], np.cumsum(segments)])
         vals = cumulative - cumulative[np.searchsorted(knots, s0)]
         pairs = zip(grid, vals[np.searchsorted(knots, grid)])
-        assert curve.samples == tuple((float(s), C + float(v)) for s, v in pairs)
-        assert all(type(x) is float for pair in curve.samples for x in pair)
+        assert curve.samples.tolist() == [[float(s), C + float(v)] for s, v in pairs]
+        assert curve.samples.dtype == np.float64 and curve.samples.shape == (40, 2)
 
     def test_rect_fixed_length_log_curve(self):
         a = 1.5
@@ -246,7 +246,9 @@ class TestInradiusByQuadrature:
                                                 0.0, 0.0, grid)
         assert calls == [(720,)]
         per_node = dataclasses.replace(cube, dvolume=lambda s: cube.dvolume(float(s)))
-        assert curve == calculus.inradius_by_quadrature(per_node, 0.0, 0.0, grid)
+        other = calculus.inradius_by_quadrature(per_node, 0.0, 0.0, grid)
+        assert curve.to_json() == other.to_json()  # repr of each float: bit-equal
+        assert np.array_equal(curve.v, other.v) and np.array_equal(curve.a, other.a)
 
     # each evaluator fails or misbehaves on arrays, so every node falls back to a float
     # call; the curves are those the per-node loop gave
@@ -290,6 +292,69 @@ class TestInradiusByQuadrature:
         assert len(doc["samples"]) == 10
 
 
+class TestInradiusCurve:
+    def test_arrays_held_and_written_as_lists(self):
+        import json
+
+        cube = families.builtin("cube")
+        grid = np.linspace(0.5, 2.0, 10)
+        curve = calculus.inradius_by_quadrature(cube, 0.5, 0.0, grid)
+        assert curve.s.base is curve.samples and curve.r.base is curve.samples
+        assert np.array_equal(curve.v, cube.volume(grid))
+        assert np.array_equal(curve.a, cube.area(grid))
+        doc = json.loads(curve.to_json())
+        assert list(doc) == ["family_id", "anchor_s0", "anchor_value_C", "samples",
+                             "quadrature_error_estimate"]
+        assert doc["samples"] == [[s, r] for s, r in zip(grid.tolist(), curve.r.tolist())]
+        assert curve.to_csv().splitlines()[0] == "s,r"
+        assert ", v=" not in repr(curve) and ", a=" not in repr(curve)
+
+    def test_sequences_become_arrays(self):
+        curve = calculus.InradiusCurve("cube", 1.0, 0.0, ((1.0, 0.5), (2.0, 1.0)), 0.0,
+                                       [1.0, 8.0], (6.0, 24.0))
+        replaced = dataclasses.replace(curve, samples=((1.0, 0.5), (3.0, 1.5)))
+        for x in (curve.samples, curve.v, curve.a, replaced.samples):
+            assert type(x) is np.ndarray and x.dtype == np.float64
+        assert replaced.r.tolist() == [0.5, 1.5] and replaced.v.tolist() == [1.0, 8.0]
+
+    def test_arrays_are_read_only(self):
+        grid = np.linspace(0.5, 2.0, 10)
+        curve = calculus.inradius_by_quadrature(families.builtin("cube"), 0.5, 0.0, grid)
+        for x in (curve.samples, curve.s, curve.r, curve.v, curve.a):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+        given = np.ones((10, 2))
+        calculus.InradiusCurve("cube", 1.0, 0.0, given, 0.0, curve.v, curve.a)
+        assert given.flags.writeable  # the curve holds a copy
+
+    @pytest.mark.parametrize("samples,v,a,shapes", [
+        (((1.0,),) * 10, np.ones(10), np.ones(10), "(10, 1), (10,) and (10,)"),
+        (np.ones(20), np.ones(10), np.ones(10), "(20,), (10,) and (10,)"),
+        (np.ones((10, 2)), np.ones(9), np.ones(10), "(10, 2), (9,) and (10,)"),
+        (np.ones((10, 2)), np.ones(10), np.ones((10, 1)), "(10, 2), (10,) and (10, 1)"),
+    ])
+    def test_malformed_curve_rejected(self, samples, v, a, shapes):
+        message = f"curve samples, v and a must be of shapes (m, 2), (m,) and (m,), not {shapes}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            calculus.InradiusCurve("cube", 1.0, 0.0, samples, 0.0, v, a)
+
+    @pytest.mark.parametrize("samples", [((1.0,), (1.0, 2.0)), (("1.0", "x"), (2.0, 1.0))])
+    def test_ragged_or_non_numeric_curve_rejected(self, samples):
+        with pytest.raises(DomainError, match="^curve samples, v and a must be float arrays: "):
+            calculus.InradiusCurve("cube", 1.0, 0.0, samples, 0.0, (1.0, 8.0), (6.0, 24.0))
+
+    @pytest.mark.parametrize("column,value",
+                             [("v", math.nan), ("a", 0.0), ("a", -1.0), ("v", math.inf)])
+    def test_v_and_a_not_finite_and_positive_rejected(self, column, value):
+        # the relation check divides by A and calls no evaluator that would reject it
+        cube = families.builtin("cube")
+        sampled = calculus.inradius_by_quadrature(cube, 1.0, 0.0, np.linspace(1, 2, 40))
+        v, a = sampled.v.copy(), sampled.a.copy()
+        {"v": v, "a": a}[column][10] = value
+        with pytest.raises(DomainError, match="^curve v and a must be finite and positive$"):
+            calculus.InradiusCurve("cube", 1.0, 0.0, sampled.samples, 0.0, v, a)
+
+
 def _counting_volume(fam: FamilySpec) -> tuple[FamilySpec, list]:
     """``fam`` with a volume that logs the number of points of each call, the
     log started after the spec's own construction probe."""
@@ -306,6 +371,13 @@ def _counting_volume(fam: FamilySpec) -> tuple[FamilySpec, list]:
 
 class TestOneSamplePerGrid:
     # V is sampled once per grid point, in one call; the quadrature reads V' from dvolume
+    def test_relation(self):
+        fam, points = _counting_volume(families.builtin("cube"))
+        grid = np.linspace(0.5, 4.0, 100)
+        curve = calculus.inradius_by_quadrature(fam, 0.0, 0.0, grid)
+        assert calculus.verify_derivative_relation(fam, curve, rtol=1e-6).passes
+        assert points == [len(grid)]
+
     def test_classify(self):
         fam, points = _counting_volume(families.builtin("cube"))
         grid = np.linspace(0.5, 4.0, 40)
@@ -342,7 +414,8 @@ class TestVerifyDerivativeRelation:
         poly = FamilySpec("poly6", 3, ((0.0, math.inf),), lambda s: np.polyval(p, s),
                           lambda s: np.polyval(np.polyder(p), s))
         s = (0.5 + 3.0 * np.linspace(0.0, 1.0, 40) ** 2).tolist()  # non-uniform
-        curve = calculus.InradiusCurve("poly6", s[0], 0.0, tuple(zip(s, s)), 0.0)
+        curve = calculus.InradiusCurve("poly6", s[0], 0.0, tuple(zip(s, s)), 0.0,
+                                       *families.sample(poly, s))
         report = calculus.verify_derivative_relation(poly, curve, rtol=1e-12)
         assert report.max_relative_deviation <= 1e-12
         assert report.passes and report.n_checked == 34
@@ -360,12 +433,19 @@ class TestVerifyDerivativeRelation:
         with pytest.raises(DomainError, match="rtol"):
             calculus.verify_derivative_relation(cube, curve, rtol=math.nan)
 
+    def test_curve_of_another_family_rejected(self):
+        cube = families.builtin("cube")
+        curve = calculus.inradius_by_quadrature(cube, 1.0, 0.0, np.linspace(1, 2, 40))
+        with pytest.raises(DomainError, match="^curve of 'cube' does not belong to family 'ball'$"):
+            calculus.verify_derivative_relation(families.builtin("ball"), curve, rtol=1e-6)
+
     @pytest.mark.parametrize("column,value", [(0, math.nan), (1, math.nan), (1, -math.inf), (0, math.inf)])
     def test_non_finite_sample_rejected(self, column, value):
         cube = families.builtin("cube")
-        samples = [list(p) for p in calculus.inradius_by_quadrature(cube, 1.0, 0.0, np.linspace(1, 2, 40)).samples]
-        samples[5][column] = value
-        curve = calculus.InradiusCurve("cube", 1.0, 0.0, tuple(map(tuple, samples)), 0.0)
+        sampled = calculus.inradius_by_quadrature(cube, 1.0, 0.0, np.linspace(1, 2, 40))
+        samples = sampled.samples.copy()
+        samples[5, column] = value
+        curve = calculus.InradiusCurve("cube", 1.0, 0.0, samples, 0.0, sampled.v, sampled.a)
         with pytest.raises(DomainError, match=r"curve sample 5 \(s=.*, r=.*\) is not finite"):
             calculus.verify_derivative_relation(cube, curve, rtol=1e-6)
 
@@ -383,7 +463,8 @@ class TestVerifyDerivativeRelation:
 
     def test_degenerate_two_sample_curve(self):
         cube = families.builtin("cube")
-        curve = calculus.InradiusCurve("cube", 1.0, 0.0, ((1.0, 0.5), (2.0, 1.0)), 0.0)
+        curve = calculus.InradiusCurve("cube", 1.0, 0.0, ((1.0, 0.5), (2.0, 1.0)), 0.0,
+                                       (1.0, 8.0), (6.0, 24.0))
         with pytest.raises(DomainError):
             calculus.verify_derivative_relation(cube, curve, rtol=1e-6)
 

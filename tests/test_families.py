@@ -189,7 +189,7 @@ class TestOneEvaluationPath:
         grid = np.linspace(0.5, 4.0, 64)
         q = search.ratio_function(fam)
         report = homogeneity.classify(fam, grid)
-        assert report.q_values == tuple(q(np.array([s])) for s in grid)
+        assert report.q_values.tolist() == [q(np.array([s])) for s in grid]
 
 
 # every built-in, with both rhombus branches
@@ -270,6 +270,13 @@ class TestBatchEvaluation:
             np.where(s > 2.5, math.nan, s) if np.ndim(s) else s))
         with pytest.raises(DomainError, match=re.escape("V = nan, A = 8.0 at point 3.0 of ")):
             families.sample(spec, np.array([1.0, 3.0]))
+
+    @pytest.mark.parametrize("call", [families.sample, homogeneity.classify,
+                                      homogeneity.constant_area_check])
+    def test_grid_not_1d_rejected(self, call):
+        grid = np.linspace(0.5, 4.0, 64).reshape(32, 2)
+        with pytest.raises(DomainError, match=re.escape("grid must be 1-D, not of shape (32, 2)")):
+            call(families.builtin("cube"), grid)
 
     def test_other_errors_propagate(self):
         spec = dataclasses.replace(families.builtin("rect_fixed_length"),

@@ -136,8 +136,36 @@ class TestClassify:
         report = homogeneity.classify(fam, grid)
         v, a = families.sample(fam, grid)
         want = [families.ratio_at(fam, s, vi, ai) for s, vi, ai in zip(grid.tolist(), v.tolist(), a.tolist())]
-        assert [x.hex() for x in report.q_values] == [x.hex() for x in want]
-        assert report.grid == tuple(float(g) for g in grid)
+        assert [x.hex() for x in report.q_values.tolist()] == [x.hex() for x in want]
+        assert report.grid.tolist() == [float(g) for g in grid]
+
+    def test_json_layout(self):
+        import json
+
+        grid = np.linspace(0.2, 3, 40)
+        report = homogeneity.classify(families.builtin("hexagon_120"), grid)
+        doc = json.loads(report.to_json())
+        assert list(doc) == ["family_id", "grid", "q_values", "q_center", "q_rel_spread", "verdict",
+                             "criterion_i_residual", "criterion_ii_residual",
+                             "criterion_iii_residual", "k_constant", "rtol", "rtol_margin"]
+        assert doc["grid"] == grid.tolist() and doc["q_values"] == report.q_values.tolist()
+        for x in (report.grid, report.q_values):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+        assert grid.flags.writeable  # the report holds a copy
+
+    @pytest.mark.parametrize("check,message", [
+        (homogeneity.classify, "classification grid must have at least 32 points"),
+        (homogeneity.constant_area_check, "grid must have at least 32 points"),
+    ])
+    def test_scalar_grid_rejected(self, check, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            check(families.builtin("cube"), 2.0)
+
+    def test_unordered_grid_rejected(self):
+        grid = np.random.default_rng(0).permutation(np.linspace(0.5, 4.0, 40))
+        with pytest.raises(DomainError, match="^grid must be strictly ordered$"):
+            homogeneity.classify(families.builtin("cube"), grid)
 
 
 class TestRtolMargin:
@@ -214,6 +242,11 @@ class TestConstantAreaCheck:
     def test_rhombus_true_on_descending_grid(self):
         inc = families.rhombus_branches(1.0)[0]
         assert homogeneity.constant_area_check(inc, np.linspace(0.1, 1.3, 40)[::-1]) is True
+
+    def test_unordered_grid_rejected(self):
+        grid = np.random.default_rng(0).permutation(np.linspace(0.1, SQRT2 - 0.1, 40))
+        with pytest.raises(DomainError, match="^grid must be strictly ordered$"):
+            homogeneity.constant_area_check(families.rhombus_branches(1.0)[0], grid)
 
     def test_cube_false(self):
         assert homogeneity.constant_area_check(families.builtin("cube"), np.linspace(0.5, 4, 40)) is False
