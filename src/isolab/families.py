@@ -48,9 +48,10 @@ class FamilySpec:
     ``x[0] * x[1]`` serves one point and many).  One that raises, or returns
     anything but a float array of shape (m,), gets each point through
     :func:`evaluate` instead.  :func:`sample` and :func:`isolab.search.kmin`
-    use the array's values as they are, so an array-capable evaluator must
-    round each point as it does alone: write integer powers as products
-    (array ``**`` rounds differently from Python's) and use correctly rounded
+    use the array's values as they are, and :func:`ratio` takes Q on them with
+    the bits of one point, so an array-capable evaluator must round each point
+    as it does alone: write integer powers as products, as :func:`ratio` does
+    (array ``**`` rounds differently from Python's), and use correctly rounded
     functions such as ``np.sqrt``.
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
@@ -116,7 +117,8 @@ class FamilySpec:
                 (v, a), (vt, at) = evaluate(self, x), evaluate(self, tx)
             except DomainError:
                 continue
-            if abs(vt - t**d * v) > 1e-9 * abs(vt) or abs(at - t ** (d - 1) * a) > 1e-9 * abs(at):
+            t_area = math.prod([t] * (d - 1))
+            if abs(vt - t * t_area * v) > 1e-9 * abs(vt) or abs(at - t_area * a) > 1e-9 * abs(at):
                 raise DomainError(
                     f"declared prefix m={m} rejected: V or A is not homogeneous in the "
                     f"first {m} coordinates (checked at t={t}, x={x.tolist()})"
@@ -152,7 +154,7 @@ class FamilySpec:
 
 
 def evaluate(family: FamilySpec, x) -> tuple[float, float]:
-    """(V, A) at one point: a float, or the length-n search vector.
+    """(V, A) at one point, as Python floats: a float, or the length-n search vector.
 
     When n = 1 the evaluators get a float, also from a length-1 vector.
     Raises :class:`DomainError` naming the point when it has the wrong number
@@ -176,7 +178,7 @@ def evaluate(family: FamilySpec, x) -> tuple[float, float]:
         ) from None
     if not (0 < v < math.inf and 0 < a < math.inf):
         raise _not_finite_positive(family, np.asarray(x).tolist(), v, a)
-    return v, a
+    return float(v), float(a)  # so Q of one point never meets a numpy scalar's warnings
 
 
 def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -238,18 +240,23 @@ def _not_finite_positive(family: FamilySpec, point, v, a) -> DomainError:
 
 
 def ratio(d: int, v, a):
-    """The isoperimetric ratio Q = A^d / V^(d-1), scale-invariant."""
-    return a**d / v ** (d - 1)
+    """The isoperimetric ratio Q = A^d / V^(d-1), scale-invariant; inf or NaN where it
+    overflows.  As products in a fixed order, each correctly rounded (IEEE 754), it gives
+    two floats and two float arrays the same bits, where array ``**`` may not."""
+    return math.prod([a] * d) / math.prod([v] * (d - 1))
 
 
 def ratio_at(family: FamilySpec, point, v: float, a: float) -> float:
-    """:func:`ratio` of ``family``'s V and A at ``point``; raises
-    :class:`DomainError` naming the point where Q overflows (also where
+    """:func:`ratio` of ``family``'s V and A, two floats, at ``point``; raises
+    :class:`DomainError` naming the point where Q is not finite (also where
     V^(d-1) underflows to 0)."""
     try:
-        return ratio(family.dimension, v, a)
-    except ArithmeticError:
-        raise DomainError(f"Q overflows at point {point} of {family.id!r}") from None
+        q = ratio(family.dimension, v, a)
+    except ZeroDivisionError:
+        q = math.inf
+    if not math.isfinite(q):  # inf, or NaN from inf / inf
+        raise DomainError(f"Q overflows at point {point} of {family.id!r}")
+    return q
 
 
 class Record:

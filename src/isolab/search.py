@@ -37,13 +37,11 @@ STEP_MAX = 1e-1
 def ratio_function(nfamily: FamilySpec) -> Callable[[np.ndarray], float]:
     """Q at the search vector, +inf where ``evaluate`` rejects it or Q overflows
     (keeps the simplex feasible)."""
-    d = nfamily.dimension
 
     def q(x: np.ndarray) -> float:
         try:
-            v, a = evaluate(nfamily, x)
-            return ratio(d, v, a)
-        except (DomainError, ArithmeticError):  # ZeroDivisionError: V^(d-1) underflows
+            return ratio_at(nfamily, x, *evaluate(nfamily, x))
+        except DomainError:
             return math.inf
 
     return q
@@ -146,7 +144,7 @@ def _minimize(
         x = np.empty((n, len(z)))
         x[0] = 1.0
         x[first:] = z.T
-        return _ratios(nfamily, x, q)
+        return _ratios(nfamily, x)
 
     best_z, best_f = points[0], math.inf
     z0 = points[[inside(z) for z in points]]
@@ -159,22 +157,16 @@ def _minimize(
     return whole(best_z), best_f, True
 
 
-def _ratios(nfamily: FamilySpec, x: np.ndarray, q: Callable[[np.ndarray], float]) -> np.ndarray:
-    """Q at each column of the (n, m) array x, bit-equal to ``q``, the
-    :func:`ratio_function` of the class, at each point.
-
-    V and A come from :func:`~isolab.families._evaluate_batch`, the one path
-    of V and A at many points, with its per-point fallback; Q is then
-    :func:`ratio` of each point's two floats, as ``q`` takes it, or ``q``
-    itself at a point where that overflows.
-    """
-    out = []
-    for i, (vi, ai, oki) in enumerate(zip(*(y.tolist() for y in _evaluate_batch(nfamily, x)))):
-        try:
-            out.append(ratio(nfamily.dimension, vi, ai) if oki else math.inf)
-        except ArithmeticError:  # Python's float arithmetic raises where numpy's may not
-            out.append(q(x[:, i].copy()))
-    return np.array(out)
+def _ratios(nfamily: FamilySpec, x: np.ndarray) -> np.ndarray:
+    """Q at each column of the (n, m) array x, bit-equal to
+    :func:`ratio_function` at each point: V and A from
+    :func:`~isolab.families._evaluate_batch`, the one path of V and A at many
+    points, then :func:`ratio` on the arrays, inf where a point is rejected or
+    Q overflows."""
+    v, a, ok = _evaluate_batch(nfamily, x)
+    with np.errstate(all="ignore"):
+        q = ratio(nfamily.dimension, v, a)
+    return np.where(ok & np.isfinite(q), q, math.inf)
 
 
 def _golden_section_search(
@@ -495,18 +487,16 @@ def _scan(
     """g at each scan point t of coordinate j, the others held at ``base``,
     with the signs and NaNs that calling g at each point gives.
 
-    V and A come from :func:`~isolab.families._evaluate_batch`, the one path
-    of V and A at many points; the points that :func:`evaluate` rejects and
-    those where Q overflows are NaN, as :func:`ratio_function` makes them.
-    Array Q may round differently in the last bits, so g is called again at
-    every NaN point and every point within 1e-12 |k| of the level.
+    Q comes from :func:`_ratios`, one array call of each evaluator; where it
+    is inf (rejected, or Q overflows) the value is NaN, as g makes it.  An
+    evaluator that breaks the array rounding contract of :class:`FamilySpec`
+    can move the last bits, so g is called again at every NaN point and
+    every point within 1e-12 |k| of the level.
     """
     rows = np.repeat(base[:, None], len(ts), axis=1)
     rows[j] = ts
-    v, a, ok = _evaluate_batch(nfamily, rows)
-    with np.errstate(all="ignore"):
-        q = ratio(nfamily.dimension, v, a)
-        vals = np.where(ok & np.isfinite(q), q - k, math.nan)
+    q = _ratios(nfamily, rows)
+    vals = np.where(q < math.inf, q - k, math.nan)
     for i in np.flatnonzero(np.isnan(vals) | (np.abs(vals) <= 1e-12 * abs(k))):
         vals[i] = g(ts[i])
     return vals

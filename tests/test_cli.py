@@ -97,8 +97,8 @@ class TestDeterminism:
             ("cone", '{"class_id": "cone", "kmin": 226.19467105846505, "argmin": '
                      '[1.0, 2.82842712891757], "attained": true, '
                      '"multistart_count": 16}\n'),
-            ("box3", '{"class_id": "box3", "kmin": 215.9999999999999, "argmin": '
-                     '[1.0, 1.0000000080326794, 1.0000000052239246], '
+            ("box3", '{"class_id": "box3", "kmin": 215.99999999999986, "argmin": '
+                     '[1.0, 1.00000001524751, 0.9999999962891881], '
                      '"attained": true, "multistart_count": 16}\n'),
             # families of similar regions: Q evaluated once, at s = 1
             ("ngon", '{"class_id": "ngon_6", "kmin": 13.856406460551016, "argmin": '
@@ -217,16 +217,19 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, point",
         [
-            ("eval --family cube --s 1e200", "1e+200"),  # V = s**3 in Python floats
-            ("eval --family cube --s 1e100", "1e+100"),  # A**3 in Q
+            ("eval --family cube --s 1e200", "1e+200"),  # V = s * s * s overflows
+            ("eval --family cube --s 1e100", "1e+100"),  # A^3 and V^2 in Q: inf / inf
             ("classify --family cube --grid 1:1e100:64", repr(1e100 / 63 + 1)),
+            # V from np.sin is a numpy scalar
+            ("trace --class parallelogram3 --k 32 --start 1e-300,1e150,1e-10 --steps 3",
+             "[1e-300, 1e+150, 1e-10]"),
         ],
     )
     def test_overflow_names_the_point(self, capsys, argv, point):
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert f"point {point} of 'cube'" in err
+        assert f"point {point} of {argv.split()[2]!r}" in err
 
     @pytest.mark.parametrize(
         "cls, j, fixed",

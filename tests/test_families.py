@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,40 @@ class TestOneEvaluationPath:
         assert search.ratio_function(thin)(np.array([0.5])) == math.inf  # V^2 is 0.0
         with pytest.raises(DomainError, match="Q overflows at point"):
             families.ratio_at(thin, 0.5, *families.evaluate(thin, 0.5))
+        # ratio of two floats has the bits of the array ratio, and is finite at the same points
+        rng, underflows = np.random.default_rng(0), 0
+        for d in range(2, 7):
+            v, a = 10.0 ** rng.uniform(-100.0, 100.0, size=(2, 2000))
+            with np.errstate(all="ignore"):
+                array_q = families.ratio(d, v, a)
+            float_q = []
+            for vi, ai in zip(v.tolist(), a.tolist()):
+                try:
+                    float_q.append(families.ratio(d, vi, ai))
+                except ZeroDivisionError:  # V^(d-1) underflows to 0
+                    float_q.append(math.inf)
+                    underflows += 1
+            finite = np.isfinite(float_q)
+            np.testing.assert_array_equal(np.isfinite(array_q), finite)
+            assert [x.hex() for x in array_q[finite].tolist()] == [
+                x.hex() for x, ok in zip(float_q, finite) if ok]
+            assert finite.sum() > 1000
+        assert underflows > 0
+
+    @pytest.mark.parametrize("fid, point", [
+        ("parallelogram3", [1e-300, 1e150, 1e-10]),  # V from np.sin is a numpy scalar
+        ("box3", [1e160, 1.0, 1.0]),  # A^3 and V^2 both overflow: inf / inf
+    ])
+    def test_overflowing_q_is_inf(self, fid, point):
+        spec = families.builtin(fid)
+        x = np.array(point)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert search.ratio_function(spec)(x) == math.inf
+            with pytest.raises(DomainError, match=re.escape(f"Q overflows at point {point} ")):
+                families.ratio_at(spec, point, *families.evaluate(spec, x))
+            q = search._ratios(spec, np.column_stack([np.ones(3), x]))
+        assert math.isfinite(q[0]) and q[1] == math.inf  # the same column
 
     @pytest.mark.parametrize("fid", ["cube", "hexagon_120", "ngon"])
     def test_classify_q_equals_ratio_function(self, fid):
@@ -229,7 +264,7 @@ class TestBatchEvaluation:
         np.testing.assert_array_equal(v[ok], pv[ok])
         np.testing.assert_array_equal(a[ok], pa[ok])
         q = search.ratio_function(spec)
-        np.testing.assert_array_equal(search._ratios(spec, x, q), [q(p) for p in x.T])
+        np.testing.assert_array_equal(search._ratios(spec, x), [q(p) for p in x.T])
         assert 0 < ok.sum() and (ok.all() or spec.id == "triangle_sides")
         if spec.nparams == 1:
             sv, sa = families.sample(spec, x[0])
@@ -253,7 +288,7 @@ class TestBatchEvaluation:
             np.testing.assert_array_equal(got, want)
         assert 0 < batch[2].sum() and (batch[2].all() == (spec.feasible is None))
         q = search.ratio_function(spec)
-        np.testing.assert_array_equal(search._ratios(spec, x, q), [q(p) for p in x.T])
+        np.testing.assert_array_equal(search._ratios(spec, x), [q(p) for p in x.T])
 
     def test_overflow_at_one_point_falls_back(self):
         spec = dataclasses.replace(families.builtin("rect_fixed_length"), volume=math.exp)
