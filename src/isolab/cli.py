@@ -164,44 +164,30 @@ def _jdump(obj) -> str:
 
 
 # ------------------------------------------------------------------ #
-# subcommand handlers
+# subcommand handlers: each writes one document or raises
 # ------------------------------------------------------------------ #
 
 
-def cmd_families(args) -> int:
+def cmd_families(args) -> None:
     _emit(args, families.catalog_json())
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     fam = _one_param_family(args)
     v, a = families.evaluate(fam, args.s)
-    d = fam.dimension
-    _emit(
-        args,
-        _jdump(
-            {
-                "family": fam.id,
-                "s": args.s,
-                "V": v,
-                "A": a,
-                "Q": families.ratio_at(fam, args.s, v, a),
-                "r_tong": homogeneity.tong_inradius(d, v, a),
-            }
-        ),
-    )
-    return EXIT_OK
+    _emit(args, _jdump({"family": fam.id, "s": args.s, "V": v, "A": a,
+                        "Q": families.ratio_at(fam, args.s, v, a),
+                        "r_tong": homogeneity.tong_inradius(fam.dimension, v, a)}))
 
 
-def cmd_inradius(args) -> int:
+def cmd_inradius(args) -> None:
     fam = _one_param_family(args)
     grid = _parse_grid(args.grid)
     curve = calculus.inradius_by_quadrature(fam, args.s0, args.C, grid)
     _emit(args, curve.to_csv() if args.format == "csv" else curve.to_json())
-    return EXIT_OK
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> None:
     fam = _one_param_family(args)
     grid = _parse_grid(args.grid)
     report = homogeneity.classify(fam, grid, rtol=args.rtol)
@@ -214,33 +200,27 @@ def cmd_classify(args) -> int:
     )
     if args.expect and args.expect != report.verdict:
         raise CheckFailedError(f"expected {args.expect}, got {report.verdict}")
-    return EXIT_OK
 
 
-def cmd_kmin(args) -> int:
+def cmd_kmin(args) -> None:
     nfam = families.builtin(args.cls)
     result = search.kmin(nfam, starts=args.starts, tol=args.tol, seed=args.seed)
     _emit(args, result.to_json())
-    return EXIT_OK
 
 
-def cmd_kmin_table(args) -> int:
+def cmd_kmin_table(args) -> None:
     rows = search.kmin_table(starts=args.starts, tol=args.tol, seed=args.seed)
     _emit(args, _jdump(rows))
-    return EXIT_OK
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> None:
     nfam = families.builtin(args.cls)
     start = _parse_numbers(args.start)
-    curve = search.trace_level_set(
-        nfam, args.k, start, steps=args.steps, step_size=args.step_size
-    )
+    curve = search.trace_level_set(nfam, args.k, start, steps=args.steps, step_size=args.step_size)
     _emit(args, curve.to_csv() if args.format == "csv" else curve.to_json())
-    return EXIT_OK
 
 
-def cmd_solve_coordinate(args) -> int:
+def cmd_solve_coordinate(args) -> None:
     nfam = families.builtin(args.cls)
     fixed = {}
     for idx, fn in map(_parse_fixed, args.fixed):
@@ -249,7 +229,6 @@ def cmd_solve_coordinate(args) -> int:
         fixed[idx] = fn
     root = search.solve_coordinate(nfam, args.k, fixed, args.j, args.s)
     _emit(args, _jdump({"class": nfam.id, "k": args.k, "s": args.s, "j": args.j, "root": root}))
-    return EXIT_OK
 
 
 def _load_polyhedron(path: str) -> polytope.StarPolyhedron:
@@ -257,70 +236,51 @@ def _load_polyhedron(path: str) -> polytope.StarPolyhedron:
         return polytope.from_json(fh.read())
 
 
-def cmd_starlike(args) -> int:
+def cmd_starlike(args) -> None:
     p = _load_polyhedron(args.file)
     dec = polytope.decompose(p)
     arith, harm = polytope.mean_altitudes(dec)
-    _emit(
-        args,
-        _jdump(
-            {
-                "dimension": p.dimension,
-                "facet_measures": dec.facet_measures.tolist(),
-                "altitudes": dec.altitudes.tolist(),
-                "pyramid_volumes": dec.pyramid_volumes.tolist(),
-                "A": dec.total_area,
-                "V": dec.total_volume,
-                "mean_arithmetic": arith,
-                "mean_harmonic": harm,
-                "r_tong": p.dimension * dec.total_volume / dec.total_area,
-            }
-        ),
-    )
-    return EXIT_OK
+    _emit(args, _jdump({
+        "dimension": p.dimension,
+        "facet_measures": dec.facet_measures.tolist(),
+        "altitudes": dec.altitudes.tolist(),
+        "pyramid_volumes": dec.pyramid_volumes.tolist(),
+        "A": dec.total_area,
+        "V": dec.total_volume,
+        "mean_arithmetic": arith,
+        "mean_harmonic": harm,
+        "r_tong": p.dimension * dec.total_volume / dec.total_area,
+    }))
 
 
-def cmd_support_volume(args) -> int:
+def cmd_support_volume(args) -> None:
     p = _load_polyhedron(args.file)
     v_sup = polytope.volume_from_support(p)
     v_dec = polytope.decompose(p).total_volume
-    _emit(
-        args,
-        _jdump(
-            {
-                "volume_from_support": v_sup,
-                "volume_from_decomposition": v_dec,
-                "relative_residual": abs(v_sup - v_dec) / v_dec,
-            }
-        ),
-    )
-    return EXIT_OK
+    _emit(args, _jdump({"volume_from_support": v_sup, "volume_from_decomposition": v_dec,
+                        "relative_residual": abs(v_sup - v_dec) / v_dec}))
 
 
-def cmd_cohen(args) -> int:
+def cmd_cohen(args) -> None:
     p = _load_polyhedron(args.file)
     residual = polytope.cohen_check(p, args.r)
     _emit(args, _jdump({"r": args.r, "residual": residual}))
     if not residual <= 1e-9:  # NaN fails too
         raise CheckFailedError(f"Cohen residual {residual} exceeds 1e-9")
-    return EXIT_OK
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args) -> None:
     base = _one_param_family(args)
     c = args.rho_scale
-    lifted = polytope.lift_cylinder(
-        base, rho=lambda s: c * s, drho=lambda s: c, rtol=args.rtol
-    )
+    lifted = polytope.lift_cylinder(base, rho=lambda s: c * s, drho=lambda s: c, rtol=args.rtol)
     grid = _parse_grid(args.grid)
     v, a = families.sample(lifted, grid)
     rows = [{"s": s, "V": vi, "A": ai, "r_tong": homogeneity.tong_inradius(lifted.dimension, vi, ai)}
             for s, vi, ai in zip(grid.tolist(), v.tolist(), a.tolist())]
     _emit(args, _jdump({"id": lifted.id, "dimension": lifted.dimension, "samples": rows}))
-    return EXIT_OK
 
 
-def cmd_steiner(args) -> int:
+def cmd_steiner(args) -> None:
     if args.box:
         shape = _parse_numbers(args.box)
     elif args.polygon_file:
@@ -340,10 +300,9 @@ def cmd_steiner(args) -> int:
     vc, ac = polytope.steiner_coefficients(shape)
     _emit(args, _jdump({"s": args.s, "V": v, "A": a,
                         "volume_coefficients": list(vc), "area_coefficients": list(ac)}))
-    return EXIT_OK
 
 
-def cmd_bonnesen(args) -> int:
+def cmd_bonnesen(args) -> None:
     needed = ("P", "r") if args.two_d else ("V",)
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
@@ -361,13 +320,11 @@ def cmd_bonnesen(args) -> int:
         )
     if not report.all_hold:
         raise CheckFailedError("some inequality rows failed")
-    return EXIT_OK
 
 
-def cmd_deficit(args) -> int:
+def cmd_deficit(args) -> None:
     value = inequalities.deficit(args.d, args.V, args.A)
     _emit(args, _jdump({"d": args.d, "V": args.V, "A": args.A, "deficit": value}))
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------ #
@@ -499,7 +456,8 @@ def main(argv: list[str] | None = None) -> int:
             for name, cap in (("starts", MAX_STARTS), ("steps", MAX_STEPS)):
                 if getattr(args, name, 0) > cap:
                     raise DomainError(f"--{name} is capped at {cap}, got {getattr(args, name)}")
-            return args.handler(args)
+            args.handler(args)
+            return EXIT_OK
         except argparse.ArgumentError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -16,7 +16,7 @@ import numpy as np
 from .calculus import InradiusCurve, _inradius, _require_ordered, dr_ds, integrate
 from .errors import DomainError
 from .families import FamilySpec, Record, _frozen, evaluate, ratio, ratio_at, sample
-from .inequalities import kappa
+from .inequalities import ball_ratio
 
 
 def tong_inradius(d: int, v: float, a: float) -> float:
@@ -86,7 +86,7 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
     k2c = float(np.median(k2))
     res_iii = float(np.max(np.abs(k2 - k2c)) / k2c)
 
-    floor = d**d * kappa(d)
+    floor = ball_ratio(d)
     if q_center < floor * (1.0 - 1e-9):
         raise DomainError(
             f"isoperimetric ratio {q_center} below the ball floor {floor}; "

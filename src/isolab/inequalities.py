@@ -8,6 +8,7 @@ bounds it from below (or, in the Osserman form, bounds r A from below).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -36,14 +37,45 @@ def kappa(d: int) -> float:
     return k
 
 
+_LOG_MAX = math.log(sys.float_info.max)  # ln of the largest float
+
+
+def _log_ball_ratio(d: int) -> float:
+    """ln(d^d kappa_d), with ln kappa_d = (d/2) ln pi - ln Gamma(d/2 + 1)."""
+    return d * math.log(d) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+
+
+def ball_ratio(d: int) -> float:
+    """d^d kappa_d, the isoperimetric ratio Q of the d-ball and the least Q of any
+    body; inf where it is beyond the float range."""
+    try:  # float(d): an integer d**d grows without bound in time and memory
+        return float(d) ** d * kappa(d)
+    except OverflowError:  # d^d alone, from d = 144 on
+        log_q = _log_ball_ratio(d)
+        return math.exp(log_q) if log_q < _LOG_MAX else math.inf
+
+
 def deficit(d: int, v: float, a: float) -> float:
-    """Isoperimetric deficit A^d - d^d kappa_d V^(d-1) (2D: P^2 - 4 pi A)."""
+    """Isoperimetric deficit A^d - d^d kappa_d V^(d-1) (2D: P^2 - 4 pi A).
+
+    Where a term is beyond the float range, both are taken from their logs;
+    a deficit that is itself beyond it is a :class:`DomainError`."""
     if d < 2:
         raise DomainError("d must be >= 2")
     if v <= 0 or a <= 0:
         raise DomainError("V and A must be positive")
-    # float(d): an integer d**d grows without bound in time and memory
-    return a**d - float(d) ** d * kappa(d) * v ** (d - 1)
+    try:
+        value = a**d - ball_ratio(d) * v ** (d - 1)
+    except OverflowError:  # A^d or V^(d-1)
+        value = math.nan
+    if not math.isfinite(value):  # |A^d - B| = e^hi (1 - e^(lo - hi)) for logs lo <= hi
+        log_a, log_b = d * math.log(a), _log_ball_ratio(d) + (d - 1) * math.log(v)
+        gap = -math.expm1(-abs(log_a - log_b))
+        log_value = max(log_a, log_b) + math.log(gap) if gap else -math.inf
+        if log_value >= _LOG_MAX:
+            raise DomainError(f"the isoperimetric deficit in d = {d} is outside the float range")
+        value = math.copysign(math.exp(log_value), log_a - log_b)
+    return value
 
 
 @dataclass(frozen=True)

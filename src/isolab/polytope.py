@@ -10,8 +10,9 @@ altitudes, independent of the apex choice.
 
 Each polyhedron's facet geometry (unit normals, plane offsets and facet
 measures, with 3D facet areas from the Newell vector) is fixed once at
-construction, in one array pass per facet size; every operation below is an
-array expression over it.  Polyhedra and Steiner shapes must be finite.
+construction, in one segmented array pass over the vertex slots of all
+facets, whatever their sizes; every operation below is an array expression
+over it.  Polyhedra and Steiner shapes must be finite.
 """
 
 from __future__ import annotations
@@ -56,13 +57,14 @@ class StarPolyhedron(Record):
     facet i) and ``measures`` (facet lengths or areas) are computed once.
     In 3D a facet's normal and area both come from its Newell vector, taken
     relative to its first vertex, which is exact for any simple planar
-    polygon, convex or not.  The facets are grouped by vertex count and each
-    group is computed in one array pass; far from unit size, at a
-    power-of-two scale where no square overflows.  Construction rejects
-    non-finite vertices or apex, and checks positive facet measure,
-    planarity, and that the apex lies strictly on the inner side of every
-    facet hyperplane; an error names the lowest-numbered bad facet.  A facet
-    measure or a volume outside the float range is an error too.
+    polygon, convex or not.  All facets share one array pass, each vector a
+    sequential sum over its facet's run of vertex slots (so it has the bits
+    of a sum over that facet alone); far from unit size, at a power-of-two
+    scale where no square overflows.  Construction rejects non-finite
+    vertices or apex, and checks positive facet measure, planarity, and that
+    the apex lies strictly on the inner side of every facet hyperplane; an
+    error names the lowest-numbered bad facet.  A facet measure or a volume
+    outside the float range is an error too.
     """
 
     dimension: int
@@ -125,14 +127,22 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, apex: np.ndarray, diag: float):
-    """Unit normals, offsets and measures of the facets, one array pass per facet size.
+    """Unit normals, offsets and measures of the facets, in one segmented array pass.
+
+    The vertex slots of the valid facets lie end to end, each tagged with
+    its facet, so one array expression serves facets of every size in memory
+    linear in the slots.  A facet's vector sums a per-slot term over its
+    run of slots sequentially, as a sum over that facet alone would
+    (``np.add.reduceat`` sums 9 or more slots pairwise, an ulp away): in 3D
+    the cross product of the slot and the next relative to the facet's
+    first vertex (the Newell vector), in 2D the slot itself (the edge).
 
     A polyhedron whose diagonal is beyond 2**+-_SCALE_LIMIT is computed with
     every coordinate scaled by 2**-shift, where the diagonal is 2**shift
     times a number in [0.5, 1), so that no square overflows or underflows;
     the scaling is exact, and offsets and measures are scaled back at the
     end.  Raises for the lowest-numbered bad facet, checking its vertex
-    count, its measure, its planarity (3D) and then the side of the apex,
+    count, its measure, its planarity and then the side of the apex,
     and then for a measure outside the float range.
     """
     shift = math.frexp(diag)[1]
@@ -148,39 +158,38 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, apex: np.ndarra
         flat = np.array([-1])
     if not np.all((flat >= 0) & (flat < len(vertices))):
         raise GeometryError("facet vertex index out of range")
-    starts = np.cumsum(sizes) - sizes
     miscounted = sizes != 2 if d == 2 else sizes < 3
-    normals = np.full((len(facets), d), np.nan)
-    offsets, measures, worst = np.full((3, len(facets)), np.nan)  # NaN compares false below
-    with np.errstate(all="ignore"):
-        for k in np.flatnonzero(np.bincount(sizes[~miscounted])):
-            ids = np.flatnonzero(sizes == k)
-            pts = vertices[flat[starts[ids, None] + np.arange(k)]]  # facets x k x d
-            if d == 2:
-                e = pts[:, 1] - pts[:, 0]
-                measures[ids] = np.sqrt(_rowdot(e, e))
-                n = np.stack([e[:, 1], -e[:, 0]], axis=1) / measures[ids, None]
-            else:
-                rel = pts - pts[:, :1]
-                nxt = rel[:, (np.arange(k) + 1) % k]
-                (x, y, z), (u, v, w) = rel.transpose(2, 0, 1), nxt.transpose(2, 0, 1)
-                # rel x nxt with xyz stored last, so the sum adds vertex by vertex as on one facet
-                cross = np.stack([y * w - z * v, z * u - x * w, x * v - y * u], axis=-1)
-                newell = cross.sum(axis=1)
-                measures[ids] = 0.5 * np.sqrt(_rowdot(newell, newell))
-                n = newell / (2.0 * measures[ids, None])
-                worst[ids] = np.abs(rel @ n[:, :, None])[..., 0].max(axis=1)
-            normals[ids], offsets[ids] = n, _rowdot(n, pts[:, 0])
-        dist = offsets - _rowdot(normals, apex)
+    ids = np.flatnonzero(~miscounted)
+    k = sizes[ids]
+    seg = np.repeat(ids, k)  # each slot's facet
+    head = np.cumsum(k) - k  # each valid facet's first slot
+    pts = np.take(vertices.T, flat[np.repeat(~miscounted, sizes)], axis=1)  # d x slots
+    first = np.zeros((len(facets), d))
+    first[ids] = pts[:, head].T
     tol = PLANARITY_RTOL * diag
-    checks = [miscounted, measures <= (0.0 if d == 2 else tol * diag), worst > tol, dist <= tol]
+    with np.errstate(all="ignore"):
+        rel = pts - np.repeat(pts[:, head], k, axis=1)
+        terms = rel
+        if d == 3:  # after a facet's last slot comes a first slot, rel +0.0 as at its own
+            (x, y, z), (u, v, w) = rel, np.roll(rel, -1, axis=1)
+            terms = (y * w - z * v, z * u - x * w, x * v - y * u)
+        g = np.stack([np.bincount(seg, t, minlength=len(facets)) for t in terms], axis=1)
+        length = np.sqrt(_rowdot(g, g))
+        normals = (g if d == 3 else np.stack([g[:, 1], -g[:, 0]], axis=1)) / length[:, None]
+        measures = length if d == 2 else 0.5 * length
+        deviation = np.abs((rel * np.repeat(normals[ids].T, k, axis=1)).sum(axis=0))
+        nonplanar = np.bincount(seg[deviation > tol], minlength=len(facets)) > 0  # never in 2D
+        offsets = _rowdot(normals, first)
+        dist = offsets - _rowdot(normals, apex)
+    checks = [miscounted, measures <= (0.0 if d == 2 else tol * diag), nonplanar, dist <= tol]
     bad = np.logical_or.reduce(checks)
     if bad.any():
         i = int(np.argmax(bad))
+        worst = deviation[seg == i].max() if nonplanar[i] else math.nan
         say = [
             "2D facets are edges of 2 vertices" if d == 2 else "3D facets need >= 3 vertices",
             "zero-length edge" if d == 2 else "vanishing area",
-            f"non-planar (max deviation {math.ldexp(worst[i], shift):.3e} "
+            f"non-planar (max deviation {math.ldexp(worst, shift):.3e} "
             f"> {math.ldexp(tol, shift):.3e})",
             f"apex is not strictly interior (signed distance {math.ldexp(dist[i], shift):.3e})",
         ]

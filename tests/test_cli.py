@@ -422,6 +422,14 @@ class TestInequalityCommands:
         assert code == 0
         assert json.loads(out)["deficit"] == pytest.approx(16 - 4 * math.pi)
 
+    def test_deficit_beyond_d_to_the_d(self, capsys):
+        code, out, err = run(capsys, "deficit", "--d", "144", "--V", "1", "--A", "4")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["deficit"] == pytest.approx(-6.4862519588985e242, rel=1e-11)
+        code, out, err = run(capsys, "deficit", "--d", "2", "--V", "1", "--A", "1e200")
+        assert (code, out) == (2, "")
+        assert err == "error: the isoperimetric deficit in d = 2 is outside the float range\n"
+
 
 class TestLiftAndSteiner:
     def test_lift_disk(self, capsys):

@@ -6,7 +6,7 @@ import pytest
 from helpers import ALL_ONE_PARAM, isoperimetric_ratio
 from isolab import calculus, families, homogeneity
 from isolab.errors import DomainError
-from isolab.inequalities import kappa
+from isolab.inequalities import ball_ratio, kappa
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -122,6 +122,22 @@ class TestClassify:
             report = homogeneity.classify(fam, np.linspace(0.5, 4, 40))
             d = fam.dimension
             assert report.k_constant == pytest.approx(d**d * kappa(d), rel=1e-10)
+
+    def test_ball_floor_beyond_the_float_range(self):
+        # Q about 1.4e23 is finite, the floor d^d kappa_d about 1e352 is not
+        fam = families.FamilySpec(id="d200", dimension=200, domain=((1.0, 2.0),),
+                                  volume=lambda s: s, area=lambda s: 1.5 + 0.0 * s)
+        with pytest.raises(DomainError, match="below the ball floor"):
+            homogeneity.classify(fam, np.linspace(1.1, 1.2, 40))
+
+    def test_ball_floor_beyond_d_to_the_d(self):
+        # balls in d = 150, where d^d overflows a float but d^d kappa_d = 2.0e254 does not
+        d, k = 150, kappa(150)
+        fam = families.FamilySpec(id="ball150", dimension=d, domain=((0.0, math.inf),),
+                                  volume=lambda s: k * s**d, area=lambda s: d * k * s ** (d - 1))
+        report = homogeneity.classify(fam, np.linspace(3.0, 3.04, 40))
+        assert report.homogeneous
+        assert report.k_constant == pytest.approx(ball_ratio(d), rel=1e-11)
 
     def test_json_export(self):
         import json

@@ -80,6 +80,46 @@ class TestDeficit:
                 v, a = families.evaluate(fam, float(s))
                 assert inequalities.deficit(fam.dimension, v, a) >= -1e-9 * a**fam.dimension
 
+    # d^d alone is beyond the float range from d = 144 on, d^d kappa_d from d = 178 on
+    @pytest.mark.parametrize("d, v, a", [(144, 1.0, 4.0), (150, 0.5, 3.0), (200, 1e-3, 1.0),
+                                         (400, 1e-3, 1.0), (2000, 1e-5, 1.0)])
+    def test_high_dimension_matches_mpmath(self, d, v, a):
+        import mpmath
+
+        with mpmath.workprec(400):
+            v_, a_, d_ = mpmath.mpf(v), mpmath.mpf(a), mpmath.mpf(d)
+            ball = d_**d_ * mpmath.pi ** (d_ / 2) / mpmath.gamma(d_ / 2 + 1)
+            exact = a_**d - ball * v_ ** (d - 1)
+        assert abs(inequalities.deficit(d, v, a) - exact) <= 1e-11 * abs(exact)
+
+    def test_below_d144_unchanged(self):
+        for d in range(2, 144):
+            for v, a in ((1.0, 4.0), (0.3, 2.5), (7.0, 1.5)):
+                try:
+                    want = a**d - float(d) ** d * inequalities.kappa(d) * v ** (d - 1)
+                except OverflowError:
+                    continue
+                if math.isfinite(want):
+                    assert inequalities.deficit(d, v, a) == want, (d, v, a)
+
+    @pytest.mark.parametrize("d, v, a", [(2, 1.0, 1e200), (3, 1e200, 1.0), (144, 1e10, 4.0),
+                                         (400, 1.0, 1.0)])
+    def test_deficit_beyond_the_float_range(self, d, v, a):
+        with pytest.raises(DomainError, match=rf"^the isoperimetric deficit in d = {d} is outside"):
+            inequalities.deficit(d, v, a)
+
+    def test_ball_ratio(self):
+        import mpmath
+
+        for d in range(2, 178):
+            with mpmath.workprec(200):
+                d_ = mpmath.mpf(d)
+                exact = d_**d_ * mpmath.pi ** (d_ / 2) / mpmath.gamma(d_ / 2 + 1)
+            if d < 144:
+                assert inequalities.ball_ratio(d) == float(d**d) * inequalities.kappa(d), d
+            assert abs(inequalities.ball_ratio(d) - exact) <= 1e-12 * exact, d
+        assert inequalities.ball_ratio(178) == inequalities.ball_ratio(10**6) == math.inf
+
 
 class TestBonnesenGeneral:
     def test_unit_ball_equalities(self):

@@ -173,7 +173,8 @@ class TestStarPolyhedron:
 
 
 class TestFacetGeometry:
-    """The array pass per facet size against one facet at a time, and its errors."""
+    """The segmented pass, one sequential sum per facet over its run of vertex
+    slots, against one facet at a time, and its errors."""
 
     @pytest.mark.parametrize(
         "build",
@@ -231,6 +232,41 @@ class TestFacetGeometry:
         with pytest.raises(GeometryError) as info:
             polytope.StarPolyhedron(*args)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("facets, index", [
+        (l_prism(0).facets + ((), (0, 1)), 8),
+        (l_prism(0).facets + ((0, 1), ()), 8),
+        (l_prism(0).facets[:3] + ((),) + l_prism(0).facets[3:] + ((0, 1),), 3),
+        (l_prism(0).facets[:1] + ((0, 1),) + l_prism(0).facets[1:] + ((),), 1),
+    ])
+    def test_short_facets_after_mixed_sizes(self, facets, index):
+        # hexagons and quadrilaterals before and around an empty and a 2-vertex facet
+        with pytest.raises(GeometryError) as info:
+            polytope.StarPolyhedron(3, l_prism(0).vertices, facets, l_prism(0).apex)
+        assert str(info.value) == f"facet {index}: 3D facets need >= 3 vertices"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_permuted_facets_permute_the_geometry(self, seed):
+        # interleaved sizes: a sum leaking into a neighbouring segment changes bits
+        p = sphere_hull_dual(np.random.default_rng(seed), 60)
+        perm = np.random.default_rng(seed).permutation(len(p.facets))
+        q = polytope.StarPolyhedron(3, p.vertices, tuple(p.facets[i] for i in perm), p.apex)
+        assert len({len(f) for f in q.facets}) >= 4
+        for got, want in zip((q.normals, q.offsets, q.measures), (p.normals, p.offsets, p.measures)):
+            assert np.array_equal(got, want[perm])
+
+    def test_pyramid_over_a_1000_gon(self):
+        n, radius, height = 1000, 2.0, 3.0
+        ang = 2.0 * np.pi * np.arange(n) / n
+        verts = np.vstack([np.c_[radius * np.cos(ang), radius * np.sin(ang), np.zeros(n)],
+                           [[0.0, 0.0, height]]])
+        sides = tuple((i, (i + 1) % n, n) for i in range(n))
+        p = polytope.StarPolyhedron(3, verts, (tuple(range(n - 1, -1, -1)),) + sides,
+                                    np.array([0.0, 0.0, height / 4]))
+        base = 0.5 * n * radius**2 * math.sin(2.0 * math.pi / n)
+        assert abs(p.measures[0] - base) <= 1e-12 * base
+        assert p.normals[0].tolist() == [0.0, 0.0, -1.0]
+        assert polytope.decompose(p).total_volume == pytest.approx(base * height / 3, rel=1e-12)
 
     def test_integral_float_and_numpy_indices(self):
         plain = polytope.StarPolyhedron(*prism())
