@@ -48,71 +48,62 @@ def _at_points(f: Callable, t: np.ndarray) -> np.ndarray:
     return np.array([f(x) for x in t.tolist()])
 
 
-def derivative(f: Callable[[float], float], s, scale: float = 1.0,
-               domain: tuple[float, float] = (-math.inf, math.inf)):
-    """Central difference with one Richardson extrapolation level.
-
-    Step h = cbrt(machine eps) * max(|s|, scale).  Where s - h or s + h
-    leaves the open interval ``domain`` and the other side stays inside, the
-    differences are one-sided, towards the inside, with the same step and
-    extrapolation.  A :class:`DomainError` names s where f is not real and
-    finite on the stencil, or where the one-sided difference quotient grows
-    by more than _ONE_SIDED_GROWTH as the step halves: f' is then unbounded
-    at the domain end, as for s**p with p < 0.986 at 0.  On an array s, f must
-    act elementwise, the same operations run unchecked, and such a point is NaN.
-    """
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    lo, hi = domain
-    if np.ndim(s):  # checked point by point by _at_points, the caller
-        s = np.asarray(s, dtype=float)
-        h = _CBRT_EPS * np.maximum(np.abs(s), scale)
-        below, above = s - h <= lo, s + h >= hi
-        one = below ^ above
-        if not one.any():
-            return _central(f, s, h)
-        d = np.empty(s.shape)
-        if not one.all():
-            d[~one] = _central(f, s[~one], h[~one])
-        half, full = _quotients(f, s[one], np.where(below, h, -h)[one])
-        d[one] = np.where(np.abs(half) > _ONE_SIDED_GROWTH * np.abs(full), math.nan,
-                          2.0 * half - full)
-        return d
-    h = _CBRT_EPS * max(abs(s), scale)
-    below, above = s - h <= lo, s + h >= hi
-    try:
-        if below == above:
-            d = _central(f, s, h)
-        else:
-            half, full = _quotients(f, s, h if below else -h)
-            d = 2.0 * half - full
-    except Exception as exc:  # evaluation failure inside the stencil
-        raise IsolabError(f"function evaluation failed near s={s}: {exc}") from exc
-    if isinstance(d, complex) or not math.isfinite(d):  # numpy's complex types subclass complex
-        step = "+-" if below == above else "+" if below else "-"
-        raise DomainError(f"f is not real and finite on the stencil s {step} {h:.3g} at s={s}")
-    if below != above and abs(half) > _ONE_SIDED_GROWTH * abs(full):
-        raise DomainError(f"the derivative of f is not real and finite at the domain end "
-                          f"{lo if below else hi}: its one-sided differences from s={s} "
-                          "grow as the step shrinks")
-    return float(d)
-
-
-def _central(f: Callable, s, h):
-    d1 = (f(s + h) - f(s - h)) / (2.0 * h)
-    d2 = (f(s + h / 2.0) - f(s - h / 2.0)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 # the most that a one-sided difference quotient may grow as its step halves: it grows
 # by 2**(1 - p) for s**p near s = 0, and by about 1 + h |f''/f'| / 4 for a smooth f
 _ONE_SIDED_GROWTH = 1.01
 
 
-def _quotients(f: Callable, s, t):
-    """The difference quotients of f from s over the steps t / 2 and t."""
-    f0 = f(s)
-    return (f(s + t / 2.0) - f0) / (t / 2.0), (f(s + t) - f0) / t
+def derivative(f: Callable[[float], float], s, scale: float = 1.0,
+               domain: tuple[float, float] = (-math.inf, math.inf)):
+    """f' at a float s, or at each point of an array s: a difference quotient with one
+    Richardson extrapolation level and step h = cbrt(machine eps) * max(|s|, scale).
+
+    The quotient is central, or one-sided towards the inside where s - h or s + h
+    leaves the open interval ``domain`` and the other side stays inside.  A
+    :class:`DomainError` names the first s, in array order, where f is not real and
+    finite on the stencil, or where the one-sided quotient grows by more than
+    _ONE_SIDED_GROWTH as the step halves: f' is then unbounded at the domain end, as
+    for s**p with p < 0.986 at 0.  A float s hands f floats and gives a float, and an
+    :class:`IsolabError` names it where f raises; an array s hands f arrays of its
+    shape, on which f must act elementwise, and lets f's exceptions through.
+    """
+    if not scale > 0:  # NaN fails too
+        raise DomainError("scale must be positive")
+    lo, hi = domain
+    scalar, x = np.ndim(s) == 0, np.asarray(s, dtype=float)[()]  # a numpy float, not a 0-d array
+    h = _CBRT_EPS * np.maximum(abs(x), scale)
+    below, above = x - h <= lo, x + h >= hi
+    one = below != above
+    sided = np.count_nonzero(one)  # faster than .any(), also on a numpy bool
+    # (f(s + t) - f(s - b)) / (t + b) errs by O(t**p), w the mean of t and b: central b = t,
+    # p = 2; one-sided b = 0, p = 1, t inwards.  Bools act as 0 and 1: np.where makes 0-d arrays
+    t = h * (1.0 - 2.0 * (above & one)) if sided else h
+    b, w, p2 = (t * ~one, t * (1.0 - 0.5 * one), 4.0 - 2.0 * one) if sided else (t, t, 4.0)
+    at = (lambda y: f(float(y))) if scalar else f
+    try:
+        with np.errstate(all="ignore"):  # a point where f is not real and finite is named
+            full = (at(x + t) - at(x - b)) / (2.0 * w)
+            half = (at(x + t / 2) - at(x - b / 2)) / w
+            d = (p2 * half - full) / (p2 - 1.0)
+            fails = ~np.isfinite(d)
+            if np.iscomplexobj(d):  # a point is real where its imaginary part is 0
+                fails, d = fails | (d.imag != 0), d.real
+            grows = one & (np.abs(half) > _ONE_SIDED_GROWTH * np.abs(full)) if sided else one
+    except Exception as exc:  # evaluation failure inside the stencil
+        if not scalar:
+            raise
+        raise IsolabError(f"function evaluation failed near s={s}: {exc}") from exc
+    bad = fails | grows
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
+        s, h, at_lo, sided, fails = (np.ravel(a)[i].item() for a in (x, h, below, one, fails))
+        if fails:
+            step = "+" if at_lo and sided else "-" if sided else "+-"
+            raise DomainError(f"f is not real and finite on the stencil s {step} {h:.3g} at s={s}")
+        raise DomainError(f"the derivative of f is not real and finite at the domain end "
+                          f"{lo if at_lo else hi}: its one-sided differences from s={s} "
+                          "grow as the step shrinks")
+    return float(d) if scalar else d
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,10 +339,8 @@ def reparameterize(
     if np.any(imgs <= flo) or np.any(imgs >= fhi):
         raise DomainError("phi maps outside the family domain")
 
-    new_dv = None
-    if family.dvolume is not None and dphi is not None:
-        base_dv = family.dvolume
-        new_dv = lambda s: base_dv(phi(s)) * dphi(s)
+    dv = family.dvolume
+    new_dv = None if dv is None or dphi is None else lambda s: dv(phi(s)) * dphi(s)
     return FamilySpec(
         id=f"{family.id}@reparam",
         dimension=family.dimension,
@@ -388,35 +377,29 @@ def monotone_partition(
     if np.any(bad):
         raise DomainError(f"v is not real and finite at grid point {grid[np.argmax(bad)]}")
     slopes = np.sign(np.diff(vals.real))
-
-    def local_slope_sign(m: float, h: float) -> float:
-        dv = v(m + h) - v(m - h)
-        return math.copysign(1.0, dv) if dv != 0.0 else 0.0
-
     intervals: list[tuple[float, float]] = []
-    start = grid[0]
-    cur = slopes[0]
+    start, cur = grid[0], slopes[0]
     for i in range(1, len(slopes)):
-        if slopes[i] == cur or slopes[i] == 0:
+        if slopes[i] == cur:
             continue
-        if cur == 0:
-            # constant stretch excluded as a gap; branch starts where slope resumes
-            start = grid[i]
-            cur = slopes[i]
-            continue
-        # refine the breakpoint inside (grid[i-1], grid[i+1]), in the grid's direction
-        a, b = grid[i - 1], grid[i + 1]
-        while abs(b - a) > refine_tol:
-            m = 0.5 * (a + b)
-            if local_slope_sign(m, (b - a) / 8.0) == cur:
-                a = m
-            else:
-                b = m
-        bp = 0.5 * (a + b)
+        if slopes[i] == 0 and i + 1 < len(slopes) and slopes[i + 1] == -cur:
+            continue  # one zero slope between opposite ones: the turning point refined next
+        if cur == 0 or slopes[i] == 0:
+            # a constant stretch is a gap: a branch ends where v stops changing,
+            # and the next starts where its slope resumes
+            bp = grid[i]
+        else:  # refine the turning point inside (grid[i-1], grid[i+1]), in the grid's direction
+            a, b = grid[i - 1], grid[i + 1]
+            while abs(b - a) > refine_tol:
+                m, h = 0.5 * (a + b), (b - a) / 8.0
+                if (v(m + h) - v(m - h)) * cur > 0:  # the slope at m still has the sign cur
+                    a = m
+                else:
+                    b = m
+            bp = 0.5 * (a + b)
         if cur != 0:
             intervals.append((float(start), float(bp)))
-        start = bp
-        cur = slopes[i]
+        start, cur = bp, slopes[i]
     if cur != 0:
         intervals.append((float(start), float(grid[-1])))
     return intervals

@@ -281,6 +281,13 @@ def csv_table(header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _e_notation(log10: float) -> str:
+    """10**log10 as m.mmme+k, for magnitudes beyond the float range."""
+    k = math.floor(log10)
+    m = 10 ** (log10 - k)
+    return f"{m / 10:.3f}e{k + 1:+d}" if m >= 9.9995 else f"{m:.3f}e{k:+d}"  # not 10.000
+
+
 def as_nparam(family: FamilySpec) -> FamilySpec:
     """Return ``family``: every :class:`FamilySpec` is already an n-parameter
     family.  Kept for existing callers."""

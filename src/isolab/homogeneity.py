@@ -8,6 +8,7 @@ dimension.  ``classify`` tests all three characterizations numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,8 +16,8 @@ import numpy as np
 
 from .calculus import InradiusCurve, _inradius, _require_ordered, dr_ds, integrate
 from .errors import DomainError
-from .families import FamilySpec, Record, _frozen, evaluate, ratio, ratio_at, sample
-from .inequalities import ball_ratio
+from .families import FamilySpec, Record, _e_notation, _frozen, evaluate, ratio, ratio_at, sample
+from .inequalities import _log_ball_ratio, ball_ratio
 
 
 def tong_inradius(d: int, v: float, a: float) -> float:
@@ -88,8 +89,9 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
 
     floor = ball_ratio(d)
     if q_center < floor * (1.0 - 1e-9):
+        shown = floor if floor < math.inf else _e_notation(_log_ball_ratio(d) / math.log(10.0))
         raise DomainError(
-            f"isoperimetric ratio {q_center} below the ball floor {floor}; "
+            f"isoperimetric ratio {q_center} below the ball floor {shown}; "
             "volume/area evaluators are inconsistent"
         )
     rtol_margin = float(rtol) - q_rel_spread

@@ -102,21 +102,32 @@ class InequalityReport(Record):
         return all(row.holds for row in self.rows)
 
 
-def _row(name: str, lhs: float, rhs: float, scale: float = 1.0) -> InequalityRow:
+def _pow(x: float, n: int) -> float:
+    """x**n, and inf where that is beyond the float range."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
+def _row(d: int, name: str, lhs: float, rhs: float, scale: float) -> InequalityRow:
+    if not all(map(math.isfinite, (lhs, rhs, scale, lhs - rhs))):
+        raise DomainError(f"the {name} row in d = {d} is outside the float range")
     # scale covers cancellation noise at equality cases (e.g. A^d for deficits)
     tol = HOLD_TOL * max(abs(lhs), abs(rhs), abs(scale), 1.0)
     return InequalityRow(name=name, lhs=lhs, rhs=rhs, holds=lhs >= rhs - tol, slack=lhs - rhs)
 
 
 def bonnesen_general(d: int, v: float, a: float) -> InequalityReport:
-    """The three general-d Bonnesen rows with r the Tong inradius d V / A."""
+    """The three general-d Bonnesen rows with r the Tong inradius d V / A; a row
+    with a term beyond the float range is a :class:`DomainError`."""
     dfc = deficit(d, v, a)
     kd = kappa(d)
     r = d * v / a
     rows = (
-        _row("deficit_vs_area_gap", dfc, (a - d * kd * r ** (d - 1)) ** d, scale=a**d),
-        _row("deficit_vs_volume_gap", dfc, (v / r - kd * r ** (d - 1)) ** d, scale=a**d),
-        _row("osserman", r * a, v + (d - 1) * kd * r**d, scale=r * a),
+        _row(d, "deficit_vs_area_gap", dfc, _pow(a - d * kd * _pow(r, d - 1), d), _pow(a, d)),
+        _row(d, "deficit_vs_volume_gap", dfc, _pow(v / r - kd * _pow(r, d - 1), d), _pow(a, d)),
+        _row(d, "osserman", r * a, v + (d - 1) * kd * _pow(r, d), r * a),
     )
     return InequalityReport(
         dimension=d, V=v, A=a, r_tong=r, kappa_d=kd, deficit=dfc, rows=rows
@@ -128,18 +139,19 @@ def bonnesen_2d(p: float, a: float, r_inscribed: float) -> InequalityReport:
 
     The caller asserts r is the radius of some circle inscribed in the
     figure (or the Tong inradius 2A/P, for which the rows also hold); the
-    only sanity bound enforced is r <= P / (2 pi).
+    only sanity bound enforced is r <= P / (2 pi).  As in
+    :func:`bonnesen_general`, a term beyond the float range is a :class:`DomainError`.
     """
     if p <= 0 or a <= 0 or r_inscribed <= 0:
         raise DomainError("P, A, r must be positive")
     if r_inscribed > p / (2.0 * math.pi) * (1.0 + 1e-12):
         raise DomainError("inscribed radius exceeds the isoperimetric radius P/(2 pi)")
     r = r_inscribed
-    dfc = p**2 - 4.0 * math.pi * a
+    dfc = deficit(2, a, p)  # P^2 - 4 pi A
     rows = (
-        _row("bonnesen_perimeter", dfc, (p - 2.0 * math.pi * r) ** 2, scale=p**2),
-        _row("bonnesen_area", dfc, (a / r - math.pi * r) ** 2, scale=p**2),
-        _row("osserman", r * p, a + math.pi * r**2, scale=r * p),
+        _row(2, "bonnesen_perimeter", dfc, _pow(p - 2.0 * math.pi * r, 2), _pow(p, 2)),
+        _row(2, "bonnesen_area", dfc, _pow(a / r - math.pi * r, 2), _pow(p, 2)),
+        _row(2, "osserman", r * p, a + math.pi * _pow(r, 2), r * p),
     )
     return InequalityReport(
         dimension=2, V=a, A=p, r_tong=2.0 * a / p, kappa_d=math.pi, deficit=dfc, rows=rows

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .families import FamilySpec, Record, _frozen
+from .families import FamilySpec, Record, _e_notation, _frozen
 
 PLANARITY_RTOL = 1e-9
 CONVEXITY_RTOL = 1e-9
@@ -213,11 +213,7 @@ def _require_float(what: str, scaled: float, power: int) -> None:
     """Raise unless scaled * 2**power, for a scaled > 0, is a float other than 0 and inf."""
     if not -1074 < math.frexp(scaled)[1] + power <= 1024:
         log10 = math.log10(scaled) + power * math.log10(2.0)
-        k = math.floor(log10)
-        m = 10 ** (log10 - k)
-        if m >= 9.9995:  # prints as 10.000
-            m, k = m / 10, k + 1
-        raise GeometryError(f"{what} {m:.3f}e{k:+d} is outside the float range")
+        raise GeometryError(f"{what} {_e_notation(log10)} is outside the float range")
 
 
 def from_json(text: str) -> StarPolyhedron:

@@ -72,6 +72,62 @@ class TestDerivative:
         with pytest.raises(DomainError, match=re.escape("stencil s + ")):
             calculus.derivative(lambda t: math.nan, 1e-7, 0.5, domain)
 
+    @pytest.mark.parametrize("scale", [0.0, math.nan])
+    def test_scale_must_be_positive(self, scale):
+        with pytest.raises(DomainError, match="^scale must be positive$"):
+            calculus.derivative(lambda t: t, 1.0, scale=scale)
+
+    def test_float_call_hands_f_floats(self):
+        seen = []
+
+        def log(t):
+            seen.append(type(t))
+            return math.log(t)
+
+        assert calculus.derivative(log, 2.0) == pytest.approx(0.5, rel=1e-9)
+        assert calculus.derivative(log, 1.0 - 1e-7, 0.5, (0.0, 1.0)) == pytest.approx(1.0, rel=1e-6)
+        assert set(seen) == {float}
+
+    @pytest.mark.parametrize("s", [np.array([1e-7, 2e-7]), np.array([1e-7, 0.5, 1.0 - 1e-7])],
+                             ids=["one-sided", "mixed"])
+    def test_array_reaches_f_whole(self, s):
+        shapes = []
+
+        def cube(t):
+            shapes.append(t.shape)
+            return t * t * t
+
+        calculus.derivative(cube, s, 0.5, (0.0, 1.0))
+        assert shapes == [s.shape] * 4
+
+    def test_complex_values_with_no_imaginary_part_are_real(self):
+        got = calculus.derivative(lambda t: complex(t * t), 2.0)
+        assert type(got) is float and got == pytest.approx(4.0, rel=1e-9)
+
+    def test_array_lets_the_exception_of_f_through(self):
+        def bad(t):
+            raise ZeroDivisionError("nope")
+
+        with pytest.raises(ZeroDivisionError, match="^nope$"):
+            calculus.derivative(bad, np.array([1.0, 2.0]))
+
+    # t**0.9 on (0, 10): its one-sided quotients at 1e-7 grow, and it is not real at -1.0
+    @pytest.mark.parametrize("f,s,domain,bad", [
+        (lambda t: t**0.5, [1.0, 1e-8, 1e-9], (-math.inf, math.inf), 1e-8),
+        (np.emath.sqrt, [1.0, 1e-8, 1e-9], (-math.inf, math.inf), 1e-8),  # complex where t < 0
+        (lambda t: t**0.9, [2.0, 1e-7, 1e-8], (0.0, 10.0), 1e-7),
+        (lambda t: t**0.9, [2.0, 1e-7, -1.0], (0.0, 10.0), 1e-7),
+        (lambda t: t**0.9, [2.0, -1.0, 1e-7], (0.0, 10.0), -1.0),
+    ])
+    def test_array_raises_the_float_error_of_its_first_bad_point(self, f, s, domain, bad):
+        with pytest.raises(DomainError) as want:
+            calculus.derivative(f, bad, 1.0, domain)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as got:
+                calculus.derivative(f, np.array(s), 1.0, domain)
+        assert str(got.value) == str(want.value)
+
 
 def _integrand_families():
     """Every built-in one-parameter family, the rhombus by both branches."""
@@ -272,6 +328,14 @@ class TestInradiusByQuadrature:
     def test_per_node_fallback(self, fam, want):
         curve = calculus.inradius_by_quadrature(fam, 0.5, 0.0, np.linspace(0.5, 2.0, 6))
         assert curve.r.tolist() == want
+
+    def test_one_point_grid_rejected(self):
+        with pytest.raises(DomainError, match="^grid must contain at least 2 points$"):
+            calculus.inradius_by_quadrature(families.builtin("cube"), 0.0, 0.0, [1.0])
+
+    def test_anchor_outside_domain(self):
+        with pytest.raises(DomainError, match=re.escape("anchor s0=-1.0 outside domain [0.0, inf)")):
+            calculus.inradius_by_quadrature(families.builtin("cube"), -1.0, 0.0, [1.0, 2.0])
 
     def test_grid_outside_domain(self):
         inc = families.rhombus_branches(1.0)[0]
@@ -500,6 +564,22 @@ class TestReparameterize:
         with pytest.raises(DomainError):
             calculus.reparameterize(cube, lambda s: 2 + math.sin(s), (0.0, 20.0))
 
+    def test_empty_domain_rejected(self):
+        with pytest.raises(DomainError, match=re.escape("empty reparameterized domain (1.0, 1.0)")):
+            calculus.reparameterize(families.builtin("cube"), lambda s: s, (1.0, 1.0))
+
+    def test_image_outside_the_family_domain_rejected(self):
+        with pytest.raises(DomainError, match="^phi maps outside the family domain$"):
+            calculus.reparameterize(families.builtin("cube"), lambda s: s - 5.0, (0.0, 1.0))
+
+    # hexagon_120 by s -> s**2 without dphi: quadrature differentiates V numerically
+    def test_numeric_derivative_passes_the_relation(self):
+        fam = calculus.reparameterize(families.builtin("hexagon_120"), lambda s: s * s,
+                                      (0.0, math.inf))
+        assert fam.dvolume is None
+        curve = calculus.inradius_by_quadrature(fam, 0.5, 0.0, np.linspace(0.5, 1.8, 100))
+        assert calculus.verify_derivative_relation(fam, curve, rtol=1e-6).passes
+
 
 class TestMonotonePartition:
     def test_rhombus_breakpoint(self):
@@ -566,3 +646,21 @@ class TestMonotonePartition:
         grid = np.linspace(0.1, 10.0, 64)
         assert calculus.monotone_partition(v, grid, 1e-8) == [(0.1, 10.0)]
         assert calls == [64]
+
+    FLAT = np.linspace(0.0, 2.0, 41)
+
+    # a numerically constant stretch is a gap wherever it lies
+    @pytest.mark.parametrize("v,want", [
+        (lambda s: np.maximum(s, 1.0), [(1.0, 2.0)]),
+        (lambda s: np.minimum(s, 1.0), [(0.0, 1.0)]),
+        (lambda s: np.maximum(np.abs(s - 1.0), 0.5), [(0.0, 0.5), (1.5, 2.0)]),
+        (lambda s: np.where(s < 0.5, s, np.where(s < 1.5, 0.5, s - 1.0)), [(0.0, 0.5), (1.5, 2.0)]),
+    ], ids=["leading", "trailing", "between opposite slopes", "between equal slopes"])
+    def test_flat_stretch_is_a_gap(self, v, want):
+        assert calculus.monotone_partition(v, self.FLAT, 1e-8) == want
+
+    def test_one_zero_slope_between_opposite_ones_is_a_turning_point(self):
+        grid = (np.arange(16) - 7.5) * 0.25  # |s| is equal at the middle two points
+        parts = calculus.monotone_partition(np.abs, grid, 1e-8)
+        assert len(parts) == 2 and (parts[0][0], parts[1][1]) == (-1.875, 1.875)
+        assert abs(parts[0][1]) <= 1e-8 and parts[1][0] == parts[0][1]

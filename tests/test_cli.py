@@ -214,6 +214,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    # Bonnesen rows beyond the float range; the 2D deficit P^2 - 4 pi A is too
+    @pytest.mark.parametrize("argv", [
+        "bonnesen --d 22 --V 1 --A 4",
+        "bonnesen --d 60 --V 1 --A 4",
+        "bonnesen --d 25 --V 1 --A 6",
+        "bonnesen --2d --P 1e200 --A 1 --r 1",
+    ])
+    def test_bonnesen_beyond_the_float_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the ") and err.endswith(" is outside the float range\n")
+
     @pytest.mark.parametrize(
         "argv, point",
         [

@@ -174,6 +174,25 @@ class TestBonnesenGeneral:
         with pytest.raises(DomainError):
             inequalities.bonnesen_general(3, 0.0, 1.0)
 
+    # (A - d kappa_d r^(d-1))^d leaves the float range from d = 22 on for V = 1, A = 4
+    @pytest.mark.parametrize("d,a", [(22, 4.0), (25, 6.0), (144, 4.0)])
+    def test_row_beyond_the_float_range(self, d, a):
+        with pytest.raises(DomainError, match=f"^the deficit_vs_area_gap row in d = {d} is outside"):
+            inequalities.bonnesen_general(d, 1.0, a)
+
+    @pytest.mark.parametrize("a", [4.0, 6.0])
+    def test_rows_finite_or_rejected(self, a):
+        for d in range(2, 400):
+            try:
+                report = inequalities.bonnesen_general(d, 1.0, a)
+            except DomainError as exc:
+                assert "outside the float range" in str(exc), d
+                assert d >= (22 if a == 4.0 else 25), d
+            else:
+                values = [x for row in report.rows for x in (row.lhs, row.rhs, row.slack)]
+                assert all(map(math.isfinite, values)), d
+                assert d < (22 if a == 4.0 else 25), d
+
 
 class TestBonnesen2d:
     def test_circle_equalities(self):
@@ -210,6 +229,17 @@ class TestBonnesen2d:
     def test_oversized_radius_rejected(self):
         with pytest.raises(DomainError):
             inequalities.bonnesen_2d(6.0, 2.0, 2.0)
+
+    def test_perimeter_beyond_the_float_range(self):
+        with pytest.raises(DomainError, match="^the isoperimetric deficit in d = 2 is outside"):
+            inequalities.bonnesen_2d(1e200, 1.0, 1.0)
+        # P^2 = 1e300 fits, (A / r - pi r)^2 does not
+        with pytest.raises(DomainError, match="^the bonnesen_area row in d = 2 is outside"):
+            inequalities.bonnesen_2d(1e150, 1e300, 1e-10)
+
+    def test_deficit_as_before(self):
+        for p_, a_ in [(6.0, 2.0), (4.0, 1.0), (7.3, 0.1)]:
+            assert inequalities.bonnesen_2d(p_, a_, 0.01).deficit == p_**2 - 4.0 * math.pi * a_
 
 
 class TestEqualityDetection:
