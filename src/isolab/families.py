@@ -52,7 +52,8 @@ class FamilySpec:
     the bits of one point, so an array-capable evaluator must round each point
     as it does alone: write integer powers as products, as :func:`ratio` does
     (array ``**`` rounds differently from Python's), and use correctly rounded
-    functions such as ``np.sqrt``.
+    functions such as ``np.sqrt``.  ``feasible`` gets the (n, m) array too, and
+    a bool array of shape (m,) back is its answer (join tests by ``&``, not ``and``).
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
@@ -207,18 +208,16 @@ def _evaluate_batch(family: FamilySpec, x: np.ndarray):
     is point i; ``ok`` marks the points that :func:`evaluate` accepts.  One
     call of each evaluator, with x or with its one row when n = 1, gives all
     m points if it returns float arrays of shape (m,); ``ok`` then makes the
-    checks of :func:`evaluate` as masks, asking ``feasible`` per point.  Else
+    checks of :func:`evaluate` as masks, asking ``feasible`` once on x (once
+    per accepted point where that gives no bool array of shape (m,)).  Else
     each point goes through :func:`evaluate`: V = A = NaN and ``ok`` False
     where it raises :class:`DomainError`; other exceptions propagate.
     """
-    try:
-        with np.errstate(all="ignore"):
-            p = x if len(x) > 1 else x[0]
-            v, a = np.asarray(family.volume(p)), np.asarray(family.area(p))
-        per_point = not (v.shape == a.shape == x.shape[1:] and v.dtype == a.dtype == float)
-    except Exception:  # raised again by the per-point calls, if the evaluator fails there too
-        per_point = True
-    if per_point:
+    v = a = None  # None where an evaluator raises: per point, it raises again where it fails alone
+    with contextlib.suppress(Exception), np.errstate(all="ignore"):
+        p = x if len(x) > 1 else x[0]
+        v, a = np.asarray(family.volume(p)), np.asarray(family.area(p))
+    if v is None or not (v.shape == a.shape == x.shape[1:] and v.dtype == a.dtype == float):
         v, a = np.full((2, x.shape[1]), math.nan)
         for i, point in enumerate(x.T.copy()):
             with contextlib.suppress(DomainError):
@@ -228,8 +227,14 @@ def _evaluate_batch(family: FamilySpec, x: np.ndarray):
     ok = (((lows < x) & (x < highs)).all(axis=0)  # NaN fails each comparison
           & (np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf))
     if family.feasible is not None:
-        points, i = x.T.copy(), ok.nonzero()[0]
-        ok[i] = [bool(family.feasible(points[j])) for j in i]
+        feasible = None  # None where feasible raises on the array
+        with contextlib.suppress(Exception), np.errstate(all="ignore"):
+            feasible = np.asarray(family.feasible(x))
+        if feasible is not None and feasible.shape == ok.shape and feasible.dtype == bool:
+            ok &= feasible
+        else:
+            points, i = x.T.copy(), ok.nonzero()[0]
+            ok[i] = [bool(family.feasible(points[j])) for j in i]
     return v, a, ok
 
 
@@ -457,7 +462,7 @@ def _triangle_sides() -> FamilySpec:
 
     def feasible(x):
         a, b, c = x
-        return a + b > c and b + c > a and a + c > b
+        return (a + b > c) & (b + c > a) & (a + c > b)
 
     return FamilySpec(
         id="triangle_sides",

@@ -120,10 +120,12 @@ def _row(d: int, name: str, lhs: float, rhs: float, scale: float) -> InequalityR
 
 def bonnesen_general(d: int, v: float, a: float) -> InequalityReport:
     """The three general-d Bonnesen rows with r the Tong inradius d V / A; a row
-    with a term beyond the float range is a :class:`DomainError`."""
+    with a term beyond the float range, or r = 0, is a :class:`DomainError`."""
     dfc = deficit(d, v, a)
     kd = kappa(d)
     r = d * v / a
+    if r == 0.0:  # underflowed: V / r below is A / d in exact arithmetic, but not in floats
+        raise DomainError(f"the Tong inradius in d = {d} is outside the float range")
     rows = (
         _row(d, "deficit_vs_area_gap", dfc, _pow(a - d * kd * _pow(r, d - 1), d), _pow(a, d)),
         _row(d, "deficit_vs_volume_gap", dfc, _pow(v / r - kd * _pow(r, d - 1), d), _pow(a, d)),

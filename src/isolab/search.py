@@ -417,14 +417,13 @@ def solve_coordinate(
     """Solve Q(x) = k for coordinate j, each other coordinate i given as the
     function ``fixed[i]`` of s; ``fixed`` holding j is a :class:`DomainError`.
 
-    Brackets are located by a sign scan of 512 points over the coordinate
-    interval, which calls each evaluator once on all of them as an (n, m)
-    array (see :class:`FamilySpec`; an evaluator that does not act elementwise
-    gets one call per point), and each root is refined with :func:`brentq` on
-    the scalar Q.  A bracket with a NaN inside is dropped; when no root is
-    left, the first such :class:`DomainError` is raised.  With several roots,
-    the one nearest ``prev`` is returned (curve continuity); without ``prev``,
-    the smallest.
+    A sign scan of 512 points over the coordinate interval calls each
+    evaluator once on all of them as an (n, m) array (see :class:`FamilySpec`;
+    an evaluator that does not act elementwise gets one call per point).  One
+    array pass over its values finds the brackets, and :func:`brentq` refines
+    only those that can hold the root returned: the smallest, or the one
+    nearest ``prev`` (the smaller of two as near).  A bracket with a NaN inside
+    is passed over; when no root is left, the first such error is raised.
     """
     n = nfamily.nparams
     if not 0 <= j < n:
@@ -456,28 +455,32 @@ def solve_coordinate(
     ts = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, 512)
     vals = _scan(nfamily, k, base, j, ts, g)
 
-    roots, nan_error = [], None
-    for i in range(len(ts) - 1):
-        a, b = vals[i], vals[i + 1]
-        if math.isnan(a) or math.isnan(b):
+    # a zero at ts[i] is the root [ts[i], ts[i]], a strict sign change the bracket
+    # [ts[i], ts[i + 1]] (signs, as their product can overflow); a pair with a NaN is neither
+    zero = (vals[:-1] == 0.0) & ~np.isnan(vals[1:])
+    i = np.flatnonzero(zero | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
+    found = list(zip(ts[i].tolist(), np.where(zero, ts[:-1], ts[1:])[i].tolist()))
+    # refined by the least key a root in [lo, hi] can have (key is monotone on each side
+    # of prev) until none left can beat the best root, nor tie it from an earlier bracket
+    key = (lambda t: t) if prev is None else (lambda t: abs(t - prev))
+    least = [0.0 if prev is not None and lo <= prev <= hi else min(key(lo), key(hi))
+             for lo, hi in found]
+    best, errors = None, {}
+    for c, (lo, hi) in sorted(enumerate(found), key=lambda item: least[item[0]]):
+        if best is not None and (least[c], c) > best[:2]:
+            break
+        try:
+            t = lo if lo == hi else brentq(g, lo, hi)
+        except DomainError as exc:  # a NaN inside this bracket: the others may hold roots
+            errors[c] = exc
             continue
-        if a == 0.0:
-            roots.append(float(ts[i]))
-        elif a * b < 0:
-            try:
-                roots.append(brentq(g, ts[i], ts[i + 1]))
-            except DomainError as exc:  # a NaN inside this bracket: the others may hold roots
-                nan_error = nan_error or exc
-    if not roots:
-        if nan_error is not None:
-            raise nan_error
-        raise DomainError(
+        if best is None or (key(t), c) < best[:2]:
+            best = (key(t), c, t)
+    if best is None:
+        raise errors[min(errors)] if errors else DomainError(
             f"no root of Q=k for coordinate {j} at s={s}; scanned ({ts[0]}, {ts[-1]}) "
-            "(s may be outside the feasible parameter interval)"
-        )
-    if prev is not None:
-        return min(roots, key=lambda t: abs(t - prev))
-    return min(roots)
+            "(s may be outside the feasible parameter interval)")
+    return best[2]
 
 
 def _scan(

@@ -1,14 +1,15 @@
 """Helpers that only the tests use: a checked isoperimetric ratio, a support
 function, a harmonic mean, two polygon constructors, the one-parameter
-built-ins on sample grids and a reference for the windowed slopes of
-``calculus.verify_derivative_relation``."""
+built-ins on sample grids, a reference for the windowed slopes of
+``calculus.verify_derivative_relation`` and one for the root that
+``search.solve_coordinate`` picks from its scan."""
 
 import math
 from typing import Sequence
 
 import numpy as np
 
-from isolab import families
+from isolab import families, search
 from isolab.errors import DomainError
 from isolab.families import ratio
 from isolab.polytope import StarPolyhedron
@@ -81,3 +82,32 @@ def vandermonde_slopes(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     t = (rw - rw[:, half:half + 1]) / h[:, None]
     coeffs = np.linalg.solve(t[:, :, None] ** np.arange(width), vw[:, :, None])
     return coeffs[:, 1, 0] / h
+
+
+def all_brackets_root(ts, vals, g, j, s, prev=None):
+    """The root ``search.solve_coordinate`` returns from the scan values ``vals``
+    of g at ``ts``, found as it was with a Python loop over the scan pairs:
+    every bracket refined by ``search.brentq``, then the smallest root, or the
+    one nearest ``prev``.  Raises the error the solve raises where none is left."""
+    roots, nan_error = [], None
+    for i in range(len(ts) - 1):
+        a, b = vals[i], vals[i + 1]
+        if math.isnan(a) or math.isnan(b):
+            continue
+        if a == 0.0:
+            roots.append(float(ts[i]))
+        elif a * b < 0:
+            try:
+                roots.append(search.brentq(g, ts[i], ts[i + 1]))
+            except DomainError as exc:
+                nan_error = nan_error or exc
+    if not roots:
+        if nan_error is not None:
+            raise nan_error
+        raise DomainError(
+            f"no root of Q=k for coordinate {j} at s={s}; scanned ({ts[0]}, {ts[-1]}) "
+            "(s may be outside the feasible parameter interval)"
+        )
+    if prev is not None:
+        return min(roots, key=lambda t: abs(t - prev))
+    return min(roots)

@@ -220,6 +220,7 @@ class TestExitCodes:
         "bonnesen --d 60 --V 1 --A 4",
         "bonnesen --d 25 --V 1 --A 6",
         "bonnesen --2d --P 1e200 --A 1 --r 1",
+        "bonnesen --d 2 --V 4.2e-259 --A 2.4e130",  # the Tong inradius d V / A underflows to 0
     ])
     def test_bonnesen_beyond_the_float_range(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())

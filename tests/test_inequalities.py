@@ -193,6 +193,24 @@ class TestBonnesenGeneral:
                 assert all(map(math.isfinite, values)), d
                 assert d < (22 if a == 4.0 else 25), d
 
+    def test_tong_inradius_underflow(self):
+        with pytest.raises(DomainError, match="^the Tong inradius in d = 2 is outside the float"):
+            inequalities.bonnesen_general(2, 4.2e-259, 2.4e130)
+
+    def test_random_inputs_end_in_a_report_or_a_domain_error(self):
+        # V and A log-uniform over 1e+-300: r = d V / A underflows in about 1 % of draws
+        rng = np.random.default_rng(2024)
+        ds = rng.integers(2, 6, 20000).tolist()
+        vs, as_ = (10.0 ** rng.uniform(-300, 300, (2, 20000))).tolist()
+        reports = 0
+        for d, v, a in zip(ds, vs, as_):
+            try:
+                inequalities.bonnesen_general(d, v, a)
+                reports += 1
+            except DomainError as exc:
+                assert "outside the float range" in str(exc), (d, v, a)
+        assert 0 < reports < 20000
+
 
 class TestBonnesen2d:
     def test_circle_equalities(self):

@@ -2,10 +2,12 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from helpers import all_brackets_root
 from isolab import families, homogeneity, search
 from isolab.errors import ConvergenceError, DomainError
 
@@ -151,6 +153,40 @@ class TestBrentq:
             search.brentq(lambda t: t * t + 1.0, -1.0, 1.0)
         with pytest.raises(ConvergenceError, match="did not converge"):
             search.brentq(lambda t: math.copysign(1.0, t), -1.0, 2.0 ** 200)
+
+
+class TestFeasibleOnArrays:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("cls", ["triangle_sides", "ring_torus"])
+    def test_kmin_as_with_one_call_per_point(self, cls, seed):
+        spec = families.builtin(cls)
+        # bool() of an array of several points raises, so each point is asked alone
+        per_point = dataclasses.replace(spec, feasible=lambda x: bool(spec.feasible(x)))
+        assert search.kmin(spec, seed=seed).to_json() == search.kmin(per_point, seed=seed).to_json()
+
+    def test_one_call_per_batch(self, monkeypatch):
+        spec = families.builtin("triangle_sides")
+        counted = dataclasses.replace(spec, feasible=_counted(spec.feasible))
+        batch, per_batch = search._evaluate_batch, []
+
+        def recorded(family, x):
+            before = counted.feasible.calls
+            out = batch(family, x)
+            per_batch.append(counted.feasible.calls - before)
+            return out
+
+        monkeypatch.setattr(search, "_evaluate_batch", recorded)
+        search.kmin(counted)
+        assert len(per_batch) > 100 and set(per_batch) == {1}
+
+    def test_feasible_of_one_point_asked_per_point(self):
+        holed = _holed_rect2(2.0)  # all(...) of arrays raises
+        counted = dataclasses.replace(holed, feasible=_counted(holed.feasible))
+        counted.feasible.calls = 0  # not the prefix check of the replaced spec
+        x = np.array([np.ones(9), np.linspace(1.998, 2.002, 9)])
+        _, _, ok = families._evaluate_batch(counted, x)
+        assert ok.tolist() == [holed.contains(p) for p in x.T] and 0 < ok.sum() < 9
+        assert counted.feasible.calls == 1 + 9  # the array call, then each point in the domain
 
 
 class TestKmin:
@@ -453,6 +489,105 @@ class TestSolveScan:
         counted.volume.calls = 0
         search.solve_coordinate(counted, 250.0, {0: lambda s: s}, 1, 1.0)
         assert counted.volume.calls >= 512  # math.hypot: one call per point
+
+
+def _steep():
+    """Q - k of about 1e160 at every scan point, so the product of two neighbours overflows."""
+    return families.FamilySpec(id="steep", dimension=2, domain=(families.RPLUS,) * 2,
+                               volume=lambda x: x[0] * x[1], area=lambda x: (x[0] + x[1]) * 1e80)
+
+
+class TestBracketStage:
+    """The root ``solve_coordinate`` picks from its brackets, against
+    ``helpers.all_brackets_root``, which refines every bracket."""
+
+    FIXED = TestSolveScan.FIXED
+    S_04 = TestSolveScan.S_04
+    RECT2_SCAN = TestSolveScan.RECT2_SCAN
+
+    @staticmethod
+    def _outcome(solve):
+        try:
+            return solve()
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def _assert_as_oracle(self, monkeypatch, spec, k, fixed, j, cases):
+        """Each case's root or error message bit-equal to the oracle's on the same scan."""
+        scans, scan = [], search._scan
+
+        def recorded(*args):
+            scans.append((args[4], scan(*args), args[5]))  # ts, the values, g
+            return scans[-1][1]
+
+        monkeypatch.setattr(search, "_scan", recorded)
+        ours, theirs = [], []
+        for s, prev in cases:
+            ours.append(self._outcome(lambda: search.solve_coordinate(spec, k, fixed, j, s, prev)))
+            ts, vals, g = scans[-1]
+            theirs.append(self._outcome(lambda: all_brackets_root(ts, vals, g, j, s, prev)))
+        assert ours == theirs
+        return ours
+
+    def test_parallelogram_curve(self, monkeypatch):
+        par = families.builtin("parallelogram3")
+        roots = self._assert_as_oracle(monkeypatch, par, 32.0, self.FIXED, 2,
+                                       [(s, None) for s in self.S_04])
+        # the curve of test_04, each solve near the root before it
+        self._assert_as_oracle(monkeypatch, par, 32.0, self.FIXED, 2,
+                               list(zip(self.S_04[1:], roots)) + [(self.S_04[0], 2.5)])
+
+    @pytest.mark.parametrize("cls, k, svals", [("rect2", 18.0, [0.5, 1.0, 3.0]),
+                                               ("cone", 250.0, [0.5, 1.0, 2.0])])
+    def test_two_roots(self, monkeypatch, cls, k, svals):
+        self._assert_as_oracle(monkeypatch, families.builtin(cls), k, {0: lambda s: s}, 1,
+                               [(s, prev) for s in svals for prev in (None, 0.1, 1.0, 50.0)])
+
+    @pytest.mark.parametrize("holes", [(2.0,), (0.5, 2.0), (0.5,)])
+    def test_holed_rect2(self, monkeypatch, holes):
+        self._assert_as_oracle(monkeypatch, _holed_rect2(*holes), 18.0, {0: lambda s: s}, 1,
+                               [(1.0, prev) for prev in (None, 0.1, 1.0, 2.0, 10.0)])
+
+    def test_level_on_a_scan_point(self, monkeypatch):
+        # the spec of TestSolveScan.test_array_rounding_another_last_bit: g is exactly 0 at
+        # RECT2_SCAN[3], and another root lies between two scan points
+        rect2 = families.builtin("rect2")
+        spec = dataclasses.replace(rect2, volume=lambda x: (
+            np.nextafter(x[0] * x[1], math.inf) if np.ndim(x) > 1 else x[0] * x[1]))
+        t = float(self.RECT2_SCAN[3])
+        k = search.ratio_function(rect2)(np.array([1.0, t]))
+        roots = self._assert_as_oracle(monkeypatch, spec, k, {0: lambda s: s}, 1,
+                                       [(1.0, prev) for prev in (None, t, 0.0, 1.0, 1e3)])
+        assert roots[1] == roots[4] == t and roots[0] == roots[2] == roots[3] < 1.0
+
+    def test_prev_equidistant_from_two_roots(self, monkeypatch):
+        # at s = 0.5 the roots are b = 0.25 and b = 1 to the bit, and prev = 0.625 lies in
+        # the bracket of b = 1: that one is refined first, then b = 0.25 ties it
+        rect2, fixed = families.builtin("rect2"), {0: lambda s: s}
+        r1, r2 = (search.solve_coordinate(rect2, 18.0, fixed, 1, 0.5, p) for p in (0.0, 3.0))
+        prev = (r1 + r2) / 2
+        assert abs(r1 - prev) == abs(r2 - prev)
+        calls = _recorded(monkeypatch, "brentq", lambda: self._assert_as_oracle(
+            monkeypatch, rect2, 18.0, fixed, 1, [(0.5, prev)]))
+        assert [a < prev < b for _, a, b in calls[:2]] == [True, False]
+        assert search.solve_coordinate(rect2, 18.0, fixed, 1, 0.5, prev) == r1
+
+    def test_one_brentq_call_per_parallelogram_solve(self, monkeypatch):
+        par, prev = families.builtin("parallelogram3"), None
+        for s in self.S_04:
+            for p in (None, prev):
+                out = []
+                calls = _recorded(monkeypatch, "brentq", lambda: out.extend(self._assert_as_oracle(
+                    monkeypatch, par, 32.0, self.FIXED, 2, [(s, p)])))
+                # one call, on the bracket of theta; then the oracle's two, at theta and pi - theta
+                assert len(calls) == 3 and calls[0] == calls[1]
+            prev = out[0]
+
+    def test_product_of_neighbours_beyond_the_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="no root of Q=k for coordinate 1 at s=1.0"):
+                search.solve_coordinate(_steep(), 1e100, {0: lambda s: s}, 1, 1.0)
 
 
 class TestTraceLevelSet:
