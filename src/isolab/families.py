@@ -52,8 +52,11 @@ class FamilySpec:
     the bits of one point, so an array-capable evaluator must round each point
     as it does alone: write integer powers as products, as :func:`ratio` does
     (array ``**`` rounds differently from Python's), and use correctly rounded
-    functions such as ``np.sqrt``.  ``feasible`` gets the (n, m) array too, and
-    a bool array of shape (m,) back is its answer (join tests by ``&``, not ``and``).
+    functions such as ``np.sqrt``.  ``feasible`` gets the (n, m) array too
+    (join its tests by ``&``, not ``and``) if, at 32 seeded points of
+    ``sample_box`` checked when the spec is built, it answers there with a
+    bool array of shape (m,) equal to its answers point by point; a
+    ``feasible`` that fails this check, or on a later array, is asked per point.
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
@@ -77,7 +80,7 @@ class FamilySpec:
     params: Mapping[str, float] = field(default_factory=dict)
     dvolume: Callable[[float], float] | None = None
     homogeneous_prefix_m: int | None = None
-    feasible: Callable[[np.ndarray], bool] | None = None
+    feasible: Callable[[np.ndarray], bool | np.ndarray] | None = None
     sample_box: tuple[Interval, ...] | None = None
 
     def __post_init__(self):
@@ -96,6 +99,15 @@ class FamilySpec:
             object.__setattr__(self, "sample_box", box)
         if self.homogeneous_prefix_m is not None:
             self._check_homogeneous_prefix(self.homogeneous_prefix_m)
+        on_arrays = False  # whether feasible answers 32 seeded points at once as it does each alone
+        if self.feasible is not None:
+            x = np.random.default_rng(0).uniform(*np.array(self.sample_box).T[:, :, None],
+                                                 (self.nparams, 32))
+            with contextlib.suppress(Exception), np.errstate(all="ignore"):
+                answer = np.asarray(self.feasible(x))
+                on_arrays = answer.dtype == bool and answer.tolist() == [
+                    bool(self.feasible(p)) for p in x.T.copy()]
+        object.__setattr__(self, "_feasible_on_arrays", on_arrays)
 
     def _check_homogeneous_prefix(self, m: int) -> None:
         if not 1 <= m <= self.nparams:
@@ -208,16 +220,19 @@ def _evaluate_batch(family: FamilySpec, x: np.ndarray):
     is point i; ``ok`` marks the points that :func:`evaluate` accepts.  One
     call of each evaluator, with x or with its one row when n = 1, gives all
     m points if it returns float arrays of shape (m,); ``ok`` then makes the
-    checks of :func:`evaluate` as masks, asking ``feasible`` once on x (once
-    per accepted point where that gives no bool array of shape (m,)).  Else
+    checks of :func:`evaluate` as masks, asking ``feasible`` once on x where
+    it acts on arrays (see :class:`FamilySpec`), else per accepted point.  Else
     each point goes through :func:`evaluate`: V = A = NaN and ``ok`` False
     where it raises :class:`DomainError`; other exceptions propagate.
     """
-    v = a = None  # None where an evaluator raises: per point, it raises again where it fails alone
-    with contextlib.suppress(Exception), np.errstate(all="ignore"):
-        p = x if len(x) > 1 else x[0]
-        v, a = np.asarray(family.volume(p)), np.asarray(family.area(p))
-    if v is None or not (v.shape == a.shape == x.shape[1:] and v.dtype == a.dtype == float):
+    try:
+        with np.errstate(all="ignore"):
+            p = x if len(x) > 1 else x[0]
+            v, a = np.asarray(family.volume(p)), np.asarray(family.area(p))
+        per_point = not (v.shape == a.shape == x.shape[1:] and v.dtype == a.dtype == float)
+    except Exception:  # raised again by the per-point calls, if the evaluator fails there too
+        per_point = True
+    if per_point:
         v, a = np.full((2, x.shape[1]), math.nan)
         for i, point in enumerate(x.T.copy()):
             with contextlib.suppress(DomainError):
@@ -227,9 +242,10 @@ def _evaluate_batch(family: FamilySpec, x: np.ndarray):
     ok = (((lows < x) & (x < highs)).all(axis=0)  # NaN fails each comparison
           & (np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf))
     if family.feasible is not None:
-        feasible = None  # None where feasible raises on the array
-        with contextlib.suppress(Exception), np.errstate(all="ignore"):
-            feasible = np.asarray(family.feasible(x))
+        feasible = None  # None where feasible is asked per point
+        if family._feasible_on_arrays:
+            with contextlib.suppress(Exception), np.errstate(all="ignore"):
+                feasible = np.asarray(family.feasible(x))
         if feasible is not None and feasible.shape == ok.shape and feasible.dtype == bool:
             ok &= feasible
         else:

@@ -420,10 +420,12 @@ def solve_coordinate(
     A sign scan of 512 points over the coordinate interval calls each
     evaluator once on all of them as an (n, m) array (see :class:`FamilySpec`;
     an evaluator that does not act elementwise gets one call per point).  One
-    array pass over its values finds the brackets, and :func:`brentq` refines
-    only those that can hold the root returned: the smallest, or the one
-    nearest ``prev`` (the smaller of two as near).  A bracket with a NaN inside
-    is passed over; when no root is left, the first such error is raised.
+    array pass over its values finds the brackets, each refined in turn by
+    :func:`brentq`.  Without ``prev`` the first root found, the smallest, is
+    returned and no later bracket is refined; with ``prev`` every bracket is
+    refined and the root nearest ``prev`` returned (curve continuity).  A
+    bracket with a NaN inside is passed over; when no root is left, the first
+    such :class:`DomainError` is raised.
     """
     n = nfamily.nparams
     if not 0 <= j < n:
@@ -460,27 +462,20 @@ def solve_coordinate(
     zero = (vals[:-1] == 0.0) & ~np.isnan(vals[1:])
     i = np.flatnonzero(zero | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
     found = list(zip(ts[i].tolist(), np.where(zero, ts[:-1], ts[1:])[i].tolist()))
-    # refined by the least key a root in [lo, hi] can have (key is monotone on each side
-    # of prev) until none left can beat the best root, nor tie it from an earlier bracket
-    key = (lambda t: t) if prev is None else (lambda t: abs(t - prev))
-    least = [0.0 if prev is not None and lo <= prev <= hi else min(key(lo), key(hi))
-             for lo, hi in found]
-    best, errors = None, {}
-    for c, (lo, hi) in sorted(enumerate(found), key=lambda item: least[item[0]]):
-        if best is not None and (least[c], c) > best[:2]:
-            break
+    roots, nan_error = [], None
+    for lo, hi in found:
         try:
-            t = lo if lo == hi else brentq(g, lo, hi)
+            roots.append(lo if lo == hi else brentq(g, lo, hi))
         except DomainError as exc:  # a NaN inside this bracket: the others may hold roots
-            errors[c] = exc
+            nan_error = nan_error or exc
             continue
-        if best is None or (key(t), c) < best[:2]:
-            best = (key(t), c, t)
-    if best is None:
-        raise errors[min(errors)] if errors else DomainError(
+        if prev is None:
+            break  # brentq stays inside its bracket, so the first root is the smallest
+    if not roots:
+        raise nan_error or DomainError(
             f"no root of Q=k for coordinate {j} at s={s}; scanned ({ts[0]}, {ts[-1]}) "
             "(s may be outside the feasible parameter interval)")
-    return best[2]
+    return min(roots, key=None if prev is None else lambda t: abs(t - prev))
 
 
 def _scan(

@@ -127,9 +127,13 @@ class TestBrentq:
         from scipy import optimize
 
         spec = families.builtin(cls)
-        brackets = _recorded(monkeypatch, "brentq", lambda: [
+        scans = _recorded(monkeypatch, "_scan", lambda: [
             search.solve_coordinate(spec, k, fixed, j, s) for s in svals])
-        assert len(brackets) >= len(svals)
+        # every bracket of each solve's scan, as the oracle refines them all
+        brackets = _recorded(monkeypatch, "brentq", lambda: [
+            all_brackets_root(args[4], search._scan(*args), args[5], j, s)
+            for args, s in zip(scans, svals)])
+        assert len(brackets) == 2 * len(svals)
         for g, a, b in brackets:
             expected = optimize.brentq(g, a, b, xtol=1e-15, rtol=8.9e-16)
             assert search.brentq(g, a, b) == expected
@@ -186,7 +190,29 @@ class TestFeasibleOnArrays:
         x = np.array([np.ones(9), np.linspace(1.998, 2.002, 9)])
         _, _, ok = families._evaluate_batch(counted, x)
         assert ok.tolist() == [holed.contains(p) for p in x.T] and 0 < ok.sum() < 9
-        assert counted.feasible.calls == 1 + 9  # the array call, then each point in the domain
+        assert not counted._feasible_on_arrays
+        assert counted.feasible.calls == 9  # each point in the domain
+
+    def test_feasible_answering_arrays_wrongly_asked_per_point(self):
+        box3 = families.builtin("box3")
+
+        def sorted_sides(x):  # right for one point; on an array it sorts across points
+            s = np.sort(x)
+            return s[0] + s[1] > s[2]
+
+        def below(x):  # right for one point; on an (n, n) array it sums rows, not points
+            return x @ np.ones(3) < 10.0
+
+        x = np.array([[1.0, 3.0, 4.0], [2.0, 4.0, 1.0], [2.5, 6.0, 1.5]])  # m = n
+        for feasible in (sorted_sides, below):
+            spec = dataclasses.replace(box3, feasible=feasible)
+            per_point = dataclasses.replace(box3, feasible=lambda x, f=feasible: bool(f(x)))
+            assert not spec._feasible_on_arrays
+            right = [bool(feasible(p)) for p in x.T]
+            assert feasible(x).tolist() != right  # what the array call would have answered
+            ok = families._evaluate_batch(spec, x)[2]
+            assert ok.tolist() == families._evaluate_batch(per_point, x)[2].tolist() == right
+            assert search.kmin(spec, seed=3).to_json() == search.kmin(per_point, seed=3).to_json()
 
 
 class TestKmin:
@@ -562,14 +588,14 @@ class TestBracketStage:
 
     def test_prev_equidistant_from_two_roots(self, monkeypatch):
         # at s = 0.5 the roots are b = 0.25 and b = 1 to the bit, and prev = 0.625 lies in
-        # the bracket of b = 1: that one is refined first, then b = 0.25 ties it
+        # the bracket of b = 1: both brackets are refined in order, and b = 0.25 wins the tie
         rect2, fixed = families.builtin("rect2"), {0: lambda s: s}
         r1, r2 = (search.solve_coordinate(rect2, 18.0, fixed, 1, 0.5, p) for p in (0.0, 3.0))
         prev = (r1 + r2) / 2
         assert abs(r1 - prev) == abs(r2 - prev)
         calls = _recorded(monkeypatch, "brentq", lambda: self._assert_as_oracle(
             monkeypatch, rect2, 18.0, fixed, 1, [(0.5, prev)]))
-        assert [a < prev < b for _, a, b in calls[:2]] == [True, False]
+        assert [a < prev < b for _, a, b in calls[:2]] == [False, True]
         assert search.solve_coordinate(rect2, 18.0, fixed, 1, 0.5, prev) == r1
 
     def test_one_brentq_call_per_parallelogram_solve(self, monkeypatch):
@@ -579,8 +605,10 @@ class TestBracketStage:
                 out = []
                 calls = _recorded(monkeypatch, "brentq", lambda: out.extend(self._assert_as_oracle(
                     monkeypatch, par, 32.0, self.FIXED, 2, [(s, p)])))
-                # one call, on the bracket of theta; then the oracle's two, at theta and pi - theta
-                assert len(calls) == 3 and calls[0] == calls[1]
+                # without prev one call, on the bracket of theta, else both brackets;
+                # then the oracle's two, at theta and pi - theta
+                ours = calls[:-2]
+                assert len(ours) == (1 if p is None else 2) and ours == calls[-2:][:len(ours)]
             prev = out[0]
 
     def test_product_of_neighbours_beyond_the_float_range(self):
