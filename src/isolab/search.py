@@ -81,7 +81,7 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
     Q is constant and is evaluated once, at x = 1.  With one coordinate left
     to search, the sorted start points are scanned and the best one refined
     by golden-section search; with two or more, the starts run Nelder-Mead
-    in lockstep, each as :func:`nelder_mead` would run it alone.
+    in lockstep (:func:`_lockstep`), each as SciPy would run it alone.
 
     The minimum is ``attained`` when all 2n points x +- BOUNDARY_REL_TOL *
     (|x_i| + 1) e_i around the best point x are inside the class by
@@ -230,25 +230,12 @@ def _expand(q: Callable[[float], float], inner: float, x: float, fx: float):
         step *= 2.0
 
 
-def nelder_mead(f: Callable[[np.ndarray], float], x0, xatol: float, fatol: float):
-    """Minimize f from x0 by the downhill simplex method (Nelder & Mead 1965)
-    until every vertex is within ``xatol`` of the best in each coordinate and
-    ``fatol`` in f, or for _NM_MAX_EVALS evaluations; returns (x, f(x)).  This
-    is SciPy 1.17's Nelder-Mead with maxiter = maxfev = _NM_MAX_EVALS, step
-    for step, so x, f(x) and the evaluations are bit-identical to SciPy's.
-    It is the one-start case of the lockstep multistart that :func:`kmin`
-    runs, with f called once per point, on a copy."""
-    x0 = np.array(x0, dtype=float).ravel()
-    x, fun, _ = _lockstep(lambda z: np.array([f(p.copy()) for p in z], dtype=float),
-                          x0[None], xatol, np.array([fatol], dtype=float))
-    return x[0], float(fun[0])
-
-
 def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: float,
               fatol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`nelder_mead` from each row of the (S, n) array x0 at once, start s
-    with the f tolerance ``fatol[s]``; returns each start's x, f(x) and number
-    of evaluations, each bit-identical to a run of that start alone.
+    """SciPy 1.17's Nelder-Mead (Nelder & Mead 1965), maxiter = maxfev =
+    _NM_MAX_EVALS, from each row of the (S, n) array x0 at once, start s with
+    the tolerances ``xatol`` and ``fatol[s]``; returns each start's x, f(x)
+    and number of evaluations, each bit-identical to a SciPy run of it alone.
 
     The simplices of the running starts form one (k, n+1, n) array.  Each
     round drops the starts that have converged or reached a cap, then hands
@@ -511,6 +498,8 @@ class LevelSetCurve(Record):
     stop_reason: str
     halvings: int  # times the step was halved, the last failed attempts included
     max_corrector_iterations: int  # the most corrector steps one landing took
+    q_calls: int  # every Q call, the start's included
+    gradients: int  # forward-difference gradients taken
 
     def to_csv(self) -> str:
         n = len(self.points[0][1])
@@ -543,19 +532,23 @@ def trace_level_set(
     steps: int,
     step_size: float = 1e-2,
 ) -> LevelSetCurve:
-    """Predictor-corrector continuation along the hypersurface Q(x) = k.
+    """Predictor-corrector continuation along the hypersurface Q(x) = k
+    (Allgower & Georg, *Numerical Continuation Methods*, ch. 6-7).
 
-    The predictor moves along a unit tangent (kept direction-continuous with
-    the previous step).  The gradient g of Q at each accepted point, forward
-    differences from the Q(x) already computed there, gives the tangent and
-    drives a chord corrector along g (Allgower & Georg, *Numerical
-    Continuation Methods*, ch. 6): n + 1 Q calls a step plus one per
-    corrector iteration.  Newton steps land the start.  A point is on the
-    level when |Q - k| <= 1e-10 k, within 25 iterations.  The step is halved
-    when the predictor leaves the domain or the corrector fails, and doubled
-    after 4 successes, within [1e-6, 1e-1].  ``stop_reason`` is ``steps``,
-    or the boundary met: ``gradient_zero``, ``tangent_degenerate``,
-    ``left_domain`` or ``corrector_failed``.
+    The predictor follows the unit secant through the last two points; the
+    first step takes the axis least aligned with the gradient g of Q.  The
+    corrector walks the line x_pred - tau g: a chord step first, then secant
+    steps on r(tau) = Q - k.  g (forward differences, n Q calls) is taken at
+    the start, after a landing of more than 3 iterations and after a failed
+    landing with a g from an earlier point; the next try projects its
+    direction onto the new tangent space.  So a step costs one Q call per
+    point tried, about 4 on ``parallelogram3``.  A point is on the level when
+    |Q - k| <= 1e-10 k, within 25 iterations.  The step is halved when the
+    predictor leaves the domain or the corrector fails, and doubled after 4
+    successes, within [1e-6, 1e-1].  ``stop_reason`` is ``steps``, or the
+    boundary met: ``gradient_zero``, ``tangent_degenerate``, ``left_domain``
+    or ``corrector_failed``.  ``q_calls`` counts every Q call, the start's
+    included, and ``gradients`` the g taken.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -564,48 +557,56 @@ def trace_level_set(
     if not k > 0:
         raise DomainError(f"k must be > 0, got {k}: Q > 0 for every region")
     x = np.asarray(x_start, dtype=float).copy()
-    q_start = ratio_at(nfamily, x.tolist(), *evaluate(nfamily, x))
-    if abs(q_start - k) / k > 1e-2:
-        raise DomainError(f"start point has Q={q_start}, far from the level k={k}")
-    q = ratio_function(nfamily)
+    fx = ratio_at(nfamily, x.tolist(), *evaluate(nfamily, x))
+    if abs(fx - k) / k > 1e-2:
+        raise DomainError(f"start point has Q={fx}, far from the level k={k}")
+    ratio_q = ratio_function(nfamily)
     scales = np.array([b[1] - b[0] for b in nfamily.sample_box])
     widest = float(np.max(scales))
+    calls, gradients = 1, 0  # the start's Q above
 
-    def flat(g: np.ndarray) -> bool:
-        return math.sqrt(g @ g) * widest < 1e-6 * k
+    def q(xx: np.ndarray) -> float:
+        nonlocal calls
+        calls += 1
+        return ratio_q(xx)
 
-    def grad(xx: np.ndarray, fxx: float) -> np.ndarray:
-        g = _gradient(q, xx, fxx, scales)
-        if flat(g):
-            raise ConvergenceError(
-                "gradient of Q numerically zero (near a critical point of Q); "
-                "the level set has no unique tangent here"
-            )
-        return g
+    def refresh(xx: np.ndarray, fxx: float):
+        """g at xx from fxx = Q(xx), or why not: ``left_domain`` or ``gradient_zero``."""
+        nonlocal gradients
+        gradients += 1
+        try:
+            g = _gradient(q, xx, fxx, scales)
+        except ConvergenceError:
+            return "left_domain"
+        return "gradient_zero" if math.sqrt(g @ g) * widest < 1e-6 * k else g
 
-    def correct(xx: np.ndarray, g: np.ndarray | None = None):
-        """(x, Q(x), iterations) on the level, or why not: Newton steps when
-        g is None, else chord steps along g."""
+    def correct(x0: np.ndarray, val: float, g: np.ndarray):
+        """(x, Q(x), iterations) on the level from val = Q(x0), on the line
+        x0 - tau g, or why not."""
+        xx, tau, slope = x0, 0.0, -float(g @ g)  # dr/dtau at 0, to first order
         for it in range(25):
-            val = q(xx)
             if not math.isfinite(val):  # q is inf outside the domain
                 return "left_domain"
-            if abs(val - k) <= 1e-10 * k:
+            r = val - k
+            if abs(r) <= 1e-10 * k:
                 return xx, val, it
-            gi = grad(xx, val) if g is None else g
-            xx = xx - (val - k) / float(gi @ gi) * gi
+            if it and r != r_prev:  # equal r: the same point, keep the slope
+                slope = (r - r_prev) / (tau - tau_prev)
+            tau_prev, r_prev = tau, r
+            tau -= r / slope
+            xx = x0 - tau * g
+            val = q(xx)
         return "corrector_failed"
 
-    landed = correct(x)
+    g = refresh(x, fx)
+    if isinstance(g, str):  # the stencil left the domain, or Q is critical there
+        raise ConvergenceError(f"no gradient of Q to follow at the start: {g}")
+    landed = correct(x, fx, g)
     if isinstance(landed, str):
         raise ConvergenceError("corrector failed to land on the level set at the start")
     x, fx, iterations = landed
-
-    g = grad(x, fx)
-    ghat = g / math.sqrt(g @ g)
-    # first direction: the axis least aligned with g, projected in the first step
-    t = np.zeros(len(x))
-    t[int(np.argmin(np.abs(ghat)))] = 1.0
+    t = np.eye(len(x))[int(np.argmin(np.abs(g)))]  # the first direction, projected below
+    fresh = True  # g was taken at x, or at the start
 
     points = [(0.0, tuple(x.tolist()))]
     q_values = [fx]
@@ -613,44 +614,43 @@ def trace_level_set(
     h = float(step_size)
     easy = halvings = 0
     stop_reason = "steps"
-    for step in range(steps):
-        if step:
-            try:
-                g = _gradient(q, x, fx, scales)
-            except ConvergenceError:
-                stop_reason = "left_domain"
+    while len(points) <= steps:
+        if g is None:  # the last landing was slow, or failed with a stale g
+            g, fresh = refresh(x, fx), True
+            if isinstance(g, str):
+                stop_reason = g
                 break
-            if flat(g):
-                stop_reason = "gradient_zero"
+        tt = t
+        if fresh:
+            tt = t - (t @ g) / (g @ g) * g
+            nrm = math.sqrt(tt @ tt)
+            if nrm < 1e-12:
+                stop_reason = "tangent_degenerate"
                 break
-            ghat = g / math.sqrt(g @ g)
-        tt = t - (t @ ghat) * ghat
-        nrm = math.sqrt(tt @ tt)
-        if nrm < 1e-12:
-            stop_reason = "tangent_degenerate"
-            break
-        tt /= nrm
-        while h >= STEP_MIN:
-            x_pred = x + h * tt
-            if not nfamily.contains(x_pred):
-                failure = "left_domain"
-            else:
-                landed = correct(x_pred, g)
-                if not isinstance(landed, str):
-                    break
-                failure, easy = landed, 0
+            tt /= nrm
+        x_pred = x + h * tt
+        if not nfamily.contains(x_pred):
+            landed = "left_domain"
+        else:
+            landed = correct(x_pred, q(x_pred), g)
+            if isinstance(landed, str):
+                easy, g = 0, (g if fresh else None)
+        if isinstance(landed, str):
             h *= 0.5
             halvings += 1
-        else:
-            stop_reason = failure  # the domain boundary, or no landing at the minimal step
-            break
+            if h < STEP_MIN:
+                stop_reason = landed  # the domain boundary, or no landing at the minimal step
+                break
+            continue
         x_new, fx, it = landed
         dx = x_new - x
-        arclen += math.sqrt(dx @ dx)
-        x, t = x_new, tt
+        dist = math.sqrt(dx @ dx)
+        arclen += dist
+        x, t = x_new, dx / dist
         points.append((arclen, tuple(x.tolist())))
         q_values.append(fx)
         iterations = max(iterations, it)
+        g, fresh = (None if it > 3 else g), False
         easy += 1
         if easy >= 4:
             h = min(2.0 * h, STEP_MAX)
@@ -665,4 +665,6 @@ def trace_level_set(
         stop_reason=stop_reason,
         halvings=halvings,
         max_corrector_iterations=iterations,
+        q_calls=calls,
+        gradients=gradients,
     )

@@ -1,11 +1,12 @@
 """Helpers that only the tests use: a checked isoperimetric ratio, a support
 function, a harmonic mean, two polygon constructors, the one-parameter
 built-ins on sample grids, a reference for the windowed slopes of
-``calculus.verify_derivative_relation`` and one for the root that
-``search.solve_coordinate`` picks from its scan."""
+``calculus.verify_derivative_relation``, one for the root that
+``search.solve_coordinate`` picks from its scan, and the one-start
+Nelder-Mead that the tests compare with SciPy's."""
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -111,3 +112,13 @@ def all_brackets_root(ts, vals, g, j, s, prev=None):
     if prev is not None:
         return min(roots, key=lambda t: abs(t - prev))
     return min(roots)
+
+
+def nelder_mead(f: Callable[[np.ndarray], float], x0, xatol: float, fatol: float):
+    """Minimize f from x0 as ``search._lockstep`` runs one start, with f
+    called once per point, on a copy; returns (x, f(x)), bit-identical to
+    SciPy 1.17's Nelder-Mead with maxiter = maxfev = 20000."""
+    x0 = np.array(x0, dtype=float).ravel()
+    x, fun, _ = search._lockstep(lambda z: np.array([f(p.copy()) for p in z], dtype=float),
+                                 x0[None], xatol, np.array([fatol], dtype=float))
+    return x[0], float(fun[0])

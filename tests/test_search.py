@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import all_brackets_root
+from helpers import all_brackets_root, nelder_mead
 from isolab import families, homogeneity, search
 from isolab.errors import ConvergenceError, DomainError
 
@@ -54,7 +54,7 @@ def _scipy_nelder_mead(f, z0, xatol, fatol):
 def _nelder_mead_pair(f, z0, xatol, fatol):
     """(x, f(x), evaluations) from the port and from SciPy, from the same start."""
     ours = _counted(f)
-    x, fx = search.nelder_mead(ours, z0, xatol, fatol)
+    x, fx = nelder_mead(ours, z0, xatol, fatol)
     return (x.tolist(), fx, ours.calls), _scipy_nelder_mead(f, z0, xatol, fatol)
 
 
@@ -693,6 +693,41 @@ class TestTraceLevelSet:
         curve = search.trace_level_set(counted, 32.0, self._start_point(4.0), steps=200)
         assert len(curve.points) == 201
         assert counted.volume.calls <= 10 * 200  # the start and its landing included
+
+    def test_q_calls_per_step(self):
+        par = families.builtin("parallelogram3")
+        counted = dataclasses.replace(par, volume=_counted(par.volume))
+        counted.volume.calls = 0
+        curve = search.trace_level_set(counted, 32.0, self._start_point(4.0), steps=200)
+        assert len(curve.points) == 201
+        # each Q call evaluates V once, the start check's included
+        assert curve.q_calls == counted.volume.calls <= 5 * 200
+        assert json.loads(curve.to_json())["q_calls"] == curve.q_calls
+
+    def test_circle_levels_refresh_the_stale_direction(self):
+        # Q = x1^2 + x2^2, so Q = 1 is the unit circle: 400 steps of 0.1 go round it about 6 times
+        circle = families.FamilySpec(
+            id="circle_levels", dimension=2, domain=((-10.0, 10.0), (-10.0, 10.0)),
+            volume=lambda x: 1.0 + 0.0 * x[0], area=lambda x: np.hypot(x[0], x[1]))
+        curve = search.trace_level_set(circle, 1.0, np.array([1.0, 0.0]), steps=400,
+                                       step_size=0.1)
+        assert (curve.stop_reason, curve.halvings, len(curve.points)) == ("steps", 0, 401)
+        assert all(abs(math.hypot(*x) - 1.0) <= 1e-10 for _, x in curve.points)
+        assert curve.points[-1][0] > 6 * 2 * math.pi
+        assert curve.gradients > 1  # the chord direction was taken again as the curve turned
+
+    def test_failed_landings_at_sharp_turns_are_retried(self):
+        # Q = x1^40 + x2^40: the level Q = 1 is a square with corners rounded within about 0.02
+        # of each vertex, where the chord line of the stale g misses the level or leaves the domain
+        squarish = families.FamilySpec(
+            id="superellipse_levels", dimension=2, domain=((-10.0, 10.0), (-10.0, 10.0)),
+            volume=lambda x: 1.0 + 0.0 * x[0], area=lambda x: np.sqrt(x[0] ** 40 + x[1] ** 40))
+        curve = search.trace_level_set(squarish, 1.0, np.array([1.0, 0.0]), steps=400,
+                                       step_size=0.1)
+        assert (curve.stop_reason, len(curve.points)) == ("steps", 401)
+        assert curve.halvings > 0 and curve.max_corrector_iterations > 3
+        assert max(curve.residuals) <= 1e-10
+        assert curve.points[-1][0] > 4 * 8.0  # round the square, of perimeter about 8, 4 times
 
     @pytest.mark.parametrize("cid, k, start", [
         ("parallelogram3", 32.0, (2.0, 2.0, math.pi / 6)),
