@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, IsolabError
-from .families import FamilySpec, Record, _frozen, csv_table, sample
+from .families import FamilySpec, Record, _array_call, _frozen, csv_table, sample
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -36,15 +36,11 @@ _WEIGHTS[1::2, 1] = [*_WG, *_WG[-2::-1]]
 
 
 def _at_points(f: Callable, t: np.ndarray) -> np.ndarray:
-    """f at each point of the 1-D float array t: one call with t if that gives a real,
-    finite array of t's shape, else one call per point with a float, as a loop makes."""
-    try:
-        with np.errstate(all="ignore"):
-            y = np.asarray(f(t))
-        if y.shape == t.shape and y.dtype.kind in "iuf" and np.all(np.isfinite(y)):
-            return y
-    except Exception:  # raised again by the per-point calls, if f fails there too
-        pass
+    """f at each point of the 1-D float array t: one call with t where :func:`_array_call`
+    keeps a finite answer, else one call per point with a float, as a loop makes."""
+    y = _array_call(f, t, float)
+    if y is not None and np.isfinite(y).all():
+        return y
     return np.array([f(x) for x in t.tolist()])
 
 

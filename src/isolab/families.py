@@ -34,42 +34,43 @@ RPLUS: Interval = (0.0, math.inf)
 class FamilySpec:
     """A smooth family of compact regions over n open parameter intervals.
 
-    ``domain`` is a tuple of n (lo, hi) intervals.  ``volume``, ``area`` and
-    the optional analytic ``dvolume`` take a float when n = 1 and a length-n
-    array when n > 1; ``feasible`` (extra open constraints, e.g. ring torus
-    center radius > tube radius) takes the length-n search vector.  The
-    feasible set is the product of the intervals cut down by ``feasible``,
-    and :meth:`contains` is its one test: :func:`isolab.search.kmin` calls a
-    minimum attained only when small steps along each axis stay inside it.
-    For ``dimension == 2`` the evaluators are the area and the perimeter.
-    V and A at many points take one path, :func:`_evaluate_batch`: each
-    evaluator first gets all m points at once, as a 1-D float array when
-    n = 1, else as an (n, m) float array whose row i holds coordinate i (so
-    ``x[0] * x[1]`` serves one point and many).  One that raises, or returns
-    anything but a float array of shape (m,), gets each point through
-    :func:`evaluate` instead.  :func:`sample` and :func:`isolab.search.kmin`
-    use the array's values as they are, and :func:`ratio` takes Q on them with
-    the bits of one point, so an array-capable evaluator must round each point
-    as it does alone: write integer powers as products, as :func:`ratio` does
-    (array ``**`` rounds differently from Python's), and use correctly rounded
-    functions such as ``np.sqrt``.  ``feasible`` gets the (n, m) array too
-    (join its tests by ``&``, not ``and``) if, at 32 seeded points of
-    ``sample_box`` checked when the spec is built, it answers there with a
-    bool array of shape (m,) equal to its answers point by point; a
-    ``feasible`` that fails this check, or on a later array, is asked per point.
+    ``domain`` is a tuple of n (lo, hi) intervals.  ``volume``, ``area`` and the
+    optional analytic ``dvolume`` take a float when n = 1 and a length-n array
+    when n > 1; ``feasible`` (extra open constraints, e.g. ring torus center
+    radius > tube radius) takes the length-n search vector.  The feasible set is
+    the product of the intervals cut down by ``feasible``, and :meth:`contains`
+    is its one test: :func:`isolab.search.kmin` calls a minimum attained only
+    when small steps along each axis stay inside it.  For ``dimension == 2`` the
+    evaluators are the area and the perimeter.  V and A at many points take one
+    path, :func:`_evaluate_batch`: each evaluator first gets all m points at
+    once, as a 1-D float array when n = 1, else as an (n, m) float array whose
+    row i holds coordinate i (so ``x[0] * x[1]`` serves one point and many);
+    unless both answer with float arrays of shape (m,) (:func:`_array_call`),
+    each point goes through :func:`evaluate`.  :func:`sample` and
+    :func:`isolab.search.kmin` use the array's values as they are, and
+    :func:`ratio` takes Q on them with the bits of one point, so an
+    array-capable evaluator must round each point as it does alone: write
+    integer powers as products, as :func:`ratio` does (array ``**`` rounds
+    differently from Python's), and use correctly rounded functions such as
+    ``np.sqrt``.  ``feasible`` gets the (n, m) array too (join its tests by
+    ``&``, not ``and``) if it answers the points of the build checks (below)
+    with a bool array of shape (m,) equal to its answers point by point; one
+    that fails this check, or on a later array, is asked per point.
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
     both evaluators finite and positive inside it.  ``homogeneous_prefix_m``
     marks V and A as homogeneous of degrees d and d-1 in the first m
     coordinates, each over (0, inf); :func:`isolab.search.kmin` then searches
-    with x1 = 1 (with m = n = 1 the regions are similar and Q is constant).
-    A declared prefix is checked once, when the spec is built (also by
+    with x1 = 1 (with m = n = 1 the regions are similar and Q is constant).  A
+    declared prefix is checked when the spec is built (also by
     ``dataclasses.replace``): 1 <= m <= n, each of the first m intervals is
-    (0, inf), and V and A scale as declared at 32 seeded random points (to
-    1e-9 relative); :class:`DomainError` otherwise.
-    ``sample_box`` is the finite box of multistart points; it
-    defaults to 5-95 % of each interval, or of (lo, lo + 10) if unbounded.
+    (0, inf), and V and A scale as declared (to 1e-9 relative) at the build
+    checks' points that :func:`evaluate` accepts, each with its first m
+    coordinates scaled by a seeded t in (0.5, 2); :class:`DomainError` otherwise.
+    ``sample_box`` (n finite intervals, lo < hi) holds the multistart points
+    and the 32 seeded points of both build checks; it defaults to 5-95 % of
+    each interval, or of (lo, lo + 10) if unbounded.
     """
 
     id: str
@@ -97,19 +98,24 @@ class FamilySpec:
             widths = [(hi - lo) if math.isfinite(hi) else 10.0 for lo, hi in self.domain]
             box = tuple((lo + 0.05 * w, lo + 0.95 * w) for (lo, _), w in zip(self.domain, widths))
             object.__setattr__(self, "sample_box", box)
-        if self.homogeneous_prefix_m is not None:
-            self._check_homogeneous_prefix(self.homogeneous_prefix_m)
-        on_arrays = False  # whether feasible answers 32 seeded points at once as it does each alone
+        if len(self.sample_box) != self.nparams or not all(
+                len(b) == 2 and -math.inf < b[0] < b[1] < math.inf for b in self.sample_box):
+            raise DomainError(f"sample_box of {self.id!r} must hold a finite interval (lo, hi) "
+                              f"with lo < hi for each of its n = {self.nparams} parameters")
+        # the seeded points of both build checks, one per column
+        rng = np.random.default_rng(0)
+        x = rng.uniform(*np.array(self.sample_box).T[:, :, None], (self.nparams, 32))
+        on_arrays = False  # whether feasible answers them at once as it does each alone
         if self.feasible is not None:
-            x = np.random.default_rng(0).uniform(*np.array(self.sample_box).T[:, :, None],
-                                                 (self.nparams, 32))
+            answer = _array_call(self.feasible, x, bool)
             with contextlib.suppress(Exception), np.errstate(all="ignore"):
-                answer = np.asarray(self.feasible(x))
-                on_arrays = answer.dtype == bool and answer.tolist() == [
+                on_arrays = answer is not None and answer.tolist() == [
                     bool(self.feasible(p)) for p in x.T.copy()]
         object.__setattr__(self, "_feasible_on_arrays", on_arrays)
+        if self.homogeneous_prefix_m is not None:
+            self._check_homogeneous_prefix(self.homogeneous_prefix_m, x, rng.uniform(0.5, 2.0, 32))
 
-    def _check_homogeneous_prefix(self, m: int) -> None:
+    def _check_homogeneous_prefix(self, m: int, x: np.ndarray, t: np.ndarray) -> None:
         if not 1 <= m <= self.nparams:
             raise DomainError(
                 f"declared prefix m={m} of {self.id!r} rejected: m must be in 1..{self.nparams}"
@@ -119,23 +125,18 @@ class FamilySpec:
                 f"declared prefix m={m} of {self.id!r} rejected: each of the first {m} "
                 "intervals must be (0, inf)"
             )
-        d = self.dimension
-        rng = np.random.default_rng(0)
-        for _ in range(32):
-            x = np.array([rng.uniform(lo, hi) for lo, hi in self.sample_box])
-            t = rng.uniform(0.5, 2.0)
-            tx = x.copy()
-            tx[:m] *= t
-            try:
-                (v, a), (vt, at) = evaluate(self, x), evaluate(self, tx)
-            except DomainError:
-                continue
-            t_area = math.prod([t] * (d - 1))
-            if abs(vt - t * t_area * v) > 1e-9 * abs(vt) or abs(at - t_area * a) > 1e-9 * abs(at):
-                raise DomainError(
-                    f"declared prefix m={m} rejected: V or A is not homogeneous in the "
-                    f"first {m} coordinates (checked at t={t}, x={x.tolist()})"
-                )
+        tx = np.vstack([x[:m] * t, x[m:]])
+        (v, a, ok), (vt, at, ok_t) = _evaluate_batch(self, x), _evaluate_batch(self, tx)
+        t_area = math.prod([t] * (self.dimension - 1))
+        with np.errstate(all="ignore"):  # points that evaluate rejects are not checked
+            bad = ok & ok_t & ((abs(vt - t * t_area * v) > 1e-9 * abs(vt))
+                               | (abs(at - t_area * a) > 1e-9 * abs(at)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(
+                f"declared prefix m={m} rejected: V or A is not homogeneous in the "
+                f"first {m} coordinates (checked at t={t[i]}, x={x[:, i].tolist()})"
+            )
 
     @property
     def nparams(self) -> int:
@@ -215,24 +216,29 @@ def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
     return v, a
 
 
-def _evaluate_batch(family: FamilySpec, x: np.ndarray):
-    """(V, A, ok) at the m points of the (n, m) float array x, whose column i
-    is point i; ``ok`` marks the points that :func:`evaluate` accepts.  One
-    call of each evaluator, with x or with its one row when n = 1, gives all
-    m points if it returns float arrays of shape (m,); ``ok`` then makes the
-    checks of :func:`evaluate` as masks, asking ``feasible`` once on x where
-    it acts on arrays (see :class:`FamilySpec`), else per accepted point.  Else
-    each point goes through :func:`evaluate`: V = A = NaN and ``ok`` False
-    where it raises :class:`DomainError`; other exceptions propagate.
-    """
+def _array_call(f: Callable, x: np.ndarray, dtype) -> np.ndarray | None:
+    """f(x) from one call with the array x, whose last axis holds the points, if it is
+    an array of ``dtype`` with one value per point; else None: ask f point by point."""
     try:
         with np.errstate(all="ignore"):
-            p = x if len(x) > 1 else x[0]
-            v, a = np.asarray(family.volume(p)), np.asarray(family.area(p))
-        per_point = not (v.shape == a.shape == x.shape[1:] and v.dtype == a.dtype == float)
-    except Exception:  # raised again by the per-point calls, if the evaluator fails there too
-        per_point = True
-    if per_point:
+            y = np.asarray(f(x))
+    except Exception:  # raised again per point, if f fails there too
+        return None
+    return y if y.shape == x.shape[-1:] and y.dtype == dtype else None
+
+
+def _evaluate_batch(family: FamilySpec, x: np.ndarray):
+    """(V, A, ok) at the m points of the (n, m) float array x, whose column i is
+    point i; ``ok`` marks the points that :func:`evaluate` accepts.  Where each
+    evaluator's :func:`_array_call` (with x, or its one row when n = 1) gives an
+    array, ``ok`` makes the checks of :func:`evaluate` as masks, asking ``feasible``
+    once on x where it acts on arrays (see :class:`FamilySpec`), else per accepted
+    point.  Else each point goes through :func:`evaluate`: V = A = NaN and ``ok``
+    False where it raises :class:`DomainError`; other exceptions propagate."""
+    p = x if len(x) > 1 else x[0]
+    v = _array_call(family.volume, p, float)
+    a = None if v is None else _array_call(family.area, p, float)
+    if a is None:
         v, a = np.full((2, x.shape[1]), math.nan)
         for i, point in enumerate(x.T.copy()):
             with contextlib.suppress(DomainError):
@@ -242,11 +248,8 @@ def _evaluate_batch(family: FamilySpec, x: np.ndarray):
     ok = (((lows < x) & (x < highs)).all(axis=0)  # NaN fails each comparison
           & (np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf))
     if family.feasible is not None:
-        feasible = None  # None where feasible is asked per point
-        if family._feasible_on_arrays:
-            with contextlib.suppress(Exception), np.errstate(all="ignore"):
-                feasible = np.asarray(family.feasible(x))
-        if feasible is not None and feasible.shape == ok.shape and feasible.dtype == bool:
+        feasible = _array_call(family.feasible, x, bool) if family._feasible_on_arrays else None
+        if feasible is not None:
             ok &= feasible
         else:
             points, i = x.T.copy(), ok.nonzero()[0]

@@ -399,7 +399,6 @@ def solve_coordinate(
     fixed: Mapping[int, Callable[[float], float]],
     j: int,
     s: float,
-    prev: float | None = None,
 ) -> float:
     """Solve Q(x) = k for coordinate j, each other coordinate i given as the
     function ``fixed[i]`` of s; ``fixed`` holding j is a :class:`DomainError`.
@@ -407,12 +406,10 @@ def solve_coordinate(
     A sign scan of 512 points over the coordinate interval calls each
     evaluator once on all of them as an (n, m) array (see :class:`FamilySpec`;
     an evaluator that does not act elementwise gets one call per point).  One
-    array pass over its values finds the brackets, each refined in turn by
-    :func:`brentq`.  Without ``prev`` the first root found, the smallest, is
-    returned and no later bracket is refined; with ``prev`` every bracket is
-    refined and the root nearest ``prev`` returned (curve continuity).  A
-    bracket with a NaN inside is passed over; when no root is left, the first
-    such :class:`DomainError` is raised.
+    array pass over its values finds the brackets, tried in scan order by
+    :func:`brentq`; the first root found, the smallest, is returned and no
+    later bracket is refined.  A bracket with a NaN inside is passed over;
+    when no root is left, the first such :class:`DomainError` is raised.
     """
     n = nfamily.nparams
     if not 0 <= j < n:
@@ -448,21 +445,15 @@ def solve_coordinate(
     # [ts[i], ts[i + 1]] (signs, as their product can overflow); a pair with a NaN is neither
     zero = (vals[:-1] == 0.0) & ~np.isnan(vals[1:])
     i = np.flatnonzero(zero | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
-    found = list(zip(ts[i].tolist(), np.where(zero, ts[:-1], ts[1:])[i].tolist()))
-    roots, nan_error = [], None
-    for lo, hi in found:
-        try:
-            roots.append(lo if lo == hi else brentq(g, lo, hi))
-        except DomainError as exc:  # a NaN inside this bracket: the others may hold roots
+    nan_error = None
+    for lo, hi in zip(ts[i].tolist(), np.where(zero, ts[:-1], ts[1:])[i].tolist()):
+        try:  # brentq stays inside its bracket, so the first root is the smallest
+            return lo if lo == hi else brentq(g, lo, hi)
+        except DomainError as exc:  # a NaN inside this bracket: a later one may hold a root
             nan_error = nan_error or exc
-            continue
-        if prev is None:
-            break  # brentq stays inside its bracket, so the first root is the smallest
-    if not roots:
-        raise nan_error or DomainError(
-            f"no root of Q=k for coordinate {j} at s={s}; scanned ({ts[0]}, {ts[-1]}) "
-            "(s may be outside the feasible parameter interval)")
-    return min(roots, key=None if prev is None else lambda t: abs(t - prev))
+    raise nan_error or DomainError(
+        f"no root of Q=k for coordinate {j} at s={s}; scanned ({ts[0]}, {ts[-1]}) "
+        "(s may be outside the feasible parameter interval)")
 
 
 def _scan(

@@ -85,11 +85,11 @@ def vandermonde_slopes(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     return coeffs[:, 1, 0] / h
 
 
-def all_brackets_root(ts, vals, g, j, s, prev=None):
+def all_brackets_root(ts, vals, g, j, s):
     """The root ``search.solve_coordinate`` returns from the scan values ``vals``
     of g at ``ts``, found as it was with a Python loop over the scan pairs:
-    every bracket refined by ``search.brentq``, then the smallest root, or the
-    one nearest ``prev``.  Raises the error the solve raises where none is left."""
+    every bracket refined by ``search.brentq``, then the smallest root.  Raises
+    the error the solve raises where none is left."""
     roots, nan_error = [], None
     for i in range(len(ts) - 1):
         a, b = vals[i], vals[i + 1]
@@ -109,8 +109,6 @@ def all_brackets_root(ts, vals, g, j, s, prev=None):
             f"no root of Q=k for coordinate {j} at s={s}; scanned ({ts[0]}, {ts[-1]}) "
             "(s may be outside the feasible parameter interval)"
         )
-    if prev is not None:
-        return min(roots, key=lambda t: abs(t - prev))
     return min(roots)
 
 

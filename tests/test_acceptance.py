@@ -82,15 +82,13 @@ def test_04_parallelogram_curve():
     fixed = {0: lambda s: math.sqrt(s), 1: lambda s: s - math.sqrt(s)}
     lo, hi = 24 - 16 * SQRT2, 24 + 16 * SQRT2
     delta = 0.05
-    prev = None
     for s in np.linspace(lo + delta, hi - delta, 40):
         s = float(s)
-        root = search.solve_coordinate(par, 32.0, fixed, 2, s, prev=prev)
+        root = search.solve_coordinate(par, 32.0, fixed, 2, s)
         assert root == pytest.approx(math.asin((s / 8) / (math.sqrt(s) - 1)), abs=1e-9)
         x = np.array([math.sqrt(s), s - math.sqrt(s), root])
         assert par.volume(x) == pytest.approx(s**2 / 8, abs=1e-9 * s**2)
         assert par.area(x) == pytest.approx(2 * s, abs=1e-9 * s)
-        prev = root
     _report(4, "x3(s) = arcsin((s/8)/(sqrt(s)-1)) with A = s^2/8, P = 2s within 1e-9")
 
 

@@ -140,10 +140,8 @@ class TestBrentq:
 
     def test_nan_inside_a_bracket(self):
         # the bracket of b = 2 is dropped; the other root of 4 (1 + b)^2 / b = 18 at a = 1 stays
-        holed = _holed_rect2(2.0)
-        for prev in (None, 2.0):
-            root = search.solve_coordinate(holed, 18.0, {0: lambda s: s}, 1, 1.0, prev)
-            assert root == pytest.approx(0.5, abs=1e-12)
+        root = search.solve_coordinate(_holed_rect2(2.0), 18.0, {0: lambda s: s}, 1, 1.0)
+        assert root == pytest.approx(0.5, abs=1e-12)
 
     def test_every_root_in_a_hole(self):
         with pytest.raises(DomainError, match="NaN") as info:
@@ -361,11 +359,9 @@ class TestSolveCoordinate:
     def test_arcsin_branch_across_interval(self):
         par = families.builtin("parallelogram3")
         lo, hi = 24 - 16 * SQRT2, 24 + 16 * SQRT2
-        prev = None
         for s in np.linspace(lo + 0.2, hi - 0.2, 25):
-            root = search.solve_coordinate(par, 32.0, self.FIXED, 2, float(s), prev=prev)
+            root = search.solve_coordinate(par, 32.0, self.FIXED, 2, float(s))
             assert root == pytest.approx(_parallelogram_x3(float(s)), abs=1e-9)
-            prev = root
 
     def test_outside_feasible_interval(self):
         par = families.builtin("parallelogram3")
@@ -395,16 +391,16 @@ class TestSolveScan:
     RECT2_SCAN = np.linspace(3e-7, 300.0 - 3e-7, 512)  # rect2's scan of b over (0, inf)
 
     @staticmethod
-    def _outcomes(spec, k, fixed, j, cases):
+    def _outcomes(spec, k, fixed, j, svals):
         out = []
-        for s, prev in cases:
+        for s in svals:
             try:
-                out.append(search.solve_coordinate(spec, k, fixed, j, s, prev))
+                out.append(search.solve_coordinate(spec, k, fixed, j, s))
             except Exception as exc:
                 out.append(f"{type(exc).__name__}: {exc}")
         return out
 
-    def _assert_as_oracle(self, monkeypatch, spec, k, fixed, j, cases):
+    def _assert_as_oracle(self, monkeypatch, spec, k, fixed, j, svals):
         """Roots and error messages bit-equal to those of the per-point scan, and
         every scan value of the same sign, or NaN, as the oracle's."""
         scans, array_scan = [], search._scan
@@ -415,47 +411,46 @@ class TestSolveScan:
 
         with monkeypatch.context() as m:
             m.setattr(search, "_scan", both)
-            ours = self._outcomes(spec, k, fixed, j, cases)
+            ours = self._outcomes(spec, k, fixed, j, svals)
         with monkeypatch.context() as m:
             m.setattr(search, "_scan", _per_point_scan)
-            theirs = self._outcomes(spec, k, fixed, j, cases)
+            theirs = self._outcomes(spec, k, fixed, j, svals)
         assert ours == theirs
         for vals, expected in scans:
             assert np.array_equal(np.sign(vals), np.sign(expected), equal_nan=True)
         return ours
 
     def test_parallelogram_curve(self, monkeypatch):
-        cases = [(s, None) for s in self.S_04] + [(s, 2.5) for s in self.S_04[::3]]
         roots = self._assert_as_oracle(monkeypatch, families.builtin("parallelogram3"), 32.0,
-                                       self.FIXED, 2, cases)
+                                       self.FIXED, 2, self.S_04)
         assert all(isinstance(r, float) for r in roots)
 
     @pytest.mark.parametrize("k", [16.0, 16.5, 18.0, 25.0, 40.0, 1e4, 15.0])
     def test_rect2_level_sweep(self, monkeypatch, k):
         self._assert_as_oracle(monkeypatch, families.builtin("rect2"), k, {0: lambda s: s}, 1,
-                               [(0.5, None), (1.0, None), (3.0, None), (1.0, 10.0)])
+                               [0.5, 1.0, 3.0])
 
-    def test_box3_with_prev(self, monkeypatch):
+    def test_box3_levels(self, monkeypatch):
         fixed = {0: lambda s: s, 1: lambda s: 1.0}
         for k in (220.0, 250.0, 400.0):
             self._assert_as_oracle(monkeypatch, families.builtin("box3"), k, fixed, 2,
-                                   [(s, prev) for s in (0.7, 1.0, 1.5) for prev in (0.1, 5.0)])
+                                   [0.7, 1.0, 1.5])
 
     def test_cone_per_point_fallback(self, monkeypatch):
         self._assert_as_oracle(monkeypatch, families.builtin("cone"), 250.0, {0: lambda s: s}, 1,
-                               [(0.5, None), (1.0, None), (2.0, 0.1), (2.0, 50.0)])
+                               [0.5, 1.0, 2.0])
 
     @pytest.mark.parametrize("k", [100.0, 200.0, 400.0])
     @pytest.mark.parametrize("j", [0, 1])
     def test_ring_torus_feasible(self, monkeypatch, k, j):
         # Q = 16 pi^2 rho2 / rho1, feasible where rho2 > rho1, that is k > 16 pi^2
         self._assert_as_oracle(monkeypatch, families.builtin("ring_torus"), k,
-                               {1 - j: lambda s: s}, j, [(0.5, None), (2.0, None)])
+                               {1 - j: lambda s: s}, j, [0.5, 2.0])
 
     @pytest.mark.parametrize("holes", [(2.0,), (0.5, 2.0)])
     def test_holed_rect2(self, monkeypatch, holes):
         self._assert_as_oracle(monkeypatch, _holed_rect2(*holes), 18.0, {0: lambda s: s}, 1,
-                               [(1.0, None), (1.0, 2.0)])
+                               [1.0])
 
     @pytest.mark.parametrize("volume", [
         lambda x: float(x[0]) * float(x[1]),  # raises on arrays
@@ -464,35 +459,34 @@ class TestSolveScan:
     ])
     def test_evaluator_that_raises_on_arrays(self, monkeypatch, volume):
         spec = dataclasses.replace(families.builtin("rect2"), volume=volume)
-        self._assert_as_oracle(monkeypatch, spec, 18.0, {0: lambda s: s}, 1,
-                               [(1.0, None), (1.0, 2.0), (0.5, None)])
+        self._assert_as_oracle(monkeypatch, spec, 18.0, {0: lambda s: s}, 1, [1.0, 0.5])
 
     @pytest.mark.parametrize("area", [lambda x: 2.0 * np.sum(x),
                                       lambda x: 2.0 * np.sum(x, axis=-1)])
     def test_evaluator_of_the_wrong_shape(self, monkeypatch, area):
         spec = dataclasses.replace(families.builtin("rect2"), area=area)
-        self._assert_as_oracle(monkeypatch, spec, 18.0, {0: lambda s: s}, 1,
-                               [(1.0, None), (1.0, 2.0), (0.5, None)])
+        self._assert_as_oracle(monkeypatch, spec, 18.0, {0: lambda s: s}, 1, [1.0, 0.5])
 
     def test_level_on_a_scan_point(self, monkeypatch):
+        # Q(1, b) = Q(1, 1 / b): at scan point 1 the smaller root, a zero of the scan
+        # returned as it is; at scan point 100 the larger, and the smaller from its bracket
         rect2 = families.builtin("rect2")
-        t = float(self.RECT2_SCAN[100])
-        k = search.ratio_function(rect2)(np.array([1.0, t]))
-        roots = self._assert_as_oracle(monkeypatch, rect2, k, {0: lambda s: s}, 1,
-                                       [(1.0, t), (1.0, None)])
-        assert roots[0] == t and roots[1] < 1.0
+        for i in (1, 100):
+            t = float(self.RECT2_SCAN[i])
+            k = search.ratio_function(rect2)(np.array([1.0, t]))
+            root, = self._assert_as_oracle(monkeypatch, rect2, k, {0: lambda s: s}, 1, [1.0])
+            assert root == t if i == 1 else root < 1.0
 
     def test_volume_not_positive_inside_the_domain(self, monkeypatch):
         # angles past pi give V < 0, which evaluate rejects: NaN in the scan, as per point
         par = families.builtin("parallelogram3")
         wide = dataclasses.replace(par, domain=(*par.domain[:2], (0.0, 2.0 * math.pi)))
-        self._assert_as_oracle(monkeypatch, wide, 32.0, self.FIXED, 2,
-                               [(s, prev) for s in self.S_04[::5] for prev in (None, 5.0)])
+        self._assert_as_oracle(monkeypatch, wide, 32.0, self.FIXED, 2, self.S_04[::5])
 
     def test_fixed_coordinate_on_the_domain_end(self, monkeypatch):
         # sin(pi) is 1.2e-16 > 0, but the angle pi lies outside the open interval
         self._assert_as_oracle(monkeypatch, families.builtin("parallelogram3"), 1e18,
-                               {0: lambda s: s, 2: lambda s: math.pi}, 1, [(1.0, None)])
+                               {0: lambda s: s, 2: lambda s: math.pi}, 1, [1.0])
 
     def test_array_rounding_another_last_bit(self, monkeypatch):
         # an evaluator whose array results are one ulp above its values at single points,
@@ -502,7 +496,7 @@ class TestSolveScan:
             np.nextafter(x[0] * x[1], math.inf) if np.ndim(x) > 1 else x[0] * x[1]))
         t = float(self.RECT2_SCAN[3])
         k = search.ratio_function(rect2)(np.array([1.0, t]))
-        self._assert_as_oracle(monkeypatch, spec, k, {0: lambda s: s}, 1, [(1.0, None), (1.0, t)])
+        self._assert_as_oracle(monkeypatch, spec, k, {0: lambda s: s}, 1, [1.0])
 
     def test_one_array_call_per_scan(self):
         par = families.builtin("parallelogram3")
@@ -538,8 +532,8 @@ class TestBracketStage:
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    def _assert_as_oracle(self, monkeypatch, spec, k, fixed, j, cases):
-        """Each case's root or error message bit-equal to the oracle's on the same scan."""
+    def _assert_as_oracle(self, monkeypatch, spec, k, fixed, j, svals):
+        """Each solve's root or error message bit-equal to the oracle's on the same scan."""
         scans, scan = [], search._scan
 
         def recorded(*args):
@@ -548,68 +542,48 @@ class TestBracketStage:
 
         monkeypatch.setattr(search, "_scan", recorded)
         ours, theirs = [], []
-        for s, prev in cases:
-            ours.append(self._outcome(lambda: search.solve_coordinate(spec, k, fixed, j, s, prev)))
+        for s in svals:
+            ours.append(self._outcome(lambda: search.solve_coordinate(spec, k, fixed, j, s)))
             ts, vals, g = scans[-1]
-            theirs.append(self._outcome(lambda: all_brackets_root(ts, vals, g, j, s, prev)))
+            theirs.append(self._outcome(lambda: all_brackets_root(ts, vals, g, j, s)))
         assert ours == theirs
         return ours
 
     def test_parallelogram_curve(self, monkeypatch):
-        par = families.builtin("parallelogram3")
-        roots = self._assert_as_oracle(monkeypatch, par, 32.0, self.FIXED, 2,
-                                       [(s, None) for s in self.S_04])
-        # the curve of test_04, each solve near the root before it
-        self._assert_as_oracle(monkeypatch, par, 32.0, self.FIXED, 2,
-                               list(zip(self.S_04[1:], roots)) + [(self.S_04[0], 2.5)])
+        self._assert_as_oracle(monkeypatch, families.builtin("parallelogram3"), 32.0, self.FIXED,
+                               2, self.S_04)
 
     @pytest.mark.parametrize("cls, k, svals", [("rect2", 18.0, [0.5, 1.0, 3.0]),
                                                ("cone", 250.0, [0.5, 1.0, 2.0])])
     def test_two_roots(self, monkeypatch, cls, k, svals):
         self._assert_as_oracle(monkeypatch, families.builtin(cls), k, {0: lambda s: s}, 1,
-                               [(s, prev) for s in svals for prev in (None, 0.1, 1.0, 50.0)])
+                               svals)
 
     @pytest.mark.parametrize("holes", [(2.0,), (0.5, 2.0), (0.5,)])
     def test_holed_rect2(self, monkeypatch, holes):
         self._assert_as_oracle(monkeypatch, _holed_rect2(*holes), 18.0, {0: lambda s: s}, 1,
-                               [(1.0, prev) for prev in (None, 0.1, 1.0, 2.0, 10.0)])
+                               [1.0])
 
     def test_level_on_a_scan_point(self, monkeypatch):
-        # the spec of TestSolveScan.test_array_rounding_another_last_bit: g is exactly 0 at
-        # RECT2_SCAN[3], and another root lies between two scan points
+        # g is exactly 0 at a scan point: for rect2 at RECT2_SCAN[1], the smaller root, which
+        # is returned as it is; for the spec of TestSolveScan.test_array_rounding_another_last_bit
+        # at RECT2_SCAN[3], the larger one, and the smaller lies between two scan points
         rect2 = families.builtin("rect2")
         spec = dataclasses.replace(rect2, volume=lambda x: (
             np.nextafter(x[0] * x[1], math.inf) if np.ndim(x) > 1 else x[0] * x[1]))
-        t = float(self.RECT2_SCAN[3])
-        k = search.ratio_function(rect2)(np.array([1.0, t]))
-        roots = self._assert_as_oracle(monkeypatch, spec, k, {0: lambda s: s}, 1,
-                                       [(1.0, prev) for prev in (None, t, 0.0, 1.0, 1e3)])
-        assert roots[1] == roots[4] == t and roots[0] == roots[2] == roots[3] < 1.0
-
-    def test_prev_equidistant_from_two_roots(self, monkeypatch):
-        # at s = 0.5 the roots are b = 0.25 and b = 1 to the bit, and prev = 0.625 lies in
-        # the bracket of b = 1: both brackets are refined in order, and b = 0.25 wins the tie
-        rect2, fixed = families.builtin("rect2"), {0: lambda s: s}
-        r1, r2 = (search.solve_coordinate(rect2, 18.0, fixed, 1, 0.5, p) for p in (0.0, 3.0))
-        prev = (r1 + r2) / 2
-        assert abs(r1 - prev) == abs(r2 - prev)
-        calls = _recorded(monkeypatch, "brentq", lambda: self._assert_as_oracle(
-            monkeypatch, rect2, 18.0, fixed, 1, [(0.5, prev)]))
-        assert [a < prev < b for _, a, b in calls[:2]] == [False, True]
-        assert search.solve_coordinate(rect2, 18.0, fixed, 1, 0.5, prev) == r1
+        for family, i in ((rect2, 1), (spec, 3)):
+            t = float(self.RECT2_SCAN[i])
+            k = search.ratio_function(rect2)(np.array([1.0, t]))
+            root, = self._assert_as_oracle(monkeypatch, family, k, {0: lambda s: s}, 1, [1.0])
+            assert root == t if i == 1 else root < 1.0
 
     def test_one_brentq_call_per_parallelogram_solve(self, monkeypatch):
-        par, prev = families.builtin("parallelogram3"), None
+        par = families.builtin("parallelogram3")
         for s in self.S_04:
-            for p in (None, prev):
-                out = []
-                calls = _recorded(monkeypatch, "brentq", lambda: out.extend(self._assert_as_oracle(
-                    monkeypatch, par, 32.0, self.FIXED, 2, [(s, p)])))
-                # without prev one call, on the bracket of theta, else both brackets;
-                # then the oracle's two, at theta and pi - theta
-                ours = calls[:-2]
-                assert len(ours) == (1 if p is None else 2) and ours == calls[-2:][:len(ours)]
-            prev = out[0]
+            calls = _recorded(monkeypatch, "brentq", lambda: self._assert_as_oracle(
+                monkeypatch, par, 32.0, self.FIXED, 2, [s]))
+            # one call, on the bracket of theta; then the oracle's two, at theta and pi - theta
+            assert len(calls) == 3 and calls[0] == calls[1]
 
     def test_product_of_neighbours_beyond_the_float_range(self):
         with warnings.catch_warnings():
@@ -825,9 +799,40 @@ class TestReduceHomogeneousPrefix:
                                 domain=((0.0, math.pi), (0.0, math.inf)))
 
     def test_non_homogeneous_evaluator_rejected(self):
+        # cone's math.hypot takes one point at a time, so its check goes point by point
+        for cls in ("rect2", "cone"):
+            spec = families.builtin(cls)
+            with pytest.raises(DomainError, match=r"not homogeneous .* \(checked at t=[0-9.]+, "
+                                                  r"x=\[[0-9.]+, [0-9.]+\]\)$"):
+                dataclasses.replace(spec, area=lambda x: spec.area(x) + 1.0)
+
+    # V < 0 where x0 < x1, at about half of the check's points; math.copysign goes per point
+    @pytest.mark.parametrize("sign", [np.sign, lambda y: math.copysign(1.0, y)])
+    def test_prefix_check_skips_rejected_points(self, sign):
         rect = families.builtin("rect2")
-        with pytest.raises(DomainError, match="not homogeneous"):
-            dataclasses.replace(rect, area=lambda x: rect.area(x) + 1.0)
+        spec = dataclasses.replace(rect, volume=lambda x: rect.volume(x) * sign(x[0] - x[1]))
+        assert families.evaluate(spec, [2.0, 1.0]) == (2.0, 6.0)
+        with pytest.raises(DomainError, match="both must be finite and positive"):
+            families.evaluate(spec, [1.0, 2.0])
+
+    def test_short_sample_box_rejected(self):
+        # not homogeneous, but with one interval for two parameters no point was checked
+        with pytest.raises(DomainError, match="sample_box of 'lopsided' .* n = 2 parameters"):
+            families.FamilySpec(id="lopsided", dimension=2, domain=(families.RPLUS,) * 2,
+                                volume=lambda x: x[0] * x[1] + x[0],
+                                area=lambda x: 2.0 * (x[0] + x[1]),
+                                homogeneous_prefix_m=2, sample_box=((0.3, 3.0),))
+
+    @pytest.mark.parametrize("box", [
+        ((3.0, 0.3), (0.3, 3.0)),  # inverted
+        ((0.3, 3.0), (0.3, math.inf)),
+        ((math.nan, 3.0), (0.3, 3.0)),
+        ((0.3, 3.0), (0.3, 3.0, 4.0)),
+        ((0.3, 3.0),) * 3,
+    ])
+    def test_bad_sample_box_rejected(self, box):
+        with pytest.raises(DomainError, match="sample_box of 'rect2' .* n = 2 parameters"):
+            dataclasses.replace(families.builtin("rect2"), sample_box=box)
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_prefix_length_out_of_range_rejected(self, m):
