@@ -70,7 +70,7 @@ class FamilySpec:
     coordinates scaled by a seeded t in (0.5, 2); :class:`DomainError` otherwise.
     ``sample_box`` (n finite intervals, lo < hi) holds the multistart points
     and the 32 seeded points of both build checks; it defaults to 5-95 % of
-    each interval, or of (lo, lo + 10) if unbounded.
+    each interval, or of (lo, lo + 10), (hi - 10, hi) or (-5, 5) if unbounded.
     """
 
     id: str
@@ -87,7 +87,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.dimension < 2:
             raise DomainError(f"dimension must be >= 2, got {self.dimension}")
-        if np.ndim(self.domain) != 2 or np.shape(self.domain)[1] != 2:
+        shape = np.array(self.domain, dtype=object).shape  # (n,) if ragged
+        if len(shape) != 2 or shape[1] != 2:
             raise DomainError(f"domain of {self.id!r} must be a non-empty tuple of intervals")
         for lo, hi in self.domain:
             if not lo < hi:
@@ -95,9 +96,11 @@ class FamilySpec:
         # the interval ends as a (2, n, 1) array, for _evaluate_batch
         object.__setattr__(self, "_ends", np.array(self.domain, dtype=float).T[:, :, None])
         if self.sample_box is None:
-            widths = [(hi - lo) if math.isfinite(hi) else 10.0 for lo, hi in self.domain]
-            box = tuple((lo + 0.05 * w, lo + 0.95 * w) for (lo, _), w in zip(self.domain, widths))
-            object.__setattr__(self, "sample_box", box)
+            object.__setattr__(self, "sample_box", tuple(
+                (lo + 0.05 * (hi - lo), lo + 0.95 * (hi - lo)) if math.isfinite(hi - lo)
+                else (lo + 0.5, lo + 9.5) if math.isfinite(lo)
+                else (hi - 9.5, hi - 0.5) if math.isfinite(hi) else (-4.5, 4.5)
+                for lo, hi in self.domain))
         if len(self.sample_box) != self.nparams or not all(
                 len(b) == 2 and -math.inf < b[0] < b[1] < math.inf for b in self.sample_box):
             raise DomainError(f"sample_box of {self.id!r} must hold a finite interval (lo, hi) "

@@ -9,16 +9,18 @@ arithmetic mean and the volume-weighted harmonic mean of the pyramid
 altitudes, independent of the apex choice.
 
 Each polyhedron's facet geometry (unit normals, plane offsets and facet
-measures, with 3D facet areas from the Newell vector) is fixed once at
+measures, with 3D facet areas from the Newell vector) and its bounding-box
+diagonal, the length scale of every tolerance, are fixed once at
 construction, in one segmented array pass over the vertex slots of all
 facets, whatever their sizes; every operation below is an array expression
-over it.  Polyhedra and Steiner shapes must be finite.
+over them.  Polyhedra and Steiner shapes must be finite.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Sequence
@@ -33,8 +35,7 @@ CONVEXITY_RTOL = 1e-9
 
 
 def _bbox_diagonal(vertices: np.ndarray) -> float:
-    """The bounding box's diagonal; inf where it overflows (``math.hypot``
-    scales the sides before it squares them)."""
+    """The bounding box's diagonal; inf if it overflows (``math.hypot`` scales before squaring)."""
     lows, highs = vertices.min(axis=0).tolist(), vertices.max(axis=0).tolist()
     return math.hypot(*(hi - lo for lo, hi in zip(lows, highs)))
 
@@ -54,7 +55,9 @@ class StarPolyhedron(Record):
     The geometry is fixed at construction: ``vertices`` and ``apex`` are
     read-only copies of the inputs, and the read-only arrays ``normals``
     (unit outward normals, F x d), ``offsets`` (c_i with n_i . x = c_i on
-    facet i) and ``measures`` (facet lengths or areas) are computed once.
+    facet i) and ``measures`` (facet lengths or areas) are computed once, as is
+    ``diagonal``, the vertices' bounding-box diagonal that scales the tolerances
+    here and in :func:`volume_from_support` and :func:`cohen_check`.
     In 3D a facet's normal and area both come from its Newell vector, taken
     relative to its first vertex, which is exact for any simple planar
     polygon, convex or not.  All facets share one array pass, each vector a
@@ -74,14 +77,16 @@ class StarPolyhedron(Record):
     normals: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
     measures: np.ndarray = field(init=False, repr=False, compare=False)
+    diagonal: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = _integer(self.dimension, "dimension")
-        vertices = _frozen(self.vertices)
-        apex = _frozen(self.apex)
+        vertices, apex = _frozen(self.vertices), _frozen(self.apex)
         facets = tuple(map(tuple, self.facets))
-        if set(map(type, chain.from_iterable(facets))) - {int}:  # a bool, float or numpy index
+        flat = list(chain.from_iterable(facets))
+        if operator.countOf(map(type, flat), int) != len(flat):  # a bool, float or numpy index
             facets = tuple(tuple(_integer(i, "facet vertex index") for i in f) for f in facets)
+            flat = list(chain.from_iterable(facets))
         if d not in (2, 3):
             raise GeometryError("only dimensions 2 and 3 are supported")
         if vertices.ndim != 2 or vertices.shape[1] != d:
@@ -89,7 +94,7 @@ class StarPolyhedron(Record):
         if apex.shape != (d,):
             raise GeometryError("apex shape does not match dimension")
         for name, values in (("vertices", vertices), ("apex", apex)):
-            if not np.all(np.isfinite(values)):
+            if not np.isfinite(values).all():
                 raise GeometryError(f"{name} must be finite")
         if not facets:
             raise GeometryError("polyhedron has no facets")
@@ -98,15 +103,11 @@ class StarPolyhedron(Record):
             raise GeometryError("degenerate vertex set")
         if diag == math.inf:
             raise GeometryError("the vertices' bounding-box diagonal is outside the float range")
-        normals, offsets, measures = _facet_geometry(d, vertices, facets, apex, diag)
-
-        object.__setattr__(self, "dimension", d)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "apex", apex)
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "normals", _frozen(normals))
-        object.__setattr__(self, "offsets", _frozen(offsets))
-        object.__setattr__(self, "measures", _frozen(measures))
+        normals, offsets, measures = _facet_geometry(d, vertices, facets, flat, apex, diag)
+        fixed = dict(dimension=d, vertices=vertices, apex=apex, facets=facets, diagonal=diag,
+                     normals=_frozen(normals), offsets=_frozen(offsets), measures=_frozen(measures))
+        for name, value in fixed.items():
+            object.__setattr__(self, name, value)
 
     def with_apex(self, apex: Sequence[float]) -> "StarPolyhedron":
         return StarPolyhedron(self.dimension, self.vertices, self.facets, np.asarray(apex))
@@ -126,7 +127,8 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, apex: np.ndarray, diag: float):
+def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, apex: np.ndarray,
+                    diag: float):
     """Unit normals, offsets and measures of the facets, in one segmented array pass.
 
     The vertex slots of the valid facets lie end to end, each tagged with
@@ -153,10 +155,10 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, apex: np.ndarra
         diag = math.ldexp(diag, -shift)
     sizes = np.fromiter(map(len, facets), dtype=np.intp, count=len(facets))
     try:
-        flat = np.fromiter(chain.from_iterable(facets), dtype=np.intp, count=int(sizes.sum()))
+        flat = np.array(flat, dtype=np.intp)
     except OverflowError:  # an int beyond the index type is out of range too
         flat = np.array([-1])
-    if not np.all((flat >= 0) & (flat < len(vertices))):
+    if not ((flat >= 0) & (flat < len(vertices))).all():
         raise GeometryError("facet vertex index out of range")
     miscounted = sizes != 2 if d == 2 else sizes < 3
     ids = np.flatnonzero(~miscounted)
@@ -247,7 +249,7 @@ class PyramidDecomposition:
 def decompose(p: StarPolyhedron) -> PyramidDecomposition:
     """Decompose into pyramids over the facets with apex at p.apex."""
     r_i = p.offsets - p.normals @ p.apex
-    if np.any(r_i <= 0):
+    if (r_i <= 0).any():
         idx = int(np.argmax(r_i <= 0))
         raise GeometryError(
             f"facet {idx}: apex outside, pyramid altitude {r_i[idx]:.3e} is nonpositive"
@@ -282,12 +284,12 @@ def _convex_support(p: StarPolyhedron) -> np.ndarray:
     """h(n_i) at every facet normal; raises unless every vertex is inside every facet plane."""
     step = max(1, _SUPPORT_BLOCK // len(p.vertices))
     h = np.concatenate([
-        np.max(p.vertices @ p.normals[i:i + step].T, axis=0)
+        (p.vertices @ p.normals[i:i + step].T).max(axis=0)
         for i in range(0, len(p.normals), step)
     ])
     excess = h - p.offsets
-    beyond = excess > CONVEXITY_RTOL * _bbox_diagonal(p.vertices)
-    if np.any(beyond):
+    beyond = excess > CONVEXITY_RTOL * p.diagonal
+    if beyond.any():
         idx = int(np.argmax(beyond))
         raise GeometryError(
             f"facet {idx}: vertices beyond the facet plane by {excess[idx]:.3e}; not convex"
@@ -313,8 +315,8 @@ def cohen_check(p: StarPolyhedron, r: float) -> float:
         raise DomainError("inradius r must be positive and finite")
     _convex_support(p)
     dist = p.offsets - p.normals @ p.apex
-    off = np.abs(dist - r) > 1e-9 * max(_bbox_diagonal(p.vertices), r)
-    if np.any(off):
+    off = np.abs(dist - r) > 1e-9 * max(p.diagonal, r)
+    if off.any():
         idx = int(np.argmax(off))
         raise GeometryError(
             f"facet {idx}: hyperplane distance {float(dist[idx])} != claimed inradius {r}; "

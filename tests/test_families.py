@@ -318,3 +318,45 @@ class TestBatchEvaluation:
                                    volume=lambda s: math.log(s - 2.0))
         with pytest.raises(ValueError, match="math domain error"):
             families._evaluate_batch(spec, np.array([[3.0, 1.0]]))
+
+
+class TestSpecDomain:
+    @pytest.mark.parametrize("domain", [
+        ((0.0, 1.0), (2.0,)),  # ragged
+        ((2.0,), (0.0, 1.0)),
+        ((0.0, 1.0, 2.0),),
+        (),
+    ])
+    def test_not_a_tuple_of_intervals_rejected(self, domain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                families.FamilySpec(id="odd", dimension=2, domain=domain, volume=math.exp,
+                                    area=math.exp)
+        assert str(info.value) == "domain of 'odd' must be a non-empty tuple of intervals"
+
+    @pytest.mark.parametrize("domain, box", [
+        (((0.0, 2.0),), ((0.0 + 0.05 * 2.0, 0.0 + 0.95 * 2.0),)),
+        (((1.0, math.inf),), ((1.5, 10.5),)),
+        (((-math.inf, 1.0),), ((-8.5, 0.5),)),
+        (((-math.inf, math.inf),), ((-4.5, 4.5),)),
+    ])
+    def test_default_sample_box(self, domain, box):
+        spec = families.FamilySpec(id="exp", dimension=2, domain=domain, volume=math.exp,
+                                   area=lambda s: math.exp(0.5 * s))
+        assert spec.sample_box == box
+
+    def test_unbounded_below_builds_and_evaluates(self):
+        # V = e^s, A = e^(s/2): Q = A^2 / V = 1 over the whole line
+        one = families.FamilySpec(id="exp", dimension=2, domain=((-math.inf, 1.0),),
+                                  volume=math.exp, area=lambda s: math.exp(0.5 * s))
+        assert families.evaluate(one, -3.0) == (math.exp(-3.0), math.exp(-1.5))
+        v, a = families.sample(one, np.array([-8.0, -2.0, 0.5]))
+        np.testing.assert_allclose(a * a / v, 1.0, rtol=1e-15)
+        two = families.FamilySpec(id="shifted_rect", dimension=2,
+                                  domain=((-math.inf, math.inf), families.RPLUS),
+                                  volume=lambda x: math.exp(x[0]) * x[1],
+                                  area=lambda x: 2.0 * (math.exp(x[0]) + x[1]))
+        assert two.sample_box == ((-4.5, 4.5), (0.5, 9.5))
+        assert families.evaluate(two, [0.0, 2.0]) == (2.0, 6.0)
+        assert search.ratio_function(two)(np.array([0.0, 1.0])) == 16.0

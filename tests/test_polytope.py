@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 import warnings
@@ -276,6 +278,27 @@ class TestFacetGeometry:
         assert all(type(i) is int for f in mixed.facets for i in f)
         np.testing.assert_array_equal(mixed.normals, plain.normals)
 
+    @pytest.mark.parametrize("facet, message", [
+        # one non-int index sends every index through the integer check, then one pass
+        ((0, 2.0, 2**70), "facet vertex index out of range"),
+        ((0, np.int64(2), -2**70), "facet vertex index out of range"),
+        ((0, 2.0, 7), "facet vertex index out of range"),
+        ((0, 2, np.True_), f"facet vertex index must be an integer, got {np.True_!r}"),
+        ((0, 2, np.float64(1.5)), f"facet vertex index must be an integer, got {np.float64(1.5)!r}"),
+    ])
+    def test_index_check_then_one_walk(self, facet, message):
+        with pytest.raises(GeometryError) as info:
+            polytope.StarPolyhedron(*prism(f0=(0, 0, 0, 0), f3=facet))
+        assert str(info.value) == message
+
+    def test_index_array_facets(self):
+        hull = sphere_hull(np.random.default_rng(5), 40)
+        p = polytope.StarPolyhedron(3, hull.vertices, np.array(hull.facets), hull.apex)
+        assert p.facets == hull.facets
+        assert all(type(i) is int for f in p.facets for i in f)
+        for got, want in zip((p.normals, p.offsets, p.measures), (hull.normals, hull.offsets, hull.measures)):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         cube = polytope.cube_polyhedron()
@@ -482,6 +505,103 @@ class TestCohenCheck:
     def test_r_not_positive_and_finite_rejected(self, r):
         with pytest.raises(DomainError, match="^inradius r must be positive and finite$"):
             polytope.cohen_check(polytope.cube_polyhedron(2.0), r)
+
+
+def bbox_diagonal(vertices):
+    return math.hypot(*np.ptp(vertices, axis=0).tolist())
+
+
+def reference_support(p):
+    """h(n_i) and its convexity check, with the diagonal taken from the vertices on each call."""
+    h = np.max(p.vertices @ p.normals.T, axis=0)
+    excess = h - p.offsets
+    beyond = excess > polytope.CONVEXITY_RTOL * polytope._bbox_diagonal(p.vertices)
+    if np.any(beyond):
+        idx = int(np.argmax(beyond))
+        raise GeometryError(
+            f"facet {idx}: vertices beyond the facet plane by {excess[idx]:.3e}; not convex")
+    return h
+
+
+def reference_cohen(p, r):
+    reference_support(p)
+    dist = p.offsets - p.normals @ p.apex
+    off = np.abs(dist - r) > 1e-9 * max(polytope._bbox_diagonal(p.vertices), r)
+    if np.any(off):
+        idx = int(np.argmax(off))
+        raise GeometryError(
+            f"facet {idx}: hyperplane distance {float(dist[idx])} != claimed inradius {r}; "
+            "polytope is not circumscribing")
+    dec = polytope.decompose(p)
+    return abs(dec.total_volume - r / p.dimension * dec.total_area) / dec.total_volume
+
+
+def outcome(f, *args):
+    """f's value, or the text of the GeometryError it raises."""
+    try:
+        return f(*args)
+    except GeometryError as exc:
+        return str(exc)
+
+
+def dented(hull, rng):
+    """``hull`` with one vertex pulled a tenth of the way in: star-like about 0, not convex."""
+    verts = np.array(hull.vertices)
+    verts[rng.integers(len(verts))] *= 0.9
+    return polytope.StarPolyhedron(3, verts, hull.facets, hull.apex)
+
+
+class TestDiagonal:
+    """The bounding-box diagonal kept with the fixed geometry."""
+
+    @pytest.mark.parametrize("k", [-300, 0, 300])
+    def test_equals_hypot_of_the_box_sides(self, k):
+        hull = sphere_hull(np.random.default_rng(4), 30)
+        for p in (polytope.cube_polyhedron(2.0**k, np.ldexp([0.3, -1.2, 5.0], k)),
+                  polytope.StarPolyhedron(3, np.ldexp(hull.vertices, k), hull.facets, np.zeros(3)),
+                  polytope.StarPolyhedron(2, np.ldexp(SQUARE, k), ((0, 1), (1, 2), (2, 3), (3, 0)),
+                                          np.full(2, math.ldexp(0.5, k)))):
+            assert type(p.diagonal) is float
+            assert p.diagonal == bbox_diagonal(p.vertices) == polytope._bbox_diagonal(p.vertices)
+        assert polytope.cube_polyhedron(2.0**k).diagonal == math.ldexp(math.sqrt(3.0), k)
+
+    def test_not_in_json_repr_or_equality(self):
+        cube = polytope.cube_polyhedron(2.0)
+        assert set(json.loads(cube.to_json())) == {"dimension", "vertices", "facets", "apex"}
+        assert "diagonal" not in repr(cube)
+        other = copy.copy(cube)  # the same arrays, another diagonal
+        object.__setattr__(other, "diagonal", 2.0 * cube.diagonal)
+        assert other == cube
+        with pytest.raises(TypeError):
+            polytope.StarPolyhedron(3, cube.vertices, cube.facets, cube.apex, diagonal=1.0)
+
+    def test_recomputed_by_replace_and_with_apex(self):
+        cube = polytope.cube_polyhedron(1.0)
+        wide = dataclasses.replace(cube, vertices=cube.vertices * [4.0, 1.0, 1.0],
+                                   apex=cube.apex * [4.0, 1.0, 1.0])
+        assert wide.diagonal == math.sqrt(18.0) == bbox_diagonal(wide.vertices)
+        assert cube.diagonal == math.sqrt(3.0)
+        moved = wide.with_apex([1.0, 0.25, 0.75])
+        assert moved.diagonal == wide.diagonal
+        assert polytope.volume_from_support(moved) == 4.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_results_and_errors_as_with_the_diagonal_per_call(self, seed):
+        rng = np.random.default_rng(seed)
+        npoints = int(rng.integers(52, 203))
+        hull, dual = sphere_hull(rng, npoints), sphere_hull_dual(rng, npoints)
+        dent = dented(hull, rng)
+        for p in (hull, dual, dent):
+            assert outcome(polytope.volume_from_support, p) == outcome(
+                lambda q: float(q.measures @ reference_support(q)) / q.dimension, p)
+        # 1 sits inside the dual's tolerance and 1 + 2e-9 diag outside it
+        for p, r in [(dual, 1.0), (dual, 1.0 + 0.5e-9 * dual.diagonal),
+                     (dual, 1.0 + 2e-9 * dual.diagonal), (hull, 0.9), (dent, 0.9)]:
+            assert outcome(polytope.cohen_check, p, r) == outcome(reference_cohen, p, r)
+        assert "not convex" in outcome(polytope.volume_from_support, dent)
+        assert "not circumscribing" in outcome(polytope.cohen_check, hull, 0.9)
+        assert "not circumscribing" in outcome(polytope.cohen_check, dual, 1.0 + 2e-9 * dual.diagonal)
+        assert isinstance(outcome(polytope.cohen_check, dual, 1.0 + 0.5e-9 * dual.diagonal), float)
 
 
 class TestLiftCylinder:
