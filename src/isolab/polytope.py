@@ -35,7 +35,8 @@ CONVEXITY_RTOL = 1e-9
 
 
 def _bbox_diagonal(vertices: np.ndarray) -> float:
-    """The bounding box's diagonal; inf if it overflows (``math.hypot`` scales before squaring)."""
+    """The bounding box's diagonal; inf where it overflows (``math.hypot``
+    scales the sides before it squares them)."""
     lows, highs = vertices.min(axis=0).tolist(), vertices.max(axis=0).tolist()
     return math.hypot(*(hi - lo for lo, hi in zip(lows, highs)))
 
@@ -81,7 +82,8 @@ class StarPolyhedron(Record):
 
     def __post_init__(self):
         d = _integer(self.dimension, "dimension")
-        vertices, apex = _frozen(self.vertices), _frozen(self.apex)
+        vertices = _frozen(self.vertices)
+        apex = _frozen(self.apex)
         facets = tuple(map(tuple, self.facets))
         flat = list(chain.from_iterable(facets))
         if operator.countOf(map(type, flat), int) != len(flat):  # a bool, float or numpy index
@@ -104,10 +106,15 @@ class StarPolyhedron(Record):
         if diag == math.inf:
             raise GeometryError("the vertices' bounding-box diagonal is outside the float range")
         normals, offsets, measures = _facet_geometry(d, vertices, facets, flat, apex, diag)
-        fixed = dict(dimension=d, vertices=vertices, apex=apex, facets=facets, diagonal=diag,
-                     normals=_frozen(normals), offsets=_frozen(offsets), measures=_frozen(measures))
-        for name, value in fixed.items():
-            object.__setattr__(self, name, value)
+
+        object.__setattr__(self, "dimension", d)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "normals", _frozen(normals))
+        object.__setattr__(self, "offsets", _frozen(offsets))
+        object.__setattr__(self, "measures", _frozen(measures))
+        object.__setattr__(self, "diagonal", diag)
 
     def with_apex(self, apex: Sequence[float]) -> "StarPolyhedron":
         return StarPolyhedron(self.dimension, self.vertices, self.facets, np.asarray(apex))
