@@ -8,12 +8,13 @@ those pyramids shows that d V / A is simultaneously the area-weighted
 arithmetic mean and the volume-weighted harmonic mean of the pyramid
 altitudes, independent of the apex choice.
 
-Each polyhedron's facet geometry (unit normals, plane offsets and facet
-measures, with 3D facet areas from the Newell vector) and its bounding-box
-diagonal, the length scale of every tolerance, are fixed once at
-construction, in one segmented array pass over the vertex slots of all
-facets, whatever their sizes; every operation below is an array expression
-over them.  Polyhedra and Steiner shapes must be finite.
+Each polyhedron's facet geometry (unit normals, plane offsets, facet
+measures, with 3D facet areas from the Newell vector, and pyramid altitudes
+from the apex) and its bounding-box diagonal, the length scale of every
+tolerance, are fixed once at construction, in one segmented array pass over
+the vertex slots of all facets, whatever their sizes, at a power-of-two
+scale for polyhedra of every size; every operation below is an array
+expression over them.  Polyhedra and Steiner shapes must be finite.
 """
 
 from __future__ import annotations
@@ -56,15 +57,16 @@ class StarPolyhedron(Record):
     The geometry is fixed at construction: ``vertices`` and ``apex`` are
     read-only copies of the inputs, and the read-only arrays ``normals``
     (unit outward normals, F x d), ``offsets`` (c_i with n_i . x = c_i on
-    facet i) and ``measures`` (facet lengths or areas) are computed once, as is
-    ``diagonal``, the vertices' bounding-box diagonal that scales the tolerances
-    here and in :func:`volume_from_support` and :func:`cohen_check`.
+    facet i), ``measures`` (facet lengths or areas) and ``altitudes``
+    (c_i - n_i . apex) are computed once, as is ``diagonal``, the vertices'
+    bounding-box diagonal that scales the tolerances here and in
+    :func:`volume_from_support` and :func:`cohen_check`.
     In 3D a facet's normal and area both come from its Newell vector, taken
     relative to its first vertex, which is exact for any simple planar
     polygon, convex or not.  All facets share one array pass, each vector a
     sequential sum over its facet's run of vertex slots (so it has the bits
-    of a sum over that facet alone); far from unit size, at a power-of-two
-    scale where no square overflows.  Construction rejects non-finite
+    of a sum over that facet alone), at every size at a power-of-two scale
+    where no square overflows.  Construction rejects non-finite
     vertices or apex, and checks positive facet measure, planarity, and that
     the apex lies strictly on the inner side of every facet hyperplane; an
     error names the lowest-numbered bad facet.  A facet measure or a volume
@@ -78,6 +80,7 @@ class StarPolyhedron(Record):
     normals: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
     measures: np.ndarray = field(init=False, repr=False, compare=False)
+    altitudes: np.ndarray = field(init=False, repr=False, compare=False)
     diagonal: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,7 +108,7 @@ class StarPolyhedron(Record):
             raise GeometryError("degenerate vertex set")
         if diag == math.inf:
             raise GeometryError("the vertices' bounding-box diagonal is outside the float range")
-        normals, offsets, measures = _facet_geometry(d, vertices, facets, flat, apex, diag)
+        normals, offsets, measures, altitudes = _facet_geometry(d, vertices, facets, flat, apex, diag)
 
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "vertices", vertices)
@@ -114,6 +117,7 @@ class StarPolyhedron(Record):
         object.__setattr__(self, "normals", _frozen(normals))
         object.__setattr__(self, "offsets", _frozen(offsets))
         object.__setattr__(self, "measures", _frozen(measures))
+        object.__setattr__(self, "altitudes", _frozen(altitudes))
         object.__setattr__(self, "diagonal", diag)
 
     def with_apex(self, apex: Sequence[float]) -> "StarPolyhedron":
@@ -136,7 +140,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, apex: np.ndarray,
                     diag: float):
-    """Unit normals, offsets and measures of the facets, in one segmented array pass.
+    """Unit normals, offsets, measures and apex altitudes, in one segmented array pass.
 
     The vertex slots of the valid facets lie end to end, each tagged with
     its facet, so one array expression serves facets of every size in memory
@@ -146,20 +150,17 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, ape
     the cross product of the slot and the next relative to the facet's
     first vertex (the Newell vector), in 2D the slot itself (the edge).
 
-    A polyhedron whose diagonal is beyond 2**+-_SCALE_LIMIT is computed with
-    every coordinate scaled by 2**-shift, where the diagonal is 2**shift
-    times a number in [0.5, 1), so that no square overflows or underflows;
-    the scaling is exact, and offsets and measures are scaled back at the
-    end.  Raises for the lowest-numbered bad facet, checking its vertex
-    count, its measure, its planarity and then the side of the apex,
-    and then for a measure outside the float range.
+    Every polyhedron is computed with every coordinate scaled by 2**-shift,
+    where the diagonal is 2**shift times a number in [0.5, 1), so that no
+    square overflows or underflows; the scaling is exact, and offsets,
+    measures and altitudes are scaled back at the end.  Raises for the
+    lowest-numbered bad facet, checking its vertex count, its measure, its
+    planarity and then the side of the apex (its altitude), and then for a
+    measure or a volume outside the float range.
     """
     shift = math.frexp(diag)[1]
-    if abs(shift) <= _SCALE_LIMIT:
-        shift = 0
-    else:
-        vertices, apex = np.ldexp(vertices, -shift), np.ldexp(apex, -shift)
-        diag = math.ldexp(diag, -shift)
+    vertices, apex = np.ldexp(vertices, -shift), np.ldexp(apex, -shift)
+    diag = math.ldexp(diag, -shift)
     sizes = np.fromiter(map(len, facets), dtype=np.intp, count=len(facets))
     try:
         flat = np.array(flat, dtype=np.intp)
@@ -189,7 +190,7 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, ape
         deviation = np.abs((rel * np.repeat(normals[ids].T, k, axis=1)).sum(axis=0))
         nonplanar = np.bincount(seg[deviation > tol], minlength=len(facets)) > 0  # never in 2D
         offsets = _rowdot(normals, first)
-        dist = offsets - _rowdot(normals, apex)
+        dist = offsets - normals @ apex
     checks = [miscounted, measures <= (0.0 if d == 2 else tol * diag), nonplanar, dist <= tol]
     bad = np.logical_or.reduce(checks)
     if bad.any():
@@ -203,19 +204,13 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, ape
             f"apex is not strictly interior (signed distance {math.ldexp(dist[i], shift):.3e})",
         ]
         raise GeometryError(f"facet {i}: {next(s for s, mask in zip(say, checks) if mask[i])}")
-    if shift:  # the measures and the volume sum(A_i r_i) / d must be floats at scale 1 too
-        name = "length" if d == 2 else "area"
-        for i in measures.argmax(), measures.argmin():
-            _require_float(f"facet {i}: {name}", measures[i], (d - 1) * shift)
-        _require_float("volume", float(np.dot(measures, dist)) / d, d * shift)
-        offsets, measures = np.ldexp(offsets, shift), np.ldexp(measures, (d - 1) * shift)
-    return normals, offsets, measures
-
-
-# within 2**+-200 of unit size no square over- or underflows, nor any measure or
-# volume: area <= diag**2 and, with every apex distance above 1e-9 diag, volume
-# above 1e-9 diag area / 3, all far inside the float range
-_SCALE_LIMIT = 200
+    # the measures and the volume sum(A_i r_i) / d must be floats at scale 1 too
+    name = "length" if d == 2 else "area"
+    for i in measures.argmax(), measures.argmin():
+        _require_float(f"facet {i}: {name}", measures[i], (d - 1) * shift)
+    _require_float("volume", float(np.dot(measures, dist)) / d, d * shift)
+    return (normals, np.ldexp(offsets, shift), np.ldexp(measures, (d - 1) * shift),
+            np.ldexp(dist, shift))
 
 
 def _require_float(what: str, scaled: float, power: int) -> None:
@@ -255,17 +250,11 @@ class PyramidDecomposition:
 
 def decompose(p: StarPolyhedron) -> PyramidDecomposition:
     """Decompose into pyramids over the facets with apex at p.apex."""
-    r_i = p.offsets - p.normals @ p.apex
-    if (r_i <= 0).any():
-        idx = int(np.argmax(r_i <= 0))
-        raise GeometryError(
-            f"facet {idx}: apex outside, pyramid altitude {r_i[idx]:.3e} is nonpositive"
-        )
-    v_i = p.measures * r_i / p.dimension
+    v_i = p.measures * p.altitudes / p.dimension
     return PyramidDecomposition(
         dimension=p.dimension,
         facet_measures=p.measures,
-        altitudes=r_i,
+        altitudes=p.altitudes,
         pyramid_volumes=v_i,
         total_area=float(p.measures.sum()),
         total_volume=float(v_i.sum()),
@@ -321,13 +310,12 @@ def cohen_check(p: StarPolyhedron, r: float) -> float:
     if not 0 < r < math.inf:
         raise DomainError("inradius r must be positive and finite")
     _convex_support(p)
-    dist = p.offsets - p.normals @ p.apex
-    off = np.abs(dist - r) > 1e-9 * max(p.diagonal, r)
+    off = np.abs(p.altitudes - r) > 1e-9 * max(p.diagonal, r)
     if off.any():
         idx = int(np.argmax(off))
         raise GeometryError(
-            f"facet {idx}: hyperplane distance {float(dist[idx])} != claimed inradius {r}; "
-            "polytope is not circumscribing"
+            f"facet {idx}: hyperplane distance {float(p.altitudes[idx])} != claimed inradius {r}"
+            "; polytope is not circumscribing"
         )
     dec = decompose(p)
     return abs(dec.total_volume - r / p.dimension * dec.total_area) / dec.total_volume

@@ -401,7 +401,8 @@ def solve_coordinate(
     s: float,
 ) -> float:
     """Solve Q(x) = k for coordinate j, each other coordinate i given as the
-    function ``fixed[i]`` of s; ``fixed`` holding j is a :class:`DomainError`.
+    function ``fixed[i]`` of s; ``fixed`` holding j, or a value fixed outside
+    its coordinate's open interval, is a :class:`DomainError`.
 
     A sign scan of 512 points over the coordinate interval calls each
     evaluator once on all of them as an (n, m) array (see :class:`FamilySpec`;
@@ -426,6 +427,9 @@ def solve_coordinate(
     base = np.empty(n)
     for i, fn in fixed.items():
         base[i] = fn(s)
+        lo, hi = nfamily.domain[i]
+        if not lo < base[i] < hi:
+            raise DomainError(f"fixed coordinate {i} is {base[i]} at s={s}, outside ({lo}, {hi})")
 
     def g(t: float) -> float:
         x = base.copy()

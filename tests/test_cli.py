@@ -257,6 +257,13 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "out of range" in err and len(err.strip().splitlines()) == 1
 
+    def test_fixed_coordinate_outside_its_interval(self, capsys):
+        code, out, err = run(capsys, "solve-coordinate", "--class", "parallelogram3", "--k", "32",
+                             "--j", "2", "--s", "0.5", "--fixed", "0=log(s)", "--fixed", "1=1")
+        assert (code, out) == (2, "")
+        assert err == ("error: fixed coordinate 0 is -0.6931471805599453 at s=0.5, "
+                       "outside (0.0, inf)\n")
+
     # in a child process with a timeout: before the --fixed grammar, 10**10**8 hung
     @pytest.mark.parametrize("expr", ["0=foo(s)", "0=().__class__", "0=10**10**8"])
     def test_fixed_outside_grammar(self, expr):

@@ -604,6 +604,94 @@ class TestDiagonal:
         assert isinstance(outcome(polytope.cohen_check, dual, 1.0 + 0.5e-9 * dual.diagonal), float)
 
 
+def far_tetrahedra(rng, count):
+    """Rotated unit regular tetrahedra 1e6 to 1e13 from the origin, each with its
+    apex a random fraction 1e-12 to 0.1 of the way from a facet's centroid to the
+    tetrahedron's, so that many altitudes lie within the coordinates' rounding."""
+    unit = polytope.regular_tetrahedron()
+    for _ in range(count):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        u = rng.standard_normal(3)
+        centre = u / np.linalg.norm(u) * 10.0 ** rng.uniform(6, 13)
+        verts = unit.vertices @ q.T + centre
+        facet = list(unit.facets[rng.integers(4)])
+        t = 10.0 ** rng.uniform(-12, -1)
+        yield verts, unit.facets, centre + (1.0 - t) * (verts[facet].mean(axis=0) - centre)
+
+
+# a tetrahedron of the kind above whose apex altitude to facet 2 rounds to 0
+FAR_TETRAHEDRON = """{"dimension": 3, "vertices": [
+  [-7835462.376782649, -11733656.258788306, -7505090.497300938],
+  [-7835462.625328396, -11733655.395775855, -7505090.937112852],
+  [-7835461.895547222, -11733655.416709524, -7505090.25375261],
+  [-7835462.846559217, -11733655.547947096, -7505089.973836756]],
+ "facets": [[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]],
+ "apex": [-7835462.616223419, -11733655.73417042, -7505090.469416848]}"""
+
+
+class TestAltitudes:
+    """The apex altitudes kept with the fixed geometry: one array for the apex
+    test, decompose and cohen_check."""
+
+    def test_far_tetrahedra_that_construct_decompose(self):
+        built = 0
+        for verts, facets, apex in far_tetrahedra(np.random.default_rng(0), 1000):
+            try:
+                p = polytope.StarPolyhedron(3, verts, facets, apex)
+            except GeometryError as exc:
+                assert "apex is not strictly interior" in str(exc)
+                continue
+            built += 1
+            dec = polytope.decompose(p)
+            assert (dec.altitudes > 0).all() and dec.total_volume > 0
+        assert 200 < built < 1000
+
+    def test_far_tetrahedron_document(self):
+        # whether its altitude rounds to 0 depends on how the BLAS sums n . apex
+        p = outcome(polytope.from_json, FAR_TETRAHEDRON)
+        if isinstance(p, str):
+            assert p == "facet 2: apex is not strictly interior (signed distance 0.000e+00)"
+        else:
+            assert polytope.decompose(p).total_volume > 0
+
+    @pytest.mark.parametrize("k", [0, 1, -1, 200, -200, 201, -201, 300, -300])
+    def test_scale_exactly_across_sizes(self, k):
+        hull = sphere_hull_dual(np.random.default_rng(5), 40)
+        polygon = regular_polygon(9)
+        for p, apex in [(hull, [0.1, -0.2, 0.05]), (polygon, [0.2, 0.1])]:
+            unit = p.with_apex(apex)
+            big = polytope.StarPolyhedron(p.dimension, np.ldexp(p.vertices, k), p.facets,
+                                          np.ldexp(apex, k))
+            assert big.normals.tobytes() == unit.normals.tobytes()
+            assert big.offsets.tobytes() == np.ldexp(unit.offsets, k).tobytes()
+            assert big.altitudes.tobytes() == np.ldexp(unit.altitudes, k).tobytes()
+            measures = np.ldexp(unit.measures, (p.dimension - 1) * k)
+            assert big.measures.tobytes() == measures.tobytes()
+
+    def test_one_fixed_array(self):
+        hull = sphere_hull(np.random.default_rng(6), 60).with_apex([0.1, 0.2, -0.3])
+        assert hull.altitudes.tobytes() == (hull.offsets - hull.normals @ hull.apex).tobytes()
+        assert polytope.decompose(hull).altitudes is hull.altitudes
+        with pytest.raises(ValueError):
+            hull.altitudes[0] = 1.0
+        assert set(json.loads(hull.to_json())) == {"dimension", "vertices", "facets", "apex"}
+        assert "altitudes" not in repr(hull)
+        other = copy.copy(hull)
+        object.__setattr__(other, "altitudes", 2.0 * hull.altitudes)
+        assert other == hull
+        with pytest.raises(TypeError):
+            polytope.StarPolyhedron(3, hull.vertices, hull.facets, hull.apex, altitudes=None)
+
+    def test_recomputed_by_replace_and_with_apex(self):
+        cube = polytope.cube_polyhedron(1.0)
+        assert cube.altitudes.tolist() == [0.5] * 6
+        moved = cube.with_apex([0.25, 0.5, 0.5])
+        assert moved.altitudes.tolist() == [0.5, 0.5, 0.5, 0.5, 0.25, 0.75]
+        wide = dataclasses.replace(cube, vertices=cube.vertices * [4.0, 1.0, 1.0],
+                                   apex=cube.apex * [4.0, 1.0, 1.0])
+        assert wide.altitudes.tolist() == [0.5, 0.5, 0.5, 0.5, 2.0, 2.0]
+
+
 class TestLiftCylinder:
     def test_disks_to_cylinders(self):
         disk = families.builtin("disk")

@@ -484,9 +484,23 @@ class TestSolveScan:
         self._assert_as_oracle(monkeypatch, wide, 32.0, self.FIXED, 2, self.S_04[::5])
 
     def test_fixed_coordinate_on_the_domain_end(self, monkeypatch):
-        # sin(pi) is 1.2e-16 > 0, but the angle pi lies outside the open interval
+        # sin(pi) is 1.2e-16 > 0, but the angle pi lies outside the open interval, so
+        # both scans raise the same DomainError before they scan
         self._assert_as_oracle(monkeypatch, families.builtin("parallelogram3"), 1e18,
                                {0: lambda s: s, 2: lambda s: math.pi}, 1, [1.0])
+
+    @pytest.mark.parametrize("i, value, interval", [
+        (0, math.nan, "(0.0, inf)"), (0, -1.0, "(0.0, inf)"), (1, math.inf, "(0.0, inf)"),
+        (2, math.pi, f"(0.0, {math.pi})"), (2, 0.0, f"(0.0, {math.pi})"),
+    ])
+    def test_fixed_coordinate_outside_its_interval(self, i, value, interval):
+        fixed = {0: lambda s: s, 1: lambda s: 2.0, 2: lambda s: 0.5}
+        fixed[i] = lambda s: value
+        j = 1 if i != 1 else 0
+        del fixed[j]
+        with pytest.raises(DomainError) as info:
+            search.solve_coordinate(families.builtin("parallelogram3"), 32.0, fixed, j, 0.5)
+        assert str(info.value) == f"fixed coordinate {i} is {value} at s=0.5, outside {interval}"
 
     def test_array_rounding_another_last_bit(self, monkeypatch):
         # an evaluator whose array results are one ulp above its values at single points,
