@@ -8,13 +8,13 @@ those pyramids shows that d V / A is simultaneously the area-weighted
 arithmetic mean and the volume-weighted harmonic mean of the pyramid
 altitudes, independent of the apex choice.
 
-Each polyhedron's facet geometry (unit normals, plane offsets, facet
-measures, with 3D facet areas from the Newell vector, and pyramid altitudes
-from the apex) and its bounding-box diagonal, the length scale of every
-tolerance, are fixed once at construction, in one segmented array pass over
-the vertex slots of all facets, whatever their sizes, at a power-of-two
-scale for polyhedra of every size; every operation below is an array
-expression over them.  Polyhedra and Steiner shapes must be finite.
+Each polyhedron's facet geometry (unit normals and facet measures, with 3D
+facet areas from the Newell vector, and pyramid altitudes) and its
+bounding-box diagonal, the length scale of every tolerance, are fixed once
+at construction, in one segmented array pass over the vertex slots of all
+facets at a power-of-two scale; every operation below is an array
+expression over them, in one frame, the apex's.  Polyhedra and Steiner
+shapes must be finite, and polyhedra closed.
 """
 
 from __future__ import annotations
@@ -56,21 +56,19 @@ class StarPolyhedron(Record):
 
     The geometry is fixed at construction: ``vertices`` and ``apex`` are
     read-only copies of the inputs, and the read-only arrays ``normals``
-    (unit outward normals, F x d), ``offsets`` (c_i with n_i . x = c_i on
-    facet i), ``measures`` (facet lengths or areas) and ``altitudes``
-    (c_i - n_i . apex) are computed once, as is ``diagonal``, the vertices'
-    bounding-box diagonal that scales the tolerances here and in
-    :func:`volume_from_support` and :func:`cohen_check`.
+    (unit outward normals, F x d), ``measures`` (facet lengths or areas) and
+    ``altitudes`` (n_i . (v_i - apex) for any vertex v_i of facet i) are
+    computed once, as is ``diagonal``, the vertices' bounding-box diagonal
+    that scales the tolerances here and in :func:`volume_from_support` and
+    :func:`cohen_check`.
     In 3D a facet's normal and area both come from its Newell vector, taken
     relative to its first vertex, which is exact for any simple planar
-    polygon, convex or not.  All facets share one array pass, each vector a
-    sequential sum over its facet's run of vertex slots (so it has the bits
-    of a sum over that facet alone), at every size at a power-of-two scale
-    where no square overflows.  Construction rejects non-finite
-    vertices or apex, and checks positive facet measure, planarity, and that
-    the apex lies strictly on the inner side of every facet hyperplane; an
-    error names the lowest-numbered bad facet.  A facet measure or a volume
-    outside the float range is an error too.
+    polygon, convex or not.  Construction rejects non-finite vertices or
+    apex, and checks positive facet measure, planarity, and that the apex
+    lies strictly on the inner side of every facet hyperplane; an error
+    names the lowest-numbered bad facet.  Facets that do not close
+    (|sum A_i n_i| > ``PLANARITY_RTOL`` sum A_i), and a facet measure or a
+    volume outside the float range, are errors too.
     """
 
     dimension: int
@@ -78,7 +76,6 @@ class StarPolyhedron(Record):
     facets: tuple[tuple[int, ...], ...]
     apex: np.ndarray
     normals: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
     measures: np.ndarray = field(init=False, repr=False, compare=False)
     altitudes: np.ndarray = field(init=False, repr=False, compare=False)
     diagonal: float = field(init=False, repr=False, compare=False)
@@ -108,14 +105,13 @@ class StarPolyhedron(Record):
             raise GeometryError("degenerate vertex set")
         if diag == math.inf:
             raise GeometryError("the vertices' bounding-box diagonal is outside the float range")
-        normals, offsets, measures, altitudes = _facet_geometry(d, vertices, facets, flat, apex, diag)
+        normals, measures, altitudes = _facet_geometry(d, vertices, facets, flat, apex, diag)
 
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "normals", _frozen(normals))
-        object.__setattr__(self, "offsets", _frozen(offsets))
         object.__setattr__(self, "measures", _frozen(measures))
         object.__setattr__(self, "altitudes", _frozen(altitudes))
         object.__setattr__(self, "diagonal", diag)
@@ -140,7 +136,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, apex: np.ndarray,
                     diag: float):
-    """Unit normals, offsets, measures and apex altitudes, in one segmented array pass.
+    """Unit normals, measures and apex altitudes, in one segmented array pass.
 
     The vertex slots of the valid facets lie end to end, each tagged with
     its facet, so one array expression serves facets of every size in memory
@@ -152,14 +148,14 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, ape
 
     Every polyhedron is computed with every coordinate scaled by 2**-shift,
     where the diagonal is 2**shift times a number in [0.5, 1), so that no
-    square overflows or underflows; the scaling is exact, and offsets,
-    measures and altitudes are scaled back at the end.  Raises for the
-    lowest-numbered bad facet, checking its vertex count, its measure, its
-    planarity and then the side of the apex (its altitude), and then for a
-    measure or a volume outside the float range.
+    square overflows or underflows; the scaling is exact, and measures and
+    altitudes n_i . (first_i - apex) are scaled back at the end.  Raises for
+    the lowest-numbered bad facet (its vertex count, measure, planarity, then
+    the apex's side, where a NaN altitude fails), then for facets that do not
+    close, then for a measure or a volume outside the float range.
     """
     shift = math.frexp(diag)[1]
-    vertices, apex = np.ldexp(vertices, -shift), np.ldexp(apex, -shift)
+    vertices = np.ldexp(vertices, -shift)
     diag = math.ldexp(diag, -shift)
     sizes = np.fromiter(map(len, facets), dtype=np.intp, count=len(facets))
     try:
@@ -174,10 +170,9 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, ape
     seg = np.repeat(ids, k)  # each slot's facet
     head = np.cumsum(k) - k  # each valid facet's first slot
     pts = np.take(vertices.T, flat[np.repeat(~miscounted, sizes)], axis=1)  # d x slots
-    first = np.zeros((len(facets), d))
-    first[ids] = pts[:, head].T
     tol = PLANARITY_RTOL * diag
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a far apex may scale to inf; its altitude fails the test
+        apex = np.ldexp(apex, -shift)
         rel = pts - np.repeat(pts[:, head], k, axis=1)
         terms = rel
         if d == 3:  # after a facet's last slot comes a first slot, rel +0.0 as at its own
@@ -189,9 +184,9 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, ape
         measures = length if d == 2 else 0.5 * length
         deviation = np.abs((rel * np.repeat(normals[ids].T, k, axis=1)).sum(axis=0))
         nonplanar = np.bincount(seg[deviation > tol], minlength=len(facets)) > 0  # never in 2D
-        offsets = _rowdot(normals, first)
-        dist = offsets - normals @ apex
-    checks = [miscounted, measures <= (0.0 if d == 2 else tol * diag), nonplanar, dist <= tol]
+        dist = np.zeros(len(facets))  # a miscounted facet has no first vertex
+        dist[ids] = _rowdot(normals[ids], pts[:, head].T - apex)
+    checks = [miscounted, measures <= (0.0 if d == 2 else tol * diag), nonplanar, ~(dist > tol)]
     bad = np.logical_or.reduce(checks)
     if bad.any():
         i = int(np.argmax(bad))
@@ -199,25 +194,32 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, ape
         say = [
             "2D facets are edges of 2 vertices" if d == 2 else "3D facets need >= 3 vertices",
             "zero-length edge" if d == 2 else "vanishing area",
-            f"non-planar (max deviation {math.ldexp(worst, shift):.3e} "
-            f"> {math.ldexp(tol, shift):.3e})",
-            f"apex is not strictly interior (signed distance {math.ldexp(dist[i], shift):.3e})",
+            f"non-planar (max deviation {_e_scaled(worst, shift)} > {_e_scaled(tol, shift)})",
+            f"apex is not strictly interior (signed distance {_e_scaled(dist[i], shift)})",
         ]
         raise GeometryError(f"facet {i}: {next(s for s, mask in zip(say, checks) if mask[i])}")
+    gap = math.hypot(*(measures @ normals).tolist()) / float(measures.sum())  # scale-free
+    if gap > PLANARITY_RTOL:
+        raise GeometryError(f"the facets do not close: |sum A_i n_i| = {gap:.3e} sum A_i")
     # the measures and the volume sum(A_i r_i) / d must be floats at scale 1 too
     name = "length" if d == 2 else "area"
     for i in measures.argmax(), measures.argmin():
         _require_float(f"facet {i}: {name}", measures[i], (d - 1) * shift)
     _require_float("volume", float(np.dot(measures, dist)) / d, d * shift)
-    return (normals, np.ldexp(offsets, shift), np.ldexp(measures, (d - 1) * shift),
-            np.ldexp(dist, shift))
+    return normals, np.ldexp(measures, (d - 1) * shift), np.ldexp(dist, shift)
+
+
+def _e_scaled(scaled: float, power: int) -> str:
+    """scaled * 2**power in ``.3e`` notation, through its logarithm where that is not a float."""
+    if scaled == 0 or -1074 < math.frexp(scaled)[1] + power <= 1024:  # NaN and inf too
+        return f"{math.ldexp(scaled, power):.3e}"
+    return ("-" if scaled < 0 else "") + _e_notation(math.log10(abs(scaled)) + power * math.log10(2.0))
 
 
 def _require_float(what: str, scaled: float, power: int) -> None:
     """Raise unless scaled * 2**power, for a scaled > 0, is a float other than 0 and inf."""
     if not -1074 < math.frexp(scaled)[1] + power <= 1024:
-        log10 = math.log10(scaled) + power * math.log10(2.0)
-        raise GeometryError(f"{what} {_e_notation(log10)} is outside the float range")
+        raise GeometryError(f"{what} {_e_scaled(scaled, power)} is outside the float range")
 
 
 def from_json(text: str) -> StarPolyhedron:
@@ -277,16 +279,16 @@ _SUPPORT_BLOCK = 1 << 20
 
 
 def _convex_support(p: StarPolyhedron) -> np.ndarray:
-    """h(n_i) at every facet normal; raises unless every vertex is inside every facet plane."""
-    step = max(1, _SUPPORT_BLOCK // len(p.vertices))
-    h = np.concatenate([
-        (p.vertices @ p.normals[i:i + step].T).max(axis=0)
-        for i in range(0, len(p.normals), step)
-    ])
-    excess = h - p.offsets
-    beyond = excess > CONVEXITY_RTOL * p.diagonal
-    if beyond.any():
-        idx = int(np.argmax(beyond))
+    """h(n_i) about the apex at every facet normal; raises where it exceeds the altitude r_i."""
+    rel = p.vertices - p.apex
+    step = max(1, _SUPPORT_BLOCK // len(rel))
+    h = np.empty(len(p.normals))
+    for i in range(0, len(h), step):
+        h[i:i + step] = (rel @ p.normals[i:i + step].T).max(axis=0)
+    excess = h - p.altitudes
+    tol = CONVEXITY_RTOL * p.diagonal
+    if excess.max() > tol:
+        idx = int(np.argmax(excess > tol))
         raise GeometryError(
             f"facet {idx}: vertices beyond the facet plane by {excess[idx]:.3e}; not convex"
         )
@@ -296,7 +298,7 @@ def _convex_support(p: StarPolyhedron) -> np.ndarray:
 def volume_from_support(p: StarPolyhedron) -> float:
     """V = (1/d) sum A_i h(u_i) over facet unit normals, for convex p.
 
-    Translation-covariant: the identity holds wherever the origin sits.
+    Translation-covariant: h is taken about the apex, wherever the origin sits.
     """
     return float(p.measures @ _convex_support(p)) / p.dimension
 
@@ -454,14 +456,7 @@ def cube_polyhedron(edge: float = 1.0, origin: Sequence[float] = (0.0, 0.0, 0.0)
 
 
 def regular_tetrahedron(edge: float = 1.0) -> StarPolyhedron:
-    # vertices of a regular tetrahedron inscribed in a cube, scaled to the edge
+    # alternate corners of a cube, scaled to the edge; facet k omits vertex k, CCW from outside
     raw = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
     verts = raw * (edge / (2.0 * math.sqrt(2.0)))
-    facets = []
-    for k in range(4):
-        tri = [i for i in range(4) if i != k]
-        n = np.cross(verts[tri[1]] - verts[tri[0]], verts[tri[2]] - verts[tri[0]])
-        if n @ (verts[k] - verts[tri[0]]) > 0:  # normal must point away from the 4th vertex
-            tri[1], tri[2] = tri[2], tri[1]
-        facets.append(tuple(tri))
-    return StarPolyhedron(3, verts, tuple(facets), np.zeros(3))
+    return StarPolyhedron(3, verts, ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2)), np.zeros(3))

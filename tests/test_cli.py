@@ -370,6 +370,36 @@ class TestPolyhedronCommands:
         code, _, _ = run(capsys, "starlike", "--file", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["starlike", "support-volume"])
+    @pytest.mark.parametrize("doc, message", [
+        ({**json.loads(polytope.cube_polyhedron().to_json()),
+          "facets": json.loads(polytope.cube_polyhedron().to_json())["facets"][1:]},
+         "the facets do not close: |sum A_i n_i| = 2.000e-01 sum A_i"),
+        ({"dimension": 2, "vertices": [[1.5e308, 1.5e308], [1.500000001e308, 1.5e308],
+                                       [1.500000001e308, 1.500000001e308], [1.5e308, 1.500000001e308]],
+          "facets": [[0, 1], [1, 2], [2, 3], [3, 0]], "apex": [1.5e308, -1.7e308]},
+         "facet 0: apex is not strictly interior (signed distance -3.200e+308)"),
+    ], ids=["open-cube", "far-apex"])
+    def test_rejected_at_construction(self, capsys, tmp_path, command, doc, message):
+        path = tmp_path / "polyhedron.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, command, "--file", str(path)) == (2, "", f"error: {message}\n")
+
+    def test_support_volume_of_a_far_tetrahedron(self, capsys, tmp_path):
+        # 4.4e6 from the origin: the convexity test in the apex frame does not cancel
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "dimension": 3,
+            "vertices": [[-4395900.959923073, 1668307.0178164383, 3255981.429683389],
+                         [-4395900.137122994, 1668307.4279736208, 3255981.036273784],
+                         [-4395900.162410726, 1668306.4477067539, 3255981.2323283697],
+                         [-4395900.132042306, 1668307.1072075034, 3255981.983418591]],
+            "facets": [[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]],
+            "apex": [-4395900.419797105, 1668306.964509761, 3255981.2328187777]}))
+        code, out, err = run(capsys, "support-volume", "--file", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["relative_residual"] <= 1e-12
+
     # facet 2 of the tetrahedron is [0, 3, 1]; 1.9 and true were read as vertex 1
     @pytest.mark.parametrize("key, value, message", [
         ("facets", [0, 3, 1.9], "facet vertex index must be an integer, got 1.9"),

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,8 +60,8 @@ def l_prism(start):
 
 
 def per_facet_geometry(p):
-    """Normals, offsets and measures from one facet at a time, as a reference."""
-    normals, offsets, measures = [], [], []
+    """Normals, apex altitudes and measures from one facet at a time, as a reference."""
+    normals, altitudes, measures = [], [], []
     for facet in p.facets:
         pts = p.vertices[list(facet)]
         if p.dimension == 2:
@@ -73,9 +74,9 @@ def per_facet_geometry(p):
             measure = 0.5 * float(np.linalg.norm(newell))
             n = newell / (2.0 * measure)
         normals.append(n)
-        offsets.append(float(n @ pts[0]))
+        altitudes.append(float(n @ (pts[0] - p.apex)))
         measures.append(measure)
-    return np.array(normals), np.array(offsets), np.array(measures)
+    return np.array(normals), np.array(altitudes), np.array(measures)
 
 
 # a triangular prism with three quadrilateral facets (0-2) before two triangles
@@ -200,7 +201,7 @@ class TestFacetGeometry:
     def test_matches_per_facet_loop(self, build):
         p = build()
         # only the rounding of a length-3 dot product may differ
-        for got, want in zip((p.normals, p.offsets, p.measures), per_facet_geometry(p)):
+        for got, want in zip((p.normals, p.altitudes, p.measures), per_facet_geometry(p)):
             np.testing.assert_array_max_ulp(got, want, maxulp=2)
 
     @pytest.mark.parametrize(
@@ -254,7 +255,7 @@ class TestFacetGeometry:
         perm = np.random.default_rng(seed).permutation(len(p.facets))
         q = polytope.StarPolyhedron(3, p.vertices, tuple(p.facets[i] for i in perm), p.apex)
         assert len({len(f) for f in q.facets}) >= 4
-        for got, want in zip((q.normals, q.offsets, q.measures), (p.normals, p.offsets, p.measures)):
+        for got, want in zip((q.normals, q.altitudes, q.measures), (p.normals, p.altitudes, p.measures)):
             assert np.array_equal(got, want[perm])
 
     def test_pyramid_over_a_1000_gon(self):
@@ -296,8 +297,27 @@ class TestFacetGeometry:
         p = polytope.StarPolyhedron(3, hull.vertices, np.array(hull.facets), hull.apex)
         assert p.facets == hull.facets
         assert all(type(i) is int for f in p.facets for i in f)
-        for got, want in zip((p.normals, p.offsets, p.measures), (hull.normals, hull.offsets, hull.measures)):
+        for got, want in zip((p.normals, p.altitudes, p.measures), (hull.normals, hull.altitudes, hull.measures)):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("args, message", [
+        # a cube without its bottom, and a square without its left edge: star-like, not closed
+        ((3, polytope.cube_polyhedron().vertices, polytope.cube_polyhedron().facets[1:],
+          np.full(3, 0.5)), "the facets do not close: |sum A_i n_i| = 2.000e-01 sum A_i"),
+        ((2, SQUARE, ((0, 1), (1, 2), (2, 3)), np.full(2, 0.5)),
+         "the facets do not close: |sum A_i n_i| = 3.333e-01 sum A_i"),
+        # the apex 3.2e308 below the bottom edge: a distance beyond the float range
+        ((2, np.array([[1.5e308, 1.5e308], [1.500000001e308, 1.5e308],
+                       [1.500000001e308, 1.500000001e308], [1.5e308, 1.500000001e308]]),
+          ((0, 1), (1, 2), (2, 3), (3, 0)), np.array([1.5e308, -1.7e308])),
+         "facet 0: apex is not strictly interior (signed distance -3.200e+308)"),
+    ])
+    def test_closed_and_apex_inside(self, args, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError) as info:
+                polytope.StarPolyhedron(*args)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -330,7 +350,7 @@ class TestScale:
             cube = polytope.cube_polyhedron(2.0**k)
             dec = polytope.decompose(cube)
         assert cube.normals.tolist() == unit.normals.tolist()
-        assert cube.offsets.tolist() == np.ldexp(unit.offsets, k).tolist()
+        assert cube.altitudes.tolist() == np.ldexp(unit.altitudes, k).tolist()
         assert cube.measures.tolist() == np.ldexp(unit.measures, 2 * k).tolist()
         assert dec.total_area == math.ldexp(dec1.total_area, 2 * k)
         assert dec.total_volume == math.ldexp(dec1.total_volume, 3 * k)
@@ -359,6 +379,21 @@ class TestScale:
             with pytest.raises(GeometryError) as info:
                 polytope.cube_polyhedron(edge)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("k", [-1070, -600, -357, -356, -200, -150, 0, 150, 200, 342, 343, 600, 1000])
+    def test_regular_tetrahedra_scale(self, k):
+        # V = edge**3 / (6 sqrt 2) and each facet area sqrt(3) / 4 edge**2 must be floats
+        log2_v, log2_a = 3 * k + math.log2(SQRT2 / 12), 2 * k + math.log2(math.sqrt(3.0) / 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not all(-1074 <= x < 1024 for x in (log2_v, log2_a)):
+                with pytest.raises(GeometryError, match="is outside the float range$"):
+                    polytope.regular_tetrahedron(2.0**k)
+                return
+            tet = polytope.regular_tetrahedron(2.0**k)
+        assert tet.facets == ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2))
+        volume = polytope.decompose(tet).total_volume
+        assert volume == pytest.approx(math.ldexp(SQRT2 / 12, 3 * k), rel=1e-12, abs=2.0**-1070)
 
 
 class TestMeanAltitudes:
@@ -464,6 +499,15 @@ class TestVolumeFromSupport:
             v_dec = polytope.decompose(p).total_volume
             assert v_sup == pytest.approx(v_dec, rel=1e-9)
 
+    def test_blocks_of_facets(self, monkeypatch):
+        # blocks of a few facets' products at a time give the bits and errors of one block
+        hull = sphere_hull(np.random.default_rng(8), 40)
+        cases = [hull, sphere_hull_dual(np.random.default_rng(8), 40), dented(hull, np.random.default_rng(8))]
+        whole = [outcome(polytope.volume_from_support, p) for p in cases]
+        monkeypatch.setattr(polytope, "_SUPPORT_BLOCK", 7 * len(hull.vertices))
+        assert [outcome(polytope.volume_from_support, p) for p in cases] == whole
+        assert "not convex" in whole[2]
+
     def test_nonconvex_rejected(self):
         # a dented square: reflex vertex pulled inside
         verts = np.array([[0, 0], [1, 0], [0.6, 0.3], [0.5, 1]], dtype=float)
@@ -511,10 +555,16 @@ def bbox_diagonal(vertices):
     return math.hypot(*np.ptp(vertices, axis=0).tolist())
 
 
+def apex_altitudes(p):
+    """n_i . (first vertex of facet i - apex), one facet at a time."""
+    return np.array([n @ (p.vertices[f[0]] - p.apex) for n, f in zip(p.normals, p.facets)])
+
+
 def reference_support(p):
-    """h(n_i) and its convexity check, with the diagonal taken from the vertices on each call."""
-    h = np.max(p.vertices @ p.normals.T, axis=0)
-    excess = h - p.offsets
+    """h(n_i) about the apex and its convexity check, with the diagonal taken from
+    the vertices on each call."""
+    h = np.max((p.vertices - p.apex) @ p.normals.T, axis=0)
+    excess = h - apex_altitudes(p)
     beyond = excess > polytope.CONVEXITY_RTOL * polytope._bbox_diagonal(p.vertices)
     if np.any(beyond):
         idx = int(np.argmax(beyond))
@@ -525,7 +575,7 @@ def reference_support(p):
 
 def reference_cohen(p, r):
     reference_support(p)
-    dist = p.offsets - p.normals @ p.apex
+    dist = apex_altitudes(p)
     off = np.abs(dist - r) > 1e-9 * max(polytope._bbox_diagonal(p.vertices), r)
     if np.any(off):
         idx = int(np.argmax(off))
@@ -619,7 +669,21 @@ def far_tetrahedra(rng, count):
         yield verts, unit.facets, centre + (1.0 - t) * (verts[facet].mean(axis=0) - centre)
 
 
-# a tetrahedron of the kind above whose apex altitude to facet 2 rounds to 0
+def exact_altitudes(p):
+    """Each facet's apex altitude from the exact Fraction values of the floats;
+    exact in sign, the square root of |n|^2 rounded once."""
+    verts = [list(map(Fraction, v)) for v in p.vertices.tolist()]
+    apex = list(map(Fraction, p.apex.tolist()))
+    out = []
+    for a, b, c in (map(verts.__getitem__, f) for f in p.facets):
+        u, v = [bi - ai for ai, bi in zip(a, b)], [ci - ai for ai, ci in zip(a, c)]
+        n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        length = Fraction(math.sqrt(sum(ni * ni for ni in n)))
+        out.append(sum(ni * (ai - qi) for ni, ai, qi in zip(n, a, apex)) / length)
+    return out
+
+
+# a tetrahedron of the kind above whose apex altitude to facet 2 is within the rounding
 FAR_TETRAHEDRON = """{"dimension": 3, "vertices": [
   [-7835462.376782649, -11733656.258788306, -7505090.497300938],
   [-7835462.625328396, -11733655.395775855, -7505090.937112852],
@@ -634,6 +698,9 @@ class TestAltitudes:
     test, decompose and cohen_check."""
 
     def test_far_tetrahedra_that_construct_decompose(self):
+        # taken in the apex frame, no altitude cancels: each accepted apex is
+        # interior in exact arithmetic on the same floats, and the support
+        # volume of the convex tetrahedron agrees with the decomposition
         built = 0
         for verts, facets, apex in far_tetrahedra(np.random.default_rng(0), 1000):
             try:
@@ -644,15 +711,17 @@ class TestAltitudes:
             built += 1
             dec = polytope.decompose(p)
             assert (dec.altitudes > 0).all() and dec.total_volume > 0
+            exact = exact_altitudes(p)
+            assert min(exact) > 0
+            assert np.abs(p.altitudes - [float(a) for a in exact]).max() <= 1e-14
+            v_sup = polytope.volume_from_support(p)
+            assert abs(v_sup - dec.total_volume) <= 1e-12 * dec.total_volume
         assert 200 < built < 1000
 
     def test_far_tetrahedron_document(self):
-        # whether its altitude rounds to 0 depends on how the BLAS sums n . apex
-        p = outcome(polytope.from_json, FAR_TETRAHEDRON)
-        if isinstance(p, str):
-            assert p == "facet 2: apex is not strictly interior (signed distance 0.000e+00)"
-        else:
-            assert polytope.decompose(p).total_volume > 0
+        # its exact altitude to facet 2 is 1.2432e-9, inside the tolerance 1.6e-9
+        assert outcome(polytope.from_json, FAR_TETRAHEDRON) == (
+            "facet 2: apex is not strictly interior (signed distance 1.243e-09)")
 
     @pytest.mark.parametrize("k", [0, 1, -1, 200, -200, 201, -201, 300, -300])
     def test_scale_exactly_across_sizes(self, k):
@@ -663,14 +732,14 @@ class TestAltitudes:
             big = polytope.StarPolyhedron(p.dimension, np.ldexp(p.vertices, k), p.facets,
                                           np.ldexp(apex, k))
             assert big.normals.tobytes() == unit.normals.tobytes()
-            assert big.offsets.tobytes() == np.ldexp(unit.offsets, k).tobytes()
             assert big.altitudes.tobytes() == np.ldexp(unit.altitudes, k).tobytes()
             measures = np.ldexp(unit.measures, (p.dimension - 1) * k)
             assert big.measures.tobytes() == measures.tobytes()
 
     def test_one_fixed_array(self):
         hull = sphere_hull(np.random.default_rng(6), 60).with_apex([0.1, 0.2, -0.3])
-        assert hull.altitudes.tobytes() == (hull.offsets - hull.normals @ hull.apex).tobytes()
+        assert hull.altitudes.tobytes() == apex_altitudes(hull).tobytes()
+        assert "offsets" not in {f.name for f in dataclasses.fields(hull)}
         assert polytope.decompose(hull).altitudes is hull.altitudes
         with pytest.raises(ValueError):
             hull.altitudes[0] = 1.0
