@@ -38,7 +38,8 @@ _WEIGHTS[1::2, 1] = [*_WG, *_WG[-2::-1]]
 def _at_points(f: Callable, t: np.ndarray) -> np.ndarray:
     """f at each point of the 1-D float array t: one call with t where :func:`_array_call`
     keeps a finite answer, else one call per point with a float, as a loop makes."""
-    y = _array_call(f, t, float)
+    with np.errstate(all="ignore"):
+        y = _array_call(f, t, float)
     if y is not None and np.isfinite(y).all():
         return y
     return np.array([f(x) for x in t.tolist()])

@@ -55,7 +55,9 @@ class FamilySpec:
     ``np.sqrt``.  ``feasible`` gets the (n, m) array too (join its tests by
     ``&``, not ``and``) if it answers the points of the build checks (below)
     with a bool array of shape (m,) equal to its answers point by point; one
-    that fails this check, or on a later array, is asked per point.
+    that fails this check, or on a later array, is asked per point.  Whether V,
+    A and any ``feasible`` all answer those points as arrays is ``_on_arrays``:
+    :func:`isolab.search.kmin` then batches up to 4 points a start a round.
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
@@ -108,13 +110,17 @@ class FamilySpec:
         # the seeded points of both build checks, one per column
         rng = np.random.default_rng(0)
         x = rng.uniform(*np.array(self.sample_box).T[:, :, None], (self.nparams, 32))
-        on_arrays = False  # whether feasible answers them at once as it does each alone
-        if self.feasible is not None:
-            answer = _array_call(self.feasible, x, bool)
-            with contextlib.suppress(Exception), np.errstate(all="ignore"):
-                on_arrays = answer is not None and answer.tolist() == [
-                    bool(self.feasible(p)) for p in x.T.copy()]
-        object.__setattr__(self, "_feasible_on_arrays", on_arrays)
+        with np.errstate(all="ignore"):
+            on_arrays = False  # whether feasible answers them at once as it does each alone
+            if self.feasible is not None:
+                answer = _array_call(self.feasible, x, bool)
+                with contextlib.suppress(Exception):
+                    on_arrays = answer is not None and answer.tolist() == [
+                        bool(self.feasible(p)) for p in x.T.copy()]
+            object.__setattr__(self, "_feasible_on_arrays", on_arrays)
+            object.__setattr__(self, "_on_arrays", (on_arrays or self.feasible is None) and all(
+                _array_call(f, x if self.nparams > 1 else x[0], float) is not None
+                for f in (self.volume, self.area)))
         if self.homogeneous_prefix_m is not None:
             self._check_homogeneous_prefix(self.homogeneous_prefix_m, x, rng.uniform(0.5, 2.0, 32))
 
@@ -129,9 +135,9 @@ class FamilySpec:
                 "intervals must be (0, inf)"
             )
         tx = np.vstack([x[:m] * t, x[m:]])
-        (v, a, ok), (vt, at, ok_t) = _evaluate_batch(self, x), _evaluate_batch(self, tx)
         t_area = math.prod([t] * (self.dimension - 1))
         with np.errstate(all="ignore"):  # points that evaluate rejects are not checked
+            (v, a, ok), (vt, at, ok_t) = _evaluate_batch(self, x), _evaluate_batch(self, tx)
             bad = ok & ok_t & ((abs(vt - t * t_area * v) > 1e-9 * abs(vt))
                                | (abs(at - t_area * a) > 1e-9 * abs(at)))
         if bad.any():
@@ -175,8 +181,8 @@ def evaluate(family: FamilySpec, x) -> tuple[float, float]:
 
     When n = 1 the evaluators get a float, also from a length-1 vector.
     Raises :class:`DomainError` naming the point when it has the wrong number
-    of coordinates or lies outside the domain, an evaluator overflows or
-    divides by zero, or V and A are not both finite and positive there.
+    of coordinates or lies outside the domain, an evaluator overflows, divides
+    by zero or warns (``-W error``), or V and A are not both finite and positive.
     """
     # len, not nparams: this runs for every Q of a search
     if not family.contains(x):
@@ -188,8 +194,9 @@ def evaluate(family: FamilySpec, x) -> tuple[float, float]:
     p = x if len(family.domain) > 1 else np.asarray(x, dtype=float).item()
     try:
         v, a = family.volume(p), family.area(p)
-    except ArithmeticError as exc:  # Python float arithmetic raises where numpy's gives inf
-        what = "divides by zero" if isinstance(exc, ZeroDivisionError) else "overflows"
+    except (ArithmeticError, RuntimeWarning) as exc:  # Python floats raise; numpy scalars warn
+        what = ("divides by zero" if isinstance(exc, ZeroDivisionError)
+                else "overflows" if isinstance(exc, OverflowError) else f"warns ({exc})")
         raise DomainError(
             f"V or A {what} at point {np.asarray(x).tolist()} of {family.id!r}"
         ) from None
@@ -211,7 +218,8 @@ def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
     if np.any(outside):
         point = grid[np.argmax(outside)]
         raise DomainError(f"grid point {point} outside ({lo}, {hi}) of family {family.id!r}")
-    v, a, ok = _evaluate_batch(family, grid[None])
+    with np.errstate(all="ignore"):
+        v, a, ok = _evaluate_batch(family, grid[None])
     if not ok.all():
         i = int(np.argmin(ok))
         evaluate(family, grid[i])  # raises, naming the point
@@ -221,10 +229,10 @@ def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
 
 def _array_call(f: Callable, x: np.ndarray, dtype) -> np.ndarray | None:
     """f(x) from one call with the array x, whose last axis holds the points, if it is
-    an array of ``dtype`` with one value per point; else None: ask f point by point."""
+    an array of ``dtype`` with one value per point; else None: ask f point by point.
+    Call it under ``np.errstate(all="ignore")``, as x may hold points where f overflows."""
     try:
-        with np.errstate(all="ignore"):
-            y = np.asarray(f(x))
+        y = np.asarray(f(x))
     except Exception:  # raised again per point, if f fails there too
         return None
     return y if y.shape == x.shape[-1:] and y.dtype == dtype else None
@@ -237,7 +245,8 @@ def _evaluate_batch(family: FamilySpec, x: np.ndarray):
     array, ``ok`` makes the checks of :func:`evaluate` as masks, asking ``feasible``
     once on x where it acts on arrays (see :class:`FamilySpec`), else per accepted
     point.  Else each point goes through :func:`evaluate`: V = A = NaN and ``ok``
-    False where it raises :class:`DomainError`; other exceptions propagate."""
+    False where it raises :class:`DomainError`; other exceptions propagate.  Its
+    caller holds one ``np.errstate(all="ignore")`` over all of it and what follows."""
     p = x if len(x) > 1 else x[0]
     v = _array_call(family.volume, p, float)
     a = None if v is None else _array_call(family.area, p, float)

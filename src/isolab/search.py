@@ -81,7 +81,8 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
     Q is constant and is evaluated once, at x = 1.  With one coordinate left
     to search, the sorted start points are scanned and the best one refined
     by golden-section search; with two or more, the starts run Nelder-Mead
-    in lockstep (:func:`_lockstep`), each as SciPy would run it alone.
+    in lockstep (:func:`_lockstep`), each as SciPy would run it alone, in one
+    batch of Q a round, up to 4 points a start, if ``FamilySpec._on_arrays``.
 
     The minimum is ``attained`` when all 2n points x +- BOUNDARY_REL_TOL *
     (|x_i| + 1) e_i around the best point x are inside the class by
@@ -146,15 +147,13 @@ def _minimize(
         x[first:] = z.T
         return _ratios(nfamily, x)
 
-    best_z, best_f = points[0], math.inf
     z0 = points[[inside(z) for z in points]]
-    if len(z0):
-        fatol = tol * np.maximum(np.abs(fs(z0)), 1.0)
-        zs, fz, _ = _lockstep(fs, z0, tol, fatol)
-        for z, fv in zip(zs, fz.tolist()):
-            if fv < best_f:
-                best_z, best_f = z, fv
-    return whole(best_z), best_f, True
+    if not len(z0):
+        return whole(points[0]), math.inf, True
+    fatol = tol * np.maximum(np.abs(fs(z0)), 1.0)
+    zs, fz, _ = _lockstep(fs, z0, tol, fatol, nfamily._on_arrays)
+    best = int(np.argmin(fz))  # the first start of least Q
+    return whole(zs[best]), float(fz[best]), True
 
 
 def _ratios(nfamily: FamilySpec, x: np.ndarray) -> np.ndarray:
@@ -163,8 +162,8 @@ def _ratios(nfamily: FamilySpec, x: np.ndarray) -> np.ndarray:
     :func:`~isolab.families._evaluate_batch`, the one path of V and A at many
     points, then :func:`ratio` on the arrays, inf where a point is rejected or
     Q overflows."""
-    v, a, ok = _evaluate_batch(nfamily, x)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # one block over the evaluators, the masks and Q
+        v, a, ok = _evaluate_batch(nfamily, x)
         q = ratio(nfamily.dimension, v, a)
     return np.where(ok & np.isfinite(q), q, math.inf)
 
@@ -231,84 +230,85 @@ def _expand(q: Callable[[float], float], inner: float, x: float, fx: float):
 
 
 def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: float,
-              fatol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              fatol: np.ndarray, on_arrays: bool = False) -> tuple[np.ndarray, ...]:
     """SciPy 1.17's Nelder-Mead (Nelder & Mead 1965), maxiter = maxfev =
     _NM_MAX_EVALS, from each row of the (S, n) array x0 at once, start s with
     the tolerances ``xatol`` and ``fatol[s]``; returns each start's x, f(x)
     and number of evaluations, each bit-identical to a SciPy run of it alone.
 
-    The simplices of the running starts form one (k, n+1, n) array.  Each
-    round drops the starts that have converged or reached a cap, then hands
-    ``fs`` all reflection points as one (k, n) array, then all expansion or
-    contraction points, then all shrink points, and applies each start's
-    branch through masks.  Each start counts its own evaluations up to the
-    cap; as in SciPy, a shrink cut short by the cap moves the vertex whose
-    evaluation would pass it and leaves its f stale.  SciPy's cap on
-    iterations, the same number, never stops a start first: each iteration
-    costs at least one evaluation, and the first simplex n + 1.
+    The simplices of the running starts form one (k, n+1, n) array.  Each round
+    drops the starts that have converged or reached a cap, forms each one's
+    reflection and three second points (expansion, outside and inside
+    contraction) as one (4, k, n) array, and takes each start's branch by masks
+    and one gather.  ``fs`` gets all 4k points in one call where ``on_arrays``
+    (``FamilySpec._on_arrays``), else the reflections and then the second points
+    taken; then any shrink points.  Each start counts only the evaluations SciPy
+    makes, up to the cap; as in SciPy, a shrink cut short by the cap moves the
+    vertex whose evaluation would pass it and leaves its f stale.  SciPy's cap on
+    iterations, the same number, never stops a start first: each iteration costs
+    at least one evaluation, and the first simplex n + 1.
     """
     count, n = x0.shape
     x_out, f_out, calls_out = np.empty((count, n)), np.empty(count), np.empty(count, dtype=int)
+    # SciPy's a * xbar - (a - 1) * worst: a = 2 reflects, 3 expands, 1.5 and 0.5 contract
+    # outside and inside, where a * xbar - (-0.5 * worst) rounds as its sum does
+    a, a1 = np.array([[2.0, 3.0, 1.5, 0.5], [1.0, 2.0, 0.5, -0.5]])[:, :, None, None]
     sim = np.repeat(x0[:, None], n + 1, axis=1)
     axes = np.arange(n)
     sim[:, axes + 1, axes] = np.where(x0 != 0, 1.05 * x0, 0.00025)
     fsim = fs(sim.reshape(-1, n)).reshape(count, n + 1)
-    ids, calls, rows = np.arange(count), np.full(count, n + 1), np.arange(count)[:, None]
+    ids, calls, lanes = np.arange(count), np.full(count, n + 1), np.arange(count)
     most = n + 1  # no start has made more evaluations: a round makes at most n + 2
     order = fsim.argsort(axis=1)  # SciPy sorts the first simplex twice: argsort may reorder ties
-    sim, fsim = sim[rows, order], fsim[rows, order]
+    sim, fsim = sim[lanes[:, None], order], fsim[lanes[:, None], order]
     while True:
         # argsort along axis 1 sorts each row by itself, with numpy's 1-D sort,
         # so tied vertices fall in the order they take in a run of their start alone
         order = fsim.argsort(axis=1)
-        sim, fsim = sim[rows, order], fsim[rows, order]
+        sim, fsim = sim[lanes[:, None], order], fsim[lanes[:, None], order]
         # SciPy's test; each f row is sorted, so its largest |f0 - fj| is f[-1] - f0
         with np.errstate(invalid="ignore"):  # inf - inf where f0 is inf
             done = np.isfinite(fsim[:, 0]) & (fsim[:, -1] - fsim[:, 0] <= fatol)
-        if done.any():
+        if np.count_nonzero(done):  # faster than .any() on a few starts; this runs every round
             done &= np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(ids), -1).max(axis=1) <= xatol
         if most >= _NM_MAX_EVALS:
             done |= calls >= _NM_MAX_EVALS
-        if done.any():
+        if np.count_nonzero(done):
             x_out[ids[done]], f_out[ids[done]] = sim[done, 0], fsim[done].min(axis=1)
             calls_out[ids[done]] = calls[done]
             if done.all():
                 return x_out, f_out, calls_out
             ids, sim, fsim, calls, fatol = (v[~done] for v in (ids, sim, fsim, calls, fatol))
-            rows = rows[:len(ids)]
+            lanes = lanes[:len(ids)]
         xbar = sim[:, 0]
         for j in range(1, n):  # vertex by vertex, as SciPy's sum over the vertices adds
             xbar = xbar + sim[:, j]
         xbar = xbar / n
-        worst = sim[:, -1]
-        xr = 2 * xbar - worst
-        fxr = fs(xr)
-        calls += 1
+        points = a * xbar - a1 * sim[:, -1]  # row 0 the reflections, then the second points
+        # without on_arrays, rows 1-3 copy row 0 until the second points taken come in below
+        f = fs(points.reshape(-1, n)) if on_arrays else np.concatenate([fs(points[0])] * 4)
+        f = f.reshape(4, -1)  # Q at the points: SciPy evaluates one or two of each start's four
+        fxr = f[0]
         expand, outside = fxr < fsim[:, 0], fxr < fsim[:, -1]
         reflect = ~expand & (fxr < fsim[:, -2])
         second = ~reflect  # unless the cap stops the step halfway
         if most + 1 >= _NM_MAX_EVALS:
-            second &= calls < _NM_MAX_EVALS
-        x2, f2 = xr, np.full(len(ids), math.nan)
-        if second.any():
-            # SciPy's a * xbar - (a - 1) * worst: a = 3 expands, 1.5 and 0.5 contract
-            # outside and inside, where a * xbar - (-0.5 * worst) rounds as its sum does
-            a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))[:, None]
-            x2 = a * xbar - (a - 1.0) * worst
-            f2[second] = fs(x2[second])
-            calls += second
+            second &= calls + 1 < _NM_MAX_EVALS
+        branch = 3 - expand - outside  # each start's second point: 1, 2 or 3
+        if not on_arrays and (i := second.nonzero()[0]).size:
+            f[branch[i], i] = fs(points[branch[i], i])
+        calls += 1 + second
+        f2 = f[branch, lanes]
         # expansion: the better of the two points; contraction: its point or a shrink
         take2 = second & np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
         shrink = second & ~expand & ~take2
-        replace = reflect | second & expand | take2
-        sim[:, -1] = np.where(replace[:, None], np.where(take2[:, None], x2, xr), worst)
-        fsim[:, -1] = np.where(replace, np.where(take2, f2, fxr), fsim[:, -1])
-        if shrink.any():
+        swap = (reflect | second & expand | take2).nonzero()[0]  # the starts whose worst vertex goes
+        pick = (branch * take2)[swap]  # the reflection, row 0, unless the second point is taken
+        sim[swap, -1], fsim[swap, -1] = points[pick, swap], f[pick, swap]
+        if np.count_nonzero(shrink):
             r = shrink.nonzero()[0]
-            left = _NM_MAX_EVALS - calls[r]  # each start's evaluations before its cap
-            vertex = np.arange(1, n + 1)
-            moved = vertex <= left[:, None] + 1  # the first vertex past the cap moves, unevaluated
-            evaluated = vertex <= left[:, None]
+            past = calls[r][:, None] + np.arange(1, n + 1) - _NM_MAX_EVALS  # > 0: past the cap
+            moved, evaluated = past <= 1, past <= 0  # the first past the cap moves, unevaluated
             tail, ftail = sim[r, 1:], fsim[r, 1:]
             tail[moved] = (sim[r, :1] + 0.5 * (tail - sim[r, :1]))[moved]
             if evaluated.any():

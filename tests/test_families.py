@@ -218,6 +218,19 @@ class TestOneEvaluationPath:
             q = search._ratios(spec, np.column_stack([np.ones(3), x]))
         assert math.isfinite(q[0]) and q[1] == math.inf  # the same column
 
+    def test_warning_of_an_evaluator_is_a_domain_error(self):
+        spec = families.builtin("parallelogram3")
+        x = np.array([1e308, 1.0, 1.0])  # A's 2.0 * x[0] overflows on a numpy scalar
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert search.ratio_function(spec)(x) == math.inf
+            with pytest.raises(DomainError, match=re.escape(
+                    "V or A warns (overflow encountered in scalar multiply) at point "
+                    "[1e+308, 1.0, 1.0] of 'parallelogram3'")):
+                families.evaluate(spec, x)
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="A = inf at point"):
+            families.evaluate(spec, x)  # where numpy does not warn, A is inf
+
     @pytest.mark.parametrize("fid", ["cube", "hexagon_120", "ngon"])
     def test_classify_q_equals_ratio_function(self, fid):
         fam = families.builtin(fid)
