@@ -1,33 +1,25 @@
 """Numerical toolkit for homogeneous shape families and isoperimetric geometry.
 
-Submodules:
+Submodules, each loaded on first use (``isolab.search``, ``from isolab import search``):
     families     -- built-in parametric region families and the registry
     calculus     -- differentiation, quadrature inradius curves, dV/dr = A
-    homogeneity  -- Tong inradius, classification
+    homogeneity  -- classification, elasticity, constant-area check
     search       -- k_min over shape classes and level-set continuation
     polytope     -- star-like polyhedra, support functions, parallel bodies
-    inequalities -- isoperimetric deficit and Bonnesen-type inequalities
+    inequalities -- Tong inradius, isoperimetric deficit, Bonnesen-type inequalities
     cli          -- command-line interface
 """
 
-from . import calculus, families, homogeneity, inequalities, polytope, search
-from .errors import (
-    CheckFailedError,
-    ConvergenceError,
-    DomainError,
-    GeometryError,
-    IsolabError,
-)
+import importlib
+
+from .errors import CheckFailedError, ConvergenceError, DomainError, GeometryError, IsolabError
 
 __version__ = "0.1.0"
 
+_SUBMODULES = ("calculus", "cli", "families", "homogeneity", "inequalities", "polytope", "search")
+
 __all__ = [
-    "calculus",
-    "families",
-    "homogeneity",
-    "inequalities",
-    "polytope",
-    "search",
+    *_SUBMODULES,
     "CheckFailedError",
     "ConvergenceError",
     "DomainError",
@@ -35,3 +27,13 @@ __all__ = [
     "IsolabError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):  # PEP 562: called only for a name not yet bound here
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULES})

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import json
 import math
 import sys
 from typing import Callable
 
-import numpy as np
-
-from . import calculus, families, homogeneity, inequalities, polytope, search
 from .errors import CheckFailedError, ConvergenceError, DomainError, GeometryError
 
 EXIT_OK = 0
@@ -65,12 +63,13 @@ def _parse_params(items: list[str] | None) -> dict:
 
 def _finite(values, what: str):
     """``values`` (a float or an array), unless some entry is NaN or infinite."""
-    if not np.all(np.isfinite(values)):
+    if not all(map(math.isfinite, getattr(values, "flat", (values,)))):  # a float needs no numpy
         raise DomainError(f"{what}: NaN and infinity are not allowed")
     return values
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    import numpy as np
     try:
         lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
@@ -83,6 +82,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _parse_numbers(spec: str) -> np.ndarray:
+    import numpy as np
     try:
         values = np.array([float(v) for v in spec.split(",")])
     except ValueError as exc:
@@ -145,6 +145,7 @@ def _parse_fixed(item: str) -> tuple[int, Callable[[float], float]]:
 
 
 def _one_param_family(args) -> families.FamilySpec:
+    from . import families
     spec = families.builtin(args.family, **_parse_params(getattr(args, "param", None)))
     if spec.nparams != 1:
         raise DomainError(f"{args.family!r} is a multi-parameter class, not a one-parameter family")
@@ -164,23 +165,26 @@ def _jdump(obj) -> str:
 
 
 # ------------------------------------------------------------------ #
-# subcommand handlers: each writes one document or raises
+# subcommand handlers: each writes one document or raises, importing only what it uses
 # ------------------------------------------------------------------ #
 
 
 def cmd_families(args) -> None:
+    from . import families
     _emit(args, families.catalog_json())
 
 
 def cmd_eval(args) -> None:
+    from . import families, inequalities
     fam = _one_param_family(args)
     v, a = families.evaluate(fam, args.s)
     _emit(args, _jdump({"family": fam.id, "s": args.s, "V": v, "A": a,
                         "Q": families.ratio_at(fam, args.s, v, a),
-                        "r_tong": homogeneity.tong_inradius(fam.dimension, v, a)}))
+                        "r_tong": inequalities.tong_inradius(fam.dimension, v, a)}))
 
 
 def cmd_inradius(args) -> None:
+    from . import calculus
     fam = _one_param_family(args)
     grid = _parse_grid(args.grid)
     curve = calculus.inradius_by_quadrature(fam, args.s0, args.C, grid)
@@ -188,6 +192,7 @@ def cmd_inradius(args) -> None:
 
 
 def cmd_classify(args) -> None:
+    from . import homogeneity
     fam = _one_param_family(args)
     grid = _parse_grid(args.grid)
     report = homogeneity.classify(fam, grid, rtol=args.rtol)
@@ -203,17 +208,20 @@ def cmd_classify(args) -> None:
 
 
 def cmd_kmin(args) -> None:
+    from . import families, search
     nfam = families.builtin(args.cls)
     result = search.kmin(nfam, starts=args.starts, tol=args.tol, seed=args.seed)
     _emit(args, result.to_json())
 
 
 def cmd_kmin_table(args) -> None:
+    from . import search
     rows = search.kmin_table(starts=args.starts, tol=args.tol, seed=args.seed)
     _emit(args, _jdump(rows))
 
 
 def cmd_trace(args) -> None:
+    from . import families, search
     nfam = families.builtin(args.cls)
     start = _parse_numbers(args.start)
     curve = search.trace_level_set(nfam, args.k, start, steps=args.steps, step_size=args.step_size)
@@ -221,6 +229,7 @@ def cmd_trace(args) -> None:
 
 
 def cmd_solve_coordinate(args) -> None:
+    from . import families, search
     nfam = families.builtin(args.cls)
     fixed = {}
     for idx, fn in map(_parse_fixed, args.fixed):
@@ -232,11 +241,13 @@ def cmd_solve_coordinate(args) -> None:
 
 
 def _load_polyhedron(path: str) -> polytope.StarPolyhedron:
+    from . import polytope
     with open(path) as fh:
         return polytope.from_json(fh.read())
 
 
 def cmd_starlike(args) -> None:
+    from . import polytope
     p = _load_polyhedron(args.file)
     dec = polytope.decompose(p)
     arith, harm = polytope.mean_altitudes(dec)
@@ -254,6 +265,7 @@ def cmd_starlike(args) -> None:
 
 
 def cmd_support_volume(args) -> None:
+    from . import polytope
     p = _load_polyhedron(args.file)
     v_sup = polytope.volume_from_support(p)
     v_dec = polytope.decompose(p).total_volume
@@ -262,6 +274,7 @@ def cmd_support_volume(args) -> None:
 
 
 def cmd_cohen(args) -> None:
+    from . import polytope
     p = _load_polyhedron(args.file)
     residual = polytope.cohen_check(p, args.r)
     _emit(args, _jdump({"r": args.r, "residual": residual}))
@@ -270,17 +283,20 @@ def cmd_cohen(args) -> None:
 
 
 def cmd_lift(args) -> None:
+    from . import families, inequalities, polytope
     base = _one_param_family(args)
     c = args.rho_scale
     lifted = polytope.lift_cylinder(base, rho=lambda s: c * s, drho=lambda s: c, rtol=args.rtol)
     grid = _parse_grid(args.grid)
     v, a = families.sample(lifted, grid)
-    rows = [{"s": s, "V": vi, "A": ai, "r_tong": homogeneity.tong_inradius(lifted.dimension, vi, ai)}
+    rows = [{"s": s, "V": vi, "A": ai, "r_tong": inequalities.tong_inradius(lifted.dimension, vi, ai)}
             for s, vi, ai in zip(grid.tolist(), v.tolist(), a.tolist())]
     _emit(args, _jdump({"id": lifted.id, "dimension": lifted.dimension, "samples": rows}))
 
 
 def cmd_steiner(args) -> None:
+    import numpy as np
+    from . import polytope
     if args.box:
         shape = _parse_numbers(args.box)
     elif args.polygon_file:
@@ -303,6 +319,7 @@ def cmd_steiner(args) -> None:
 
 
 def cmd_bonnesen(args) -> None:
+    from . import inequalities
     needed = ("P", "r") if args.two_d else ("V",)
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
@@ -323,6 +340,7 @@ def cmd_bonnesen(args) -> None:
 
 
 def cmd_deficit(args) -> None:
+    from . import inequalities
     value = inequalities.deficit(args.d, args.V, args.A)
     _emit(args, _jdump({"d": args.d, "V": args.V, "A": args.A, "deficit": value}))
 
@@ -447,8 +465,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    # numpy warns on stderr; a non-finite value is rejected where it arises
-    with np.errstate(all="ignore"):
+    if args.handler in (cmd_bonnesen, cmd_deficit):  # float arithmetic: no numpy to load
+        quiet = contextlib.nullcontext()
+    else:  # numpy warns on stderr; a non-finite value is rejected where it arises
+        import numpy as np
+        quiet = np.errstate(all="ignore")
+    with quiet:
         try:
             for name, value in vars(args).items():
                 if isinstance(value, float):

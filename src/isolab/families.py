@@ -16,12 +16,13 @@ import contextlib
 import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError
+from .records import Record  # calculus, homogeneity, polytope and search import it from here
 
 Interval = tuple[float, float]
 
@@ -293,15 +294,6 @@ def ratio_at(family: FamilySpec, point, v: float, a: float) -> float:
     if not math.isfinite(q):  # inf, or NaN from inf / inf
         raise DomainError(f"Q overflows at point {point} of {family.id!r}")
     return q
-
-
-class Record:
-    """Base of the result dataclasses: their one JSON form, with arrays as lists,
-    nested dataclasses as objects, and no field declared ``field(repr=False)``."""
-
-    def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
-        return json.dumps(doc, default=lambda x: asdict(x) if is_dataclass(x) else x.tolist())
 
 
 def _frozen(values) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Tong inradius, elasticity, and homogeneity verdicts.
+"""Elasticity and homogeneity verdicts, with ``tong_inradius`` from ``inequalities``.
 
 A one-parameter family is homogeneous exactly when its isoperimetric ratio
 Q = A^d / V^(d-1) is constant; equivalently the change-of-variable curve
@@ -17,14 +17,7 @@ import numpy as np
 from .calculus import InradiusCurve, _inradius, _require_ordered, dr_ds, integrate
 from .errors import DomainError
 from .families import FamilySpec, Record, _e_notation, _frozen, evaluate, ratio, ratio_at, sample
-from .inequalities import _log_ball_ratio, ball_ratio
-
-
-def tong_inradius(d: int, v: float, a: float) -> float:
-    """r = d V / A, the distinguished linear dimension of a homogeneous family."""
-    if v <= 0 or a <= 0:
-        raise DomainError("V and A must be positive")
-    return d * v / a
+from .inequalities import _log_ball_ratio, ball_ratio, tong_inradius
 
 
 @dataclass(frozen=True, eq=False)  # == is identity: arrays have no single truth value

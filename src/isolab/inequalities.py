@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .families import Record
+from .records import Record
 
 # hybrid comparison tolerance; rows can be exact zeros at equality cases
 HOLD_TOL = 1e-12
@@ -76,6 +76,13 @@ def deficit(d: int, v: float, a: float) -> float:
             raise DomainError(f"the isoperimetric deficit in d = {d} is outside the float range")
         value = math.copysign(math.exp(log_value), log_a - log_b)
     return value
+
+
+def tong_inradius(d: int, v: float, a: float) -> float:
+    """r = d V / A, the distinguished linear dimension of a homogeneous family."""
+    if v <= 0 or a <= 0:
+        raise DomainError("V and A must be positive")
+    return d * v / a
 
 
 @dataclass(frozen=True)

@@ -151,8 +151,9 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, ape
     square overflows or underflows; the scaling is exact, and measures and
     altitudes n_i . (first_i - apex) are scaled back at the end.  Raises for
     the lowest-numbered bad facet (its vertex count, measure, planarity, then
-    the apex's side, where a NaN altitude fails), then for facets that do not
-    close, then for a measure or a volume outside the float range.
+    the apex's side, where a NaN altitude fails but names its facet only where
+    no other facet is bad), then for facets that do not close, then for a
+    measure or a volume outside the float range.
     """
     shift = math.frexp(diag)[1]
     vertices = np.ldexp(vertices, -shift)
@@ -188,8 +189,9 @@ def _facet_geometry(d: int, vertices: np.ndarray, facets: tuple, flat: list, ape
         dist[ids] = _rowdot(normals[ids], pts[:, head].T - apex)
     checks = [miscounted, measures <= (0.0 if d == 2 else tol * diag), nonplanar, ~(dist > tol)]
     bad = np.logical_or.reduce(checks)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if bad.any():  # a NaN altitude names its facet only where no other facet is bad
+        named = np.flatnonzero(bad)
+        i = int(named[np.argmin(np.isnan(dist[named]) & ~np.logical_or.reduce(checks[:3])[named])])
         worst = deviation[seg == i].max() if nonplanar[i] else math.nan
         say = [
             "2D facets are edges of 2 vertices" if d == 2 else "3D facets need >= 3 vertices",

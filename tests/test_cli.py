@@ -731,6 +731,79 @@ def test_readme_line_loads_no_scipy(tmp_path, line):
     assert proc.stdout.splitlines()[-1] == "[]", line
 
 
+def run_commands(cwd, *argvs):
+    """``cli.main`` on each argv in turn, in one fresh interpreter: the exit codes, the
+    ``isolab`` submodules loaded after the last, and whether numpy is loaded."""
+    code = ("import json, sys; from isolab import cli; "
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, sorted(m[7:] for m in sys.modules if m.startswith('isolab.')), "
+            "'numpy' in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, modules, numpy = json.loads(proc.stdout.splitlines()[-1])
+    return codes, set(modules), numpy
+
+
+# float arithmetic and argparse alone: the README's bonnesen and deficit lines, --help,
+# and a usage error
+def test_float_commands_and_usage_errors_load_no_numpy(tmp_path):
+    codes, modules, numpy = run_commands(
+        tmp_path, ["bonnesen", "--d", "3", "--V", "1", "--A", "6"],
+        ["bonnesen", "--2d", "--P", "6", "--A", "2", "--r", "0.5"],
+        ["deficit", "--d", "2", "--V", "1", "--A", "4"], ["--help"], ["bonnesen", "--d", "3"])
+    assert codes == [0, 0, 0, 0, 1]
+    assert (modules, numpy) == ({"cli", "errors", "inequalities", "records"}, False)
+
+
+def test_package_loads_submodules_on_first_use():
+    proc = run_process("-c", """if True:
+        import sys, isolab
+        assert 'numpy' not in sys.modules, 'import isolab loads numpy'
+        assert not [m for m in sys.modules if m.startswith('isolab.') and m != 'isolab.errors']
+        from isolab import search
+        assert search is sys.modules['isolab.search'] and isolab.search is search
+        assert isolab.polytope.cube_polyhedron().dimension == 3
+        assert set(isolab.__all__) <= set(dir(isolab))
+        try:
+            isolab.nosuch
+        except AttributeError as exc:
+            assert str(exc) == "module 'isolab' has no attribute 'nosuch'", exc
+        else:
+            raise AssertionError('isolab.nosuch resolved')
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+# the isolab submodules each README command loads besides cli and errors: a top-level import
+# added later shows here
+_SEARCH = {"families", "records", "search"}
+_POLYTOPE = {"families", "polytope", "records"}
+_CLASSIFY = {"calculus", "families", "homogeneity", "inequalities", "records"}
+COMMAND_MODULES = {
+    "families": {"families", "records"},
+    "eval": {"families", "inequalities", "records"},
+    "inradius": {"calculus", "families", "records"},
+    "classify": _CLASSIFY,
+    "kmin": _SEARCH, "kmin-table": _SEARCH, "solve-coordinate": _SEARCH, "trace": _SEARCH,
+    "starlike": _POLYTOPE, "support-volume": _POLYTOPE, "cohen": _POLYTOPE, "steiner": _POLYTOPE,
+    "lift": _CLASSIFY | {"polytope"},  # lift_cylinder classifies its base family
+    "bonnesen": {"inequalities", "records"},
+    "deficit": {"inequalities", "records"},
+}
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_line_loads_only_its_modules(tmp_path, line):
+    (tmp_path / "cube.json").write_text(polytope.cube_polyhedron().to_json())
+    argv = shlex.split(line, comments=True)[1:]
+    codes, modules, numpy = run_commands(tmp_path, argv)
+    assert codes == [0]
+    assert modules == {"cli", "errors"} | COMMAND_MODULES[argv[0]], line
+    assert numpy == (argv[0] not in ("bonnesen", "deficit")), line
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
 

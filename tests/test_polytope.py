@@ -311,6 +311,11 @@ class TestFacetGeometry:
                        [1.500000001e308, 1.500000001e308], [1.5e308, 1.500000001e308]]),
           ((0, 1), (1, 2), (2, 3), (3, 0)), np.array([1.5e308, -1.7e308])),
          "facet 0: apex is not strictly interior (signed distance -3.200e+308)"),
+        # an apex 1e308 to the right of a square of side 1e-200 scales to inf: the altitudes
+        # of facets 0 and 2 are 0 * inf = NaN, and the facet named is 1, which it is outside
+        ((2, np.array([[0, 0], [1e-200, 0], [1e-200, 1e-200], [0, 1e-200]]),
+          ((0, 1), (1, 2), (2, 3), (3, 0)), np.array([1e308, 5e-201])),
+         "facet 1: apex is not strictly interior (signed distance -inf)"),
     ])
     def test_closed_and_apex_inside(self, args, message):
         with warnings.catch_warnings():
