@@ -56,9 +56,7 @@ class FamilySpec:
     ``np.sqrt``.  ``feasible`` gets the (n, m) array too (join its tests by
     ``&``, not ``and``) if it answers the points of the build checks (below)
     with a bool array of shape (m,) equal to its answers point by point; one
-    that fails this check, or on a later array, is asked per point.  Whether V,
-    A and any ``feasible`` all answer those points as arrays is ``_on_arrays``:
-    :func:`isolab.search.kmin` then batches up to 4 points a start a round.
+    that fails this check, or on a later array, is asked per point.
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
@@ -111,17 +109,13 @@ class FamilySpec:
         # the seeded points of both build checks, one per column
         rng = np.random.default_rng(0)
         x = rng.uniform(*np.array(self.sample_box).T[:, :, None], (self.nparams, 32))
-        with np.errstate(all="ignore"):
-            on_arrays = False  # whether feasible answers them at once as it does each alone
-            if self.feasible is not None:
+        on_arrays = False  # whether feasible answers them at once as it does each alone
+        if self.feasible is not None:
+            with np.errstate(all="ignore"), contextlib.suppress(Exception):
                 answer = _array_call(self.feasible, x, bool)
-                with contextlib.suppress(Exception):
-                    on_arrays = answer is not None and answer.tolist() == [
-                        bool(self.feasible(p)) for p in x.T.copy()]
-            object.__setattr__(self, "_feasible_on_arrays", on_arrays)
-            object.__setattr__(self, "_on_arrays", (on_arrays or self.feasible is None) and all(
-                _array_call(f, x if self.nparams > 1 else x[0], float) is not None
-                for f in (self.volume, self.area)))
+                on_arrays = answer is not None and answer.tolist() == [
+                    bool(self.feasible(p)) for p in x.T.copy()]
+        object.__setattr__(self, "_feasible_on_arrays", on_arrays)
         if self.homogeneous_prefix_m is not None:
             self._check_homogeneous_prefix(self.homogeneous_prefix_m, x, rng.uniform(0.5, 2.0, 32))
 

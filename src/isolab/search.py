@@ -82,7 +82,7 @@ def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0
     to search, the sorted start points are scanned and the best one refined
     by golden-section search; with two or more, the starts run Nelder-Mead
     in lockstep (:func:`_lockstep`), each as SciPy would run it alone, in one
-    batch of Q a round, up to 4 points a start, if ``FamilySpec._on_arrays``.
+    batch of Q a round, 4 points a start.
 
     The minimum is ``attained`` when all 2n points x +- BOUNDARY_REL_TOL *
     (|x_i| + 1) e_i around the best point x are inside the class by
@@ -151,7 +151,7 @@ def _minimize(
     if not len(z0):
         return whole(points[0]), math.inf, True
     fatol = tol * np.maximum(np.abs(fs(z0)), 1.0)
-    zs, fz, _ = _lockstep(fs, z0, tol, fatol, nfamily._on_arrays)
+    zs, fz, _ = _lockstep(fs, z0, tol, fatol)
     best = int(np.argmin(fz))  # the first start of least Q
     return whole(zs[best]), float(fz[best]), True
 
@@ -230,7 +230,7 @@ def _expand(q: Callable[[float], float], inner: float, x: float, fx: float):
 
 
 def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: float,
-              fatol: np.ndarray, on_arrays: bool = False) -> tuple[np.ndarray, ...]:
+              fatol: np.ndarray) -> tuple[np.ndarray, ...]:
     """SciPy 1.17's Nelder-Mead (Nelder & Mead 1965), maxiter = maxfev =
     _NM_MAX_EVALS, from each row of the (S, n) array x0 at once, start s with
     the tolerances ``xatol`` and ``fatol[s]``; returns each start's x, f(x)
@@ -240,13 +240,12 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
     drops the starts that have converged or reached a cap, forms each one's
     reflection and three second points (expansion, outside and inside
     contraction) as one (4, k, n) array, and takes each start's branch by masks
-    and one gather.  ``fs`` gets all 4k points in one call where ``on_arrays``
-    (``FamilySpec._on_arrays``), else the reflections and then the second points
-    taken; then any shrink points.  Each start counts only the evaluations SciPy
-    makes, up to the cap; as in SciPy, a shrink cut short by the cap moves the
-    vertex whose evaluation would pass it and leaves its f stale.  SciPy's cap on
-    iterations, the same number, never stops a start first: each iteration costs
-    at least one evaluation, and the first simplex n + 1.
+    and one gather.  ``fs`` gets all 4k points in one call, then any shrink
+    points.  Each start counts only the evaluations SciPy makes, up to the cap;
+    as in SciPy, a shrink cut short by the cap moves the vertex whose evaluation
+    would pass it and leaves its f stale.  SciPy's cap on iterations, the same
+    number, never stops a start first: each iteration costs at least one
+    evaluation, and the first simplex n + 1.
     """
     count, n = x0.shape
     x_out, f_out, calls_out = np.empty((count, n)), np.empty(count), np.empty(count, dtype=int)
@@ -285,9 +284,8 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
             xbar = xbar + sim[:, j]
         xbar = xbar / n
         points = a * xbar - a1 * sim[:, -1]  # row 0 the reflections, then the second points
-        # without on_arrays, rows 1-3 copy row 0 until the second points taken come in below
-        f = fs(points.reshape(-1, n)) if on_arrays else np.concatenate([fs(points[0])] * 4)
-        f = f.reshape(4, -1)  # Q at the points: SciPy evaluates one or two of each start's four
+        # Q at all four points of each start, of which SciPy evaluates one or two
+        f = fs(points.reshape(-1, n)).reshape(4, -1)
         fxr = f[0]
         expand, outside = fxr < fsim[:, 0], fxr < fsim[:, -1]
         reflect = ~expand & (fxr < fsim[:, -2])
@@ -295,8 +293,6 @@ def _lockstep(fs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, xatol: flo
         if most + 1 >= _NM_MAX_EVALS:
             second &= calls + 1 < _NM_MAX_EVALS
         branch = 3 - expand - outside  # each start's second point: 1, 2 or 3
-        if not on_arrays and (i := second.nonzero()[0]).size:
-            f[branch[i], i] = fs(points[branch[i], i])
         calls += 1 + second
         f2 = f[branch, lanes]
         # expansion: the better of the two points; contraction: its point or a shrink

@@ -114,9 +114,10 @@ def all_brackets_root(ts, vals, g, j, s):
 
 def nelder_mead(f: Callable[[np.ndarray], float], x0, xatol: float, fatol: float):
     """Minimize f from x0 as ``search._lockstep`` runs one start, with f
-    called once per point, on a copy; returns (x, f(x)), bit-identical to
-    SciPy 1.17's Nelder-Mead with maxiter = maxfev = 20000."""
+    called once per point, on a copy; returns (x, f(x), evaluations), each
+    bit-identical to SciPy 1.17's Nelder-Mead with maxiter = maxfev = 20000.
+    f is also called at points SciPy does not evaluate, which the count leaves out."""
     x0 = np.array(x0, dtype=float).ravel()
-    x, fun, _ = search._lockstep(lambda z: np.array([f(p.copy()) for p in z], dtype=float),
-                                 x0[None], xatol, np.array([fatol], dtype=float))
-    return x[0], float(fun[0])
+    x, fun, calls = search._lockstep(lambda z: np.array([f(p.copy()) for p in z], dtype=float),
+                                     x0[None], xatol, np.array([fatol], dtype=float))
+    return x[0], float(fun[0]), int(calls[0])

@@ -303,6 +303,25 @@ class TestBatchEvaluation:
         q = search.ratio_function(spec)
         np.testing.assert_array_equal(search._ratios(spec, x), [q(p) for p in x.T])
 
+    # the build checks ask V and A only to check a declared prefix: at the 32 seeded points x
+    # and at t x, one array call each, or per point where the evaluators need that
+    def test_evaluators_at_build(self):
+        def build(fid):
+            spec, seen = families.builtin(fid), {"volume": [], "area": []}
+            dataclasses.replace(spec, **{k: lambda x, f=getattr(spec, k), k=k: (
+                seen[k].append(np.array(x, dtype=float)) or f(x)) for k in seen})
+            return seen
+
+        assert build("hexagon_120") == {"volume": [], "area": []}  # no prefix, no feasible
+        box = build("box3")
+        assert [x.shape for x in box["volume"]] == [x.shape for x in box["area"]] == [(3, 32)] * 2
+        x, tx = box["volume"]
+        t = tx / x  # each point scaled by its own t in (0.5, 2), all three coordinates alike
+        np.testing.assert_allclose(t, np.broadcast_to(t[0], t.shape), rtol=1e-15)
+        assert (0.5 < t).all() and (t < 2.0).all()
+        per_point = [(2, 32)] + [(2,)] * 32  # math.hypot in A takes one point at a time
+        assert [x.shape for x in build("cone")["area"]] == per_point * 2
+
     def test_overflow_at_one_point_falls_back(self):
         spec = dataclasses.replace(families.builtin("rect_fixed_length"), volume=math.exp)
         x = np.array([[1.0, 800.0, 2.0]])

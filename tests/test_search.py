@@ -53,9 +53,8 @@ def _scipy_nelder_mead(f, z0, xatol, fatol):
 
 def _nelder_mead_pair(f, z0, xatol, fatol):
     """(x, f(x), evaluations) from the port and from SciPy, from the same start."""
-    ours = _counted(f)
-    x, fx = nelder_mead(ours, z0, xatol, fatol)
-    return (x.tolist(), fx, ours.calls), _scipy_nelder_mead(f, z0, xatol, fatol)
+    x, fx, calls = nelder_mead(f, z0, xatol, fatol)
+    return (x.tolist(), fx, calls), _scipy_nelder_mead(f, z0, xatol, fatol)
 
 
 def _holed_rect2(*holes):
@@ -65,12 +64,12 @@ def _holed_rect2(*holes):
 
 
 def _kmin_starts(monkeypatch, spec, seed):
-    """kmin's lockstep run on ``spec``: (fs, x0, xatol, fatol, on_arrays) and its result."""
+    """kmin's lockstep run on ``spec``: (fs, x0, xatol, fatol) and its result."""
     runs, lockstep = [], search._lockstep
 
-    def recorded(fs, x0, xatol, fatol, *rest):
-        out = lockstep(fs, x0, xatol, fatol, *rest)
-        runs.append(((fs, x0.copy(), xatol, fatol.copy(), *rest), out))
+    def recorded(fs, x0, xatol, fatol):
+        out = lockstep(fs, x0, xatol, fatol)
+        runs.append(((fs, x0.copy(), xatol, fatol.copy()), out))
         return out
 
     monkeypatch.setattr(search, "_lockstep", recorded)
@@ -87,39 +86,36 @@ class TestNelderMead:
     @pytest.mark.parametrize("cls", LOCKSTEP_CLASSES)
     def test_matches_scipy_on_kmin_starts(self, monkeypatch, cls, seed):
         spec = families.builtin(cls)
-        (_, x0, xatol, fatol, on_arrays), (xs, fun, calls) = _kmin_starts(monkeypatch, spec, seed)
+        (_, x0, xatol, fatol), (xs, fun, calls) = _kmin_starts(monkeypatch, spec, seed)
         # kmin's 16 starts less the infeasible ones: 7 to 11 of them are triangles
         starts = [8, 10, 9, 9, 10, 7, 11, 8][seed] if cls == "triangle_sides" else 16
-        assert len(x0) == starts and on_arrays  # each of the three acts on arrays
+        assert len(x0) == starts
         q = search.ratio_function(spec)
         f = lambda z: q(np.concatenate(([1.0], z)))  # each class pins x1 = 1
         for s in range(len(x0)):
             assert (xs[s].tolist(), fun[s], calls[s]) == _scipy_nelder_mead(f, x0[s], xatol,
                                                                             fatol[s])
 
-    # float() of an array of several points raises, so this copy is asked point by point
-    # and kmin takes two calls a round, the reflections and then the second points taken
+    # float() of an array of several points raises, so this copy is asked point by point,
+    # each round at all four points of each start, as the array class is asked at once
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("cls", LOCKSTEP_CLASSES)
     def test_one_call_round_as_per_point(self, cls, seed):
         spec = families.builtin(cls)
         per_point = dataclasses.replace(spec, volume=lambda x: float(spec.volume(x)))
-        assert spec._on_arrays and not per_point._on_arrays
         assert search.kmin(spec, seed=seed).to_json() == search.kmin(per_point, seed=seed).to_json()
 
     @pytest.mark.parametrize("cls", LOCKSTEP_CLASSES)
     def test_one_call_a_round(self, monkeypatch, cls):
         """fs is called once for the first simplex, once a round and once more in each
         round where a start shrinks; SciPy's evaluations at each iteration of each
-        start give the rounds and the shrinks (a shrink takes 2 + n, a step 1 or 2).
-        The two-call round hands fs exactly the points SciPy evaluates."""
+        start give the rounds and the shrinks (a shrink takes 2 + n, a step 1 or 2)."""
         from scipy import optimize
 
-        (fs, x0, xatol, fatol, _), _ = _kmin_starts(monkeypatch, families.builtin(cls), 0)
-        counted, points = _counted(fs), []
-        search._lockstep(counted, x0, xatol, fatol, True)
-        search._lockstep(lambda z: points.append(len(z)) or fs(z), x0, xatol, fatol)
-        steps, evaluations = [], 0
+        (fs, x0, xatol, fatol), _ = _kmin_starts(monkeypatch, families.builtin(cls), 0)
+        counted = _counted(fs)
+        search._lockstep(counted, x0, xatol, fatol)
+        steps = []
         for z0, fa in zip(x0, fatol):
             f = _counted(lambda z: fs(z[None])[0])
             marks = [len(z0) + 1]
@@ -127,38 +123,24 @@ class TestNelderMead:
                               options={"xatol": xatol, "fatol": fa, "maxiter": 20000,
                                        "maxfev": 20000})
             steps.append(np.diff(marks))
-            evaluations += f.calls
         rounds = max(map(len, steps))
         shrinks = sum(any(len(s) > i and s[i] > 2 for s in steps) for i in range(rounds))
         assert shrinks > 0 and counted.calls == 1 + rounds + shrinks
-        assert sum(points) == evaluations
 
-    # f is 1 on the unit disk and +inf left of x1 = -1, so whole simplices tie, at 1 or at inf
+    # f is 1 on the unit disk and +inf left of x1 = -1, so whole simplices tie, at 1 or at inf;
+    # the last start's simplex is all +inf and runs to the cap: its last round's second points
+    # are evaluated in the batch but not counted
     def test_tied_values_as_scipy_does(self):
-        def f(x):
-            return math.inf if x[0] < -1.0 else max(float(x @ x), 1.0)
-
-        x0 = np.array([[0.1, 0.2], [2.0, -1.5], [-1.02, 0.3], [0.0, 0.0], [-0.5, 3.0]])
-        fatol = np.array([1e-8, 1e-8, 1e-8, 1e-3, 0.5])
-        xs, fun, calls = search._lockstep(lambda z: np.array([f(p) for p in z]), x0, 1e-8, fatol)
-        for s in range(len(x0)):
-            assert (xs[s].tolist(), fun[s], calls[s]) == _scipy_nelder_mead(f, x0[s], 1e-8,
-                                                                            fatol[s])
-        assert fun[0] == 1.0 and calls[0] > 40  # the flat start shrank to xatol through ties
-
-    # the one-call round on the tied starts above and a start whose simplex is all +inf, which
-    # runs to the cap: its last round's second points are evaluated in the batch but not counted
-    def test_one_call_round_at_ties_and_the_cap(self):
         def f(x):
             return math.inf if x[0] < -1.0 else max(float(x @ x), 1.0)
 
         x0 = np.array([[0.1, 0.2], [2.0, -1.5], [-1.02, 0.3], [0.0, 0.0], [-0.5, 3.0], [-3.0, 1.0]])
         fatol = np.array([1e-8, 1e-8, 1e-8, 1e-3, 0.5, 1e-8])
-        xs, fun, calls = search._lockstep(lambda z: np.array([f(p) for p in z]), x0, 1e-8, fatol,
-                                          True)
+        xs, fun, calls = search._lockstep(lambda z: np.array([f(p) for p in z]), x0, 1e-8, fatol)
         for s in range(len(x0)):
             assert (xs[s].tolist(), fun[s], calls[s]) == _scipy_nelder_mead(f, x0[s], 1e-8,
                                                                             fatol[s])
+        assert fun[0] == 1.0 and calls[0] > 40  # the flat start shrank to xatol through ties
         assert fun[-1] == math.inf and calls[-1] == 20000
 
     def test_infeasible_start_runs_to_the_cap_as_scipy_does(self):
