@@ -127,10 +127,22 @@ class TestNelderMead:
         shrinks = sum(any(len(s) > i and s[i] > 2 for s in steps) for i in range(rounds))
         assert shrinks > 0 and counted.calls == 1 + rounds + shrinks
 
-    # f is 1 on the unit disk and +inf left of x1 = -1, so whole simplices tie, at 1 or at inf;
-    # the last start's simplex is all +inf and runs to the cap: its last round's second points
-    # are evaluated in the batch but not counted
+    # f is 1 on the unit disk and +inf left of x1 = -1, so whole simplices tie, at 1 or at inf
     def test_tied_values_as_scipy_does(self):
+        def f(x):
+            return math.inf if x[0] < -1.0 else max(float(x @ x), 1.0)
+
+        x0 = np.array([[0.1, 0.2], [2.0, -1.5], [-1.02, 0.3], [0.0, 0.0], [-0.5, 3.0]])
+        fatol = np.array([1e-8, 1e-8, 1e-8, 1e-3, 0.5])
+        xs, fun, calls = search._lockstep(lambda z: np.array([f(p) for p in z]), x0, 1e-8, fatol)
+        for s in range(len(x0)):
+            assert (xs[s].tolist(), fun[s], calls[s]) == _scipy_nelder_mead(f, x0[s], 1e-8,
+                                                                            fatol[s])
+        assert fun[0] == 1.0 and calls[0] > 40  # the flat start shrank to xatol through ties
+
+    # the tied starts above and a start whose simplex is all +inf, which runs to the cap: its
+    # last round's second points are evaluated in the batch but not counted
+    def test_one_call_round_at_ties_and_the_cap(self):
         def f(x):
             return math.inf if x[0] < -1.0 else max(float(x @ x), 1.0)
 
@@ -140,7 +152,6 @@ class TestNelderMead:
         for s in range(len(x0)):
             assert (xs[s].tolist(), fun[s], calls[s]) == _scipy_nelder_mead(f, x0[s], 1e-8,
                                                                             fatol[s])
-        assert fun[0] == 1.0 and calls[0] > 40  # the flat start shrank to xatol through ties
         assert fun[-1] == math.inf and calls[-1] == 20000
 
     def test_infeasible_start_runs_to_the_cap_as_scipy_does(self):
