@@ -3,7 +3,7 @@
 Submodules, each loaded on first use (``isolab.search``, ``from isolab import search``):
     families     -- built-in parametric region families and the registry
     calculus     -- differentiation, quadrature inradius curves, dV/dr = A
-    homogeneity  -- classification, elasticity, constant-area check
+    homogeneity  -- classification, elasticity, constant-area check, cylinder lifting
     search       -- k_min over shape classes and level-set continuation
     polytope     -- star-like polyhedra, support functions, parallel bodies
     inequalities -- Tong inradius, isoperimetric deficit, Bonnesen-type inequalities

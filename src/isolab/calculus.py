@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, IsolabError
-from .families import FamilySpec, Record, _array_call, _frozen, csv_table, sample
+from .families import FamilySpec, _array_call, sample
+from .records import Record, _frozen, csv_table
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 

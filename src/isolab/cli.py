@@ -283,10 +283,10 @@ def cmd_cohen(args) -> None:
 
 
 def cmd_lift(args) -> None:
-    from . import families, inequalities, polytope
+    from . import families, homogeneity, inequalities
     base = _one_param_family(args)
     c = args.rho_scale
-    lifted = polytope.lift_cylinder(base, rho=lambda s: c * s, drho=lambda s: c, rtol=args.rtol)
+    lifted = homogeneity.lift_cylinder(base, rho=lambda s: c * s, drho=lambda s: c, rtol=args.rtol)
     grid = _parse_grid(args.grid)
     v, a = families.sample(lifted, grid)
     rows = [{"s": s, "V": vi, "A": ai, "r_tong": inequalities.tong_inradius(lifted.dimension, vi, ai)}

@@ -17,12 +17,11 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import DomainError
-from .records import Record  # calculus, homogeneity, polytope and search import it from here
 
 Interval = tuple[float, float]
 
@@ -288,26 +287,6 @@ def ratio_at(family: FamilySpec, point, v: float, a: float) -> float:
     if not math.isfinite(q):  # inf, or NaN from inf / inf
         raise DomainError(f"Q overflows at point {point} of {family.id!r}")
     return q
-
-
-def _frozen(values) -> np.ndarray:
-    """A read-only float copy, so no caller can change a record's arrays."""
-    out = np.array(values, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-def csv_table(header: Sequence[str], rows) -> str:
-    """A CSV table: the header line, then one line of ``.17g`` numbers per row."""
-    lines = [",".join(header), *(",".join(f"{x:.17g}" for x in row) for row in rows)]
-    return "\n".join(lines) + "\n"
-
-
-def _e_notation(log10: float) -> str:
-    """10**log10 as m.mmme+k, for magnitudes beyond the float range."""
-    k = math.floor(log10)
-    m = 10 ** (log10 - k)
-    return f"{m / 10:.3f}e{k + 1:+d}" if m >= 9.9995 else f"{m:.3f}e{k:+d}"  # not 10.000
 
 
 def as_nparam(family: FamilySpec) -> FamilySpec:

@@ -1,23 +1,26 @@
-"""Elasticity and homogeneity verdicts, with ``tong_inradius`` from ``inequalities``.
+"""Elasticity and homogeneity verdicts, and cylinders lifted over a homogeneous family.
 
 A one-parameter family is homogeneous exactly when its isoperimetric ratio
 Q = A^d / V^(d-1) is constant; equivalently the change-of-variable curve
 equals d V/A plus a constant, and V, A are powers of a common linear
-dimension.  ``classify`` tests all three characterizations numerically.
+dimension.  ``classify`` tests all three characterizations numerically;
+``lift_cylinder`` builds its family only on a base that ``classify`` calls
+homogeneous.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .calculus import InradiusCurve, _inradius, _require_ordered, dr_ds, integrate
 from .errors import DomainError
-from .families import FamilySpec, Record, _e_notation, _frozen, evaluate, ratio, ratio_at, sample
-from .inequalities import _log_ball_ratio, ball_ratio, tong_inradius
+from .families import FamilySpec, evaluate, ratio, ratio_at, sample
+from .inequalities import _log_ball_ratio, ball_ratio
+from .records import Record, _e_notation, _frozen
 
 
 @dataclass(frozen=True, eq=False)  # == is identity: arrays have no single truth value
@@ -142,3 +145,41 @@ def constant_area_check(family: FamilySpec, grid: Sequence[float], rtol: float =
             "A is constant but r - V/A failed to be constant; quadrature inconsistency"
         )
     return True
+
+
+def lift_cylinder(
+    base_family: FamilySpec,
+    rho: Callable[[float], float],
+    drho: Callable[[float], float] | None = None,
+    rtol: float = 1e-8,
+) -> FamilySpec:
+    """Right cylinders over a homogeneous base family, height 2 rho(s).
+
+    V_d = 2 V_{d-1} rho and A_d = 2 V_{d-1} + 2 A_{d-1} rho; the Tong
+    inradius of the result is the (d)-variable symmetric harmonic mean of
+    d-1 copies of the base inradius and rho.
+    """
+    (lo, hi), = base_family.domain
+    width = min(hi - lo, 10.0) if math.isfinite(hi) else 10.0
+    grid = np.linspace(lo + 0.05 * width, lo + 0.95 * width, 48)
+    report = classify(base_family, grid, rtol=rtol)
+    if not report.homogeneous:
+        raise DomainError(
+            f"base family {base_family.id!r} is not homogeneous at rtol={rtol} "
+            f"(Q spread {report.q_rel_spread:.3e})"
+        )
+
+    vb, ab = base_family.volume, base_family.area
+    new_dv = None
+    if base_family.dvolume is not None and drho is not None:
+        dvb = base_family.dvolume
+        new_dv = lambda s: 2.0 * (dvb(s) * rho(s) + vb(s) * drho(s))
+    return FamilySpec(
+        id=f"{base_family.id}@cylinder",
+        dimension=base_family.dimension + 1,
+        domain=base_family.domain,
+        volume=lambda s: 2.0 * vb(s) * rho(s),
+        area=lambda s: 2.0 * vb(s) + 2.0 * ab(s) * rho(s),
+        params=base_family.params,
+        dvolume=new_dv,
+    )

@@ -1,6 +1,7 @@
 """Star-like polyhedra: pyramid decompositions, weighted-mean identities,
-support-function volume, circumscribing checks, cylinder lifting, and outer
-parallel bodies.
+support-function volume, circumscribing checks and outer parallel bodies.
+Geometry only: it builds no family, and of isolab imports only ``errors``
+and ``records``.
 
 A :class:`StarPolyhedron` is a 2D polygon or 3D polyhedron whose facets all
 subtend positive-altitude pyramids from an interior apex.  Decomposing into
@@ -24,12 +25,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .families import FamilySpec, Record, _e_notation, _frozen
+from .records import Record, _e_notation, _frozen
 
 PLANARITY_RTOL = 1e-9
 CONVEXITY_RTOL = 1e-9
@@ -323,51 +324,6 @@ def cohen_check(p: StarPolyhedron, r: float) -> float:
         )
     dec = decompose(p)
     return abs(dec.total_volume - r / p.dimension * dec.total_area) / dec.total_volume
-
-
-# ------------------------------------------------------------------ #
-# Cylinder lifting
-# ------------------------------------------------------------------ #
-
-
-def lift_cylinder(
-    base_family: FamilySpec,
-    rho: Callable[[float], float],
-    drho: Callable[[float], float] | None = None,
-    rtol: float = 1e-8,
-) -> FamilySpec:
-    """Right cylinders over a homogeneous base family, height 2 rho(s).
-
-    V_d = 2 V_{d-1} rho and A_d = 2 V_{d-1} + 2 A_{d-1} rho; the Tong
-    inradius of the result is the (d)-variable symmetric harmonic mean of
-    d-1 copies of the base inradius and rho.
-    """
-    from .homogeneity import classify
-
-    (lo, hi), = base_family.domain
-    width = min(hi - lo, 10.0) if math.isfinite(hi) else 10.0
-    grid = np.linspace(lo + 0.05 * width, lo + 0.95 * width, 48)
-    report = classify(base_family, grid, rtol=rtol)
-    if not report.homogeneous:
-        raise DomainError(
-            f"base family {base_family.id!r} is not homogeneous at rtol={rtol} "
-            f"(Q spread {report.q_rel_spread:.3e})"
-        )
-
-    vb, ab = base_family.volume, base_family.area
-    new_dv = None
-    if base_family.dvolume is not None and drho is not None:
-        dvb = base_family.dvolume
-        new_dv = lambda s: 2.0 * (dvb(s) * rho(s) + vb(s) * drho(s))
-    return FamilySpec(
-        id=f"{base_family.id}@cylinder",
-        dimension=base_family.dimension + 1,
-        domain=base_family.domain,
-        volume=lambda s: 2.0 * vb(s) * rho(s),
-        area=lambda s: 2.0 * vb(s) + 2.0 * ab(s) * rho(s),
-        params=base_family.params,
-        dvolume=new_dv,
-    )
 
 
 # ------------------------------------------------------------------ #

@@ -18,8 +18,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .families import (FamilySpec, Record, _evaluate_batch, builtin, csv_table, evaluate, ratio,
-                       ratio_at)
+from .families import FamilySpec, _evaluate_batch, builtin, evaluate, ratio, ratio_at
+from .records import Record, csv_table
 
 _SQRT_EPS = float(np.finfo(float).eps) ** 0.5
 
@@ -122,32 +122,29 @@ def _minimize(
     n, m = nfamily.nparams, nfamily.homogeneous_prefix_m
     if m is not None and n == 1:  # a family of similar regions: Q is constant
         return np.ones(1), q(np.ones(1)), True
-    if m is None:
-        first, f, inside = 0, q, nfamily.contains
-        whole = lambda z: np.array(z, dtype=float, ndmin=1)  # z is a float when n = 1
-    else:
-        def whole(z) -> np.ndarray:  # z is a float when one coordinate is searched
-            x = np.empty(n)  # three times faster than np.append; this runs for every Q
-            x[0] = 1.0
-            x[1:] = z
-            return x
+    first = 0 if m is None else 1  # the first searched coordinate
 
-        first, f, inside = 1, lambda z: q(whole(z)), lambda z: nfamily.contains(whole(z))
+    def whole(z) -> np.ndarray:  # z is a float when one coordinate is searched
+        x = np.empty(n)  # three times faster than np.append; this runs for every Q
+        x[0] = 1.0
+        x[first:] = z
+        return x
+
     box = [PREFIX_START_BOX if i < (m or 0) else nfamily.sample_box[i] for i in range(first, n)]
     lows, highs = np.array(box, dtype=float).T
     points = lows + latin_hypercube(starts, n - first, seed) * (highs - lows)
     if n - first == 1:
-        z, fz, bounded = _golden_section_search(f, sorted(points[:, 0].tolist()),
-                                                nfamily.domain[first], tol)
+        z, fz, bounded = _golden_section_search(
+            lambda z: q(whole(z)), sorted(points[:, 0].tolist()), nfamily.domain[first], tol)
         return whole(z), fz, bounded
 
-    def fs(z: np.ndarray) -> np.ndarray:  # Q at each row of z, as f gives it there
+    def fs(z: np.ndarray) -> np.ndarray:  # Q at each row of z, as q gives it at whole(z)
         x = np.empty((n, len(z)))
         x[0] = 1.0
         x[first:] = z.T
         return _ratios(nfamily, x)
 
-    z0 = points[[inside(z) for z in points]]
+    z0 = points[[nfamily.contains(whole(z)) for z in points]]
     if not len(z0):
         return whole(points[0]), math.inf, True
     fatol = tol * np.maximum(np.abs(fs(z0)), 1.0)

@@ -135,14 +135,14 @@ def test_07_support_and_cohen():
 
 def test_08_cylinder_lifting():
     disk = families.builtin("disk")
-    same = polytope.lift_cylinder(disk, rho=lambda s: s, drho=lambda s: 1.0)
-    double = polytope.lift_cylinder(disk, rho=lambda s: 2 * s, drho=lambda s: 2.0)
+    same = homogeneity.lift_cylinder(disk, rho=lambda s: s, drho=lambda s: 1.0)
+    double = homogeneity.lift_cylinder(disk, rho=lambda s: 2 * s, drho=lambda s: 2.0)
     for s in np.linspace(0.4, 5.0, 12):
         s = float(s)
         v, a = families.evaluate(same, s)
-        assert homogeneity.tong_inradius(3, v, a) == pytest.approx(s, rel=1e-10)
+        assert inequalities.tong_inradius(3, v, a) == pytest.approx(s, rel=1e-10)
         v, a = families.evaluate(double, s)
-        assert homogeneity.tong_inradius(3, v, a) == pytest.approx(6 * s / 5, rel=1e-10)
+        assert inequalities.tong_inradius(3, v, a) == pytest.approx(6 * s / 5, rel=1e-10)
     _report(8, "lifted disks: Tong inradius s and 6s/5 within 1e-10")
 
 

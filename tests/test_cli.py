@@ -779,16 +779,16 @@ def test_package_loads_submodules_on_first_use():
 # the isolab submodules each README command loads besides cli and errors: a top-level import
 # added later shows here
 _SEARCH = {"families", "records", "search"}
-_POLYTOPE = {"families", "polytope", "records"}
+_POLYTOPE = {"polytope", "records"}
 _CLASSIFY = {"calculus", "families", "homogeneity", "inequalities", "records"}
 COMMAND_MODULES = {
-    "families": {"families", "records"},
+    "families": {"families"},
     "eval": {"families", "inequalities", "records"},
     "inradius": {"calculus", "families", "records"},
     "classify": _CLASSIFY,
     "kmin": _SEARCH, "kmin-table": _SEARCH, "solve-coordinate": _SEARCH, "trace": _SEARCH,
     "starlike": _POLYTOPE, "support-volume": _POLYTOPE, "cohen": _POLYTOPE, "steiner": _POLYTOPE,
-    "lift": _CLASSIFY | {"polytope"},  # lift_cylinder classifies its base family
+    "lift": _CLASSIFY,  # lift_cylinder classifies its base family
     "bonnesen": {"inequalities", "records"},
     "deficit": {"inequalities", "records"},
 }

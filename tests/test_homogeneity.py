@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import ALL_ONE_PARAM, isoperimetric_ratio
-from isolab import calculus, families, homogeneity
+from isolab import calculus, families, homogeneity, inequalities
 from isolab.errors import DomainError
 from isolab.inequalities import ball_ratio, kappa
 
@@ -37,15 +37,15 @@ class TestIsoperimetricRatio:
 
 class TestTongInradius:
     def test_cube_half_edge(self):
-        assert homogeneity.tong_inradius(3, 8.0, 24.0) == pytest.approx(1.0)
+        assert inequalities.tong_inradius(3, 8.0, 24.0) == pytest.approx(1.0)
 
     def test_unit_disk(self):
-        assert homogeneity.tong_inradius(2, math.pi, 2 * math.pi) == pytest.approx(1.0)
+        assert inequalities.tong_inradius(2, math.pi, 2 * math.pi) == pytest.approx(1.0)
 
     def test_similar_rectangle_harmonic_mean(self):
         # r = k s / (k + 1), the harmonic mean of half-length and half-width
         k, s = 0.4, 3.0
-        r = homogeneity.tong_inradius(2, k * s**2, 2 * s + 2 * k * s)
+        r = inequalities.tong_inradius(2, k * s**2, 2 * s + 2 * k * s)
         harm = 2.0 / (1.0 / (s / 2) + 1.0 / (k * s / 2))
         assert r == pytest.approx(k * s / (k + 1), rel=1e-14)
         assert r == pytest.approx(harm, rel=1e-14)

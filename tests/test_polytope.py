@@ -10,7 +10,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from helpers import regular_polygon, square_polygon, support_function, symmetric_harmonic_mean
-from isolab import calculus, families, homogeneity, polytope
+from isolab import calculus, families, homogeneity, inequalities, polytope
 from isolab.errors import DomainError, GeometryError
 from random_shapes import random_convex_polygon, random_convex_polytope, random_interior_point
 
@@ -769,13 +769,13 @@ class TestAltitudes:
 class TestLiftCylinder:
     def test_disks_to_cylinders(self):
         disk = families.builtin("disk")
-        lifted = polytope.lift_cylinder(disk, rho=lambda s: s, drho=lambda s: 1.0)
+        lifted = homogeneity.lift_cylinder(disk, rho=lambda s: s, drho=lambda s: 1.0)
         assert lifted.dimension == 3
         for s in (0.5, 1.0, 2.5):
             v, a = families.evaluate(lifted, s)
             assert v == pytest.approx(2 * math.pi * s**3, rel=1e-14)
             assert a == pytest.approx(6 * math.pi * s**2, rel=1e-14)
-            assert homogeneity.tong_inradius(3, v, a) == pytest.approx(s, rel=1e-12)
+            assert inequalities.tong_inradius(3, v, a) == pytest.approx(s, rel=1e-12)
 
     def test_squares_to_cubes(self):
         squares = families.FamilySpec(
@@ -786,25 +786,25 @@ class TestLiftCylinder:
             area=lambda s: 8 * s,
             dvolume=lambda s: 8 * s,
         )
-        lifted = polytope.lift_cylinder(squares, rho=lambda s: s)
+        lifted = homogeneity.lift_cylinder(squares, rho=lambda s: s)
         v, a = families.evaluate(lifted, 1.5)
         assert v == pytest.approx((2 * 1.5) ** 3)
         assert a == pytest.approx(6 * (2 * 1.5) ** 2)
-        assert homogeneity.tong_inradius(3, v, a) == pytest.approx(1.5)
+        assert inequalities.tong_inradius(3, v, a) == pytest.approx(1.5)
 
     def test_disks_with_doubled_height(self):
         disk = families.builtin("disk")
-        lifted = polytope.lift_cylinder(disk, rho=lambda s: 2 * s)
+        lifted = homogeneity.lift_cylinder(disk, rho=lambda s: 2 * s)
         for s in (0.5, 1.0, 3.0):
             v, a = families.evaluate(lifted, s)
-            r = homogeneity.tong_inradius(3, v, a)
+            r = inequalities.tong_inradius(3, v, a)
             assert r == pytest.approx(symmetric_harmonic_mean([s, s, 2 * s]), rel=1e-12)
             assert r == pytest.approx(6 * s / 5, rel=1e-12)
 
     def test_non_homogeneous_base_rejected(self):
         fam = families.builtin("rect_fixed_length", a=1.0)
         with pytest.raises(DomainError, match="not homogeneous"):
-            polytope.lift_cylinder(fam, rho=lambda s: s)
+            homogeneity.lift_cylinder(fam, rho=lambda s: s)
 
 
 class TestSteiner:

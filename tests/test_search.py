@@ -205,6 +205,13 @@ class TestBrentq:
         a, b = re.search(r"inside the bracket \[(.+), (.+)\]$", str(info.value)).groups()
         assert float(a) < 0.5 < float(b)
 
+    def test_exact_zero_at_a_bracket_end(self):
+        from scipy import optimize
+
+        for g, want in [(lambda t: t, 0.0), (lambda t: t - 1.0, 1.0)]:
+            assert search.brentq(g, 0.0, 1.0) == want
+            assert optimize.brentq(g, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16) == want
+
     def test_same_signs_and_no_convergence(self):
         with pytest.raises(DomainError, match="same sign"):
             search.brentq(lambda t: t * t + 1.0, -1.0, 1.0)
@@ -355,6 +362,35 @@ class TestKmin:
         result = search.kmin(tail)
         assert result.kmin == pytest.approx(4.0, rel=1e-12)
         assert not result.attained
+
+    # golden section toward an infinite lower end, with x1 = 1 and x2 searched on (-inf, hi)
+    def test_infimum_at_minus_infinity_step_overflows(self):
+        # Q = 1 / (-x2) falls at every doubling, until the next step overflows
+        falling = families.FamilySpec(id="falling", dimension=2, domain=(families.RPLUS, (-math.inf, -1.0)),
+                                      volume=lambda x: x[0] * x[0] * -x[1], area=lambda x: x[0],
+                                      homogeneous_prefix_m=1)
+        result = search.kmin(falling)
+        assert not result.attained
+        assert result.argmin[0] == 1.0 and result.argmin[1] < -1e307
+
+    def test_infimum_at_minus_infinity_q_stops_changing(self):
+        # Q = 4 pi (1 + e^x2) reaches 4 pi in floats once e^x2 is below half an ulp of 1
+        flat = families.FamilySpec(id="flat", dimension=2, domain=(families.RPLUS, (-math.inf, 0.0)),
+                                   volume=lambda x: x[0] * x[0],
+                                   area=lambda x: x[0] * np.sqrt(4.0 * math.pi * (1.0 + np.exp(x[1]))),
+                                   homogeneous_prefix_m=1)
+        result = search.kmin(flat)
+        assert not result.attained
+        assert result.kmin == pytest.approx(4.0 * math.pi, rel=1e-15)
+
+    # x1 = 1 is never feasible: golden section (n = 2) and lockstep Nelder-Mead (n = 3) fail alike
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_feasible_start(self, n):
+        spec = families.FamilySpec(id=f"nowhere{n}", dimension=2, domain=(families.RPLUS,) * n,
+                                   volume=lambda x: x[0] * x[0] * x[1], area=lambda x: x[0] * (1.0 + x[1]),
+                                   homogeneous_prefix_m=1, feasible=lambda x: x[0] < 0)
+        with pytest.raises(ConvergenceError, match=f"all 16 starts failed for class 'nowhere{n}'"):
+            search.kmin(spec)
 
     @pytest.mark.parametrize("kwargs", [{"tol": -1.0}, {"tol": 0.0}, {"tol": math.nan},
                                         {"seed": -5}])
