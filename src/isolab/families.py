@@ -173,19 +173,20 @@ class FamilySpec:
 def evaluate(family: FamilySpec, x) -> tuple[float, float]:
     """(V, A) at one point, as Python floats: a float, or the length-n search vector.
 
-    When n = 1 the evaluators get a float, also from a length-1 vector.
+    The point is made a float array once, for :meth:`FamilySpec.contains`; when
+    n = 1 the evaluators get its float, also from a length-1 vector.
     Raises :class:`DomainError` naming the point when it has the wrong number
     of coordinates or lies outside the domain, an evaluator overflows, divides
     by zero or warns (``-W error``), or V and A are not both finite and positive.
     """
-    # len, not nparams: this runs for every Q of a search
-    if not family.contains(x):
-        point = np.asarray(x, dtype=float)
+    point = np.asarray(x, dtype=float)
+    if not family.contains(point):
         if point.ndim <= 1 and point.size != family.nparams:
             raise DomainError(f"point {point.tolist()} has {point.size} coordinate"
                               f"{'s' * (point.size != 1)}; {family.id!r} takes {family.nparams}")
         raise DomainError(f"point {point.tolist()} outside the domain of {family.id!r}")
-    p = x if len(family.domain) > 1 else np.asarray(x, dtype=float).item()
+    # len, not nparams: this runs for every Q of a search
+    p = x if len(family.domain) > 1 else point.item()
     try:
         v, a = family.volume(p), family.area(p)
     except (ArithmeticError, RuntimeWarning) as exc:  # Python floats raise; numpy scalars warn
@@ -271,9 +272,10 @@ def _not_finite_positive(family: FamilySpec, point, v, a) -> DomainError:
 
 def ratio(d: int, v, a):
     """The isoperimetric ratio Q = A^d / V^(d-1), scale-invariant; inf or NaN where it
-    overflows.  As products in a fixed order, each correctly rounded (IEEE 754), it gives
-    two floats and two float arrays the same bits, where array ``**`` may not."""
-    return math.prod([a] * d) / math.prod([v] * (d - 1))
+    overflows.  As products in a fixed order from the first factor (no 1 * a, an array
+    copy), each correctly rounded (IEEE 754), it gives two floats and two float arrays
+    the same bits, where array ``**`` may not."""
+    return math.prod([a] * (d - 1), start=a) / math.prod([v] * (d - 2), start=v)
 
 
 def ratio_at(family: FamilySpec, point, v: float, a: float) -> float:

@@ -1,10 +1,12 @@
 """The record layer: the JSON form of every result, the CSV table, read-only arrays
-and e-notation; numpy loads only inside :func:`_frozen`, so float-only commands skip it."""
+and e-notation; numpy loads on the first :func:`_frozen` call, so float-only commands skip it."""
 
 import json
 import math
 from dataclasses import asdict, fields, is_dataclass
 from typing import Sequence
+
+np = None  # numpy, bound once by the first _frozen call
 
 
 class Record:
@@ -18,8 +20,9 @@ class Record:
 
 def _frozen(values):
     """A read-only float copy, so no caller can change a record's arrays."""
-    import numpy as np
-
+    global np
+    if np is None:
+        import numpy as np
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out

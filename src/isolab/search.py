@@ -11,6 +11,7 @@ one-parameter family).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -35,8 +36,8 @@ STEP_MAX = 1e-1
 
 
 def ratio_function(nfamily: FamilySpec) -> Callable[[np.ndarray], float]:
-    """Q at the search vector, +inf where ``evaluate`` rejects it or Q overflows
-    (keeps the simplex feasible)."""
+    """Q at the search vector: ``ratio_at`` on ``evaluate``, the one check of a point;
+    +inf where either raises :class:`DomainError` (keeps the simplex feasible)."""
 
     def q(x: np.ndarray) -> float:
         try:
@@ -397,13 +398,13 @@ def solve_coordinate(
     function ``fixed[i]`` of s; ``fixed`` holding j, or a value fixed outside
     its coordinate's open interval, is a :class:`DomainError`.
 
-    A sign scan of 512 points over the coordinate interval calls each
-    evaluator once on all of them as an (n, m) array (see :class:`FamilySpec`;
-    an evaluator that does not act elementwise gets one call per point).  One
-    array pass over its values finds the brackets, tried in scan order by
-    :func:`brentq`; the first root found, the smallest, is returned and no
-    later bracket is refined.  A bracket with a NaN inside is passed over;
-    when no root is left, the first such :class:`DomainError` is raised.
+    A sign scan of 512 points over the coordinate interval (a grid built once per
+    interval) calls each evaluator once on all of them as an (n, m) array (see
+    :class:`FamilySpec`; one not acting elementwise gets one call per point).
+    Neighbours whose product of signs is at most 0 are walked in scan order: a
+    zero is a root, a sign change a bracket for :func:`brentq`; the first root
+    found, the smallest, is returned and no later bracket is refined.  A bracket
+    with a NaN inside is passed over; with no root left, the first such error is raised.
     """
     n = nfamily.nparams
     if not 0 <= j < n:
@@ -431,26 +432,32 @@ def solve_coordinate(
         return val - k if math.isfinite(val) else math.nan
 
     lo, hi = nfamily.domain[j]
-    if not math.isfinite(hi):
-        sb = nfamily.sample_box[j]
-        hi = max(100.0, 100.0 * sb[1])
-    width = hi - lo
-    ts = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, 512)
+    ts = _scan_grid(lo, hi if math.isfinite(hi) else max(100.0, 100.0 * nfamily.sample_box[j][1]))
     vals = _scan(nfamily, k, base, j, ts, g)
 
-    # a zero at ts[i] is the root [ts[i], ts[i]], a strict sign change the bracket
-    # [ts[i], ts[i + 1]] (signs, as their product can overflow); a pair with a NaN is neither
-    zero = (vals[:-1] == 0.0) & ~np.isnan(vals[1:])
-    i = np.flatnonzero(zero | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
+    # a zero at ts[i] is the root [ts[i], ts[i]], a strict sign change the bracket [ts[i], ts[i + 1]];
+    # each makes the pair's product of signs (values can overflow) at most 0, and a NaN makes it NaN
+    signs = np.sign(vals)
     nan_error = None
-    for lo, hi in zip(ts[i].tolist(), np.where(zero, ts[:-1], ts[1:])[i].tolist()):
-        try:  # brentq stays inside its bracket, so the first root is the smallest
-            return lo if lo == hi else brentq(g, lo, hi)
-        except DomainError as exc:  # a NaN inside this bracket: a later one may hold a root
-            nan_error = nan_error or exc
+    for i in np.flatnonzero(signs[:-1] * signs[1:] <= 0).tolist():
+        if vals[i] == 0.0:
+            return ts.item(i)
+        if vals[i + 1] != 0.0:  # a zero at ts[i + 1] is not this pair's root
+            try:  # brentq stays inside its bracket, so the first root is the smallest
+                return brentq(g, ts.item(i), ts.item(i + 1))
+            except DomainError as exc:  # a NaN inside this bracket: a later one may hold a root
+                nan_error = nan_error or exc
     raise nan_error or DomainError(
         f"no root of Q=k for coordinate {j} at s={s}; scanned ({ts[0]}, {ts[-1]}) "
         "(s may be outside the feasible parameter interval)")
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_grid(lo: float, hi: float) -> np.ndarray:
+    """The 512 read-only scan points of :func:`solve_coordinate` on (lo, hi), built once."""
+    ts = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), 512)
+    ts.setflags(write=False)
+    return ts
 
 
 def _scan(
@@ -460,17 +467,19 @@ def _scan(
     """g at each scan point t of coordinate j, the others held at ``base``,
     with the signs and NaNs that calling g at each point gives.
 
-    Q comes from :func:`_ratios`, one array call of each evaluator; where it
-    is inf (rejected, or Q overflows) the value is NaN, as g makes it.  An
-    evaluator that breaks the array rounding contract of :class:`FamilySpec`
-    can move the last bits, so g is called again at every NaN point and
-    every point within 1e-12 |k| of the level.
+    Q is :func:`ratio` of the V and A of one ``_evaluate_batch`` call, as in
+    :func:`_ratios`; one ``np.where`` on its ``ok`` gives Q - k, or NaN (as g)
+    where a point is rejected or Q is not finite.  An evaluator that breaks the
+    array rounding contract of :class:`FamilySpec` can move the last bits, so g is
+    called again at every NaN point and every point within 1e-12 |k| of the level.
     """
-    rows = np.repeat(base[:, None], len(ts), axis=1)
+    rows = base[:, None].repeat(len(ts), axis=1)
     rows[j] = ts
-    q = _ratios(nfamily, rows)
-    vals = np.where(q < math.inf, q - k, math.nan)
-    for i in np.flatnonzero(np.isnan(vals) | (np.abs(vals) <= 1e-12 * abs(k))):
+    with np.errstate(all="ignore"):  # one block over the evaluators, Q and the values
+        v, a, ok = _evaluate_batch(nfamily, rows)
+        q = ratio(nfamily.dimension, v, a)
+        vals = np.where(ok & (q < math.inf), q - k, math.nan)  # q is never below 0 where ok
+    for i in np.flatnonzero(~(np.abs(vals) > 1e-12 * abs(k))).tolist():  # NaN fails >
         vals[i] = g(ts[i])
     return vals
 

@@ -1,6 +1,6 @@
 """Helpers that only the tests use: a checked isoperimetric ratio, a support
-function, a harmonic mean, two polygon constructors, the one-parameter
-built-ins on sample grids, a reference for the windowed slopes of
+function, a harmonic mean, two polygon constructors, every built-in and
+the one-parameter ones on sample grids, a reference for the windowed slopes of
 ``calculus.verify_derivative_relation``, one for the root that
 ``search.solve_coordinate`` picks from its scan, and the one-start
 Nelder-Mead that the tests compare with SciPy's."""
@@ -69,6 +69,13 @@ ALL_ONE_PARAM = [
     (families.builtin("ngon", n=5), np.linspace(0.5, 4.0, 48)),
     (families.rhombus_branches(1.0)[0], np.linspace(0.08, SQRT2 - 0.08, 48)),
     (families.rhombus_branches(1.0)[1], np.linspace(SQRT2 + 0.04, 1.96, 48)),
+]
+
+
+# every built-in, with both rhombus branches
+ALL_BUILTINS = [
+    *(families.builtin(fid) for fid in families._BUILTINS if fid != "rhombus"),
+    *families.rhombus_branches(),
 ]
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import ALL_BUILTINS
 from isolab import calculus, families, homogeneity, search
 from isolab.errors import DomainError
 
@@ -203,6 +204,32 @@ class TestOneEvaluationPath:
             assert finite.sum() > 1000
         assert underflows > 0
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_ratio_has_the_bits_of_products_from_one(self, d):
+        # products that start from the first factor round as those that start from 1
+        special = [0.0, 5e-324, 2.5e-310, 1e-160, 1.0, 1e160, math.inf, math.nan]
+        rng = np.random.default_rng(d)
+        v = np.concatenate([np.repeat(special, len(special)), 10.0 ** rng.uniform(-320, 308, 500)])
+        a = np.concatenate([np.tile(special, len(special)), 10.0 ** rng.uniform(-320, 308, 500)])
+
+        def outcome(*args):  # the bits of Q, or the name of what it raises
+            try:
+                return np.float64(families.ratio(d, *args)).tobytes()
+            except ZeroDivisionError:
+                return "ZeroDivisionError"
+
+        with np.errstate(all="ignore"):
+            got = families.ratio(d, v, a)
+            want = math.prod([a] * d) / math.prod([v] * (d - 1))
+            assert got.tobytes() == want.tobytes()
+            for vi, ai in zip(v.tolist(), a.tolist()):
+                try:
+                    old = np.float64(math.prod([ai] * d) / math.prod([vi] * (d - 1))).tobytes()
+                except ZeroDivisionError:
+                    old = "ZeroDivisionError"
+                assert outcome(vi, ai) == old, (vi, ai)
+        assert np.isnan(got).any() and np.isinf(got).any() and (got == 0).any()
+
     @pytest.mark.parametrize("fid, point", [
         ("parallelogram3", [1e-300, 1e150, 1e-10]),  # V from np.sin is a numpy scalar
         ("box3", [1e160, 1.0, 1.0]),  # A^3 and V^2 both overflow: inf / inf
@@ -240,11 +267,63 @@ class TestOneEvaluationPath:
         assert report.q_values.tolist() == [q(np.array([s])) for s in grid]
 
 
-# every built-in, with both rhombus branches
-ALL_BUILTINS = [
-    *(families.builtin(fid) for fid in families._BUILTINS if fid != "rhombus"),
-    *families.rhombus_branches(),
+def _rect(**change):
+    """rect_fixed_length (V = s, A = 2 s + 2) with some evaluator replaced."""
+    return dataclasses.replace(families.builtin("rect_fixed_length"), **change)
+
+
+# (case, spec, point, error): the scalar Q path at one point, and a fragment of the
+# DomainError that evaluate or ratio_at raises there, or None where Q is finite
+SCALAR_Q_CASES = [
+    *((spec.id, spec, np.mean(spec.sample_box, axis=1), None) for spec in ALL_BUILTINS),
+    ("n=1 float", families.builtin("cube"), 2.0, None),
+    ("n=1 vector", families.builtin("cube"), np.array([2.0]), None),
+    ("wrong length", families.builtin("box3"), np.array([1.0, 2.0]),
+     "point [1.0, 2.0] has 2 coordinates; 'box3' takes 3"),
+    ("2-D", families.builtin("box3"), np.ones((1, 3)),
+     "point [[1.0, 1.0, 1.0]] outside the domain of 'box3'"),
+    ("outside", families.builtin("box3"), np.array([-1.0, 1.0, 1.0]),
+     "point [-1.0, 1.0, 1.0] outside the domain"),
+    ("infeasible", families.builtin("triangle_sides"), np.array([1.0, 1.0, 3.0]),
+     "point [1.0, 1.0, 3.0] outside the domain"),
+    ("ZeroDivisionError", _rect(volume=lambda s: 1.0 / abs(s - 1.0)), 1.0,
+     "V or A divides by zero at point 1.0 "),
+    ("OverflowError", _rect(volume=math.exp), 800.0, "V or A overflows at point 800.0 "),
+    ("RuntimeWarning", families.builtin("parallelogram3"), np.array([1e308, 1.0, 1.0]),
+     "V or A warns (overflow encountered in scalar multiply) at point [1e+308, 1.0, 1.0] "),
+    ("V < 0", _rect(volume=lambda s: -s), 2.0, "V = -2.0, A = 6.0 at point 2.0 "),
+    ("A = 0", _rect(area=lambda s: 0.0), 2.0, "V = 2.0, A = 0.0 at point 2.0 "),
+    ("V NaN", _rect(volume=lambda s: math.nan), 2.0, "V = nan, A = 6.0"),
+    ("V inf", _rect(volume=lambda s: math.inf), 2.0, "V = inf, A = 6.0"),
+    ("A NaN", _rect(area=lambda s: math.nan), 2.0, "V = 2.0, A = nan"),
+    ("A inf", _rect(area=lambda s: math.inf), 2.0, "V = 2.0, A = inf"),
+    ("Q overflows", families.builtin("box3"), np.array([1e160, 1.0, 1.0]),
+     "Q overflows at point "),
+    ("V^(d-1) underflows", families.FamilySpec(id="thin", dimension=3, domain=((0.0, 1.0),),
+                                               volume=lambda s: 1e-200, area=lambda s: 1.0),
+     0.5, "Q overflows at point 0.5 of 'thin'"),
 ]
+
+
+@pytest.mark.parametrize("spec, x, error", [case[1:] for case in SCALAR_Q_CASES],
+                         ids=[case[0] for case in SCALAR_Q_CASES])
+def test_scalar_q_path(spec, x, error):
+    """search.ratio_function(spec)(x) is ratio_at on evaluate at x, and inf exactly where
+    that raises DomainError, with warnings as errors (as under -W error)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = search.ratio_function(spec)(x)
+        if error is not None:
+            with pytest.raises(DomainError, match=re.escape(error)):
+                families.ratio_at(spec, x, *families.evaluate(spec, x))
+            assert q == math.inf
+            return
+        want = families.ratio_at(spec, x, *families.evaluate(spec, x))
+        p = float(np.asarray(x).item()) if spec.nparams == 1 else x
+        v, a = float(spec.volume(p)), float(spec.area(p))
+    assert q == want and 0 < q < math.inf
+    d = spec.dimension
+    assert q == pytest.approx(a ** d / v ** (d - 1), rel=1e-14)
 
 
 class TestBatchEvaluation:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import all_brackets_root, nelder_mead
+from helpers import ALL_BUILTINS, all_brackets_root, nelder_mead
 from isolab import families, homogeneity, search
 from isolab.errors import ConvergenceError, DomainError
 
@@ -481,7 +481,7 @@ def _per_point_scan(nfamily, k, base, j, ts, g):
 class TestSolveScan:
     FIXED = {0: lambda s: math.sqrt(s), 1: lambda s: s - math.sqrt(s)}
     S_04 = np.linspace(24 - 16 * SQRT2 + 0.05, 24 + 16 * SQRT2 - 0.05, 40).tolist()
-    RECT2_SCAN = np.linspace(3e-7, 300.0 - 3e-7, 512)  # rect2's scan of b over (0, inf)
+    RECT2_SCAN = np.linspace(1e-9 * 300.0, 300.0 - 1e-9 * 300.0, 512)  # rect2's b over (0, inf)
 
     @staticmethod
     def _outcomes(spec, k, fixed, j, svals):
@@ -697,6 +697,45 @@ class TestBracketStage:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="no root of Q=k for coordinate 1 at s=1.0"):
                 search.solve_coordinate(_steep(), 1e100, {0: lambda s: s}, 1, 1.0)
+
+
+class TestScanGrid:
+    """The scan points of ``solve_coordinate``, built once per coordinate interval."""
+
+    @staticmethod
+    def grids(monkeypatch, spec, j):
+        """The scan points of two solves for coordinate j, the others at their sample box's middle."""
+        middle = np.mean(spec.sample_box, axis=1).tolist()
+        fixed = {i: lambda s, v=v: v for i, v in enumerate(middle) if i != j}
+        calls = _recorded(monkeypatch, "_scan", lambda: [
+            TestBracketStage._outcome(lambda: search.solve_coordinate(spec, k, fixed, j, 1.0))
+            for k in (30.0, 300.0)])
+        return [args[4] for args in calls]
+
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda spec: spec.id)
+    def test_linspace_bits_on_every_interval(self, monkeypatch, spec):
+        for j, (lo, hi) in enumerate(spec.domain):
+            if not math.isfinite(hi):
+                hi = max(100.0, 100.0 * spec.sample_box[j][1])
+            width = hi - lo
+            want = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, 512)
+            first, second = self.grids(monkeypatch, spec, j)
+            assert first.tobytes() == want.tobytes()
+            assert second is first  # built once
+            assert not first.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                first[0] = 0.0
+
+    def test_rect2_scan(self, monkeypatch):
+        grid, _ = self.grids(monkeypatch, families.builtin("rect2"), 1)
+        assert grid.tobytes() == TestSolveScan.RECT2_SCAN.tobytes()
+
+    def test_cache_stays_bounded(self):
+        size = search._scan_grid.cache_info().maxsize
+        assert size is not None
+        for lo in range(size + 10):
+            search._scan_grid(float(lo), lo + 1.0)
+        assert search._scan_grid.cache_info().currsize == size
 
 
 class TestTraceLevelSet:
