@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, IsolabError
-from .families import FamilySpec, _array_call, sample
+from .families import FamilySpec, _array_call, _finite_positive, sample
 from .records import Record, _frozen, csv_table
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -125,7 +125,7 @@ class InradiusCurve(Record):
         if samples.shape[1:] != (2,) or not v.shape == a.shape == samples.shape[:1]:
             raise DomainError(f"curve samples, v and a must be of shapes (m, 2), (m,) and (m,), "
                               f"not {samples.shape}, {v.shape} and {a.shape}")
-        if not np.all((np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf)):  # NaN fails too
+        if not np.all(_finite_positive(v, a)):
             raise DomainError("curve v and a must be finite and positive")
         for name, x in (("samples", samples), ("v", v), ("a", a)):
             object.__setattr__(self, name, x)
@@ -220,14 +220,14 @@ def inradius_by_quadrature(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")
-    _require_ordered(grid)
     v, a = sample(family, grid)
     r, err = _inradius(family, s0, C, grid, v)
     return InradiusCurve(family.id, float(s0), float(C), np.column_stack([grid, r]), err, v, a)
 
 
 def _inradius(family: FamilySpec, s0: float, C: float, grid, v) -> tuple[np.ndarray, float]:
-    """r and the error estimate of :func:`inradius_by_quadrature`, given its checked grid and V."""
+    """r and the error estimate of :func:`inradius_by_quadrature`, given its grid and V."""
+    _require_ordered(grid)
     sign_v = np.sign(np.diff(v))
     (lo, hi), = family.domain
     if not (lo <= s0 < hi):

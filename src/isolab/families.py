@@ -54,8 +54,8 @@ class FamilySpec:
     differently from Python's), and use correctly rounded functions such as
     ``np.sqrt``.  ``feasible`` gets the (n, m) array too (join its tests by
     ``&``, not ``and``) if it answers the points of the build checks (below)
-    with a bool array of shape (m,) equal to its answers point by point; one
-    that fails this check, or on a later array, is asked per point.
+    with a bool array of shape (m,) equal to its answers point by point; else, or
+    if a later array gets no such answer, each point goes through :func:`evaluate`.
 
     One-parameter operations need n = 1, a ``volume`` strictly monotone on the
     interval (split others with :func:`isolab.calculus.monotone_partition`) and
@@ -108,7 +108,7 @@ class FamilySpec:
         # the seeded points of both build checks, one per column
         rng = np.random.default_rng(0)
         x = rng.uniform(*np.array(self.sample_box).T[:, :, None], (self.nparams, 32))
-        on_arrays = False  # whether feasible answers them at once as it does each alone
+        on_arrays = self.feasible is None  # whether feasible, if any, answers them as each alone
         if self.feasible is not None:
             with np.errstate(all="ignore"), contextlib.suppress(Exception):
                 answer = _array_call(self.feasible, x, bool)
@@ -234,34 +234,33 @@ def _array_call(f: Callable, x: np.ndarray, dtype) -> np.ndarray | None:
 
 
 def _evaluate_batch(family: FamilySpec, x: np.ndarray):
-    """(V, A, ok) at the m points of the (n, m) float array x, whose column i is
-    point i; ``ok`` marks the points that :func:`evaluate` accepts.  Where each
-    evaluator's :func:`_array_call` (with x, or its one row when n = 1) gives an
-    array, ``ok`` makes the checks of :func:`evaluate` as masks, asking ``feasible``
-    once on x where it acts on arrays (see :class:`FamilySpec`), else per accepted
-    point.  Else each point goes through :func:`evaluate`: V = A = NaN and ``ok``
-    False where it raises :class:`DomainError`; other exceptions propagate.  Its
-    caller holds one ``np.errstate(all="ignore")`` over all of it and what follows."""
+    """(V, A, ok) at the m points of the (n, m) float array x, whose column i is point
+    i; ``ok`` marks the points :func:`evaluate` accepts, by its checks as masks where
+    each evaluator (given x, or its one row when n = 1) and ``feasible``, if any and if
+    it acts on arrays (:class:`FamilySpec`), answer x through :func:`_array_call`.
+    Else each point goes through :func:`evaluate`: V = A = NaN and ``ok`` False where it
+    raises :class:`DomainError`; others propagate.  Call it under ``np.errstate(all="ignore")``."""
     p = x if len(x) > 1 else x[0]
-    v = _array_call(family.volume, p, float)
+    v = _array_call(family.volume, p, float) if family._feasible_on_arrays else None
     a = None if v is None else _array_call(family.area, p, float)
-    if a is None:
-        v, a = np.full((2, x.shape[1]), math.nan)
-        for i, point in enumerate(x.T.copy()):
-            with contextlib.suppress(DomainError):
-                v[i], a[i] = evaluate(family, point)
-        return v, a, ~np.isnan(v)
-    lows, highs = family._ends
-    ok = (((lows < x) & (x < highs)).all(axis=0)  # NaN fails each comparison
-          & (np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf))
-    if family.feasible is not None:
-        feasible = _array_call(family.feasible, x, bool) if family._feasible_on_arrays else None
+    if a is not None:
+        lows, highs = family._ends
+        ok = ((lows < x) & (x < highs)).all(axis=0) & _finite_positive(v, a)  # NaN fails
+        if family.feasible is None:
+            return v, a, ok
+        feasible = _array_call(family.feasible, x, bool)
         if feasible is not None:
-            ok &= feasible
-        else:
-            points, i = x.T.copy(), ok.nonzero()[0]
-            ok[i] = [bool(family.feasible(points[j])) for j in i]
-    return v, a, ok
+            return v, a, ok & feasible
+    v, a = np.full((2, x.shape[1]), math.nan)
+    for i, point in enumerate(x.T.copy()):
+        with contextlib.suppress(DomainError):
+            v[i], a[i] = evaluate(family, point)
+    return v, a, ~np.isnan(v)
+
+
+def _finite_positive(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Where V and A are both finite and positive, :func:`evaluate`'s test, on arrays."""
+    return (np.minimum(v, a) > 0) & (np.maximum(v, a) < math.inf)
 
 
 def _not_finite_positive(family: FamilySpec, point, v, a) -> DomainError:

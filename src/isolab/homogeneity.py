@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import InradiusCurve, _inradius, _require_ordered, dr_ds, integrate
+from .calculus import InradiusCurve, _inradius, dr_ds, integrate
 from .errors import DomainError
 from .families import FamilySpec, evaluate, ratio, ratio_at, sample
 from .inequalities import _log_ball_ratio, ball_ratio
@@ -72,7 +72,6 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
     q_rel_spread = float(np.max(np.abs(q - q_center)) / q_center)
 
     # (i) r_quad(s) - d V/A constant
-    _require_ordered(grid)
     r, _ = _inradius(family, float(grid[0]), 0.0, grid, v)
     offsets = r - d * v / a
     c_star = float(np.median(offsets))
@@ -135,7 +134,6 @@ def constant_area_check(family: FamilySpec, grid: Sequence[float], rtol: float =
     ac = float(np.median(a))
     if np.max(np.abs(a - ac)) / ac > rtol:
         return False
-    _require_ordered(grid)
     r, _ = _inradius(family, float(grid[0]), 0.0, grid, v)
     diff = r - v / a
     spread = float(np.max(diff) - np.min(diff))

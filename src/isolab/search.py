@@ -19,7 +19,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .families import FamilySpec, _evaluate_batch, builtin, evaluate, ratio, ratio_at
+from .families import (FamilySpec, _evaluate_batch, _finite_positive, builtin, evaluate, ratio,
+                       ratio_at)
 from .records import Record, csv_table
 
 _SQRT_EPS = float(np.finfo(float).eps) ** 0.5
@@ -155,11 +156,10 @@ def _minimize(
 
 
 def _ratios(nfamily: FamilySpec, x: np.ndarray) -> np.ndarray:
-    """Q at each column of the (n, m) array x, bit-equal to
-    :func:`ratio_function` at each point: V and A from
-    :func:`~isolab.families._evaluate_batch`, the one path of V and A at many
-    points, then :func:`ratio` on the arrays, inf where a point is rejected or
-    Q overflows."""
+    """Q at each column of the (n, m) array x, bit-equal to :func:`ratio_function` at
+    each point: V and A from :func:`~isolab.families._evaluate_batch`, the one path of
+    V and A at many points, then :func:`ratio` on the arrays, inf where a point is
+    rejected or Q overflows."""
     with np.errstate(all="ignore"):  # one block over the evaluators, the masks and Q
         v, a, ok = _evaluate_batch(nfamily, x)
         q = ratio(nfamily.dimension, v, a)
@@ -399,8 +399,8 @@ def solve_coordinate(
     its coordinate's open interval, is a :class:`DomainError`.
 
     A sign scan of 512 points over the coordinate interval (a grid built once per
-    interval) calls each evaluator once on all of them as an (n, m) array (see
-    :class:`FamilySpec`; one not acting elementwise gets one call per point).
+    interval) calls each evaluator once on all of them as an (n, m) array, or, where
+    one or ``feasible`` is not elementwise, :func:`evaluate` per point (:func:`_scan`).
     Neighbours whose product of signs is at most 0 are walked in scan order: a
     zero is a root, a sign change a bracket for :func:`brentq`; the first root
     found, the smallest, is returned and no later bracket is refined.  A bracket
@@ -467,19 +467,22 @@ def _scan(
     """g at each scan point t of coordinate j, the others held at ``base``,
     with the signs and NaNs that calling g at each point gives.
 
-    Q is :func:`ratio` of the V and A of one ``_evaluate_batch`` call, as in
-    :func:`_ratios`; one ``np.where`` on its ``ok`` gives Q - k, or NaN (as g)
-    where a point is rejected or Q is not finite.  An evaluator that breaks the
-    array rounding contract of :class:`FamilySpec` can move the last bits, so g is
-    called again at every NaN point and every point within 1e-12 |k| of the level.
-    """
+    Q is :func:`ratio` of the V and A of one ``_evaluate_batch`` call; one ``np.where``
+    on its ``ok`` gives Q - k, or NaN (as g) where a point is rejected or Q is not
+    finite.  An evaluator that breaks the array rounding contract of :class:`FamilySpec`
+    can move the last bits, so g is called again within 1e-12 |k| of the level, where V
+    and A fail the value test and where Q overflows; not where only the interval or
+    ``feasible`` masks reject, as they are g's own tests (``feasible``'s checked at build)."""
     rows = base[:, None].repeat(len(ts), axis=1)
     rows[j] = ts
     with np.errstate(all="ignore"):  # one block over the evaluators, Q and the values
         v, a, ok = _evaluate_batch(nfamily, rows)
         q = ratio(nfamily.dimension, v, a)
         vals = np.where(ok & (q < math.inf), q - k, math.nan)  # q is never below 0 where ok
-    for i in np.flatnonzero(~(np.abs(vals) > 1e-12 * abs(k))).tolist():  # NaN fails >
+    again = np.flatnonzero(~(np.abs(vals) > 1e-12 * abs(k)))  # NaN fails >
+    if len(again):
+        again = again[ok[again] | ~_finite_positive(v[again], a[again])]
+    for i in again.tolist():
         vals[i] = g(ts[i])
     return vals
 

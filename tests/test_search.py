@@ -247,13 +247,28 @@ class TestFeasibleOnArrays:
 
     def test_feasible_of_one_point_asked_per_point(self):
         holed = _holed_rect2(2.0)  # all(...) of arrays raises
-        counted = dataclasses.replace(holed, feasible=_counted(holed.feasible))
+        shapes = []  # of each point V and A get
+
+        def recorded(f):
+            return lambda p: shapes.append(np.shape(p)) or f(p)
+
+        counted = dataclasses.replace(holed, feasible=_counted(holed.feasible),
+                                      volume=recorded(holed.volume), area=recorded(holed.area))
         counted.feasible.calls = 0  # not the prefix check of the replaced spec
+        shapes.clear()
         x = np.array([np.ones(9), np.linspace(1.998, 2.002, 9)])
-        _, _, ok = families._evaluate_batch(counted, x)
+        v, a, ok = families._evaluate_batch(counted, x)
         assert ok.tolist() == [holed.contains(p) for p in x.T] and 0 < ok.sum() < 9
         assert not counted._feasible_on_arrays
         assert counted.feasible.calls == 9  # each point in the domain
+        # V and A go point by point too, through evaluate, so only where feasible holds
+        assert shapes == [(2,)] * (2 * ok.sum())
+        for i, p in enumerate(x.T):
+            try:
+                want = families.evaluate(holed, p)
+            except DomainError:
+                want = (math.nan, math.nan)
+            assert np.array_equal((v[i], a[i]), want, equal_nan=True)
 
     def test_feasible_answering_arrays_wrongly_asked_per_point(self):
         box3 = families.builtin("box3")
@@ -604,6 +619,20 @@ class TestSolveScan:
         t = float(self.RECT2_SCAN[3])
         k = search.ratio_function(rect2)(np.array([1.0, t]))
         self._assert_as_oracle(monkeypatch, spec, k, {0: lambda s: s}, 1, [1.0])
+
+    def test_no_scalar_q_where_feasible_rejects(self, monkeypatch):
+        # the tube radius over (0, 100) with the centre radius 2: feasible rejects the
+        # scan points past 2, each as Q at that point alone would, so g is not asked there
+        calls, ratio_function = [], search.ratio_function
+
+        def counted(spec):
+            q = ratio_function(spec)
+            return lambda x: calls.append(x) or q(x)
+
+        monkeypatch.setattr(search, "ratio_function", counted)
+        root = search.solve_coordinate(families.builtin("ring_torus"), 200.0, {1: lambda s: s},
+                                       0, 2.0)
+        assert root == 1.5791367041742972 and len(calls) <= 10
 
     def test_one_array_call_per_scan(self):
         par = families.builtin("parallelogram3")
