@@ -125,7 +125,7 @@ class InradiusCurve(Record):
         if samples.shape[1:] != (2,) or not v.shape == a.shape == samples.shape[:1]:
             raise DomainError(f"curve samples, v and a must be of shapes (m, 2), (m,) and (m,), "
                               f"not {samples.shape}, {v.shape} and {a.shape}")
-        if not np.all(_finite_positive(v, a)):
+        if not _finite_positive(v, a).all():
             raise DomainError("curve v and a must be finite and positive")
         for name, x in (("samples", samples), ("v", v), ("a", a)):
             object.__setattr__(self, name, x)
@@ -157,7 +157,7 @@ def integrate(f: Callable[[float], float], a, b) -> tuple[np.ndarray, np.ndarray
     a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
     if a.ndim != 1 or a.shape != b.shape:
         raise DomainError(f"a and b must be 1-D of one length, not {a.shape} and {b.shape}")
-    if not np.all(np.isfinite(ends := np.concatenate([a, b]))):
+    if not np.isfinite(ends := np.concatenate([a, b])).all():
         raise DomainError(f"integration end {ends[~np.isfinite(ends)][0]} is not finite")
     n = len(a)
     total, err, pieces = np.zeros(n), np.zeros(n), np.ones(n, dtype=int)
@@ -175,12 +175,12 @@ def integrate(f: Callable[[float], float], a, b) -> tuple[np.ndarray, np.ndarray
         np.add.at(err, seg[done], e[done])
         keep = ~done
         np.add.at(pieces, seg[keep], 1)
-        if np.any(pieces > QUAD_PANEL_LIMIT):
+        if (pieces > QUAD_PANEL_LIMIT).any():
             i = int(np.argmax(pieces > QUAD_PANEL_LIMIT))
             raise ConvergenceError(f"quadrature over ({a[i]}, {b[i]}) missed its tolerance "
                                    f"within {QUAD_PANEL_LIMIT} pieces")
         mid = lo[keep] + half[keep]
-        seg, share = np.tile(seg[keep], 2), np.tile(share[keep] / 2.0, 2)
+        seg, share = (np.concatenate([x, x]) for x in (seg[keep], share[keep] / 2.0))
         lo, hi = np.concatenate([lo[keep], mid]), np.concatenate([mid, hi[keep]])
     return total, err
 
@@ -196,8 +196,8 @@ def dr_ds(family: FamilySpec) -> Callable[[float], float]:
 
 
 def _require_ordered(x: np.ndarray, message: str = "grid must be strictly ordered") -> None:
-    d = np.diff(x)
-    if not (np.all(d > 0) or np.all(d < 0)):
+    d = x[1:] - x[:-1]
+    if not ((d > 0).all() or (d < 0).all()):
         raise DomainError(message)
 
 
@@ -228,23 +228,26 @@ def inradius_by_quadrature(
 def _inradius(family: FamilySpec, s0: float, C: float, grid, v) -> tuple[np.ndarray, float]:
     """r and the error estimate of :func:`inradius_by_quadrature`, given its grid and V."""
     _require_ordered(grid)
-    sign_v = np.sign(np.diff(v))
+    sign_v = np.sign(v[1:] - v[:-1])
     (lo, hi), = family.domain
     if not (lo <= s0 < hi):
         raise DomainError(f"anchor s0={s0} outside domain [{lo}, {hi})")
-    if not (np.all(sign_v > 0) or np.all(sign_v < 0)):
+    if not ((sign_v > 0).all() or (sign_v < 0).all()):
         raise ConvergenceError(
             f"V is not strictly monotone over the grid of family {family.id!r}; "
             "split the domain with monotone_partition first"
         )
 
-    # cumulative integration over the sorted knots, then shifted to vanish at the anchor
-    knots = np.unique(np.concatenate([[s0], grid]))
+    # the knots, np.unique of s0 and the grid: the grid ascending, with s0 put in unless held
+    knots = grid if grid[0] < grid[-1] else grid[::-1]
+    if (i := int(knots.searchsorted(s0))) == len(knots) or knots[i] != s0:
+        knots = np.concatenate([knots[:i], [s0], knots[i:]])
+    # cumulative integration over the knots, then shifted to vanish at the anchor knots[i]
     segments, errors = integrate(dr_ds(family), knots[:-1], knots[1:])
-    cumulative = np.concatenate([[0.0], np.cumsum(segments)])
-    vals = cumulative - cumulative[np.searchsorted(knots, s0)]
-    r = float(C) + vals[np.searchsorted(knots, grid)]
-    if np.any(np.sign(np.diff(r)) != sign_v):
+    cumulative = np.concatenate([[0.0], segments.cumsum()])
+    vals = cumulative - cumulative[i]
+    r = float(C) + vals[knots.searchsorted(grid)]
+    if (np.sign(r[1:] - r[:-1]) != sign_v).any():
         raise ConvergenceError("r(s) failed to track the monotonicity of V(s)")
     return r, float(errors.sum())
 
@@ -282,11 +285,11 @@ def verify_derivative_relation(
         raise DomainError("rtol must be positive")
     s, r = curve.s, curve.r
     bad = ~(np.isfinite(s) & np.isfinite(r))
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(f"curve sample {i} (s={s[i]}, r={r[i]}) is not finite")
-    order = np.argsort(r, kind="stable")
-    repeats = order[1:][np.diff(r[order]) == 0]
+    order = r.argsort(kind="stable")
+    repeats = order[1:][r[order[1:]] == r[order[:-1]]]
     if len(repeats):
         i = int(repeats.min())
         raise DomainError(f"curve sample {i} (s={s[i]}) repeats the value r={r[i]}")
@@ -304,8 +307,8 @@ def verify_derivative_relation(
 
 def _centre_slopes(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """dV/dr at the centre of each window of 7 samples; r must not repeat a value."""
-    # row j of these (7, windows) views holds sample j of every window
-    rw, vw = np.lib.stride_tricks.sliding_window_view(np.stack([r, v]), len(r) - 6, axis=1)
+    # row j of these (7, windows) arrays holds sample j of every window
+    rw, vw = (np.array([x[j:len(x) - 6 + j] for j in range(7)]) for x in (r, v))
     t = (rw - rw[3]) / np.abs(rw[-1] - rw[0])
     gaps = t - t[:, None]  # gaps[k, j] = t_j - t_k
     gaps[range(7), range(7)] = 1.0
@@ -334,7 +337,7 @@ def reparameterize(
     imgs = np.array([phi(t) for t in probe])
     _require_ordered(imgs, "phi is not strictly monotone on the sampled domain")
     (flo, fhi), = family.domain
-    if np.any(imgs <= flo) or np.any(imgs >= fhi):
+    if (imgs <= flo).any() or (imgs >= fhi).any():
         raise DomainError("phi maps outside the family domain")
 
     dv = family.dvolume
@@ -371,10 +374,10 @@ def monotone_partition(
         raise DomainError("refine_tol must be positive")
     _require_ordered(grid)
     vals = _at_points(v, grid)
-    bad = ~np.isfinite(vals) | (np.imag(vals) != 0)
-    if np.any(bad):
+    bad = ~np.isfinite(vals) | (vals.imag != 0)
+    if bad.any():
         raise DomainError(f"v is not real and finite at grid point {grid[np.argmax(bad)]}")
-    slopes = np.sign(np.diff(vals.real))
+    slopes = np.sign(vals.real[1:] - vals.real[:-1])
     intervals: list[tuple[float, float]] = []
     start, cur = grid[0], slopes[0]
     for i in range(1, len(slopes)):

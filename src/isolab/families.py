@@ -13,6 +13,7 @@ available, so downstream quadrature is not polluted by differentiation error.
 from __future__ import annotations
 
 import contextlib
+import functools
 import inspect
 import json
 import math
@@ -68,8 +69,9 @@ class FamilySpec:
     (0, inf), and V and A scale as declared (to 1e-9 relative) at the build
     checks' points that :func:`evaluate` accepts, each with its first m
     coordinates scaled by a seeded t in (0.5, 2); :class:`DomainError` otherwise.
-    ``sample_box`` (n finite intervals, lo < hi) holds the multistart points
-    and the 32 seeded points of both build checks; it defaults to 5-95 % of
+    ``sample_box`` (n finite intervals, lo < hi) holds the multistart points and the
+    32 seeded points of both build checks, which with their t are ``default_rng(0)``'s
+    first draws, computed by :func:`_seeded_uniforms`; it defaults to 5-95 % of
     each interval, or of (lo, lo + 10), (hi - 10, hi) or (-5, 5) if unbounded.
     """
 
@@ -105,9 +107,10 @@ class FamilySpec:
                 len(b) == 2 and -math.inf < b[0] < b[1] < math.inf for b in self.sample_box):
             raise DomainError(f"sample_box of {self.id!r} must hold a finite interval (lo, hi) "
                               f"with lo < hi for each of its n = {self.nparams} parameters")
-        # the seeded points of both build checks, one per column
-        rng = np.random.default_rng(0)
-        x = rng.uniform(*np.array(self.sample_box).T[:, :, None], (self.nparams, 32))
+        # the seeded points of both build checks, one per column, and the t of the prefix check
+        u = np.array(_seeded_uniforms(32 * self.nparams + 32))
+        lo, hi = np.array(self.sample_box).T[:, :, None]
+        x, t = lo + (hi - lo) * u[:-32].reshape(-1, 32), 0.5 + 1.5 * u[-32:]
         on_arrays = self.feasible is None  # whether feasible, if any, answers them as each alone
         if self.feasible is not None:
             with np.errstate(all="ignore"), contextlib.suppress(Exception):
@@ -116,7 +119,7 @@ class FamilySpec:
                     bool(self.feasible(p)) for p in x.T.copy()]
         object.__setattr__(self, "_feasible_on_arrays", on_arrays)
         if self.homogeneous_prefix_m is not None:
-            self._check_homogeneous_prefix(self.homogeneous_prefix_m, x, rng.uniform(0.5, 2.0, 32))
+            self._check_homogeneous_prefix(self.homogeneous_prefix_m, x, t)
 
     def _check_homogeneous_prefix(self, m: int, x: np.ndarray, t: np.ndarray) -> None:
         if not 1 <= m <= self.nparams:
@@ -210,7 +213,7 @@ def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"grid must be 1-D, not of shape {grid.shape}")
     (lo, hi), = family.domain
     outside = ~((grid > lo) & (grid < hi))
-    if np.any(outside):
+    if outside.any():
         point = grid[np.argmax(outside)]
         raise DomainError(f"grid point {point} outside ({lo}, {hi}) of family {family.id!r}")
     with np.errstate(all="ignore"):
@@ -220,6 +223,19 @@ def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
         evaluate(family, grid[i])  # raises, naming the point
         raise _not_finite_positive(family, float(grid[i]), v[i], a[i])  # array rounding differs
     return v, a
+
+
+@functools.cache
+def _seeded_uniforms(count: int) -> tuple[float, ...]:
+    """The first ``count`` doubles in [0, 1) of ``np.random.default_rng(0)``, bit for bit: its
+    PCG64 steps a 128-bit state, makes 64 bits of each by XSL-RR and keeps their top 53."""
+    state, u = 35399562948360463058890781895381311971, []
+    for _ in range(count):
+        state = (state * 0x2360ED051FC65DA44385DF649FCCF645
+                 + 87136372517582989555478159403783844777) % 2 ** 128
+        x, rot = ((state >> 64) ^ state) % 2 ** 64, state >> 122
+        u.append(((x >> rot | x << (-rot & 63)) % 2 ** 64 >> 11) * 2.0 ** -53)
+    return tuple(u)
 
 
 def _array_call(f: Callable, x: np.ndarray, dtype) -> np.ndarray | None:

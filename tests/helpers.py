@@ -1,6 +1,6 @@
 """Helpers that only the tests use: a checked isoperimetric ratio, a support
 function, a harmonic mean, two polygon constructors, every built-in and
-the one-parameter ones on sample grids, a reference for the windowed slopes of
+the one-parameter ones on sample grids, two references for the windowed slopes of
 ``calculus.verify_derivative_relation``, one for the root that
 ``search.solve_coordinate`` picks from its scan, and the one-start
 Nelder-Mead that the tests compare with SciPy's."""
@@ -90,6 +90,19 @@ def vandermonde_slopes(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     t = (rw - rw[:, half:half + 1]) / h[:, None]
     coeffs = np.linalg.solve(t[:, :, None] ** np.arange(width), vw[:, :, None])
     return coeffs[:, 1, 0] / h
+
+
+def window_slopes(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``calculus._centre_slopes`` as it was written on ``sliding_window_view``: the
+    barycentric slope at the centre of each window of 7 samples, all windows at once."""
+    rw, vw = np.lib.stride_tricks.sliding_window_view(np.stack([r, v]), len(r) - 6, axis=1)
+    t = (rw - rw[3]) / np.abs(rw[-1] - rw[0])
+    gaps = t - t[:, None]
+    gaps[range(7), range(7)] = 1.0
+    p = gaps.prod(axis=0)
+    dr = rw[3] - rw
+    dr[3] = 1.0
+    return (p[3] / p * (vw - vw[3]) / dr).sum(axis=0)
 
 
 def all_brackets_root(ts, vals, g, j, s):

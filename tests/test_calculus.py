@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import ALL_ONE_PARAM, vandermonde_slopes
+from helpers import ALL_ONE_PARAM, vandermonde_slopes, window_slopes
 from isolab import calculus, families, homogeneity
 from isolab.errors import ConvergenceError, DomainError
 from isolab.families import FamilySpec
@@ -204,6 +204,21 @@ class TestInradiusByQuadrature:
         pairs = zip(grid, vals[np.searchsorted(knots, grid)])
         assert curve.samples.tolist() == [[float(s), C + float(v)] for s, v in pairs]
         assert curve.samples.dtype == np.float64 and curve.samples.shape == (40, 2)
+
+    @pytest.mark.parametrize("s0", [0.0, 1.3, float(np.linspace(0.2, 3.0, 40)[17]), 3.5],
+                             ids=["domain-end", "between", "grid-point", "past-the-grid"])
+    @pytest.mark.parametrize("step", [1, -1], ids=["ascending", "descending"])
+    def test_knots_are_the_unique_of_s0_and_grid(self, monkeypatch, s0, step):
+        grid, calls = np.linspace(0.2, 3.0, 40)[::step], []
+        integrate = calculus.integrate
+        monkeypatch.setattr(calculus, "integrate",
+                            lambda f, a, b: calls.append((a, b)) or integrate(f, a, b))
+        calculus.inradius_by_quadrature(families.builtin("hexagon_120"), s0, 0.1, grid)
+        knots = np.unique(np.concatenate([[s0], grid]))
+        (a, b), = calls
+        np.testing.assert_array_equal(a, knots[:-1])
+        np.testing.assert_array_equal(b, knots[1:])
+        assert a.dtype == b.dtype == np.float64
 
     def test_rect_fixed_length_log_curve(self):
         a = 1.5
@@ -490,6 +505,18 @@ class TestVerifyDerivativeRelation:
         v, _ = families.sample(fam, grid)
         got = calculus._centre_slopes(curve.r, v)
         np.testing.assert_allclose(got, vandermonde_slopes(curve.r, v), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("fam,grid", ALL_ONE_PARAM, ids=lambda x: getattr(x, "id", "grid"))
+    def test_slopes_equal_the_sliding_window_form(self, fam, grid):
+        curve = calculus.inradius_by_quadrature(fam, float(grid[0]), 0.0, grid)
+        np.testing.assert_array_equal(calculus._centre_slopes(curve.r, curve.v),
+                                      window_slopes(curve.r, curve.v))
+
+    @pytest.mark.parametrize("n", [7, 8, 13, 400])
+    def test_slopes_equal_the_sliding_window_form_on_any_order(self, n):
+        rng = np.random.default_rng(n)
+        r, v = rng.permutation(np.cumsum(rng.uniform(0.1, 1.0, n))), rng.standard_normal(n)
+        np.testing.assert_array_equal(calculus._centre_slopes(r, v), window_slopes(r, v))
 
     def test_nan_rtol_rejected(self):
         cube = families.builtin("cube")

@@ -401,6 +401,28 @@ class TestBatchEvaluation:
         per_point = [(2, 32)] + [(2,)] * 32  # math.hypot in A takes one point at a time
         assert [x.shape for x in build("cone")["area"]] == per_point * 2
 
+        # the points and t are np.random.default_rng(0)'s first draws, as uniform makes them:
+        # for every built-in, and for a class of 12 parameters on intervals of each kind
+        kinds = (families.RPLUS, (-1.0, 3.0), (-math.inf, 2.0), (-math.inf, math.inf))
+        twelve = families.FamilySpec("twelve", 2, kinds * 3, volume=lambda x: x[0] * x[0] * x[4],
+                                     area=lambda x: 4.0 * x[0] * x[4], homogeneous_prefix_m=1)
+        for spec in [*ALL_BUILTINS, twelve]:
+            seen = []
+
+            def feasible(x):  # takes every point, one or many
+                seen.append(np.array(x, dtype=float))
+                return np.ones(x.shape[1], dtype=bool) if np.ndim(x) == 2 else True
+
+            dataclasses.replace(spec, feasible=feasible)
+            rng = np.random.default_rng(0)
+            x = rng.uniform(*np.array(spec.sample_box).T[:, :, None], (spec.nparams, 32))
+            np.testing.assert_array_equal(seen[0], x, err_msg=spec.id)  # the feasible probe
+            m = spec.homogeneous_prefix_m
+            if m is not None:  # the prefix check's points, each of them alone or all at once
+                tx = np.vstack([x[:m] * rng.uniform(0.5, 2.0, 32), x[m:]])
+                got = {tuple(p) for y in seen for p in (y.T if y.ndim == 2 else y[None]).tolist()}
+                assert {tuple(p) for p in tx.T.tolist()} <= got, spec.id
+
     def test_overflow_at_one_point_falls_back(self):
         spec = dataclasses.replace(families.builtin("rect_fixed_length"), volume=math.exp)
         x = np.array([[1.0, 800.0, 2.0]])

@@ -184,6 +184,31 @@ class TestClassify:
             homogeneity.classify(families.builtin("cube"), grid)
 
 
+def _median_cases(n, rng):
+    """Float arrays of n values: distinct, with ties, of signed zeros alone and among
+    ties, and with one NaN, or a NaN and a negative NaN, anywhere."""
+    distinct = rng.standard_normal(n)
+    yield distinct
+    yield rng.integers(-3, 4, n).astype(float)
+    yield rng.choice([0.0, -0.0], n)
+    yield rng.choice([0.0, -0.0, 1.0, -1.0], n)
+    for i in {0, n // 2, n - 1, int(rng.integers(n))}:
+        x = distinct.copy()
+        x[i] = math.nan
+        yield x.copy()
+        x[int(rng.integers(n))] = -math.nan
+        yield x
+
+
+def test_median_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(42)
+    for n in range(1, 401):
+        for x in _median_cases(n, rng):
+            x.setflags(write=False)  # classify hands it read-only arrays
+            got = homogeneity._median(x)
+            assert np.float64(got).tobytes() == np.median(x).tobytes(), (n, x.tolist())
+
+
 class TestRtolMargin:
     @pytest.mark.parametrize("fid,params", [("cube", {}), ("hexagon_120", {}), ("rect_fixed_length", {"a": 1.0})])
     def test_margin_decides_the_verdict(self, fid, params):
