@@ -40,6 +40,7 @@ _GRID_HELP = f"lo:hi:n with 2 <= n <= {MAX_GRID_POINTS}"
 
 
 def _parse_params(items: list[str] | None) -> dict:
+    """``--param key=value`` items as a dict of floats; the family checks their values."""
     out = {}
     for item in items or []:
         if "=" not in item:
@@ -48,16 +49,10 @@ def _parse_params(items: list[str] | None) -> dict:
         if key in out:
             raise DomainError(f"parameter {key!r} given twice")
         try:
-            if key == "branch":
-                out[key] = val
-            elif key == "n":
-                out[key] = int(val)
-            else:
-                out[key] = float(val)
+            out[key] = float(val)
         except ValueError as exc:
             raise DomainError(f"malformed parameter {item!r}: {exc}") from exc
-        if isinstance(out[key], float):
-            _finite(out[key], f"--param {key}")
+        _finite(out[key], f"--param {key}")
     return out
 
 
@@ -146,14 +141,14 @@ def _parse_fixed(item: str) -> tuple[int, Callable[[float], float]]:
 
 def _one_param_family(args) -> families.FamilySpec:
     from . import families
-    spec = families.builtin(args.family, **_parse_params(getattr(args, "param", None)))
+    spec = families.builtin(args.family, **_parse_params(args.param))
     if spec.nparams != 1:
         raise DomainError(f"{args.family!r} is a multi-parameter class, not a one-parameter family")
     return spec
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
@@ -354,108 +349,90 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="isolab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("families", help="family catalog as JSON")
-    p.set_defaults(handler=cmd_families)
+    # options that several subcommands share, each declared once in a parent parser
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write the data document here instead of stdout")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, help="a name that `isolab families` lists")
+    family.add_argument("--param", action="append", help="key=number, repeatable")
+    shape_class = argparse.ArgumentParser(add_help=False)
+    shape_class.add_argument("--class", dest="cls", required=True,
+                             help="a name that `isolab families` lists")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--starts", type=int, default=16, help=f"8 to {MAX_STARTS} start points")
+    search.add_argument("--tol", type=float, default=1e-10)
+    search.add_argument("--seed", type=int, default=0)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    polyhedron = argparse.ArgumentParser(add_help=False)
+    polyhedron.add_argument("--file", required=True, help="polyhedron JSON")
+    rtol = argparse.ArgumentParser(add_help=False)
+    rtol.add_argument("--rtol", type=float, default=1e-8)
 
-    p = sub.add_parser("eval", help="evaluate V, A, Q, r_tong of a family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--param", action="append", help="key=value, repeatable")
+    def command(name: str, handler: Callable, help: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[*parents, output])
+        p.set_defaults(handler=handler)
+        return p
+
+    command("families", cmd_families, "family catalog as JSON")
+
+    p = command("eval", cmd_eval, "evaluate V, A, Q, r_tong of a family", family)
     p.add_argument("--s", type=float, required=True)
-    p.set_defaults(handler=cmd_eval)
 
-    p = sub.add_parser("inradius", help="quadrature change-of-variable curve")
-    p.add_argument("--family", required=True)
-    p.add_argument("--param", action="append")
+    p = command("inradius", cmd_inradius, "quadrature change-of-variable curve", family, fmt)
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--C", type=float, default=0.0)
     p.add_argument("--grid", required=True, help=_GRID_HELP)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=cmd_inradius)
 
-    p = sub.add_parser("classify", help="homogeneity verdict over a grid")
-    p.add_argument("--family", required=True)
-    p.add_argument("--param", action="append")
+    p = command("classify", cmd_classify, "homogeneity verdict over a grid", family, rtol)
     p.add_argument("--grid", required=True, help=_GRID_HELP)
-    p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--expect", choices=("homogeneous", "not_homogeneous"))
-    p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("kmin", help="infimum of Q over a shape class")
-    p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--starts", type=int, default=16, help=f"8 to {MAX_STARTS} start points")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_kmin)
+    command("kmin", cmd_kmin, "infimum of Q over a shape class", shape_class, search)
 
-    p = sub.add_parser("kmin-table", help="reproduce the isoperimetric-ratio table")
-    p.add_argument("--starts", type=int, default=16, help=f"8 to {MAX_STARTS} start points")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_kmin_table)
+    command("kmin-table", cmd_kmin_table, "reproduce the isoperimetric-ratio table", search)
 
-    p = sub.add_parser("trace", help="trace the level set Q = k")
-    p.add_argument("--class", dest="cls", required=True)
+    p = command("trace", cmd_trace, "trace the level set Q = k", shape_class, fmt)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--start", required=True, help="comma-separated coordinates")
     p.add_argument("--steps", type=int, default=100, help=f"1 to {MAX_STEPS} steps")
     p.add_argument("--step-size", type=float, default=1e-2)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=cmd_trace)
 
-    p = sub.add_parser("solve-coordinate", help="solve Q = k for one coordinate")
-    p.add_argument("--class", dest="cls", required=True)
+    p = command("solve-coordinate", cmd_solve_coordinate, "solve Q = k for one coordinate",
+                shape_class)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--fixed", action="append", required=True,
                    help="i=expr(s), e.g. 0=sqrt(s): numbers, s, pi, e, + - * / ** "
                         "(number exponent) and sqrt sin cos tan exp log; repeatable")
-    p.set_defaults(handler=cmd_solve_coordinate)
 
-    p = sub.add_parser("starlike", help="pyramid decomposition and altitude means")
-    p.add_argument("--file", required=True, help="polyhedron JSON")
-    p.set_defaults(handler=cmd_starlike)
-
-    p = sub.add_parser("support-volume", help="support-function volume identity")
-    p.add_argument("--file", required=True)
-    p.set_defaults(handler=cmd_support_volume)
-
-    p = sub.add_parser("cohen", help="circumscribing-polytope volume check")
-    p.add_argument("--file", required=True)
+    command("starlike", cmd_starlike, "pyramid decomposition and altitude means", polyhedron)
+    command("support-volume", cmd_support_volume, "support-function volume identity", polyhedron)
+    p = command("cohen", cmd_cohen, "circumscribing-polytope volume check", polyhedron)
     p.add_argument("--r", type=float, required=True)
-    p.set_defaults(handler=cmd_cohen)
 
-    p = sub.add_parser("lift", help="lift a 2D family to right cylinders")
-    p.add_argument("--family", required=True, help="homogeneous base family")
-    p.add_argument("--param", action="append")
+    p = command("lift", cmd_lift, "lift a homogeneous 2D family to right cylinders", family, rtol)
     p.add_argument("--rho-scale", type=float, default=1.0, help="half-height = scale * s")
-    p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--grid", default="0.5:4:8", help=_GRID_HELP)
-    p.set_defaults(handler=cmd_lift)
 
-    p = sub.add_parser("steiner", help="outer parallel body volume and area")
+    p = command("steiner", cmd_steiner, "outer parallel body volume and area")
     p.add_argument("--box", help="a,b,c edge lengths")
     p.add_argument("--polygon-file", help="JSON array of CCW polygon vertices")
     p.add_argument("--s", type=float, required=True)
-    p.set_defaults(handler=cmd_steiner)
 
-    p = sub.add_parser("bonnesen", help="Bonnesen inequality report")
+    p = command("bonnesen", cmd_bonnesen, "Bonnesen inequality report")
     p.add_argument("--2d", dest="two_d", action="store_true")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--V", type=float)
     p.add_argument("--A", type=float, required=True)
     p.add_argument("--P", type=float)
     p.add_argument("--r", type=float)
-    p.set_defaults(handler=cmd_bonnesen)
 
-    p = sub.add_parser("deficit", help="isoperimetric deficit")
+    p = command("deficit", cmd_deficit, "isoperimetric deficit")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--V", type=float, required=True)
     p.add_argument("--A", type=float, required=True)
-    p.set_defaults(handler=cmd_deficit)
-
-    for p in sub.choices.values():  # every command writes one document
-        p.add_argument("--output", help="write the data document here instead of stdout")
     return parser
 
 

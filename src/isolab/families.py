@@ -393,14 +393,8 @@ def _rhombus_darea(a: float, s: float) -> float:
     return (a * a - s * s / 2.0) / np.sqrt(a * a - s * s / 4.0)
 
 
-def _rhombus(a: float = 1.0, branch: str | None = None) -> FamilySpec:
+def _rhombus(branch: str, a: float = 1.0) -> FamilySpec:
     _require(a > 0, "rhombus needs side a > 0")
-    if branch not in ("increasing", "decreasing"):
-        raise DomainError(
-            "rhombus is monotone only on its two branches; pass "
-            "branch='increasing' (diagonal in (0, sqrt(2)a)) or "
-            "branch='decreasing' (diagonal in (sqrt(2)a, 2a))"
-        )
     dom = (0.0, SQRT2 * a) if branch == "increasing" else (SQRT2 * a, 2.0 * a)
     return FamilySpec(
         id=f"rhombus_{branch}",
@@ -415,7 +409,7 @@ def _rhombus(a: float = 1.0, branch: str | None = None) -> FamilySpec:
 
 def rhombus_branches(a: float = 1.0) -> tuple[FamilySpec, FamilySpec]:
     """The two monotone branches of the fixed-side rhombus family."""
-    return _rhombus(a, "increasing"), _rhombus(a, "decreasing")
+    return _rhombus("increasing", a), _rhombus("decreasing", a)
 
 
 def _hexagon_sides(s: float) -> tuple[float, float, float]:
@@ -447,8 +441,8 @@ def _hexagon_120() -> FamilySpec:
 
 
 def _ngon(n: int = 6) -> FamilySpec:
+    _require(n >= 3 and float(n).is_integer(), "ngon needs an integer n >= 3")
     n = int(n)
-    _require(n >= 3, "ngon needs n >= 3")
     half = math.pi / n
     return FamilySpec(
         id=f"ngon_{n}",
@@ -600,7 +594,9 @@ _BUILTINS: dict[str, Callable[..., FamilySpec]] = {
     "ngon": _ngon,
     "rect_fixed_length": _rect_fixed_length,
     "rect_similar": _rect_similar,
-    "rhombus": _rhombus,
+    # the fixed-side rhombus by its two monotone branches (diagonal below and above sqrt(2) a)
+    "rhombus_increasing": functools.partial(_rhombus, "increasing"),
+    "rhombus_decreasing": functools.partial(_rhombus, "decreasing"),
     "box3": _box3,
     "cone": _cone,
     "cylinder": _cylinder,
@@ -630,8 +626,7 @@ def builtin(id: str, **params) -> FamilySpec:
 
 
 def catalog_json() -> str:
-    """The built-in catalog as a JSON array of ``{id, dimension, domain, params}``."""
-    # rhombus has no default branch; the catalog lists the increasing one
-    specs = [builtin(fid, **({"branch": "increasing"} if fid == "rhombus" else {}))
-             for fid in _BUILTINS]
-    return json.dumps([spec.catalog_entry() for spec in specs], indent=2)
+    """The built-in catalog as a JSON array of ``{id, dimension, domain, params}``, each
+    listed by the id that :func:`builtin` takes, at its default parameters."""
+    entries = [dict(builtin(fid).catalog_entry(), id=fid) for fid in _BUILTINS]
+    return json.dumps(entries, indent=2)

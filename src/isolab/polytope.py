@@ -48,7 +48,7 @@ def _polygon_area_2d(pts: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: arrays have no single truth value
 class StarPolyhedron(Record):
     """Polygon (d=2) or polyhedron (d=3) star-like with respect to ``apex``.
 
@@ -76,10 +76,10 @@ class StarPolyhedron(Record):
     vertices: np.ndarray
     facets: tuple[tuple[int, ...], ...]
     apex: np.ndarray
-    normals: np.ndarray = field(init=False, repr=False, compare=False)
-    measures: np.ndarray = field(init=False, repr=False, compare=False)
-    altitudes: np.ndarray = field(init=False, repr=False, compare=False)
-    diagonal: float = field(init=False, repr=False, compare=False)
+    normals: np.ndarray = field(init=False, repr=False)
+    measures: np.ndarray = field(init=False, repr=False)
+    altitudes: np.ndarray = field(init=False, repr=False)
+    diagonal: float = field(init=False, repr=False)
 
     def __post_init__(self):
         d = _integer(self.dimension, "dimension")
@@ -241,9 +241,9 @@ def from_json(text: str) -> StarPolyhedron:
         raise GeometryError(f"malformed polyhedron document: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity, as for StarPolyhedron
 class PyramidDecomposition:
-    """Per-facet pyramid records (A_i, r_i, V_i = A_i r_i / d) and totals."""
+    """Per-facet pyramid records (A_i, r_i, V_i = A_i r_i / d) as read-only arrays, and totals."""
 
     dimension: int
     facet_measures: np.ndarray  # A_i
@@ -260,7 +260,7 @@ def decompose(p: StarPolyhedron) -> PyramidDecomposition:
         dimension=p.dimension,
         facet_measures=p.measures,
         altitudes=p.altitudes,
-        pyramid_volumes=v_i,
+        pyramid_volumes=_frozen(v_i),
         total_area=float(p.measures.sum()),
         total_volume=float(v_i.sum()),
     )

@@ -72,11 +72,8 @@ ALL_ONE_PARAM = [
 ]
 
 
-# every built-in, with both rhombus branches
-ALL_BUILTINS = [
-    *(families.builtin(fid) for fid in families._BUILTINS if fid != "rhombus"),
-    *families.rhombus_branches(),
-]
+# every built-in, at its default parameters
+ALL_BUILTINS = [families.builtin(fid) for fid in families._BUILTINS]
 
 
 def vandermonde_slopes(r: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -74,12 +74,20 @@ class TestEval:
         assert out == ""
         assert "error" in err
 
-    # the factory's signature decides which --param keys a built-in family takes
-    @pytest.mark.parametrize("family, param", [("cube", "a=2"), ("ngon", "branch=x")])
+    # the factory's signature decides which --param keys a built-in family takes, and
+    # every value is a number: branch=x is a malformed number
+    @pytest.mark.parametrize("family, param",
+                             [("cube", "a=2"), ("ngon", "branch=x"), ("ngon", "a=2")])
     def test_parameter_not_taken(self, capsys, family, param):
         code, out, err = run(capsys, "eval", "--family", family, "--param", param, "--s", "1")
         assert (code, out) == (2, "")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("family, param", [("rect_fixed_length", "a=inf"), ("ngon", "n=nan")])
+    def test_parameter_not_finite(self, capsys, family, param):
+        code, out, err = run(capsys, "eval", "--family", family, "--param", param, "--s", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: --param {param[0]}: NaN and infinity are not allowed\n"
 
 
 class TestDeterminism:
@@ -153,6 +161,8 @@ class TestExitCodes:
             (["solve-coordinate", "--class", "parallelogram3", "--k", "32", "--j", "2",
               "--s", "2", "--fixed", "bad"], 2),
             (["bonnesen", "--d", "3", "--A", "6"], 1),
+            # ngon takes an integer n: not ngon_5
+            (["eval", "--family", "ngon", "--param", "n=5.5", "--s", "1"], 2),
         ],
     )
     def test_malformed_argv_without_traceback(self, capsys, argv, expected):
@@ -309,6 +319,15 @@ class TestFamiliesCatalog:
         assert code == 0
         ids = {entry["id"] for entry in json.loads(out)}
         assert {"cube", "hexagon_120", "box3", "ring_torus"} <= ids
+
+    # each listed id is a name that builtin, --family and --class take
+    @pytest.mark.parametrize("entry", json.loads(families.catalog_json()), ids=lambda e: e["id"])
+    def test_catalog_id_is_a_builtin_name(self, capsys, entry):
+        spec = families.builtin(entry["id"])
+        assert entry["params"] == dict(spec.params)
+        code, out, err = run(capsys, "kmin", "--class", entry["id"], "--starts", "8")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["class_id"] == spec.id
 
 
 class TestInradius:

@@ -46,8 +46,10 @@ def test_rhombus_branch_eval():
 
 
 def test_rhombus_without_branch_selector():
-    with pytest.raises(DomainError):
+    # the rhombus is a built-in only by its two monotone branches
+    with pytest.raises(DomainError, match="unknown built-in family 'rhombus'"):
         families.builtin("rhombus", a=1.0)
+    assert families.builtin("rhombus_decreasing", a=1.0).domain == ((SQRT2, 2.0),)
 
 
 def test_ring_torus_domain_requires_center_larger_than_tube():
@@ -67,6 +69,8 @@ def test_params_out_of_range():
         families.builtin("rect_similar", k=1.5)
     with pytest.raises(DomainError):
         families.builtin("ngon", n=2)
+    with pytest.raises(DomainError, match="integer"):  # not ngon_5
+        families.builtin("ngon", n=5.5)
 
 
 def test_eval_outside_domain():

@@ -174,6 +174,16 @@ class TestStarPolyhedron:
         with pytest.raises(ValueError):
             p.vertices[0, 0] = 5.0
 
+    # records holding arrays compare by identity, as InradiusCurve and HomogeneityReport do
+    def test_records_compare_by_identity(self):
+        p, q = polytope.cube_polyhedron(), polytope.cube_polyhedron()
+        dec = polytope.decompose(p)
+        assert p == p and p != q and len({p, q}) == 2
+        assert dec == dec and dec != polytope.decompose(p) and len({dec}) == 1
+        for x in (dec.facet_measures, dec.altitudes, dec.pyramid_volumes):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+
 
 class TestFacetGeometry:
     """The segmented pass, one sequential sum per facet over its run of vertex
@@ -626,7 +636,7 @@ class TestDiagonal:
         assert "diagonal" not in repr(cube)
         other = copy.copy(cube)  # the same arrays, another diagonal
         object.__setattr__(other, "diagonal", 2.0 * cube.diagonal)
-        assert other == cube
+        assert other != cube and other == other  # == is identity: no field is compared
         with pytest.raises(TypeError):
             polytope.StarPolyhedron(3, cube.vertices, cube.facets, cube.apex, diagonal=1.0)
 
@@ -752,7 +762,7 @@ class TestAltitudes:
         assert "altitudes" not in repr(hull)
         other = copy.copy(hull)
         object.__setattr__(other, "altitudes", 2.0 * hull.altitudes)
-        assert other == hull
+        assert other != hull and other == other  # == is identity: no field is compared
         with pytest.raises(TypeError):
             polytope.StarPolyhedron(3, hull.vertices, hull.facets, hull.apex, altitudes=None)
 
