@@ -187,11 +187,11 @@ def integrate(f: Callable[[float], float], a, b) -> tuple[np.ndarray, np.ndarray
 
 def dr_ds(family: FamilySpec) -> Callable[[float], float]:
     """The integrand V'(s)/A(s) of the change-of-variable curve r(s)."""
+    lo, hi = family.interval
     dv = family.dvolume
     if dv is None:
-        (lo, hi), = family.domain
         scale = (hi - lo) / 2.0 if math.isfinite(hi) else max(lo, 1.0)
-        dv = lambda t: derivative(family.volume, t, scale, family.domain[0])
+        dv = lambda t: derivative(family.volume, t, scale, (lo, hi))
     return lambda t: dv(t) / family.area(t)
 
 
@@ -218,7 +218,7 @@ def inradius_by_quadrature(
     about 1e-7 relative where V'' is unbounded, which the error estimate omits.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
+    if grid.size < 2:
         raise DomainError("grid must contain at least 2 points")
     v, a = sample(family, grid)
     r, err = _inradius(family, s0, C, grid, v)
@@ -229,7 +229,7 @@ def _inradius(family: FamilySpec, s0: float, C: float, grid, v) -> tuple[np.ndar
     """r and the error estimate of :func:`inradius_by_quadrature`, given its grid and V."""
     _require_ordered(grid)
     sign_v = np.sign(v[1:] - v[:-1])
-    (lo, hi), = family.domain
+    lo, hi = family.interval
     if not (lo <= s0 < hi):
         raise DomainError(f"anchor s0={s0} outside domain [{lo}, {hi})")
     if not ((sign_v > 0).all() or (sign_v < 0).all()):
@@ -329,6 +329,7 @@ def reparameterize(
     The change-of-variable curve of the result equals r(phi(s)) up to an
     additive constant, so downstream quantities are representation-stable.
     """
+    flo, fhi = family.interval
     lo, hi = new_domain
     if not lo < hi:
         raise DomainError(f"empty reparameterized domain ({lo}, {hi})")
@@ -336,7 +337,6 @@ def reparameterize(
     probe = np.linspace(lo + 1e-6 * span, min(hi, lo + span) - 1e-6 * span, 64)
     imgs = np.array([phi(t) for t in probe])
     _require_ordered(imgs, "phi is not strictly monotone on the sampled domain")
-    (flo, fhi), = family.domain
     if (imgs <= flo).any() or (imgs >= fhi).any():
         raise DomainError("phi maps outside the family domain")
 

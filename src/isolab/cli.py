@@ -142,8 +142,7 @@ def _parse_fixed(item: str) -> tuple[int, Callable[[float], float]]:
 def _one_param_family(args) -> families.FamilySpec:
     from . import families
     spec = families.builtin(args.family, **_parse_params(args.param))
-    if spec.nparams != 1:
-        raise DomainError(f"{args.family!r} is a multi-parameter class, not a one-parameter family")
+    spec.interval  # raises for a multi-parameter class
     return spec
 
 

@@ -58,9 +58,11 @@ class FamilySpec:
     with a bool array of shape (m,) equal to its answers point by point; else, or
     if a later array gets no such answer, each point goes through :func:`evaluate`.
 
-    One-parameter operations need n = 1, a ``volume`` strictly monotone on the
-    interval (split others with :func:`isolab.calculus.monotone_partition`) and
-    both evaluators finite and positive inside it.  ``homogeneous_prefix_m``
+    One-parameter operations need n = 1 (they read :attr:`interval`, which
+    raises :class:`DomainError` for a multi-parameter class), a ``volume``
+    strictly monotone on the interval (split others with
+    :func:`isolab.calculus.monotone_partition`) and both evaluators finite
+    and positive inside it.  ``homogeneous_prefix_m``
     marks V and A as homogeneous of degrees d and d-1 in the first m
     coordinates, each over (0, inf); :func:`isolab.search.kmin` then searches
     with x1 = 1 (with m = n = 1 the regions are similar and Q is constant).  A
@@ -148,6 +150,13 @@ class FamilySpec:
     def nparams(self) -> int:
         return len(self.domain)
 
+    @property
+    def interval(self) -> Interval:
+        """The one parameter interval; :class:`DomainError` for a multi-parameter class."""
+        if len(self.domain) != 1:
+            raise DomainError(f"{self.id!r} is a multi-parameter class, not a one-parameter family")
+        return self.domain[0]
+
     def contains(self, x) -> bool:
         """Whether ``x`` (a length-n vector, or a float when n = 1) is inside."""
         x = np.asarray(x, dtype=float)
@@ -206,12 +215,10 @@ def evaluate(family: FamilySpec, x) -> tuple[float, float]:
 def sample(family: FamilySpec, grid) -> tuple[np.ndarray, np.ndarray]:
     """(V, A) arrays of a one-parameter family over a 1-D grid inside its
     interval, from :func:`_evaluate_batch`, checked as :func:`evaluate` checks one point."""
+    lo, hi = family.interval
     grid = np.asarray(grid, dtype=float)
-    if family.nparams != 1:
-        raise DomainError(f"{family.id!r} is a multi-parameter class, not a one-parameter family")
     if grid.ndim != 1:
         raise DomainError(f"grid must be 1-D, not of shape {grid.shape}")
-    (lo, hi), = family.domain
     outside = ~((grid > lo) & (grid < hi))
     if outside.any():
         point = grid[np.argmax(outside)]

@@ -168,7 +168,7 @@ def lift_cylinder(
     inradius of the result is the (d)-variable symmetric harmonic mean of
     d-1 copies of the base inradius and rho.
     """
-    (lo, hi), = base_family.domain
+    lo, hi = base_family.interval
     width = min(hi - lo, 10.0) if math.isfinite(hi) else 10.0
     grid = np.linspace(lo + 0.05 * width, lo + 0.95 * width, 48)
     report = classify(base_family, grid, rtol=rtol)

@@ -85,7 +85,10 @@ class StarPolyhedron(Record):
         d = _integer(self.dimension, "dimension")
         vertices = _frozen(self.vertices)
         apex = _frozen(self.apex)
-        facets = tuple(map(tuple, self.facets))
+        facets = self.facets
+        if isinstance(facets, np.ndarray) and facets.dtype.kind in "iu":  # Python ints, in one call
+            facets = facets.tolist()
+        facets = tuple(map(tuple, facets))
         flat = list(chain.from_iterable(facets))
         if operator.countOf(map(type, flat), int) != len(flat):  # a bool, float or numpy index
             facets = tuple(tuple(_integer(i, "facet vertex index") for i in f) for f in facets)

@@ -344,8 +344,13 @@ class TestInradiusByQuadrature:
         assert curve.r.tolist() == want
 
     def test_one_point_grid_rejected(self):
-        with pytest.raises(DomainError, match="^grid must contain at least 2 points$"):
-            calculus.inradius_by_quadrature(families.builtin("cube"), 0.0, 0.0, [1.0])
+        # a 2-D grid gets sample's message, and a 0-d one no TypeError from len
+        for grid, message in [([1.0], "grid must contain at least 2 points"),
+                              (1.0, "grid must contain at least 2 points"),
+                              (np.full((3, 3), 1.0), "grid must be 1-D, not of shape (3, 3)")]:
+            with pytest.raises(DomainError) as info:
+                calculus.inradius_by_quadrature(families.builtin("cube"), 0.0, 0.0, grid)
+            assert str(info.value) == message
 
     def test_anchor_outside_domain(self):
         with pytest.raises(DomainError, match=re.escape("anchor s0=-1.0 outside domain [0.0, inf)")):

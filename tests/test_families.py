@@ -483,6 +483,28 @@ class TestSpecDomain:
                                    area=lambda s: math.exp(0.5 * s))
         assert spec.sample_box == box
 
+    # each one-parameter operation reads FamilySpec.interval before any other work
+    @pytest.mark.parametrize("call", [
+        lambda spec, f: families.sample(spec, np.linspace(1.0, 2.0, 8)),
+        lambda spec, f: calculus.inradius_by_quadrature(spec, 1.0, 0.0, np.linspace(1.0, 2.0, 8)),
+        lambda spec, f: calculus.dr_ds(spec),
+        lambda spec, f: calculus.reparameterize(spec, f, (0.0, 1.0)),
+        lambda spec, f: homogeneity.lift_cylinder(spec, rho=f),
+    ], ids=["sample", "inradius_by_quadrature", "dr_ds", "reparameterize", "lift_cylinder"])
+    @pytest.mark.parametrize("spec", [
+        families.builtin("box3"),
+        families.FamilySpec(id="pair", dimension=2, domain=(families.RPLUS,) * 2,
+                            volume=lambda x: x[0] * x[1], area=lambda x: 2.0 * (x[0] + x[1])),
+    ], ids=lambda spec: spec.id)
+    def test_multi_parameter_class_rejected_first(self, call, spec):
+        calls = []
+        counted = dataclasses.replace(spec, volume=lambda x: calls.append(x) or spec.volume(x))
+        calls.clear()  # the build checks
+        with pytest.raises(DomainError) as info:
+            call(counted, lambda s: calls.append(s) or s)
+        assert str(info.value) == f"{spec.id!r} is a multi-parameter class, not a one-parameter family"
+        assert calls == []
+
     def test_unbounded_below_builds_and_evaluates(self):
         # V = e^s, A = e^(s/2): Q = A^2 / V = 1 over the whole line
         one = families.FamilySpec(id="exp", dimension=2, domain=((-math.inf, 1.0),),

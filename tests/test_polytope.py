@@ -303,12 +303,30 @@ class TestFacetGeometry:
         assert str(info.value) == message
 
     def test_index_array_facets(self):
+        # an integer array, such as ConvexHull.simplices (int32), is read as Python ints
         hull = sphere_hull(np.random.default_rng(5), 40)
-        p = polytope.StarPolyhedron(3, hull.vertices, np.array(hull.facets), hull.apex)
-        assert p.facets == hull.facets
-        assert all(type(i) is int for f in p.facets for i in f)
-        for got, want in zip((p.normals, p.altitudes, p.measures), (hull.normals, hull.altitudes, hull.measures)):
-            assert got.tobytes() == want.tobytes()
+        for dtype in (np.int64, np.int32, np.uint8):
+            p = polytope.StarPolyhedron(3, hull.vertices, np.array(hull.facets, dtype=dtype),
+                                        hull.apex)
+            assert p.facets == hull.facets
+            assert all(type(i) is int for f in p.facets for i in f)
+            for got, want in zip((p.normals, p.altitudes, p.measures), (hull.normals, hull.altitudes, hull.measures)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype, value, message", [
+        (float, 2.5, f"facet vertex index must be an integer, got {np.float64(2.5)!r}"),
+        (bool, True, f"facet vertex index must be an integer, got {np.True_!r}"),
+        (np.int64, 7, "facet vertex index out of range"),
+        (np.int64, -1, "facet vertex index out of range"),
+        (np.uint64, 2**64 - 1, "facet vertex index out of range"),
+    ])
+    def test_index_array_rejected(self, dtype, value, message):
+        tet = polytope.regular_tetrahedron()
+        facets = np.array(tet.facets, dtype=dtype)
+        facets[2, 2] = value
+        with pytest.raises(GeometryError) as info:
+            polytope.StarPolyhedron(3, tet.vertices, facets, tet.apex)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("args, message", [
         # a cube without its bottom, and a square without its left edge: star-like, not closed
@@ -357,18 +375,22 @@ class TestFacetGeometry:
 class TestScale:
     """Facet geometry at a power-of-two scale, so no square overflows or underflows."""
 
-    @pytest.mark.parametrize("k", [-330, -200, -50, 50, 200, 340])
+    @pytest.mark.parametrize("k", [-330, -300, -201, -200, -50, 50, 200, 201, 300, 340])
     def test_cubes_scale_exactly(self, k):
         unit, dec1 = polytope.cube_polyhedron(), polytope.decompose(polytope.cube_polyhedron())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cube = polytope.cube_polyhedron(2.0**k)
             dec = polytope.decompose(cube)
+            support_volume = polytope.volume_from_support(cube)
+            cohen_residual = polytope.cohen_check(cube, math.ldexp(0.5, k))
         assert cube.normals.tolist() == unit.normals.tolist()
         assert cube.altitudes.tolist() == np.ldexp(unit.altitudes, k).tolist()
         assert cube.measures.tolist() == np.ldexp(unit.measures, 2 * k).tolist()
         assert dec.total_area == math.ldexp(dec1.total_area, 2 * k)
         assert dec.total_volume == math.ldexp(dec1.total_volume, 3 * k)
+        assert support_volume == math.ldexp(polytope.volume_from_support(unit), 3 * k)
+        assert cohen_residual <= 1e-12
 
     @pytest.mark.parametrize("k", [-500, 500])
     def test_squares_scale_exactly(self, k):
@@ -501,6 +523,17 @@ class TestVolumeFromSupport:
     def test_regular_tetrahedron(self):
         v = polytope.volume_from_support(polytope.regular_tetrahedron(1.0))
         assert v == pytest.approx(SQRT2 / 12, abs=1e-12)
+
+    def test_pentagonal_prism(self):
+        # mixed facet sizes in one pass: 2 pentagons and 5 quadrilaterals
+        ring = np.c_[np.cos(0.4 * np.pi * np.arange(5)), np.sin(0.4 * np.pi * np.arange(5))]
+        verts = np.vstack([np.c_[ring, np.zeros(5)], np.c_[ring, np.ones(5)]])
+        sides = [(i, (i + 1) % 5, 5 + (i + 1) % 5, 5 + i) for i in range(5)]
+        p = polytope.StarPolyhedron(3, verts, [(4, 3, 2, 1, 0), tuple(range(5, 10))] + sides,
+                                    [0.0, 0.0, 0.5])
+        volume = 2.5 * math.sin(0.4 * math.pi)
+        assert abs(polytope.volume_from_support(p) - volume) < 1e-12
+        assert polytope.decompose(p).total_volume == pytest.approx(volume, rel=1e-14)
 
     def test_translated_cube(self):
         cube = polytope.cube_polyhedron(2.0, origin=(10.0, 10.0, 10.0))

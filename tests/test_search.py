@@ -767,6 +767,12 @@ class TestScanGrid:
         assert search._scan_grid.cache_info().currsize == size
 
 
+def _levels_of(f, x2=(-10.0, 10.0), x1=(-10.0, 10.0)):
+    """A class in d = 2 with V = 1 and A = sqrt(f(x)), so that Q = f."""
+    return families.FamilySpec(id="levels", dimension=2, domain=(x1, x2),
+                               volume=lambda x: 1.0 + 0.0 * x[0], area=lambda x: np.sqrt(f(x)))
+
+
 class TestTraceLevelSet:
     def _start_point(self, s: float) -> np.ndarray:
         return np.array([math.sqrt(s), s - math.sqrt(s), _parallelogram_x3(s)])
@@ -846,12 +852,14 @@ class TestTraceLevelSet:
     def test_q_calls_per_step(self):
         par = families.builtin("parallelogram3")
         counted = dataclasses.replace(par, volume=_counted(par.volume))
-        counted.volume.calls = 0
-        curve = search.trace_level_set(counted, 32.0, self._start_point(4.0), steps=200)
-        assert len(curve.points) == 201
-        # each Q call evaluates V once, the start check's included
-        assert curve.q_calls == counted.volume.calls <= 5 * 200
-        assert json.loads(curve.to_json())["q_calls"] == curve.q_calls
+        # 200 steps from s = 4, and the README's trace: 100 steps from (2, 2, 0.5236)
+        for start, steps in [(self._start_point(4.0), 200), (np.array([2.0, 2.0, 0.5236]), 100)]:
+            counted.volume.calls = 0
+            curve = search.trace_level_set(counted, 32.0, start, steps=steps)
+            assert (curve.stop_reason, len(curve.points)) == ("steps", steps + 1)
+            # each Q call evaluates V once, the start check's included
+            assert curve.q_calls == counted.volume.calls <= 5 * steps
+            assert json.loads(curve.to_json())["q_calls"] == curve.q_calls
 
     def test_circle_levels_refresh_the_stale_direction(self):
         # Q = x1^2 + x2^2, so Q = 1 is the unit circle: 400 steps of 0.1 go round it about 6 times
@@ -918,6 +926,31 @@ class TestTraceLevelSet:
                                        np.array([2.0]), steps=5)
         assert curve.stop_reason == "tangent_degenerate"
         assert len(curve.points) == 1
+        # Q = x1 + 1 below x2 = 1 and 10 above: the level x1 = 0.5 ends there, where no
+        # corrector step along g lands
+        curve = search.trace_level_set(_levels_of(lambda x: np.where(x[1] < 1.0, x[0] + 1.0, 10.0)),
+                                       1.5, np.array([0.5, 0.0]), steps=200)
+        assert (curve.stop_reason, len(curve.points)) == ("corrector_failed", 21)
+        assert 0.0 <= 1.0 - curve.points[-1][1][1] < 1e-6
+        # Q = 1 + (x1 - sin x2) e^-x2: the level x1 = sin x2, along which |g| falls as e^-x2
+        curve = search.trace_level_set(
+            _levels_of(lambda x: 1.0 + (x[0] - np.sin(x[1])) * np.exp(-x[1]), (-1.0, 40.0)),
+            1.0, np.array([0.0, 0.0]), steps=1000, step_size=0.1)
+        assert (curve.stop_reason, len(curve.points)) == ("gradient_zero", 225)
+        assert 18.0 < curve.points[-1][1][1] < 19.0
+
+    @pytest.mark.parametrize("f, domain, k, message", [
+        # the corrector's first step leaves x1 < 0.505
+        (lambda x: x[0] + 1.0, (-10.0, 0.505), 1.51,
+         "corrector failed to land on the level set at the start"),
+        # Q is finite only where |x2| <= 1e-10: both points of the x2 stencil are outside
+        (lambda x: np.where(np.abs(x[1]) <= 1e-10, x[0] + 1.0, 0.0), (-10.0, 10.0), 1.5,
+         "no gradient of Q to follow at the start: left_domain"),
+    ])
+    def test_no_start_on_the_level(self, f, domain, k, message):
+        with pytest.raises(ConvergenceError) as info:
+            search.trace_level_set(_levels_of(f, x1=domain), k, np.array([0.5, 0.0]), steps=10)
+        assert str(info.value) == message
 
     def test_evidence_in_json(self):
         par = families.builtin("parallelogram3")
