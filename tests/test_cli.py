@@ -32,6 +32,23 @@ def run_process(*args, timeout=60):
                           timeout=timeout)
 
 
+def test_cli_import_loads_no_scipy():
+    proc = run_process(
+        "-c", "import sys, isolab.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+# golden-section search in one coordinate after the reduction: no scipy.optimize
+def test_kmin_cone_loads_no_scipy():
+    proc = run_process(
+        "-c", "import sys; from isolab import cli; cli.main(['kmin', '--class', 'cone']); "
+              "print(sorted(m for m in sys.modules if 'scipy' in m))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestEval:
     def test_cube(self, capsys):
         code, out, _ = run(capsys, "eval", "--family", "cube", "--s", "2")
@@ -705,10 +722,6 @@ def readme_cli_lines():
     return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("isolab ")]
 
 
-def _no_constant(name):
-    raise ValueError(f"{name} is not RFC 8259 JSON")
-
-
 @pytest.mark.parametrize("line", readme_cli_lines())
 def test_readme_example_runs_as_written(capsys, tmp_path, monkeypatch, line):
     monkeypatch.chdir(tmp_path)
@@ -721,35 +734,47 @@ def test_readme_example_runs_as_written(capsys, tmp_path, monkeypatch, line):
         assert rows and all(len(row) == len(header) for row in rows)
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
     else:
-        json.loads(out, parse_constant=_no_constant)
+        json.loads(out)
+
+
+# numpy is the only runtime dependency: no command loads a scipy module
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_line_loads_no_scipy(tmp_path, line):
+    (tmp_path / "cube.json").write_text(polytope.cube_polyhedron().to_json())
+    code = ("import sys; from isolab import cli; code = cli.main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *shlex.split(line, comments=True)[1:]],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", line
 
 
 def run_commands(cwd, *argvs):
     """``cli.main`` on each argv in turn, in one fresh interpreter: the exit codes, the
-    ``isolab`` submodules loaded after the last, which of numpy, numpy.ma and
-    numpy.random are loaded, and the scipy modules loaded."""
+    ``isolab`` submodules loaded after the last, and which of numpy, numpy.ma and
+    numpy.random are loaded."""
     code = ("import json, sys; from isolab import cli; "
             "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
             "print(json.dumps([codes, sorted(m[7:] for m in sys.modules if m.startswith('isolab.')), "
-            "[m for m in ('numpy', 'numpy.ma', 'numpy.random') if m in sys.modules], "
-            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+            "[m for m in ('numpy', 'numpy.ma', 'numpy.random') if m in sys.modules]]))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    codes, modules, numpy, scipy = json.loads(proc.stdout.splitlines()[-1])
-    return codes, set(modules), set(numpy), scipy
+    codes, modules, numpy = json.loads(proc.stdout.splitlines()[-1])
+    return codes, set(modules), set(numpy)
 
 
 # float arithmetic and argparse alone: the README's bonnesen and deficit lines, --help,
 # and a usage error
 def test_float_commands_and_usage_errors_load_no_numpy(tmp_path):
-    codes, modules, numpy, scipy = run_commands(
+    codes, modules, numpy = run_commands(
         tmp_path, ["bonnesen", "--d", "3", "--V", "1", "--A", "6"],
         ["bonnesen", "--2d", "--P", "6", "--A", "2", "--r", "0.5"],
         ["deficit", "--d", "2", "--V", "1", "--A", "4"], ["--help"], ["bonnesen", "--d", "3"])
     assert codes == [0, 0, 0, 0, 1]
-    assert (modules, numpy, scipy) == ({"cli", "errors", "inequalities", "records"}, set(), [])
+    assert (modules, numpy) == ({"cli", "errors", "inequalities", "records"}, set())
 
 
 def test_package_loads_submodules_on_first_use():
@@ -789,15 +814,26 @@ COMMAND_MODULES = {
 }
 
 
-# numpy.ma is never loaded, numpy.random only for kmin's Latin hypercube starts, and numpy
-# is the only runtime dependency: no command loads a scipy module
+# numpy.ma is never loaded, and numpy.random only for kmin's Latin hypercube starts
 @pytest.mark.parametrize("line", readme_cli_lines())
 def test_readme_line_loads_only_its_modules(tmp_path, line):
     (tmp_path / "cube.json").write_text(polytope.cube_polyhedron().to_json())
     argv = shlex.split(line, comments=True)[1:]
-    codes, modules, numpy, scipy = run_commands(tmp_path, argv)
-    assert (codes, scipy) == ([0], [])
+    codes, modules, numpy = run_commands(tmp_path, argv)
+    assert codes == [0]
     assert modules == {"cli", "errors"} | COMMAND_MODULES[argv[0]], line
     want = {"numpy", "numpy.random"} if argv[0] in ("kmin", "kmin-table") else {"numpy"}
     assert numpy == (set() if argv[0] in ("bonnesen", "deficit") else want), line
 
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("line", [line for line in readme_cli_lines() if "csv" not in line])
+def test_readme_json_is_rfc8259(capsys, tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cube.json").write_text(polytope.cube_polyhedron().to_json())
+    code, out, _ = run(capsys, *shlex.split(line, comments=True)[1:])
+    assert code == 0
+    json.loads(out, parse_constant=_no_constant)
