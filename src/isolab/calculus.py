@@ -190,7 +190,7 @@ def dr_ds(family: FamilySpec) -> Callable[[float], float]:
     lo, hi = family.interval
     dv = family.dvolume
     if dv is None:
-        scale = (hi - lo) / 2.0 if math.isfinite(hi) else max(lo, 1.0)
+        scale = (hi - lo) / 2.0 if math.isfinite(hi - lo) else max(lo, 1.0)
         dv = lambda t: derivative(family.volume, t, scale, (lo, hi))
     return lambda t: dv(t) / family.area(t)
 
@@ -333,8 +333,10 @@ def reparameterize(
     lo, hi = new_domain
     if not lo < hi:
         raise DomainError(f"empty reparameterized domain ({lo}, {hi})")
-    span = (hi - lo) if math.isfinite(hi) else 10.0
-    probe = np.linspace(lo + 1e-6 * span, min(hi, lo + span) - 1e-6 * span, 64)
+    # all of a finite domain, else the width-10 window at its finite end, or (-5, 5)
+    span = hi - lo if math.isfinite(hi - lo) else 10.0
+    start = lo if math.isfinite(lo) else hi - span if math.isfinite(hi) else -5.0
+    probe = np.linspace(start + 1e-6 * span, min(hi, start + span) - 1e-6 * span, 64)
     imgs = np.array([phi(t) for t in probe])
     _require_ordered(imgs, "phi is not strictly monotone on the sampled domain")
     if (imgs <= flo).any() or (imgs >= fhi).any():

@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Each subcommand maps 1:1 to a library operation and writes exactly one JSON
-document or one CSV table to stdout (or ``--output``).  Diagnostics go to
-stderr only.  Exit codes: 0 success, 1 usage error, 2 domain/validation
-error, 3 when a requested check fails.
+document or one CSV table to stdout (or ``--output``).  stderr is empty on
+exit 0; on a failure it holds one line, whose start matches the exit code:
+1 ``usage error: ``, 2 ``error: `` (a domain or validation error), 3
+``check failed: `` (a requested check failed).
 """
 
 from __future__ import annotations
@@ -191,12 +192,6 @@ def cmd_classify(args) -> None:
     grid = _parse_grid(args.grid)
     report = homogeneity.classify(fam, grid, rtol=args.rtol)
     _emit(args, report.to_json())
-    print(
-        f"{fam.id}: {report.verdict} (Q spread {report.q_rel_spread:.3e}, "
-        f"residuals i={report.criterion_i_residual:.3e} "
-        f"ii={report.criterion_ii_residual:.3e} iii={report.criterion_iii_residual:.3e})",
-        file=sys.stderr,
-    )
     if args.expect and args.expect != report.verdict:
         raise CheckFailedError(f"expected {args.expect}, got {report.verdict}")
 
@@ -323,14 +318,9 @@ def cmd_bonnesen(args) -> None:
     else:
         report = inequalities.bonnesen_general(args.d, args.V, args.A)
     _emit(args, report.to_json())
-    for row in report.rows:
-        print(
-            f"{row.name}: lhs={row.lhs:.12g} rhs={row.rhs:.12g} "
-            f"{'holds' if row.holds else 'FAILS'} (slack {row.slack:.6g})",
-            file=sys.stderr,
-        )
     if not report.all_hold:
-        raise CheckFailedError("some inequality rows failed")
+        failed = ", ".join(row.name for row in report.rows if not row.holds)
+        raise CheckFailedError(f"rows that do not hold: {failed}")
 
 
 def cmd_deficit(args) -> None:
@@ -344,8 +334,16 @@ def cmd_deficit(args) -> None:
 # ------------------------------------------------------------------ #
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage error is one stderr line; its subparsers are too."""
+
+    def error(self, message: str):
+        # an unrecognized argument is quoted as it was given, newlines too
+        self.exit(2, f"usage error: {self.prog}: {message}".replace("\n", "\\n") + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="isolab", description=__doc__)
+    parser = _Parser(prog="isolab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # options that several subcommands share, each declared once in a parent parser

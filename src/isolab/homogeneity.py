@@ -166,12 +166,10 @@ def lift_cylinder(
 
     V_d = 2 V_{d-1} rho and A_d = 2 V_{d-1} + 2 A_{d-1} rho; the Tong
     inradius of the result is the (d)-variable symmetric harmonic mean of
-    d-1 copies of the base inradius and rho.
+    d-1 copies of the base inradius and rho.  The base must be homogeneous to
+    :func:`classify` on 48 points across its ``sample_box``.
     """
-    lo, hi = base_family.interval
-    width = min(hi - lo, 10.0) if math.isfinite(hi) else 10.0
-    grid = np.linspace(lo + 0.05 * width, lo + 0.95 * width, 48)
-    report = classify(base_family, grid, rtol=rtol)
+    report = classify(base_family, np.linspace(*base_family.sample_box[0], 48), rtol=rtol)
     if not report.homogeneous:
         raise DomainError(
             f"base family {base_family.id!r} is not homogeneous at rtol={rtol} "

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: a checked isoperimetric ratio, a support
 function, a harmonic mean, two polygon constructors, every built-in and
-the one-parameter ones on sample grids, two references for the windowed slopes of
+the one-parameter ones on sample grids, a family over an interval unbounded
+below, two references for the windowed slopes of
 ``calculus.verify_derivative_relation``, one for the root that
 ``search.solve_coordinate`` picks from its scan, and the one-start
 Nelder-Mead that the tests compare with SciPy's."""
@@ -74,6 +75,10 @@ ALL_ONE_PARAM = [
 
 # every built-in, at its default parameters
 ALL_BUILTINS = [families.builtin(fid) for fid in families._BUILTINS]
+
+# squares of side -s over (-inf, 0), without dvolume: homogeneous, Q = 16, r = -s / 2
+NEG_SQUARES = families.FamilySpec(id="neg_squares", dimension=2, domain=((-math.inf, 0.0),),
+                                  volume=lambda s: s * s, area=lambda s: -4.0 * s)
 
 
 def vandermonde_slopes(r: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import ALL_ONE_PARAM, vandermonde_slopes, window_slopes
-from isolab import calculus, families, homogeneity
+from helpers import ALL_ONE_PARAM, NEG_SQUARES, vandermonde_slopes, window_slopes
+from isolab import calculus, families, homogeneity, polytope
 from isolab.errors import ConvergenceError, DomainError
 from isolab.families import FamilySpec
 
@@ -343,6 +343,13 @@ class TestInradiusByQuadrature:
         curve = calculus.inradius_by_quadrature(fam, 0.5, 0.0, np.linspace(0.5, 2.0, 6))
         assert curve.r.tolist() == want
 
+    # V' by the stencil at scale 1: half the width of an unbounded interval is inf
+    def test_domain_unbounded_below(self):
+        grid = np.linspace(-4.0, -0.5, 16)
+        curve = calculus.inradius_by_quadrature(NEG_SQUARES, -1.0, 0.0, grid)
+        np.testing.assert_allclose(curve.r, (-1.0 - grid) / 2.0, rtol=0, atol=1e-8)
+        assert homogeneity.classify(NEG_SQUARES, np.linspace(-4.0, -0.5, 40)).homogeneous
+
     def test_one_point_grid_rejected(self):
         # a 2-D grid gets sample's message, and a 0-d one no TypeError from len
         for grid, message in [([1.0], "grid must contain at least 2 points"),
@@ -590,6 +597,16 @@ class TestReparameterize:
         expected = (np.exp(grid) - math.exp(-1.5)) / 2.0
         assert np.allclose(curve.r, expected, rtol=0, atol=1e-8)
 
+    # phi is probed on the width-10 window at the finite end, or on (-5, 5)
+    @pytest.mark.parametrize("domain", [(-math.inf, 1.0), (-math.inf, math.inf)])
+    def test_domain_unbounded_below(self, domain):
+        fam = calculus.reparameterize(families.builtin("cube"), math.exp, domain, dphi=math.exp)
+        assert fam.domain == (domain,)
+        grid = np.linspace(-6.0, 0.5, 24)
+        curve = calculus.inradius_by_quadrature(fam, -6.0, 0.0, grid)
+        expected = (np.exp(grid) - math.exp(-6.0)) / 2.0
+        assert np.allclose(curve.r, expected, rtol=0, atol=1e-8)
+
     def test_nonmonotone_rejected(self):
         cube = families.builtin("cube")
         with pytest.raises(DomainError):
@@ -610,6 +627,33 @@ class TestReparameterize:
         assert fam.dvolume is None
         curve = calculus.inradius_by_quadrature(fam, 0.5, 0.0, np.linspace(0.5, 1.8, 100))
         assert calculus.verify_derivative_relation(fam, curve, rtol=1e-6).passes
+
+
+def _polynomial(coefficients):
+    return lambda s: sum(c * s**i for i, c in enumerate(coefficients))
+
+
+class TestSteinerParallelBodies:
+    """V(K + sB) has derivative A(K + sB) (Schneider, *Convex Bodies*, 4.2), so
+    r(s) = s - s0 + C exactly: an oracle for a family that is not homogeneous."""
+
+    @pytest.mark.parametrize("s0, grid", [(0.0, np.linspace(0.5, 4.0, 48)),
+                                          (0.25, np.linspace(0.25, 3.0, 40))],
+                             ids=["anchor-at-0", "anchor-on-grid"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["dvolume", "stencil"])
+    @pytest.mark.parametrize("shape", [(1.0, 2.0, 3.0), [[0, 0], [3, 0], [2, 2], [0, 1]]],
+                             ids=["box", "quadrilateral"])
+    def test_r_is_s(self, shape, exact, s0, grid):
+        vc, ac = polytope.steiner_coefficients(np.array(shape, dtype=float))
+        fam = FamilySpec(id="steiner", dimension=len(ac), domain=((0.0, math.inf),),
+                         volume=_polynomial(vc), area=_polynomial(ac),
+                         dvolume=_polynomial(ac) if exact else None)
+        curve = calculus.inradius_by_quadrature(fam, s0, s0, grid)
+        # the stencil's V' errs by a few eps**(2/3) relative, which the estimate omits
+        stencil = 0.0 if exact else 4.0 * np.finfo(float).eps ** (2.0 / 3.0) * (grid - s0)
+        assert (np.abs(curve.r - grid) <= curve.quadrature_error_estimate + stencil).all()
+        assert calculus.verify_derivative_relation(fam, curve, rtol=1e-6).passes
+        assert homogeneity.classify(fam, grid).verdict == "not_homogeneous"
 
 
 class TestMonotonePartition:

@@ -138,10 +138,18 @@ class TestDeterminism:
         assert out1 == out2
 
 
+# a solve-coordinate argv that ends in the --fixed item of coordinate 0
+SOLVE = "solve-coordinate --class parallelogram3 --k 32 --j 2 --s 2 --fixed 1=s-sqrt(s) --fixed"
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
-        code, _, _ = run(capsys, "eval", "--family", "cube")  # missing --s
-        assert code == 1
+        assert run(capsys, "eval", "--family", "cube") == (  # missing --s
+            1, "", "usage error: isolab eval: the following arguments are required: --s\n")
+
+    def test_newline_in_argv_stays_in_the_line(self, capsys):
+        assert run(capsys, "families", "a\nb") == (
+            1, "", "usage error: isolab: unrecognized arguments: a\\nb\n")
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
@@ -284,6 +292,37 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "Traceback" not in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
 
+    # each argv reaches one rejection in the CLI or the library
+    @pytest.mark.parametrize("argv, code, line", [
+        ("eval --family cube --param a --s 1", 2,
+         "error: malformed parameter 'a', expected key=value"),
+        (f"{SOLVE} 0=x", 2, "error: malformed --fixed '0=x', expected i=expr(s): unknown name 'x'"),
+        (f"{SOLVE} 0=s**s", 2, "error: malformed --fixed '0=s**s', expected i=expr(s): "
+                               "an exponent must be a number of size at most 64"),
+        (f"{SOLVE} 0=s**65", 2, "error: malformed --fixed '0=s**65', expected i=expr(s): "
+                                "an exponent must be a number of size at most 64"),
+        (f"{SOLVE} 0=s.real", 2,
+         "error: malformed --fixed '0=s.real', expected i=expr(s): unsupported expression 's.real'"),
+        (f"{SOLVE} 0=log(s-100)", 2,
+         "error: --fixed '0=log(s-100)' has no real value at s=2.0: math domain error"),
+        ("steiner --s 1", 2, "error: pass either --box a,b,c or --polygon-file path"),
+        ("bonnesen --2d --A 6", 1, "usage error: bonnesen needs --P and --r"),
+        ("bonnesen --2d --P 6.3 --A 3.14 --r 0.2", 3,
+         "check failed: rows that do not hold: bonnesen_perimeter, bonnesen_area, osserman"),
+        pytest.param(f"deficit --d {10**400} --V 1 --A 1", 2,
+                     "error: OverflowError: int too large to convert to float",
+                     id="deficit --d 10**400 --V 1 --A 1"),
+        ("inradius --family rect_fixed_length --param a=1e-300 --s0 0 --grid 1e300:1e301:10", 2,
+         "error: r(s) failed to track the monotonicity of V(s)"),
+    ])
+    def test_one_line_names_the_cause(self, capsys, argv, code, line):
+        got, out, err = run(capsys, *argv.split())
+        assert (got, err) == (code, line + "\n")
+        if code == 3:  # a failed check still writes its document
+            assert not any(row["holds"] for row in json.loads(out)["rows"])
+        else:
+            assert out == ""
+
     def test_domain_error(self, capsys):
         code, _, err = run(
             capsys, "inradius", "--family", "cube", "--s0", "1", "--grid", "bad"
@@ -301,7 +340,7 @@ class TestExitCodes:
         # the data document is still emitted and valid
         doc = json.loads(out)
         assert doc["verdict"] == "not_homogeneous"
-        assert "check failed" in err
+        assert err == "check failed: expected homogeneous, got not_homogeneous\n"
 
     def test_expect_match_succeeds(self, capsys):
         code, out, _ = run(
@@ -478,7 +517,7 @@ class TestInequalityCommands:
         assert code == 0
         doc = json.loads(out)
         assert all(row["holds"] for row in doc["rows"])
-        assert "osserman" in err
+        assert err == ""
 
     def test_bonnesen_2d(self, capsys):
         code, out, _ = run(
@@ -698,6 +737,10 @@ def fuzz_dir(tmp_path_factory):
     return path
 
 
+# the start of the one stderr line of each failing exit code
+FAILURE_PREFIX = {1: "usage error: ", 2: "error: ", 3: "check failed: "}
+
+
 @settings(derandomize=True, deadline=5000, max_examples=300,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=fuzz_argv())
@@ -706,14 +749,14 @@ def test_argv_fuzz_ends_in_exit_0_to_3(fuzz_dir, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    lines = err.getvalue().splitlines()
-    assert code in (0, 1, 2, 3), (argv, lines)
-    assert not any("Traceback" in line or "Warning" in line for line in lines), (argv, lines)
-    if code == 2:
-        assert len(lines) == 1, (argv, lines)
-    if code == 3:
-        assert lines[-1].startswith("check failed:"), (argv, lines)
-        assert sum(line.startswith("check failed:") for line in lines) == 1, (argv, lines)
+    text = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, text)
+    assert "Traceback" not in text and "Warning" not in text, (argv, text)
+    if code == 0:
+        assert text == "", (argv, text)
+    else:  # one line, whose start names the exit code
+        assert text.startswith(FAILURE_PREFIX[code]) and text.count("\n") == 1, (argv, text)
+        assert text.endswith("\n"), (argv, text)
 
 
 def readme_cli_lines():
@@ -727,8 +770,8 @@ def test_readme_example_runs_as_written(capsys, tmp_path, monkeypatch, line):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cube.json").write_text(polytope.cube_polyhedron().to_json())
     argv = shlex.split(line, comments=True)[1:]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
     if "csv" in argv:
         header, *rows = list(csv.reader(io.StringIO(out)))
         assert rows and all(len(row) == len(header) for row in rows)

@@ -472,6 +472,16 @@ class TestSpecDomain:
                                     area=math.exp)
         assert str(info.value) == "domain of 'odd' must be a non-empty tuple of intervals"
 
+    @pytest.mark.parametrize("dimension, domain, message", [
+        (1, ((0.0, 1.0),), "dimension must be >= 2, got 1"),
+        (2, ((1.0, 1.0),), "empty domain (1.0, 1.0)"),
+    ])
+    def test_rejected(self, dimension, domain, message):
+        with pytest.raises(DomainError) as info:
+            families.FamilySpec(id="exp", dimension=dimension, domain=domain, volume=math.exp,
+                                area=math.exp)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("domain, box", [
         (((0.0, 2.0),), ((0.0 + 0.05 * 2.0, 0.0 + 0.95 * 2.0),)),
         (((1.0, math.inf),), ((1.5, 10.5),)),

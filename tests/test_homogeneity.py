@@ -42,6 +42,11 @@ class TestTongInradius:
     def test_unit_disk(self):
         assert inequalities.tong_inradius(2, math.pi, 2 * math.pi) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("v, a", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_nonpositive_rejected(self, v, a):
+        with pytest.raises(DomainError, match="^V and A must be positive$"):
+            inequalities.tong_inradius(3, v, a)
+
     def test_similar_rectangle_harmonic_mean(self):
         # r = k s / (k + 1), the harmonic mean of half-length and half-width
         k, s = 0.4, 3.0

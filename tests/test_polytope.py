@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from helpers import regular_polygon, square_polygon, support_function, symmetric_harmonic_mean
+from helpers import (NEG_SQUARES, regular_polygon, square_polygon, support_function,
+                     symmetric_harmonic_mean)
 from isolab import calculus, families, homogeneity, inequalities, polytope
 from isolab.errors import DomainError, GeometryError
 from random_shapes import random_convex_polygon, random_convex_polytope, random_interior_point
@@ -86,6 +87,8 @@ PRISM = np.array(
 )
 PRISM_FACETS = ((0, 1, 4, 3), (0, 3, 5, 2), (1, 2, 5, 4), (0, 2, 1), (3, 4, 5))
 SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+SQUARE_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
+CUBE = polytope.cube_polyhedron()
 
 
 def prism(**replaced):
@@ -237,6 +240,15 @@ class TestFacetGeometry:
              "facet vertex index must be an integer, got True"),
             (prism(f0=(3, 4, 1, 0), f2=(1, 2, 5, 1.5)),
              "facet vertex index must be an integer, got 1.5"),
+            # rejected before any facet is looked at
+            ((4, CUBE.vertices, CUBE.facets, CUBE.apex), "only dimensions 2 and 3 are supported"),
+            ((3, CUBE.vertices[:, :2], CUBE.facets, CUBE.apex),
+             "vertex array shape does not match dimension"),
+            ((3, CUBE.vertices, CUBE.facets, CUBE.apex[:2]), "apex shape does not match dimension"),
+            ((3, CUBE.vertices, (), CUBE.apex), "polyhedron has no facets"),
+            ((3, np.ones((8, 3)), CUBE.facets, np.ones(3)), "degenerate vertex set"),
+            ((2, 1e308 * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]), SQUARE_EDGES, np.zeros(2)),
+             "the vertices' bounding-box diagonal is outside the float range"),
         ],
     )
     def test_first_bad_facet(self, args, message):
@@ -844,6 +856,14 @@ class TestLiftCylinder:
             assert r == pytest.approx(symmetric_harmonic_mean([s, s, 2 * s]), rel=1e-12)
             assert r == pytest.approx(6 * s / 5, rel=1e-12)
 
+    # the base is classified on its sample box, finite also where its domain is not
+    def test_squares_unbounded_below(self):
+        lifted = homogeneity.lift_cylinder(NEG_SQUARES, rho=lambda s: -s)
+        v, a = families.evaluate(lifted, -1.5)
+        assert (v, a) == pytest.approx((2 * 1.5**3, 10 * 1.5**2), rel=1e-15)
+        assert inequalities.tong_inradius(3, v, a) == pytest.approx(
+            symmetric_harmonic_mean([0.75, 0.75, 1.5]), rel=1e-15)
+
     def test_non_homogeneous_base_rejected(self):
         fam = families.builtin("rect_fixed_length", a=1.0)
         with pytest.raises(DomainError, match="not homogeneous"):
@@ -904,6 +924,17 @@ class TestSteiner:
         with pytest.raises(GeometryError) as info:
             polytope.steiner_coefficients(np.array(pts, dtype=float))
         assert str(info.value) == f"reflex vertex at index {index}; polygon not convex"
+
+    @pytest.mark.parametrize("shape, error, message", [
+        ([[0, 0], [1, 0]], GeometryError, "polygon needs at least 3 vertices"),
+        ([[0, 0], [0, 1], [1, 1], [1, 0]], GeometryError,
+         "polygon must be counterclockwise with positive area"),
+        ((1.0, 0.0, 1.0), DomainError, "box edge lengths must be positive"),
+    ], ids=["two-vertices", "clockwise", "zero-edge"])
+    def test_shape_rejected(self, shape, error, message):
+        with pytest.raises(error) as info:
+            polytope.steiner_coefficients(np.array(shape, dtype=float))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_shape_rejected(self, bad):

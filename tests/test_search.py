@@ -481,6 +481,11 @@ class TestSolveCoordinate:
         with pytest.raises(DomainError, match="no root"):
             search.solve_coordinate(par, 10.0, self.FIXED, 2, 2.0)  # 10 < 4 pi
 
+    def test_coordinate_without_a_function_rejected(self):
+        with pytest.raises(DomainError) as info:
+            search.solve_coordinate(families.builtin("box3"), 220.0, {0: lambda s: s}, 2, 1.0)
+        assert str(info.value) == "no functions given for coordinates [1]"
+
     def test_function_for_solved_coordinate_rejected(self):
         par = families.builtin("parallelogram3")
         with pytest.raises(DomainError, match="coordinate 2 is the one solved for"):
