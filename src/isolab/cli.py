@@ -221,7 +221,7 @@ def cmd_solve_coordinate(args) -> None:
     from . import families, search
     nfam = families.builtin(args.cls)
     fixed = {}
-    for idx, fn in map(_parse_fixed, args.fixed):
+    for idx, fn in map(_parse_fixed, args.fixed or ()):
         if idx in fixed:
             raise DomainError(f"fixed coordinate {idx} given twice")
         fixed[idx] = fn
@@ -309,10 +309,10 @@ def cmd_steiner(args) -> None:
 
 def cmd_bonnesen(args) -> None:
     from . import inequalities
-    needed = ("P", "r") if args.two_d else ("V",)
-    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    when, needed = (" with --2d", ("P", "r")) if args.two_d else ("", ("V",))
+    missing = ", ".join(f"--{name}" for name in needed if getattr(args, name) is None)
     if missing:
-        raise argparse.ArgumentError(None, f"bonnesen needs {' and '.join(missing)}")
+        args.usage_error(f"the following arguments are required{when}: {missing}")
     if args.two_d:
         report = inequalities.bonnesen_2d(args.P, args.A, args.r)
     else:
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, handler: Callable, help: str, *parents) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, parents=[*parents, output])
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, usage_error=p.error)
         return p
 
     command("families", cmd_families, "family catalog as JSON")
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--fixed", action="append", required=True,
+    p.add_argument("--fixed", action="append",
                    help="i=expr(s), e.g. 0=sqrt(s): numbers, s, pi, e, + - * / ** "
                         "(number exponent) and sqrt sin cos tan exp log; repeatable")
 
@@ -434,18 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    if args.handler in (cmd_bonnesen, cmd_deficit):  # float arithmetic: no numpy to load
-        quiet = contextlib.nullcontext()
-    else:  # numpy warns on stderr; a non-finite value is rejected where it arises
-        import numpy as np
-        quiet = np.errstate(all="ignore")
-    with quiet:
-        try:
+        args = build_parser().parse_args(argv)
+        if args.handler in (cmd_bonnesen, cmd_deficit):  # float arithmetic: no numpy to load
+            quiet = contextlib.nullcontext()
+        else:  # numpy warns on stderr; a non-finite value is rejected where it arises
+            import numpy as np
+            quiet = np.errstate(all="ignore")
+        with quiet:
             for name, value in vars(args).items():
                 if isinstance(value, float):
                     _finite(value, "--" + name.replace("_", "-"))
@@ -453,19 +449,18 @@ def main(argv: list[str] | None = None) -> int:
                 if getattr(args, name, 0) > cap:
                     raise DomainError(f"--{name} is capped at {cap}, got {getattr(args, name)}")
             args.handler(args)
-            return EXIT_OK
-        except argparse.ArgumentError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except CheckFailedError as exc:
-            print(f"check failed: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        except (DomainError, GeometryError, ConvergenceError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
-        except ArithmeticError as exc:  # e.g. a float overflow in an evaluator
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
+        return EXIT_OK
+    except SystemExit as exc:  # a usage error, from parsing or a handler's usage_error, or --help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    except CheckFailedError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except (DomainError, GeometryError, ConvergenceError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ArithmeticError as exc:  # e.g. a float overflow in an evaluator
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

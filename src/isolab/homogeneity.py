@@ -32,15 +32,16 @@ class HomogeneityReport(Record):
     q_rel_spread: float
     verdict: str  # "homogeneous" | "not_homogeneous"
     criterion_i_residual: float
-    criterion_ii_residual: float
     criterion_iii_residual: float
-    k_constant: float  # q_center again; kept because bench/workloads.py gates on it
     rtol: float
     rtol_margin: float  # rtol - q_rel_spread: homogeneous exactly when >= 0
 
     @property
     def homogeneous(self) -> bool:
         return self.verdict == "homogeneous"
+
+    # q_center's old name, read only by bench/workloads.py; goes once the bench reads q_center
+    k_constant = property(lambda self: self.q_center)
 
 
 def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> HomogeneityReport:
@@ -51,9 +52,9 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
     other two characterizations are evaluated as cross-check residuals:
     (i) the quadrature curve minus d V/A is constant (offset fitted as the
     median), (ii) A^d is proportional to V^(d-1) with the fitted constant,
-    (iii) A / V^((d-1)/d) is constant.  Residual (ii) is ``q_rel_spread``
-    itself, kept under its own key.  Q is :func:`ratio` on the sampled arrays;
-    :func:`ratio_at` names the first point where it overflows.
+    (iii) A / V^((d-1)/d) is constant.  Residual (ii) is ``q_rel_spread``.
+    Q is :func:`ratio` on the sampled arrays; :func:`ratio_at` names the
+    first point where it overflows.
     """
     grid = _frozen(grid)  # the report keeps it
     if grid.size < 32:
@@ -98,9 +99,7 @@ def classify(family: FamilySpec, grid: Sequence[float], rtol: float = 1e-8) -> H
         q_rel_spread=q_rel_spread,
         verdict="homogeneous" if rtol_margin >= 0 else "not_homogeneous",
         criterion_i_residual=res_i,
-        criterion_ii_residual=q_rel_spread,
         criterion_iii_residual=res_iii,
-        k_constant=q_center,
         rtol=float(rtol),
         rtol_margin=rtol_margin,
     )

@@ -66,13 +66,16 @@ def deficit(d: int, v: float, a: float) -> float:
         raise DomainError("V and A must be positive")
     try:
         value = a**d - ball_ratio(d) * v ** (d - 1)
-    except OverflowError:  # A^d or V^(d-1)
+    except OverflowError:  # A^d or V^(d-1), or d itself
         value = math.nan
     if not math.isfinite(value):  # |A^d - B| = e^hi (1 - e^(lo - hi)) for logs lo <= hi
-        log_a, log_b = d * math.log(a), _log_ball_ratio(d) + (d - 1) * math.log(v)
+        try:
+            log_a, log_b = d * math.log(a), _log_ball_ratio(d) + (d - 1) * math.log(v)
+        except OverflowError:  # d, or ln Gamma(d/2 + 1), beyond the float range
+            log_a = log_b = math.inf
         gap = -math.expm1(-abs(log_a - log_b))
         log_value = max(log_a, log_b) + math.log(gap) if gap else -math.inf
-        if log_value >= _LOG_MAX:
+        if not log_value < _LOG_MAX:  # NaN too, where both logs are infinite
             raise DomainError(f"the isoperimetric deficit in d = {d} is outside the float range")
         value = math.copysign(math.exp(log_value), log_a - log_b)
     return value

@@ -74,7 +74,7 @@ def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return (strata.T - offsets) / n
 
 
-def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-9, seed: int = 0) -> KminResult:
+def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-10, seed: int = 0) -> KminResult:
     """Minimize Q over the class domain from ``starts`` Latin-hypercube points.
 
     Q does not change when the homogeneous prefix is scaled, so a class that
@@ -359,23 +359,21 @@ def brentq(f: Callable[[float], float], a: float, b: float) -> float:
 
 
 def kmin_table(starts: int = 16, tol: float = 1e-10, seed: int = 0) -> list[dict]:
-    """Reproduce the isoperimetric-ratio table over all built-in shape classes."""
-    rows: list[tuple[str, FamilySpec, float]] = [
-        ("triangles", builtin("triangle_sides"), 12.0 * math.sqrt(3.0)),
-        ("right_triangles", builtin("right_triangle"), 2.0 * (2.0 + math.sqrt(2.0)) ** 2),
-    ]
-    for n in range(3, 13):
-        rows.append((f"ngon_{n}", builtin("ngon", n=n), 4.0 * n * math.tan(math.pi / n)))
-    rows += [
-        ("boxes", builtin("box3"), 216.0),
-        ("cylinders", builtin("cylinder"), 54.0 * math.pi),
-        ("cones", builtin("cone"), 72.0 * math.pi),
-        ("square_pyramids", builtin("square_pyramid"), 288.0),
-        ("ring_tori", builtin("ring_torus"), 16.0 * math.pi**2),
+    """Reproduce the isoperimetric-ratio table over all built-in shape classes; each row is
+    named by the ``class_id`` that :func:`kmin` reports for its class, such as ``ngon_5``."""
+    rows: list[tuple[FamilySpec, float]] = [
+        (builtin("triangle_sides"), 12.0 * math.sqrt(3.0)),
+        (builtin("right_triangle"), 2.0 * (2.0 + math.sqrt(2.0)) ** 2),
+        *((builtin("ngon", n=n), 4.0 * n * math.tan(math.pi / n)) for n in range(3, 13)),
+        (builtin("box3"), 216.0),
+        (builtin("cylinder"), 54.0 * math.pi),
+        (builtin("cone"), 72.0 * math.pi),
+        (builtin("square_pyramid"), 288.0),
+        (builtin("ring_torus"), 16.0 * math.pi**2),
     ]
     out = []
-    for class_id, nfam, analytic in rows:
-        row = {"class_id": class_id, "analytic_kmin": analytic, "computed_kmin": None,
+    for nfam, analytic in rows:
+        row = {"class_id": nfam.id, "analytic_kmin": analytic, "computed_kmin": None,
                "attained": None, "argmin": None, "error": None}
         try:
             result = kmin(nfam, starts=starts, tol=tol, seed=seed)

@@ -27,13 +27,13 @@ def test_01_kmin_table():
     rows = search.kmin_table(starts=16, tol=1e-10, seed=0)
     elapsed = time.perf_counter() - t0
     expected = {
-        "triangles": 12 * SQRT3,
-        "right_triangles": 2 * (2 + SQRT2) ** 2,
-        "boxes": 216.0,
-        "cylinders": 54 * math.pi,
-        "cones": 72 * math.pi,
-        "square_pyramids": 288.0,
-        "ring_tori": 16 * math.pi**2,
+        "triangle_sides": 12 * SQRT3,
+        "right_triangle": 2 * (2 + SQRT2) ** 2,
+        "box3": 216.0,
+        "cylinder": 54 * math.pi,
+        "cone": 72 * math.pi,
+        "square_pyramid": 288.0,
+        "ring_torus": 16 * math.pi**2,
     }
     for n in range(3, 13):
         expected[f"ngon_{n}"] = 4 * n * math.tan(math.pi / n)
@@ -42,10 +42,10 @@ def test_01_kmin_table():
         analytic = expected[row["class_id"]]
         assert row["error"] is None, row
         assert row["analytic_kmin"] == pytest.approx(analytic, rel=1e-12)
-        tol = 1e-4 if row["class_id"] == "ring_tori" else 1e-6
+        tol = 1e-4 if row["class_id"] == "ring_torus" else 1e-6
         rel = abs(row["computed_kmin"] - analytic) / analytic
         assert rel <= tol, row
-        if row["class_id"] == "ring_tori":
+        if row["class_id"] == "ring_torus":
             assert row["attained"] is False
     assert elapsed < 30.0
     _report(1, f"all {len(rows)} table rows match analytic minima ({elapsed:.1f}s)")
@@ -73,7 +73,7 @@ def test_02_derivative_relation_all_builtins():
 def test_03_hexagon_discovery():
     report = homogeneity.classify(families.builtin("hexagon_120"), np.linspace(0.1, 5.0, 64))
     assert report.verdict == "homogeneous"
-    assert report.k_constant == pytest.approx(32 / SQRT3, rel=1e-9)
+    assert report.q_center == pytest.approx(32 / SQRT3, rel=1e-9)
     _report(3, "hexagon_120 classified homogeneous with k = 32/sqrt(3) within 1e-9")
 
 

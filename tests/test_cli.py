@@ -306,12 +306,20 @@ class TestExitCodes:
         (f"{SOLVE} 0=log(s-100)", 2,
          "error: --fixed '0=log(s-100)' has no real value at s=2.0: math domain error"),
         ("steiner --s 1", 2, "error: pass either --box a,b,c or --polygon-file path"),
-        ("bonnesen --2d --A 6", 1, "usage error: bonnesen needs --P and --r"),
+        ("bonnesen --A 6", 1,
+         "usage error: isolab bonnesen: the following arguments are required: --V"),
+        ("bonnesen --2d --A 6", 1,
+         "usage error: isolab bonnesen: the following arguments are required with --2d: --P, --r"),
         ("bonnesen --2d --P 6.3 --A 3.14 --r 0.2", 3,
          "check failed: rows that do not hold: bonnesen_perimeter, bonnesen_area, osserman"),
         pytest.param(f"deficit --d {10**400} --V 1 --A 1", 2,
-                     "error: OverflowError: int too large to convert to float",
+                     f"error: the isoperimetric deficit in d = {10**400} is outside the float range",
                      id="deficit --d 10**400 --V 1 --A 1"),
+        pytest.param(f"bonnesen --d {10**400} --V 1 --A 6", 2,
+                     f"error: the isoperimetric deficit in d = {10**400} is outside the float range",
+                     id="bonnesen --d 10**400 --V 1 --A 6"),
+        ("solve-coordinate --class parallelogram3 --k 32 --j 2 --s 2", 2,
+         "error: no functions given for coordinates [0, 1]"),
         ("inradius --family rect_fixed_length --param a=1e-300 --s0 0 --grid 1e300:1e301:10", 2,
          "error: r(s) failed to track the monotonicity of V(s)"),
     ])
@@ -349,7 +357,7 @@ class TestExitCodes:
             "--grid", "0.2:3:40", "--expect", "homogeneous",
         )
         assert code == 0
-        assert json.loads(out)["k_constant"] == pytest.approx(32 / math.sqrt(3), rel=1e-9)
+        assert json.loads(out)["q_center"] == pytest.approx(32 / math.sqrt(3), rel=1e-9)
 
 
 class TestFamiliesCatalog:
@@ -493,6 +501,18 @@ class TestSearchCommands:
         assert code == 0
         root = json.loads(out)["root"]
         assert root == pytest.approx(math.asin(0.25 / (math.sqrt(2) - 1)), abs=1e-10)
+
+    # a one-parameter family has no coordinate to fix: (2s + 2)^2 / s = 20 at s = (3 - sqrt 5) / 2
+    def test_solve_coordinate_of_a_one_parameter_family(self, capsys):
+        argv = "solve-coordinate --class rect_fixed_length --k 20 --j 0 --s 1".split()
+        assert run(capsys, *argv) == (0, """{
+  "class": "rect_fixed_length",
+  "k": 20.0,
+  "s": 1.0,
+  "j": 0,
+  "root": 0.3819660112501052
+}
+""", "")
 
     def test_trace_csv(self, capsys):
         x3 = math.asin(0.5 / (2 - math.sqrt(2)))  # not needed exactly; use s=4 start
@@ -754,8 +774,9 @@ def test_argv_fuzz_ends_in_exit_0_to_3(fuzz_dir, argv):
     assert "Traceback" not in text and "Warning" not in text, (argv, text)
     if code == 0:
         assert text == "", (argv, text)
-    else:  # one line, whose start names the exit code
+    else:  # one line, whose start names the exit code, and a usage error names the prog
         assert text.startswith(FAILURE_PREFIX[code]) and text.count("\n") == 1, (argv, text)
+        assert code != 1 or text.startswith("usage error: isolab"), (argv, text)
         assert text.endswith("\n"), (argv, text)
 
 

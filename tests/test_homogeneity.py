@@ -61,7 +61,7 @@ class TestClassify:
         hexf = families.builtin("hexagon_120")
         report = homogeneity.classify(hexf, np.linspace(0.1, 5, 64))
         assert report.verdict == "homogeneous"
-        assert report.k_constant == pytest.approx(32 / SQRT3, rel=1e-9)
+        assert report.q_center == pytest.approx(32 / SQRT3, rel=1e-9)
 
     def test_rect_fixed_length_not_homogeneous(self):
         fam = families.builtin("rect_fixed_length", a=1.0)
@@ -72,7 +72,7 @@ class TestClassify:
     def test_cube_homogeneous_216(self):
         report = homogeneity.classify(families.builtin("cube"), np.linspace(0.5, 4, 40))
         assert report.verdict == "homogeneous"
-        assert report.k_constant == pytest.approx(216.0, rel=1e-12)
+        assert report.q_center == pytest.approx(216.0, rel=1e-12)
 
     def test_grid_too_small(self):
         with pytest.raises(DomainError):
@@ -110,7 +110,7 @@ class TestClassify:
         report = homogeneity.classify(fam, grid, rtol=1e-7)
         r_scale = float(np.median([fam.dimension * fam.volume(s) / fam.area(s) for s in grid]))
         crit_i = report.criterion_i_residual / r_scale <= 1e-6
-        crit_ii = report.criterion_ii_residual <= 1e-6
+        crit_ii = report.q_rel_spread <= 1e-6
         crit_iii = report.criterion_iii_residual <= 1e-6
         assert crit_i == crit_ii == crit_iii == report.homogeneous
 
@@ -119,14 +119,14 @@ class TestClassify:
             fam = families.builtin(fid)
             report = homogeneity.classify(fam, grid)
             d = fam.dimension
-            assert report.k_constant >= d**d * kappa(d) * (1 - 1e-12)
+            assert report.q_center >= d**d * kappa(d) * (1 - 1e-12)
 
     def test_ball_equality(self):
         for fid in ("disk", "ball"):
             fam = families.builtin(fid)
             report = homogeneity.classify(fam, np.linspace(0.5, 4, 40))
             d = fam.dimension
-            assert report.k_constant == pytest.approx(d**d * kappa(d), rel=1e-10)
+            assert report.q_center == pytest.approx(d**d * kappa(d), rel=1e-10)
 
     def test_ball_floor_beyond_the_float_range(self):
         # Q about 1.4e23 is finite, the floor d^d kappa_d about 1e352 is not
@@ -142,7 +142,7 @@ class TestClassify:
                                   volume=lambda s: k * s**d, area=lambda s: d * k * s ** (d - 1))
         report = homogeneity.classify(fam, np.linspace(3.0, 3.04, 40))
         assert report.homogeneous
-        assert report.k_constant == pytest.approx(ball_ratio(d), rel=1e-11)
+        assert report.q_center == pytest.approx(ball_ratio(d), rel=1e-11)
 
     def test_json_export(self):
         import json
@@ -167,8 +167,8 @@ class TestClassify:
         report = homogeneity.classify(families.builtin("hexagon_120"), grid)
         doc = json.loads(report.to_json())
         assert list(doc) == ["family_id", "grid", "q_values", "q_center", "q_rel_spread", "verdict",
-                             "criterion_i_residual", "criterion_ii_residual",
-                             "criterion_iii_residual", "k_constant", "rtol", "rtol_margin"]
+                             "criterion_i_residual", "criterion_iii_residual", "rtol",
+                             "rtol_margin"]
         assert doc["grid"] == grid.tolist() and doc["q_values"] == report.q_values.tolist()
         for x in (report.grid, report.q_values):
             with pytest.raises(ValueError, match="read-only"):

@@ -102,8 +102,13 @@ class TestDeficit:
                 if math.isfinite(want):
                     assert inequalities.deficit(d, v, a) == want, (d, v, a)
 
-    @pytest.mark.parametrize("d, v, a", [(2, 1.0, 1e200), (3, 1e200, 1.0), (144, 1e10, 4.0),
-                                         (400, 1.0, 1.0)])
+    # d from 3e305 on: ln Gamma(d/2 + 1), or both logs, or d itself are beyond the float range
+    @pytest.mark.parametrize("d, v, a", [
+        (2, 1.0, 1e200), (3, 1e200, 1.0), (144, 1e10, 4.0), (400, 1.0, 1.0),
+        pytest.param(10**307, 1.0, 1.0, id="10**307-1.0-1.0"),
+        pytest.param(3 * 10**305, 1.0, 1e308, id="3*10**305-1.0-1e+308"),
+        pytest.param(10**400, 1.0, 1.0, id="10**400-1.0-1.0"),
+    ])
     def test_deficit_beyond_the_float_range(self, d, v, a):
         with pytest.raises(DomainError, match=rf"^the isoperimetric deficit in d = {d} is outside"):
             inequalities.deficit(d, v, a)

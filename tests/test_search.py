@@ -436,15 +436,24 @@ class TestKminTable:
         for row in rows:
             assert row["error"] is None
             rel = abs(row["computed_kmin"] - row["analytic_kmin"]) / row["analytic_kmin"]
-            tol = 1e-4 if row["class_id"] == "ring_tori" else 1e-6
+            tol = 1e-4 if row["class_id"] == "ring_torus" else 1e-6
             assert rel <= tol, row
 
     def test_selected_analytic_values(self):
         rows = {r["class_id"]: r for r in search.kmin_table(starts=8)}
-        assert rows["triangles"]["analytic_kmin"] == pytest.approx(12 * math.sqrt(3))
+        assert rows["triangle_sides"]["analytic_kmin"] == pytest.approx(12 * math.sqrt(3))
         assert rows["ngon_4"]["analytic_kmin"] == pytest.approx(16.0)
-        assert rows["cylinders"]["analytic_kmin"] == pytest.approx(54 * math.pi)
-        assert not rows["ring_tori"]["attained"]
+        assert rows["cylinder"]["analytic_kmin"] == pytest.approx(54 * math.pi)
+        assert not rows["ring_torus"]["attained"]
+
+    def test_row_is_kmin_of_its_class(self):
+        classes = [families.builtin("triangle_sides"), families.builtin("right_triangle"),
+                   *(families.builtin("ngon", n=n) for n in range(3, 13)),
+                   *map(families.builtin, ("box3", "cylinder", "cone", "square_pyramid",
+                                           "ring_torus"))]
+        for nfam, row in zip(classes, search.kmin_table(starts=8), strict=True):
+            result = search.kmin(nfam, starts=8)
+            assert (row["class_id"], row["computed_kmin"]) == (result.class_id, result.kmin)
 
     def test_cylinder_optimum_height_equals_diameter(self):
         result = search.kmin(families.builtin("cylinder"), starts=8)
@@ -817,7 +826,7 @@ class TestTraceLevelSet:
         lo, hi = arclen[2], arclen[-3]
         report = homogeneity.classify(fam, np.linspace(lo, hi, 40), rtol=1e-6)
         assert report.verdict == "homogeneous"
-        assert report.k_constant == pytest.approx(32.0, rel=1e-6)
+        assert report.q_center == pytest.approx(32.0, rel=1e-6)
 
     def test_gradient_zero_at_minimum(self):
         box = families.builtin("box3")
