@@ -8,7 +8,7 @@ smooth family, and the curve is unique up to the additive constant C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,15 +35,24 @@ _WEIGHTS = np.zeros((15, 2))  # columns: Kronrod, Gauss
 _WEIGHTS[:, 0] = [*_WK, *_WK[-2::-1]]
 _WEIGHTS[1::2, 1] = [*_WG, *_WG[-2::-1]]
 
+# pieces per call of f in a round: 15 * 512 nodes of 8 bytes take 60 KiB, and so does each
+# array f makes on them.  glibc malloc gives the free top of its heap back to the kernel once
+# it passes 128 KiB (M_TRIM_THRESHOLD), and the next arrays fault those pages in afresh:
+# blocks of 1024 pieces made 330-520 page faults a cycle of the benchmark's family_scan, 512 none
+_BLOCK_PIECES = 512
 
-def _at_points(f: Callable, t: np.ndarray) -> np.ndarray:
-    """f at each point of the 1-D float array t: one call with t where :func:`_array_call`
-    keeps a finite answer, else one call per point with a float, as a loop makes."""
-    with np.errstate(all="ignore"):
+
+def _at_points(f: Callable, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """f at each point of the 1-D float arrays ``blocks``, joined: one call per block where
+    :func:`_array_call` keeps a finite answer for every block, else one call per point with
+    a float, as a loop makes.  Call it under ``np.errstate(all="ignore")``."""
+    ys = []
+    for t in blocks:
         y = _array_call(f, t, float)
-    if y is not None and np.isfinite(y).all():
-        return y
-    return np.array([f(x) for x in t.tolist()])
+        if y is None or not np.isfinite(y).all():
+            return np.array([f(x) for t in blocks for x in t.tolist()])
+        ys.append(y)
+    return ys[0] if len(ys) == 1 else np.concatenate(ys)
 
 
 # the most that a one-sided difference quotient may grow as its step halves: it grows
@@ -141,6 +150,15 @@ class InradiusCurve(Record):
     def to_csv(self) -> str:
         return csv_table(("s", "r"), self.samples)
 
+    @classmethod
+    def _checked(cls, *values) -> InradiusCurve:
+        """The curve of these field values, read-only float arrays that pass the checks
+        of ``__post_init__``, made without running them again."""
+        curve = object.__new__(cls)
+        for f, x in zip(fields(cls), values):
+            object.__setattr__(curve, f.name, x)
+        return curve
+
 
 def integrate(f: Callable[[float], float], a, b) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of f from a[i] to b[i] (either way round), and their error estimates.
@@ -148,41 +166,53 @@ def integrate(f: Callable[[float], float], a, b) -> tuple[np.ndarray, np.ndarray
     Each round applies the 15-point Gauss-Kronrod rule to every open piece at
     once and halves the pieces whose |K - G| exceeds their share (half per
     halving) of the segment's max(QUAD_ABS_TOL, QUAD_REL_TOL |K|).  The nodes
-    never touch a piece's ends.  Each round calls f once with all its nodes in
-    a 1-D float array; f must act elementwise, or raise or return another shape
-    to be called once per node with a float.  More than QUAD_PANEL_LIMIT pieces
-    in a segment raise :class:`ConvergenceError`; unpaired or non-finite ends
-    raise :class:`DomainError`.
+    never touch a piece's ends.  Each round calls f once per block of at most
+    512 pieces, with their nodes in a 1-D float array; f must act elementwise,
+    or raise or return another shape to be called once per node of the round with
+    a float.  More than QUAD_PANEL_LIMIT pieces in a segment raise
+    :class:`ConvergenceError`; unpaired or non-finite ends raise :class:`DomainError`.
     """
-    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = (x[None] if x.ndim == 0 else x for x in (a, b))  # a float end: one segment
     if a.ndim != 1 or a.shape != b.shape:
         raise DomainError(f"a and b must be 1-D of one length, not {a.shape} and {b.shape}")
     if not np.isfinite(ends := np.concatenate([a, b])).all():
         raise DomainError(f"integration end {ends[~np.isfinite(ends)][0]} is not finite")
     n = len(a)
-    total, err, pieces = np.zeros(n), np.zeros(n), np.ones(n, dtype=int)
-    seg, lo, hi, share = np.arange(n), a, b, np.ones(n)
-    while len(seg):
-        half = (hi - lo) / 2.0
-        nodes = (lo + half)[:, None] + half[:, None] * _NODES
-        fx = _at_points(f, nodes.ravel()).reshape(-1, 15)
-        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite f fails its test
-            k, g = (fx @ _WEIGHTS).T * half
+    if not n:
+        return np.zeros(0), np.zeros(0)
+    seg, lo, hi = None, a, b  # seg, each piece's segment, is set for round 2 on
+    with np.errstate(all="ignore"):  # a non-finite f fails its test and keeps halving
+        while True:
+            half = (hi - lo) / 2.0
+            centre = lo + half
+            fx = _at_points(f, [(centre[i:i + _BLOCK_PIECES, None]
+                                 + half[i:i + _BLOCK_PIECES, None] * _NODES).ravel()
+                                for i in range(0, len(lo), _BLOCK_PIECES)])
+            k, g = (fx.reshape(-1, 15) @ _WEIGHTS).T * half  # one matmul: its bits per row
             e = np.abs(k - g)
-            tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(total + np.bincount(seg, k, n)))
-        done = e <= share * tol[seg]  # NaN fails, so keeps halving up to the cap
-        np.add.at(total, seg[done], k[done])
-        np.add.at(err, seg[done], e[done])
-        keep = ~done
-        np.add.at(pieces, seg[keep], 1)
-        if (pieces > QUAD_PANEL_LIMIT).any():
-            i = int(np.argmax(pieces > QUAD_PANEL_LIMIT))
-            raise ConvergenceError(f"quadrature over ({a[i]}, {b[i]}) missed its tolerance "
-                                   f"within {QUAD_PANEL_LIMIT} pieces")
-        mid = lo[keep] + half[keep]
-        seg, share = (np.concatenate([x, x]) for x in (seg[keep], share[keep] / 2.0))
-        lo, hi = np.concatenate([lo[keep], mid]), np.concatenate([mid, hi[keep]])
-    return total, err
+            if seg is None:  # each piece is its segment: 0.0 + k is np.add.at's sum on zeros
+                done = e <= np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(k))
+                total, err = (np.add(0.0, x, out=np.zeros(n), where=done) for x in (k, e))
+                keep, pieces = ~done, 2 - done
+            else:
+                tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(total + np.bincount(seg, k, n)))
+                done = e <= share * tol[seg]  # NaN fails, so keeps halving up to the cap
+                np.add.at(total, seg[done], k[done])
+                np.add.at(err, seg[done], e[done])
+                keep = ~done
+                np.add.at(pieces, seg[keep], 1)
+            if not keep.any():
+                return total, err
+            if (pieces > QUAD_PANEL_LIMIT).any():
+                i = int(np.argmax(pieces > QUAD_PANEL_LIMIT))
+                raise ConvergenceError(f"quadrature over ({a[i]}, {b[i]}) missed its tolerance "
+                                       f"within {QUAD_PANEL_LIMIT} pieces")
+            if seg is None:  # round 1's pieces were the segments, each with all its share
+                seg, share = np.arange(n), np.ones(n)
+            mid = centre[keep]
+            seg, share = np.concatenate([seg[keep]] * 2), np.concatenate([share[keep] / 2.0] * 2)
+            lo, hi = np.concatenate([lo[keep], mid]), np.concatenate([mid, hi[keep]])
 
 
 def dr_ds(family: FamilySpec) -> Callable[[float], float]:
@@ -222,7 +252,11 @@ def inradius_by_quadrature(
         raise DomainError("grid must contain at least 2 points")
     v, a = sample(family, grid)
     r, err = _inradius(family, s0, C, grid, v)
-    return InradiusCurve(family.id, float(s0), float(C), np.column_stack([grid, r]), err, v, a)
+    samples = np.empty((len(grid), 2))
+    samples[:, 0], samples[:, 1] = grid, r
+    samples.setflags(write=False)
+    return InradiusCurve._checked(family.id, float(s0), float(C), samples, err,
+                                  _frozen(v), _frozen(a))
 
 
 def _inradius(family: FamilySpec, s0: float, C: float, grid, v) -> tuple[np.ndarray, float]:
@@ -239,14 +273,17 @@ def _inradius(family: FamilySpec, s0: float, C: float, grid, v) -> tuple[np.ndar
         )
 
     # the knots, np.unique of s0 and the grid: the grid ascending, with s0 put in unless held
-    knots = grid if grid[0] < grid[-1] else grid[::-1]
-    if (i := int(knots.searchsorted(s0))) == len(knots) or knots[i] != s0:
+    knots = grid if (up := grid[0] < grid[-1]) else grid[::-1]
+    i = int(knots.searchsorted(s0))
+    if not (held := i < len(knots) and knots[i] == s0):
         knots = np.concatenate([knots[:i], [s0], knots[i:]])
     # cumulative integration over the knots, then shifted to vanish at the anchor knots[i]
     segments, errors = integrate(dr_ds(family), knots[:-1], knots[1:])
     cumulative = np.concatenate([[0.0], segments.cumsum()])
     vals = cumulative - cumulative[i]
-    r = float(C) + vals[knots.searchsorted(grid)]
+    if not held:  # the grid's knots only
+        vals = np.concatenate([vals[:i], vals[i + 1:]])
+    r = float(C) + (vals if up else vals[::-1])
     if (np.sign(r[1:] - r[:-1]) != sign_v).any():
         raise ConvergenceError("r(s) failed to track the monotonicity of V(s)")
     return r, float(errors.sum())
@@ -366,8 +403,8 @@ def monotone_partition(
     bisection on the sign of the finite-difference slope to width <=
     refine_tol.  Stretches where v is numerically constant are excluded as
     gaps rather than reported as branches.  The grid is strictly ordered,
-    either way, and the intervals follow it; v gets it as one float array,
-    as :func:`integrate` gives f its nodes, and must be real and finite on it.
+    either way, and the intervals follow it; v gets it as one float array, as
+    :func:`integrate` gives f each block of its nodes, and must be real and finite on it.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 16:
@@ -375,14 +412,18 @@ def monotone_partition(
     if not refine_tol > 0:
         raise DomainError("refine_tol must be positive")
     _require_ordered(grid)
-    vals = _at_points(v, grid)
+    with np.errstate(all="ignore"):  # a point where v is not finite is named below
+        vals = _at_points(v, [grid])
     bad = ~np.isfinite(vals) | (vals.imag != 0)
     if bad.any():
         raise DomainError(f"v is not real and finite at grid point {grid[np.argmax(bad)]}")
     slopes = np.sign(vals.real[1:] - vals.real[:-1])
+    # a slope equal to the one before it continues the run: only the others are visited
+    changes = (np.flatnonzero(slopes[1:] != slopes[:-1]) + 1).tolist()
+    slopes = slopes.tolist()
     intervals: list[tuple[float, float]] = []
     start, cur = grid[0], slopes[0]
-    for i in range(1, len(slopes)):
+    for i in changes:
         if slopes[i] == cur:
             continue
         if slopes[i] == 0 and i + 1 < len(slopes) and slopes[i + 1] == -cur:

@@ -74,6 +74,7 @@ def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return (strata.T - offsets) / n
 
 
+@np.errstate(all="ignore")  # one block a call: overflowing Q is inf, not a warning
 def kmin(nfamily: FamilySpec, starts: int = 16, tol: float = 1e-10, seed: int = 0) -> KminResult:
     """Minimize Q over the class domain from ``starts`` Latin-hypercube points.
 
@@ -385,6 +386,7 @@ def kmin_table(starts: int = 16, tol: float = 1e-10, seed: int = 0) -> list[dict
     return out
 
 
+@np.errstate(all="ignore")  # one block a call: overflowing Q is inf, not a warning
 def solve_coordinate(
     nfamily: FamilySpec,
     k: float,
@@ -523,6 +525,7 @@ def _gradient(q: Callable, x: np.ndarray, f0: float, scales: np.ndarray) -> np.n
     return g
 
 
+@np.errstate(all="ignore")  # one block a call: overflowing Q is inf, not a warning
 def trace_level_set(
     nfamily: FamilySpec,
     k: float,

@@ -3,16 +3,18 @@ function, a harmonic mean, two polygon constructors, every built-in and
 the one-parameter ones on sample grids, a family over an interval unbounded
 below, two references for the windowed slopes of
 ``calculus.verify_derivative_relation``, one for the root that
-``search.solve_coordinate`` picks from its scan, and the one-start
-Nelder-Mead that the tests compare with SciPy's."""
+``search.solve_coordinate`` picks from its scan, the one-start
+Nelder-Mead that the tests compare with SciPy's, ``calculus.integrate`` as it was
+written with one call of f per round, and the loop of ``calculus.monotone_partition``
+over every slope of its grid."""
 
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from isolab import families, search
-from isolab.errors import DomainError
+from isolab import calculus, families, search
+from isolab.errors import ConvergenceError, DomainError
 from isolab.families import ratio
 from isolab.polytope import StarPolyhedron
 
@@ -143,3 +145,75 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0, xatol: float, fatol: float
     x, fun, calls = search._lockstep(lambda z: np.array([f(p.copy()) for p in z], dtype=float),
                                      x0[None], xatol, np.array([fatol], dtype=float))
     return x[0], float(fun[0]), int(calls[0])
+
+
+def reference_integrate(f: Callable[[float], float], a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``calculus.integrate`` as it was written round by round: each round calls f once
+    with all its nodes (or once per node, if that answer is not a finite float array),
+    under its own ``np.errstate``, and scatters every round's pieces into their segments
+    by ``np.add.at``; the tests assert that ``integrate`` gives its bits."""
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise DomainError(f"a and b must be 1-D of one length, not {a.shape} and {b.shape}")
+    if not np.isfinite(ends := np.concatenate([a, b])).all():
+        raise DomainError(f"integration end {ends[~np.isfinite(ends)][0]} is not finite")
+    n = len(a)
+    total, err, pieces = np.zeros(n), np.zeros(n), np.ones(n, dtype=int)
+    seg, lo, hi, share = np.arange(n), a, b, np.ones(n)
+    while len(seg):
+        half = (hi - lo) / 2.0
+        t = ((lo + half)[:, None] + half[:, None] * calculus._NODES).ravel()
+        with np.errstate(all="ignore"):
+            y = families._array_call(f, t, float)
+        if y is None or not np.isfinite(y).all():
+            y = np.array([f(x) for x in t.tolist()])
+        fx = y.reshape(-1, 15)
+        with np.errstate(invalid="ignore", over="ignore"):
+            k, g = (fx @ calculus._WEIGHTS).T * half
+            e = np.abs(k - g)
+            tol = np.maximum(calculus.QUAD_ABS_TOL,
+                             calculus.QUAD_REL_TOL * np.abs(total + np.bincount(seg, k, n)))
+        done = e <= share * tol[seg]
+        np.add.at(total, seg[done], k[done])
+        np.add.at(err, seg[done], e[done])
+        keep = ~done
+        np.add.at(pieces, seg[keep], 1)
+        if (pieces > calculus.QUAD_PANEL_LIMIT).any():
+            i = int(np.argmax(pieces > calculus.QUAD_PANEL_LIMIT))
+            raise ConvergenceError(f"quadrature over ({a[i]}, {b[i]}) missed its tolerance "
+                                   f"within {calculus.QUAD_PANEL_LIMIT} pieces")
+        mid = lo[keep] + half[keep]
+        seg, share = (np.concatenate([x, x]) for x in (seg[keep], share[keep] / 2.0))
+        lo, hi = np.concatenate([lo[keep], mid]), np.concatenate([mid, hi[keep]])
+    return total, err
+
+
+def partition_every_slope(v: Callable, grid: np.ndarray, refine_tol: float) -> list:
+    """``calculus.monotone_partition``'s intervals of v, an elementwise function real and
+    finite on the grid, from its loop as it was written: one pass over every slope."""
+    vals = v(grid)
+    slopes = np.sign(vals[1:] - vals[:-1])
+    intervals = []
+    start, cur = grid[0], slopes[0]
+    for i in range(1, len(slopes)):
+        if slopes[i] == cur:
+            continue
+        if slopes[i] == 0 and i + 1 < len(slopes) and slopes[i + 1] == -cur:
+            continue
+        if cur == 0 or slopes[i] == 0:
+            bp = grid[i]
+        else:
+            a, b = grid[i - 1], grid[i + 1]
+            while abs(b - a) > refine_tol:
+                m, h = 0.5 * (a + b), (b - a) / 8.0
+                if (v(m + h) - v(m - h)) * cur > 0:
+                    a = m
+                else:
+                    b = m
+            bp = 0.5 * (a + b)
+        if cur != 0:
+            intervals.append((float(start), float(bp)))
+        start, cur = bp, slopes[i]
+    if cur != 0:
+        intervals.append((float(start), float(grid[-1])))
+    return intervals

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import ALL_ONE_PARAM, NEG_SQUARES, vandermonde_slopes, window_slopes
+from helpers import (ALL_ONE_PARAM, NEG_SQUARES, partition_every_slope, reference_integrate,
+                     vandermonde_slopes, window_slopes)
 from isolab import calculus, families, homogeneity, polytope
 from isolab.errors import ConvergenceError, DomainError
 from isolab.families import FamilySpec
@@ -134,6 +135,11 @@ def _integrand_families():
     return [f for f in map(families.builtin, families._BUILTINS) if f.nparams == 1]
 
 
+def _hexes(result: tuple[np.ndarray, np.ndarray]) -> list[list[str]]:
+    """The totals and error estimates of a quadrature, each float by ``float.hex``."""
+    return [[x.hex() for x in arr.tolist()] for arr in result]
+
+
 class TestIntegrate:
     # scipy's adaptive QUADPACK routine is the reference; the library does not use it
     @pytest.mark.parametrize("fam", _integrand_families(), ids=lambda f: f.id)
@@ -169,6 +175,64 @@ class TestIntegrate:
             calculus.integrate(sawtooth, [0.0, 1.0], [1.0, 2.0])
         # pieces double each round, so all rounds together evaluate under 4 caps of pieces
         assert len(calls) <= 15 * 4 * 2 * calculus.QUAD_PANEL_LIMIT
+
+    # integrate calls f once per block of pieces and scatters nothing in its first round; the
+    # form with one call a round that scatters every round is the oracle, to the bit
+    @pytest.mark.parametrize("segments", [1, 2, 511, 512, 513, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("fam,grid", ALL_ONE_PARAM, ids=lambda x: getattr(x, "id", "grid"))
+    def test_equals_one_call_a_round(self, fam, grid, segments):
+        knots = np.linspace(grid[0], grid[-1], segments + 1)
+        f = calculus.dr_ds(fam)
+        for a, b in ((knots[:-1], knots[1:]), (knots[1:], knots[:-1])):
+            assert _hexes(calculus.integrate(f, a, b)) == _hexes(reference_integrate(f, a, b))
+
+    # empty segments, of a negative integrand too: 0.0 + (-0.0) is 0.0; and no segment at all
+    @pytest.mark.parametrize("a,b", [([1.5], [1.5]), ([0.0, 2.0, 2.0], [1.0, 2.0, 3.0]), ([], [])])
+    def test_empty_segments_equal_one_call_a_round(self, a, b):
+        for f in (np.cos, lambda t: t - 10.0):
+            assert _hexes(calculus.integrate(f, a, b)) == _hexes(reference_integrate(f, a, b))
+
+    # sqrt(|t - 0.5|) halves its piece around 0.5 for rounds on end, also after a round of blocks
+    @pytest.mark.parametrize("knots", [7, 2050])
+    def test_halving_equals_one_call_a_round(self, knots):
+        t = np.linspace(0.0, 1.0, knots)
+        f = lambda x: np.sqrt(np.abs(x - 0.5))
+        got = calculus.integrate(f, t[:-1], t[1:])
+        assert _hexes(got) == _hexes(reference_integrate(f, t[:-1], t[1:]))
+        assert got[0].sum() == pytest.approx(2.0 * 0.5 ** 1.5 * 2.0 / 3.0, rel=1e-10)
+
+    # NaN at one node of an array answer, here in the last of three blocks: every node of the
+    # round goes to f one float at a time
+    def test_node_not_finite_equals_one_call_a_round(self):
+        t = np.linspace(0.0, 3.0, 1101)
+        bad = t[1050] + (t[1051] - t[1050]) / 2.0  # the centre node of a piece in the last block
+        floats = []
+
+        def f(x):
+            if isinstance(x, float):
+                floats.append(x)
+                return math.cos(x)
+            return np.where(x == bad, math.nan, np.cos(x))
+
+        got = calculus.integrate(f, t[:-1], t[1:])
+        assert len(floats) == 15 * 1100
+        assert _hexes(got) == _hexes(reference_integrate(f, t[:-1], t[1:]))
+
+    def test_complex_values_rejected_as_one_call_a_round(self):
+        f = lambda x: complex(x) if isinstance(x, float) else None  # per node, complex
+        for quad in (calculus.integrate, reference_integrate):
+            with pytest.raises(TypeError):
+                quad(f, [0.0], [1.0])
+
+    def test_piece_cap_message_equals_one_call_a_round(self):
+        sawtooth = lambda t: (t * 1e8) % 1.0
+        messages = []
+        for quad in (calculus.integrate, reference_integrate):
+            with pytest.raises(ConvergenceError) as info:
+                quad(sawtooth, [0.0, 1.0], [1.0, 2.0])
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == ("quadrature over (0.0, 1.0) missed its tolerance "
+                                              "within 200 pieces")
 
     @pytest.mark.parametrize("a,b,match", [
         ([0.0, 1.0], [1.0], "of one length"),
@@ -733,6 +797,19 @@ class TestMonotonePartition:
     ], ids=["leading", "trailing", "between opposite slopes", "between equal slopes"])
     def test_flat_stretch_is_a_gap(self, v, want):
         assert calculus.monotone_partition(v, self.FLAT, 1e-8) == want
+
+    # monotone_partition visits only the slopes that differ from the one before them; on
+    # piecewise-linear v with runs up, down and flat, the loop over every slope is the oracle
+    def test_equals_the_loop_over_every_slope(self):
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            grid = np.sort(rng.uniform(0.0, 10.0, 60))
+            steps = rng.choice([-1.0, 0.0, 1.0], 60 // (1 + seed % 4) + 1).repeat(1 + seed % 4)
+            vals = np.cumsum(steps[:60] * rng.uniform(0.5, 1.5, 60))
+            v = lambda x: np.interp(x, grid, vals)
+            for g in (grid, grid[::-1]):
+                want = partition_every_slope(v, g, 1e-6)
+                assert repr(calculus.monotone_partition(v, g, 1e-6)) == repr(want), seed
 
     def test_one_zero_slope_between_opposite_ones_is_a_turning_point(self):
         grid = (np.arange(16) - 7.5) * 0.25  # |s| is equal at the middle two points

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -130,6 +131,17 @@ class TestDeterminism:
     def test_kmin_output_unchanged(self, capsys, cls, expected):
         code, out, _ = run(capsys, "kmin", "--class", cls, "--starts", "16")
         assert (code, out) == (0, expected)
+
+    # the README lines whose numbers come from the quadrature, by the sha256 of their stdout
+    @pytest.mark.parametrize("argv, digest", [
+        ("classify --family hexagon_120 --grid 0.2:3:40 --expect homogeneous",
+         "0e5e5a5e611bf75722c8e1a92d519bddf0b6f4a31e6c980cf70af8fc3cfa269a"),
+        ("inradius --family cube --s0 0 --grid 0.5:4:48 --format csv",
+         "5673d0265e2b1aa71030a1801eea6ce3a4fa4197efac7fd3365f4a446c4adc97"),
+    ], ids=["classify", "inradius"])
+    def test_quadrature_output_unchanged(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
     def test_classify_byte_identical(self, capsys):
         argv = ("classify", "--family", "hexagon_120", "--grid", "0.2:3:40")

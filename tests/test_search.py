@@ -788,6 +788,18 @@ def _levels_of(f, x2=(-10.0, 10.0), x1=(-10.0, 10.0)):
 
 
 class TestTraceLevelSet:
+    # ring_torus's evaluators overflow in numpy scalars at this start: one DomainError and
+    # no RuntimeWarning, also where warnings are not errors
+    def test_overflow_is_an_error_without_warnings(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError) as info:
+                search.trace_level_set(families.builtin("ring_torus"), 1e-12,
+                                       np.array([1e200, 1e300]), steps=3)
+        assert caught == []
+        assert str(info.value) == ("V = inf, A = inf at point [1e+200, 1e+300] of 'ring_torus'; "
+                                   "both must be finite and positive")
+
     def _start_point(self, s: float) -> np.ndarray:
         return np.array([math.sqrt(s), s - math.sqrt(s), _parallelogram_x3(s)])
 
