@@ -169,7 +169,9 @@ def integrate(f: Callable[[float], float], a, b) -> tuple[np.ndarray, np.ndarray
     never touch a piece's ends.  Each round calls f once per block of at most
     512 pieces, with their nodes in a 1-D float array; f must act elementwise,
     or raise or return another shape to be called once per node of the round with
-    a float.  More than QUAD_PANEL_LIMIT pieces in a segment raise
+    a float, and must be real: :class:`DomainError` names the first node where its
+    value has an imaginary part, or the round's first node if each of its complex
+    values has imaginary part 0.  More than QUAD_PANEL_LIMIT pieces in a segment raise
     :class:`ConvergenceError`; unpaired or non-finite ends raise :class:`DomainError`.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -189,6 +191,10 @@ def integrate(f: Callable[[float], float], a, b) -> tuple[np.ndarray, np.ndarray
             fx = _at_points(f, [(centre[i:i + _BLOCK_PIECES, None]
                                  + half[i:i + _BLOCK_PIECES, None] * _NODES).ravel()
                                 for i in range(0, len(lo), _BLOCK_PIECES)])
+            if np.iscomplexobj(fx):  # only the calls per node give complex values
+                i = np.argmax(fx.imag != 0)  # 0 where each imaginary part is 0
+                node = (centre[:, None] + half[:, None] * _NODES).ravel()[i]
+                raise DomainError(f"f is complex at node {node}")
             k, g = (fx.reshape(-1, 15) @ _WEIGHTS).T * half  # one matmul: its bits per row
             e = np.abs(k - g)
             if seg is None:  # each piece is its segment: 0.0 + k is np.add.at's sum on zeros

@@ -329,38 +329,22 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
-def _cube() -> FamilySpec:
+def _similar(id: str, d: int, v1: float, a1: float, params: Mapping[str, float]) -> FamilySpec:
+    """The regions s·R, s > 0, of a region R in R^d with volume v1 and area a1: V = v1·s^d,
+    A = a1·s^(d-1) and V' = (d·v1)·s^(d-1), so Q = a1^d / v1^(d-1) for every s.  Each power
+    is a product in :func:`ratio`'s order, which rounds a float and an array alike.
+    ``rect_similar`` is such a family too but keeps its A = 2s + 2ks, which rounds each side
+    on its own: as (2 + 2k)·s, at 20 000 points (k, s) uniform on (0, 1) x (0, 10), 6532 change
+    bits and the largest error against 200-bit arithmetic grows from 0.75 to 1.46 ulp."""
+    dv1 = d * v1
     return FamilySpec(
-        id="cube",
-        dimension=3,
+        id=id,
+        dimension=d,
         domain=(RPLUS,),
-        volume=lambda s: s * s * s,
-        area=lambda s: 6.0 * (s * s),
-        dvolume=lambda s: 3.0 * (s * s),
-        homogeneous_prefix_m=1,
-    )
-
-
-def _disk() -> FamilySpec:
-    return FamilySpec(
-        id="disk",
-        dimension=2,
-        domain=(RPLUS,),
-        volume=lambda s: math.pi * (s * s),
-        area=lambda s: 2.0 * math.pi * s,
-        dvolume=lambda s: 2.0 * math.pi * s,
-        homogeneous_prefix_m=1,
-    )
-
-
-def _ball() -> FamilySpec:
-    return FamilySpec(
-        id="ball",
-        dimension=3,
-        domain=(RPLUS,),
-        volume=lambda s: 4.0 / 3.0 * math.pi * (s * s * s),
-        area=lambda s: 4.0 * math.pi * (s * s),
-        dvolume=lambda s: 4.0 * math.pi * (s * s),
+        volume=lambda s: v1 * math.prod([s] * (d - 1), start=s),
+        area=lambda s: a1 * math.prod([s] * (d - 2), start=s),
+        params=params,
+        dvolume=lambda s: dv1 * math.prod([s] * (d - 2), start=s),
         homogeneous_prefix_m=1,
     )
 
@@ -392,14 +376,6 @@ def _rect_similar(k: float = 0.5) -> FamilySpec:
     )
 
 
-def _rhombus_area(a: float, s: float) -> float:
-    return s * np.sqrt(a * a - s * s / 4.0)
-
-
-def _rhombus_darea(a: float, s: float) -> float:
-    return (a * a - s * s / 2.0) / np.sqrt(a * a - s * s / 4.0)
-
-
 def _rhombus(branch: str, a: float = 1.0) -> FamilySpec:
     _require(a > 0, "rhombus needs side a > 0")
     dom = (0.0, SQRT2 * a) if branch == "increasing" else (SQRT2 * a, 2.0 * a)
@@ -407,10 +383,10 @@ def _rhombus(branch: str, a: float = 1.0) -> FamilySpec:
         id=f"rhombus_{branch}",
         dimension=2,
         domain=(dom,),
-        volume=lambda s: _rhombus_area(a, s),
+        volume=lambda s: s * np.sqrt(a * a - s * s / 4.0),
         area=lambda s: 4.0 * a + 0.0 * s,  # of s's shape on arrays
         params={"a": a},
-        dvolume=lambda s: _rhombus_darea(a, s),
+        dvolume=lambda s: (a * a - s * s / 2.0) / np.sqrt(a * a - s * s / 4.0),
     )
 
 
@@ -450,17 +426,9 @@ def _hexagon_120() -> FamilySpec:
 def _ngon(n: int = 6) -> FamilySpec:
     _require(n >= 3 and float(n).is_integer(), "ngon needs an integer n >= 3")
     n = int(n)
-    half = math.pi / n
-    return FamilySpec(
-        id=f"ngon_{n}",
-        dimension=2,
-        domain=(RPLUS,),  # circumradius
-        volume=lambda s: 0.5 * n * math.sin(2.0 * half) * (s * s),
-        area=lambda s: 2.0 * n * math.sin(half) * s,
-        params={"n": float(n)},
-        dvolume=lambda s: n * math.sin(2.0 * half) * s,
-        homogeneous_prefix_m=1,
-    )
+    half = math.pi / n  # s is the circumradius
+    return _similar(f"ngon_{n}", 2, 0.5 * n * math.sin(2.0 * half), 2.0 * n * math.sin(half),
+                    {"n": float(n)})
 
 
 # ------------------------------------------------------------------ #
@@ -594,9 +562,10 @@ def _rect2() -> FamilySpec:
 
 # in catalog order: the one-parameter families, then the shape classes
 _BUILTINS: dict[str, Callable[..., FamilySpec]] = {
-    "ball": _ball,
-    "cube": _cube,
-    "disk": _disk,
+    # zero-argument factories, so that builtin rejects every parameter
+    "ball": lambda: _similar("ball", 3, 4.0 / 3.0 * math.pi, 4.0 * math.pi, {}),
+    "cube": lambda: _similar("cube", 3, 1.0, 6.0, {}),
+    "disk": lambda: _similar("disk", 2, math.pi, 2.0 * math.pi, {}),
     "hexagon_120": _hexagon_120,
     "ngon": _ngon,
     "rect_fixed_length": _rect_fixed_length,

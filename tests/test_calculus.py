@@ -220,9 +220,18 @@ class TestIntegrate:
 
     def test_complex_values_rejected_as_one_call_a_round(self):
         f = lambda x: complex(x) if isinstance(x, float) else None  # per node, complex
-        for quad in (calculus.integrate, reference_integrate):
-            with pytest.raises(TypeError):
-                quad(f, [0.0], [1.0])
+        with pytest.raises(TypeError):
+            reference_integrate(f, [0.0], [1.0])
+        first = 0.5 + 0.5 * -calculus._XK[0]  # round 1's first node on (0, 1)
+        with pytest.raises(DomainError, match=f"^{re.escape(f'f is complex at node {first}')}$"):
+            calculus.integrate(f, [0.0], [1.0])
+
+    @pytest.mark.parametrize("imag", [1.0, -1e-300])
+    def test_one_complex_node_is_named(self, imag):
+        node = 1.5 + 0.5 * calculus._NODES[5].item()  # the second segment's sixth node
+        f = lambda x: complex(x, imag) if x == node else x  # an array fails the if: per node
+        with pytest.raises(DomainError, match=f"^{re.escape(f'f is complex at node {node}')}$"):
+            calculus.integrate(f, [0.0, 1.0], [1.0, 2.0])
 
     def test_piece_cap_message_equals_one_call_a_round(self):
         sawtooth = lambda t: (t * 1e8) % 1.0

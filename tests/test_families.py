@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -129,6 +130,67 @@ def test_catalog_json():
     for e in entries:
         assert set(e) == {"id", "dimension", "domain", "params"}
         assert e["dimension"] >= 2
+
+
+def _pin_points(lo: float, hi: float) -> np.ndarray:
+    """Seeded points of (lo, hi): on (0, inf) 2000 log-uniform in 10^±100, 2000 in (0, 10)
+    and four float extremes; on a finite interval 4000 uniform and the floats next to its ends."""
+    rng = np.random.default_rng(1)
+    if (lo, hi) == families.RPLUS:
+        return np.concatenate([10.0 ** rng.uniform(-100.0, 100.0, 2000),
+                               rng.uniform(0.0, 10.0, 2000), [1e-300, 1e300, 5e-324, 1.7e308]])
+    return np.concatenate([lo + (hi - lo) * rng.uniform(0.0, 1.0, 4000),
+                           [np.nextafter(lo, hi), np.nextafter(hi, lo)]])
+
+
+def _evaluator_digests(spec: families.FamilySpec) -> tuple[str, str]:
+    """sha256 over float.hex of V, A and V' at the pin points, from one array call of each
+    evaluator and from one call per float."""
+    s = _pin_points(*spec.interval)
+    on_array, per_float = hashlib.sha256(), hashlib.sha256()
+    with np.errstate(all="ignore"):  # the extremes overflow on arrays
+        for f in (spec.volume, spec.area, spec.dvolume):
+            y = np.broadcast_to(np.asarray(f(s), dtype=float), s.shape)  # a constant V' is a float
+            on_array.update(" ".join(map(float.hex, y.tolist())).encode())
+            per_float.update(" ".join(float.hex(float(f(x))) for x in s.tolist()).encode())
+    return on_array.hexdigest(), per_float.hexdigest()
+
+
+class TestPinnedBits:
+    """The bits of every one-parameter built-in's evaluators and of the catalog: a change
+    that moves them updates these digests and says why."""
+
+    EVALUATORS = {
+        "ball": "d4e8f2ad28554f99e62e104bbbf188611253b69acb30256acf98c177a9a39693",
+        "cube": "15695b5970aa7142054e1ca1d16db48c5998621342ae06bf7d25ff7e55ac511d",
+        "disk": "ec32c306114f6ad867174c3835b3aa27b4a91c6c539fad0b081a05b4dfdb0831",
+        "hexagon_120": "1af6ec0254b7cfb2ba514c843a3c4089a1784bf81c9ac32c2f0805129e6ed3c7",
+        "ngon": "996778a3750fde1a2c40cd457f0080cad073d618b406e755643f078a5f1149ed",
+        "rect_fixed_length": "bffd8028f40a4cf82f3123556f35a638aef2bfae2c9e2daa4426a256e2c7554c",
+        "rect_similar": "11304facd12fef9629336e6c420ea0dc5c45c69199ac7e718a5562680039ac7e",
+        "rhombus_increasing": "98c61727b2e7f8636d324110663775d77392ad5a51d63b57ff1180b477e3068b",
+        "rhombus_decreasing": "8a76c78eae01c955376fcf9d9066b6def07ee913c72dac16eb6bf361aea4063a",
+        "ngon_3": "3a68479c88773ead31ded8a48ea5eb6746cd870209cdeae29897fd3ed53831bd",
+        "ngon_4": "d93e2ea61517cb752082f5d06261a182c3d349a717c860f3f5dc5ac46e2db818",
+        "ngon_5": "e55889a1638d4a2eabd5a3ffa00758ce234d805993fda2966ed77a3b8c5cb605",
+        "ngon_6": "996778a3750fde1a2c40cd457f0080cad073d618b406e755643f078a5f1149ed",
+        "ngon_7": "50e984950c643e9cb336b9fbb757d347c7d1888648381f1968b077bfd0bfed90",
+        "ngon_8": "3c7b3653f66e0397519a3d478120ea62759b567df03239cf4858c586c86a79e1",
+        "ngon_9": "b216f10e2536d8b7b31869fe51406ea156edcdb0e398b1f5ea92b23181e270b8",
+        "ngon_10": "85043f2c4f24d6fbac8c21ecf5e005b10785a3008d8d8196ce3a1eee9721df55",
+        "ngon_11": "d4de2efe12683bafb2622e953660e57c5c365b38616f5ef823e2284f09f06231",
+        "ngon_12": "73db16a1a76ff6a7557450ff47adf05aea073e17b7bdb8ba4033429aa4f3b613",
+    }
+    CATALOG = "6961ced4e25ebf827d775177fc4b4632f557eb1cd22fbc6e793efca628b9ab73"
+
+    @pytest.mark.parametrize("name", list(EVALUATORS))
+    def test_evaluators(self, name):
+        ngon = name.startswith("ngon_")
+        spec = families.builtin("ngon", n=int(name[5:])) if ngon else families.builtin(name)
+        assert _evaluator_digests(spec) == (self.EVALUATORS[name],) * 2
+
+    def test_catalog_json(self):
+        assert hashlib.sha256(families.catalog_json().encode()).hexdigest() == self.CATALOG
 
 
 def test_as_nparam_wraps_evaluators():
