@@ -435,129 +435,40 @@ def _ngon(n: int = 6) -> FamilySpec:
 # Built-in n-parameter shape classes
 # ------------------------------------------------------------------ #
 
+LENGTH_BOX: Interval = (0.3, 3.0)
 
-def _triangle_sides() -> FamilySpec:
-    def area(x):
-        a, b, c = x
-        p = 0.5 * (a + b + c)
-        return np.sqrt(np.maximum(p * (p - a) * (p - b) * (p - c), 0.0))
 
-    def feasible(x):
-        a, b, c = x
-        return (a + b > c) & (b + c > a) & (a + c > b)
-
+def _shape_class(id: str, d: int, m: int, volume: Callable, area: Callable,
+                 others: tuple[tuple[Interval, Interval], ...] = (),
+                 feasible: Callable | None = None,
+                 sample_box: tuple[Interval, ...] | None = None) -> FamilySpec:
+    """The class of regions in R^d whose first m coordinates are lengths: each lies on
+    (0, inf), and scaling all m by t scales V by t^d and A by t^(d-1)
+    (``homogeneous_prefix_m=m``), so Q depends on their ratios only.  ``LENGTH_BOX`` is
+    both the sample box of each length and the box in which :func:`isolab.search.kmin`
+    starts x_i / x_1.  ``others`` holds the (interval, sample box) of each coordinate after
+    the lengths; ``sample_box``, if given, replaces the whole box."""
     return FamilySpec(
-        id="triangle_sides",
-        dimension=2,
-        domain=(RPLUS, RPLUS, RPLUS),
-        volume=area,
-        area=lambda x: x[0] + x[1] + x[2],
-        homogeneous_prefix_m=3,
+        id=id,
+        dimension=d,
+        domain=(RPLUS,) * m + tuple(interval for interval, _ in others),
+        volume=volume,
+        area=area,
+        homogeneous_prefix_m=m,
         feasible=feasible,
-        sample_box=((0.3, 3.0),) * 3,
+        sample_box=sample_box or (LENGTH_BOX,) * m + tuple(box for _, box in others),
     )
 
 
-def _right_triangle() -> FamilySpec:
-    return FamilySpec(
-        id="right_triangle",
-        dimension=2,
-        domain=(RPLUS, RPLUS),
-        volume=lambda x: 0.5 * x[0] * x[1],
-        area=lambda x: x[0] + x[1] + math.hypot(x[0], x[1]),
-        homogeneous_prefix_m=2,
-        sample_box=((0.3, 3.0),) * 2,
-    )
+def _heron(x):
+    a, b, c = x
+    p = 0.5 * (a + b + c)
+    return np.sqrt(np.maximum(p * (p - a) * (p - b) * (p - c), 0.0))
 
 
-def _box3() -> FamilySpec:
-    return FamilySpec(
-        id="box3",
-        dimension=3,
-        domain=(RPLUS, RPLUS, RPLUS),
-        volume=lambda x: x[0] * x[1] * x[2],
-        area=lambda x: 2.0 * (x[0] * x[1] + x[1] * x[2] + x[2] * x[0]),
-        homogeneous_prefix_m=3,
-        sample_box=((0.3, 3.0),) * 3,
-    )
-
-
-def _cylinder() -> FamilySpec:
-    return FamilySpec(
-        id="cylinder",
-        dimension=3,
-        domain=(RPLUS, RPLUS),  # (radius, height)
-        volume=lambda x: math.pi * (x[0] * x[0]) * x[1],
-        area=lambda x: 2.0 * math.pi * (x[0] * x[0]) + 2.0 * math.pi * x[0] * x[1],
-        homogeneous_prefix_m=2,
-        sample_box=((0.3, 3.0),) * 2,
-    )
-
-
-def _cone() -> FamilySpec:
-    # total surface area: lateral plus base disk
-    return FamilySpec(
-        id="cone",
-        dimension=3,
-        domain=(RPLUS, RPLUS),  # (base radius, height)
-        volume=lambda x: math.pi / 3.0 * x[0] ** 2 * x[1],
-        area=lambda x: math.pi * x[0] ** 2
-        + math.pi * x[0] * math.hypot(x[0], x[1]),
-        homogeneous_prefix_m=2,
-        sample_box=((0.3, 3.0),) * 2,
-    )
-
-
-def _square_pyramid() -> FamilySpec:
-    # total surface area: four slant faces plus square base
-    return FamilySpec(
-        id="square_pyramid",
-        dimension=3,
-        domain=(RPLUS, RPLUS),  # (base side, height)
-        volume=lambda x: x[0] ** 2 * x[1] / 3.0,
-        area=lambda x: x[0] ** 2
-        + 2.0 * x[0] * math.sqrt(x[1] ** 2 + x[0] ** 2 / 4.0),
-        homogeneous_prefix_m=2,
-        sample_box=((0.3, 3.0),) * 2,
-    )
-
-
-def _ring_torus() -> FamilySpec:
-    # x = (tube radius rho1, center radius rho2); formulas valid for rho2 > rho1
-    return FamilySpec(
-        id="ring_torus",
-        dimension=3,
-        domain=(RPLUS, RPLUS),
-        volume=lambda x: 2.0 * math.pi * math.pi * (x[0] * x[0]) * x[1],
-        area=lambda x: 4.0 * math.pi * math.pi * x[0] * x[1],
-        homogeneous_prefix_m=2,
-        feasible=lambda x: x[1] > x[0],
-        sample_box=((0.3, 1.0), (1.1, 3.0)),
-    )
-
-
-def _parallelogram3() -> FamilySpec:
-    return FamilySpec(
-        id="parallelogram3",
-        dimension=2,
-        domain=(RPLUS, RPLUS, (0.0, math.pi)),  # (side, side, angle)
-        volume=lambda x: x[0] * x[1] * np.sin(x[2]),
-        area=lambda x: 2.0 * x[0] + 2.0 * x[1],
-        homogeneous_prefix_m=2,
-        sample_box=((0.3, 3.0), (0.3, 3.0), (0.2, math.pi - 0.2)),
-    )
-
-
-def _rect2() -> FamilySpec:
-    return FamilySpec(
-        id="rect2",
-        dimension=2,
-        domain=(RPLUS, RPLUS),  # (length, width)
-        volume=lambda x: x[0] * x[1],
-        area=lambda x: 2.0 * x[0] + 2.0 * x[1],
-        homogeneous_prefix_m=2,
-        sample_box=((0.3, 3.0),) * 2,
-    )
+def _triangle_inequalities(x):
+    a, b, c = x
+    return (a + b > c) & (b + c > a) & (a + c > b)
 
 
 # in catalog order: the one-parameter families, then the shape classes
@@ -573,15 +484,52 @@ _BUILTINS: dict[str, Callable[..., FamilySpec]] = {
     # the fixed-side rhombus by its two monotone branches (diagonal below and above sqrt(2) a)
     "rhombus_increasing": functools.partial(_rhombus, "increasing"),
     "rhombus_decreasing": functools.partial(_rhombus, "decreasing"),
-    "box3": _box3,
-    "cone": _cone,
-    "cylinder": _cylinder,
-    "parallelogram3": _parallelogram3,
-    "rect2": _rect2,
-    "right_triangle": _right_triangle,
-    "ring_torus": _ring_torus,
-    "square_pyramid": _square_pyramid,
-    "triangle_sides": _triangle_sides,
+    "box3": lambda: _shape_class(
+        "box3", 3, 3,
+        lambda x: x[0] * x[1] * x[2],
+        lambda x: 2.0 * (x[0] * x[1] + x[1] * x[2] + x[2] * x[0])),
+    # (base radius, height); the area is the lateral surface plus the base disk
+    "cone": lambda: _shape_class(
+        "cone", 3, 2,
+        lambda x: math.pi / 3.0 * x[0] ** 2 * x[1],
+        lambda x: math.pi * x[0] ** 2 + math.pi * x[0] * math.hypot(x[0], x[1])),
+    # (radius, height)
+    "cylinder": lambda: _shape_class(
+        "cylinder", 3, 2,
+        lambda x: math.pi * (x[0] * x[0]) * x[1],
+        lambda x: 2.0 * math.pi * (x[0] * x[0]) + 2.0 * math.pi * x[0] * x[1]),
+    # (side, side, angle)
+    "parallelogram3": lambda: _shape_class(
+        "parallelogram3", 2, 2,
+        lambda x: x[0] * x[1] * np.sin(x[2]),
+        lambda x: 2.0 * x[0] + 2.0 * x[1],
+        others=(((0.0, math.pi), (0.2, math.pi - 0.2)),)),
+    # (length, width)
+    "rect2": lambda: _shape_class(
+        "rect2", 2, 2,
+        lambda x: x[0] * x[1],
+        lambda x: 2.0 * x[0] + 2.0 * x[1]),
+    # (leg, leg)
+    "right_triangle": lambda: _shape_class(
+        "right_triangle", 2, 2,
+        lambda x: 0.5 * x[0] * x[1],
+        lambda x: x[0] + x[1] + math.hypot(x[0], x[1])),
+    # (tube radius rho1, center radius rho2); the formulas hold for rho2 > rho1
+    "ring_torus": lambda: _shape_class(
+        "ring_torus", 3, 2,
+        lambda x: 2.0 * math.pi * math.pi * (x[0] * x[0]) * x[1],
+        lambda x: 4.0 * math.pi * math.pi * x[0] * x[1],
+        feasible=lambda x: x[1] > x[0],
+        sample_box=((0.3, 1.0), (1.1, 3.0))),
+    # (base side, height); the area is the four slant faces plus the square base
+    "square_pyramid": lambda: _shape_class(
+        "square_pyramid", 3, 2,
+        lambda x: x[0] ** 2 * x[1] / 3.0,
+        lambda x: x[0] ** 2 + 2.0 * x[0] * math.sqrt(x[1] ** 2 + x[0] ** 2 / 4.0)),
+    # (side, side, side)
+    "triangle_sides": lambda: _shape_class(
+        "triangle_sides", 2, 3, _heron, lambda x: x[0] + x[1] + x[2],
+        feasible=_triangle_inequalities),
 }
 
 

@@ -19,8 +19,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .families import (FamilySpec, _evaluate_batch, _finite_positive, builtin, evaluate, ratio,
-                       ratio_at)
+from .families import (LENGTH_BOX, FamilySpec, _evaluate_batch, _finite_positive, builtin,
+                       evaluate, ratio, ratio_at)
 from .records import Record, csv_table
 
 _SQRT_EPS = float(np.finfo(float).eps) ** 0.5
@@ -29,7 +29,6 @@ BOUNDARY_REL_TOL = 1e-6
 TOL_MIN = 1e-15  # a kmin tol below the rounding level of Q can never be met
 _GOLDEN_MAX_STEPS = 2000  # shrinks any finite bracket below TOL_MIN
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 0.382..., the golden-section fraction
-PREFIX_START_BOX = (0.3, 3.0)  # where kmin starts x_i / x_1 for 2 <= i <= m
 _NM_MAX_EVALS = 20000  # Nelder-Mead's cap on evaluations, and on iterations
 _BRENT_MAX_STEPS, _BRENT_XTOL, _BRENT_RTOL = 100, 1e-15, 8.9e-16  # rtol: 4 eps, rounded up
 STEP_MIN = 1e-6
@@ -120,7 +119,7 @@ def _minimize(
     +inf when every start failed.
 
     With a prefix, x2..xn are searched at x1 = 1 and x2..xm start in
-    ``PREFIX_START_BOX``."""
+    ``LENGTH_BOX``."""
     q = ratio_function(nfamily)
     n, m = nfamily.nparams, nfamily.homogeneous_prefix_m
     if m is not None and n == 1:  # a family of similar regions: Q is constant
@@ -133,7 +132,7 @@ def _minimize(
         x[first:] = z
         return x
 
-    box = [PREFIX_START_BOX if i < (m or 0) else nfamily.sample_box[i] for i in range(first, n)]
+    box = [LENGTH_BOX if i < (m or 0) else nfamily.sample_box[i] for i in range(first, n)]
     lows, highs = np.array(box, dtype=float).T
     points = lows + latin_hypercube(starts, n - first, seed) * (highs - lows)
     if n - first == 1:
@@ -396,7 +395,8 @@ def solve_coordinate(
 ) -> float:
     """Solve Q(x) = k for coordinate j, each other coordinate i given as the
     function ``fixed[i]`` of s; ``fixed`` holding j, or a value fixed outside
-    its coordinate's open interval, is a :class:`DomainError`.
+    its coordinate's open interval, is a :class:`DomainError`, and so is a family
+    of similar regions (n = 1 and a declared prefix), whose Q is the same at every point.
 
     A sign scan of 512 points over the coordinate interval (a grid built once per
     interval) calls each evaluator once on all of them as an (n, m) array, or, where
@@ -417,6 +417,9 @@ def solve_coordinate(
     missing = set(range(n)) - {j} - set(fixed)
     if missing:
         raise DomainError(f"no functions given for coordinates {sorted(missing)}")
+    if n == 1 and nfamily.homogeneous_prefix_m is not None:  # as in _minimize
+        raise DomainError(f"{nfamily.id!r} is a family of similar regions: Q is the same at "
+                          "every point, so Q = k has no isolated root")
     q = ratio_function(nfamily)
     base = np.empty(n)
     for i, fn in fixed.items():

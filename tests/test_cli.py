@@ -143,6 +143,12 @@ class TestDeterminism:
         code, out, _ = run(capsys, *argv.split())
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
+    # every start box that kmin draws, by the sha256 of the table's stdout
+    def test_kmin_table_output_unchanged(self, capsys):
+        code, out, _ = run(capsys, "kmin-table")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+            0, "f336346c69434733227d2ddfade16cb2879c5f08716981169186a7c156c0b314")
+
     def test_classify_byte_identical(self, capsys):
         argv = ("classify", "--family", "hexagon_120", "--grid", "0.2:3:40")
         _, out1, _ = run(capsys, *argv)
@@ -332,6 +338,9 @@ class TestExitCodes:
                      id="bonnesen --d 10**400 --V 1 --A 6"),
         ("solve-coordinate --class parallelogram3 --k 32 --j 2 --s 2", 2,
          "error: no functions given for coordinates [0, 1]"),
+        ("solve-coordinate --class cube --k 216 --j 0 --s 1", 2,
+         "error: 'cube' is a family of similar regions: Q is the same at every point, "
+         "so Q = k has no isolated root"),
         ("inradius --family rect_fixed_length --param a=1e-300 --s0 0 --grid 1e300:1e301:10", 2,
          "error: r(s) failed to track the monotonicity of V(s)"),
     ])

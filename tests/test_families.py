@@ -156,8 +156,39 @@ def _evaluator_digests(spec: families.FamilySpec) -> tuple[str, str]:
     return on_array.hexdigest(), per_float.hexdigest()
 
 
+# the shape classes whose evaluators raise on an (n, m) array (math.hypot, math.sqrt)
+POINTWISE_CLASSES = {"cone", "right_triangle", "square_pyramid"}
+
+
+def _class_digests(spec: families.FamilySpec) -> tuple[str, ...]:
+    """sha256 over (domain, sample_box, homogeneous_prefix_m) and float.hex of V and A and
+    the ``feasible`` answers at 2000 seeded points of the box whose coordinate i is uniform
+    on (lo / 2, 2 hi), (lo, hi) the sample box's: one digest from one call per point, and
+    one from one array call of each evaluator if the class answers arrays.  The V of
+    ``parallelogram3`` is left out: the bits of ``np.sin`` on arrays can follow the CPU's
+    SIMD path."""
+    rng = np.random.default_rng(2)
+    lo, hi = np.array(spec.sample_box).T[:, :, None]
+    x = lo / 2.0 + (2.0 * hi - lo / 2.0) * rng.uniform(0.0, 1.0, (spec.nparams, 2000))
+    evaluators = [spec.area] if spec.id == "parallelogram3" else [spec.volume, spec.area]
+    header = repr((spec.domain, spec.sample_box, spec.homogeneous_prefix_m)).encode()
+    per_point = hashlib.sha256(header)
+    for f in evaluators:
+        per_point.update(" ".join(float.hex(float(f(p))) for p in x.T.copy()).encode())
+    if spec.feasible is not None:
+        per_point.update(bytes(bool(spec.feasible(p)) for p in x.T.copy()))
+    if spec.id in POINTWISE_CLASSES:
+        return (per_point.hexdigest(),)
+    on_array = hashlib.sha256(header)
+    for f in evaluators:
+        on_array.update(" ".join(map(float.hex, np.asarray(f(x), dtype=float).tolist())).encode())
+    if spec.feasible is not None:
+        on_array.update(bytes(np.asarray(spec.feasible(x), dtype=bool).tolist()))
+    return per_point.hexdigest(), on_array.hexdigest()
+
+
 class TestPinnedBits:
-    """The bits of every one-parameter built-in's evaluators and of the catalog: a change
+    """The bits of every built-in's evaluators and of the catalog: a change
     that moves them updates these digests and says why."""
 
     EVALUATORS = {
@@ -182,6 +213,17 @@ class TestPinnedBits:
         "ngon_12": "73db16a1a76ff6a7557450ff47adf05aea073e17b7bdb8ba4033429aa4f3b613",
     }
     CATALOG = "6961ced4e25ebf827d775177fc4b4632f557eb1cd22fbc6e793efca628b9ab73"
+    CLASSES = {
+        "box3": "10fb5e2a679a44ce2d248772bace70a6c095579e78639b72135e54464dcd5625",
+        "cone": "a5aa2e328f3912be703fb524c508c30dd24e35c03ec3faa92aba6d7ca39fa1fc",
+        "cylinder": "3a445019f17f3d7c839f74b522cf8fcbfa3835a1ff1ab1ba382da3a25f23c0d0",
+        "parallelogram3": "79b8085045a5197e5b39d6fb179a26310eb6fe07c721408835738c2943e0712c",
+        "rect2": "e7ee80069764a4353d22f45a1a76f421a0b7257000784bc99e9218aa6dc2f3cd",
+        "right_triangle": "96b0f03bb084601d237c9c8cdcb108c3bec3ff79399657d3536bf1588d75c4ba",
+        "ring_torus": "13d512d4abed40f8845a4eed3eb30059d0fa7c7ce9f541fd5f4d49c7a2a5d1e2",
+        "square_pyramid": "5ff8cf38c4ebe6f2a55b3d3af5d790cf354ca2ca58ad45321e52ede434bec026",
+        "triangle_sides": "f6e7ced43cb84fb70b49df13ec4a1c4219b2a9a3e384dd622aaf12294765fb68",
+    }
 
     @pytest.mark.parametrize("name", list(EVALUATORS))
     def test_evaluators(self, name):
@@ -191,6 +233,11 @@ class TestPinnedBits:
 
     def test_catalog_json(self):
         assert hashlib.sha256(families.catalog_json().encode()).hexdigest() == self.CATALOG
+
+    @pytest.mark.parametrize("name", list(CLASSES))
+    def test_shape_classes(self, name):
+        digests = _class_digests(families.builtin(name))
+        assert digests == (self.CLASSES[name],) * (1 if name in POINTWISE_CLASSES else 2)
 
 
 def test_as_nparam_wraps_evaluators():

@@ -465,6 +465,10 @@ def _parallelogram_x3(s: float) -> float:
     return math.asin((s / 8) / (math.sqrt(s) - 1))
 
 
+SIMILAR_REGIONS = ("{} is a family of similar regions: Q is the same at every point, "
+                   "so Q = k has no isolated root")
+
+
 class TestSolveCoordinate:
     FIXED = {0: lambda s: math.sqrt(s), 1: lambda s: s - math.sqrt(s)}
 
@@ -499,6 +503,13 @@ class TestSolveCoordinate:
         par = families.builtin("parallelogram3")
         with pytest.raises(DomainError, match="coordinate 2 is the one solved for"):
             search.solve_coordinate(par, 32.0, {**self.FIXED, 2: lambda s: 0.5}, 2, 2.0)
+
+    # Q = 216 at every s: a sign change of its rounding noise is no root
+    @pytest.mark.parametrize("k", [216.0, 216.00000000000003])
+    def test_similar_regions_have_no_isolated_root(self, k):
+        with pytest.raises(DomainError) as info:
+            search.solve_coordinate(families.builtin("cube"), k, {}, 0, 1.0)
+        assert str(info.value) == SIMILAR_REGIONS.format("'cube'")
 
 
 def _per_point_scan(nfamily, k, base, j, ts, g):
@@ -757,6 +768,11 @@ class TestScanGrid:
 
     @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda spec: spec.id)
     def test_linspace_bits_on_every_interval(self, monkeypatch, spec):
+        if spec.nparams == 1 and spec.homogeneous_prefix_m is not None:  # similar regions
+            with pytest.raises(DomainError, match=re.escape(SIMILAR_REGIONS.format(repr(spec.id)))):
+                search.solve_coordinate(spec, 30.0, {}, 0, 1.0)
+            assert self.grids(monkeypatch, spec, 0) == []  # no scan
+            return
         for j, (lo, hi) in enumerate(spec.domain):
             if not math.isfinite(hi):
                 hi = max(100.0, 100.0 * spec.sample_box[j][1])
